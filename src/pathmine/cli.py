@@ -28,14 +28,18 @@ DATA_ERROR = 2
 
 
 def _config_from_options(config_path: str | None, **overrides) -> Config:
-    if config_path:
-        return Config.from_file(config_path, **overrides)
-    defaults = Config()
-    merged = {
-        name: (overrides[name] if overrides.get(name) is not None else getattr(defaults, name))
-        for name in Config.__dataclass_fields__
-    }
-    return Config(**merged)
+    """The run's config; any invalid value is a usage error."""
+    try:
+        if config_path:
+            return Config.from_file(config_path, **overrides)
+        defaults = Config()
+        merged = {
+            name: (overrides[name] if overrides.get(name) is not None else getattr(defaults, name))
+            for name in Config.__dataclass_fields__
+        }
+        return Config(**merged)
+    except ValueError as exc:
+        raise click.UsageError(f"invalid config: {exc}") from exc
 
 
 def _open_dump(path: str) -> IO[bytes]:

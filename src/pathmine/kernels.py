@@ -1,18 +1,17 @@
 """Numeric kernels for walk counting, association scoring, and tree expansion.
 
-Every hot kernel exists twice: a loop implementation compiled with numba
-(``*_jit``) and a vectorized pure-numpy fallback (``*_np``).  The active
-backend is picked once at import time; set ``PATHMINE_NO_NUMBA=1`` to force
-the numpy path.  ``python -m pathmine.benchmark`` times both side by side.
+Every kernel is vectorized numpy: work is done on whole arrays of rows at
+once, never in a Python loop per node, parent or candidate.
 
 Graph rows are CSR-style: ``indptr`` is int64 of length ``node_count + 1``
 and the per-row destination arrays are sorted by (destination, relation),
 with one entry per stored edge (parallel edges repeat the destination).
+The reverse CSR's row ``u`` lists the sources of the edges ending at ``u``,
+so the stored edges from ``b`` to ``a`` are the entries ``b`` of ``a``'s
+reverse row.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -20,99 +19,66 @@ import numpy as np
 # representable double so the node ranks last under any sibling softmax.
 SCORE_SENTINEL = float(np.finfo(np.float64).min)
 
-_NO_NUMBA = os.environ.get("PATHMINE_NO_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-try:
-    if _NO_NUMBA:
-        raise ImportError("numba disabled via PATHMINE_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
+# walk vectors switch to exact Python integers above this total
+_INT64_SAFE = float(1 << 62)
 
 
-def backend() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return "numba" if HAVE_NUMBA else "numpy"
+def _gather_rows(indptr, rows):
+    """Flat positions of every entry of ``rows``, and the row index of each."""
+    # ndarray methods, not np.* wrappers: this runs for every tree level
+    lo = indptr[rows]
+    counts = indptr[rows + 1] - lo
+    ends = counts.cumsum()
+    pos = np.arange(ends[-1] if ends.size else 0, dtype=np.int64) + (lo + counts - ends).repeat(counts)
+    return pos, np.arange(rows.size, dtype=np.int64).repeat(counts)
 
 
-# ---------------------------------------------------------------------------
-# row lookups
+def _run_starts(*keys):
+    """Mask of the sorted entries that differ from their predecessor in any key."""
+    first = np.ones(keys[0].size, dtype=np.bool_)
+    first[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
+    return first
 
 
-def _row_span_count_py(indptr, dst, a, b):
-    # number of stored edges a -> b: binary search within row a
-    lo = indptr[a]
-    hi = indptr[a + 1]
-    left, right = lo, hi
-    while left < right:
-        mid = (left + right) // 2
-        if dst[mid] < b:
-            left = mid + 1
-        else:
-            right = mid
-    first = left
-    right = hi
-    while left < right:
-        mid = (left + right) // 2
-        if dst[mid] <= b:
-            left = mid + 1
-        else:
-            right = mid
-    return left - first
+def _multiplicity(fwd_indptr, fwd_dst, rev_indptr, rev_dst, a, bs):
+    """Stored edges between ``a`` and each of ``bs``, both orientations."""
+    total = 0
+    for indptr, dst in ((fwd_indptr, fwd_dst), (rev_indptr, rev_dst)):
+        row = dst[indptr[a] : indptr[a + 1]]
+        total = total + row.searchsorted(bs, side="right") - row.searchsorted(bs, side="left")
+    return total
 
 
-# jitted kernels below resolve this name at compile time, so it must point
-# at the dispatcher when numba is active
-_row_count = njit(cache=True, nogil=True)(_row_span_count_py) if HAVE_NUMBA else _row_span_count_py
-
-
-def pair_multiplicity(indptr, dst, a, b) -> int:
+def pair_multiplicity(fwd_indptr, fwd_dst, rev_indptr, rev_dst, a, b) -> int:
     """Stored edges between a and b in either orientation (parallel counted)."""
-    return int(_row_span_count_py(indptr, dst, a, b) + _row_span_count_py(indptr, dst, b, a))
+    return int(_multiplicity(fwd_indptr, fwd_dst, rev_indptr, rev_dst, a, b))
 
 
 # ---------------------------------------------------------------------------
-# walk counting: one step of v <- B v with B = A + A^T, multiplicity-weighted
+# walk counting: v <- B v with B = A + A^T, multiplicity-weighted
 
 
-def _walk_step_py(indptr, cols, x, out):
-    for u in range(out.size):
-        s = 0
-        for j in range(indptr[u], indptr[u + 1]):
-            s += x[cols[j]]
-        out[u] += s
-
-
-_walk_step_jit = njit(cache=True, nogil=True)(_walk_step_py)
-
-
-def _walk_step_np(indptr, cols, x, out):
-    if cols.size == 0:
-        return
-    rows = np.repeat(np.arange(out.size, dtype=np.int64), np.diff(indptr))
-    # np.add.at keeps int64 arithmetic exact, unlike bincount's float weights
-    np.add.at(out, rows, x[cols])
+def _walk_step(indptr, cols, x):
+    # row sums of x[cols] as differences of one running sum
+    run = np.zeros(cols.size + 1, dtype=x.dtype)
+    np.cumsum(x[cols], out=run[1:])
+    return run[indptr[1:]] - run[indptr[:-1]]
 
 
 def walk_totals(fwd_indptr, fwd_cols, rev_indptr, rev_cols, node_count: int, k: int) -> int:
-    """Total number of k-edge walks, traversing stored edges in both directions."""
+    """Total number of k-edge walks, traversing stored edges in both directions.
+
+    Exact for any graph: once a step's total could leave int64 the walk
+    vector is carried in Python integers.
+    """
+    degree = (np.diff(fwd_indptr) + np.diff(rev_indptr)).astype(np.float64)
     v = np.ones(node_count, dtype=np.int64)
-    step = _walk_step_jit if HAVE_NUMBA else _walk_step_np
     for _ in range(k):
-        nxt = np.zeros(node_count, dtype=np.int64)
-        step(fwd_indptr, fwd_cols, v, nxt)
-        step(rev_indptr, rev_cols, v, nxt)
-        v = nxt
+        # the next vector sums to degree . v, and every entry and running
+        # sum of a step is at most that
+        if v.dtype != object and float(degree @ v) >= _INT64_SAFE:
+            v = v.astype(object)
+        v = _walk_step(fwd_indptr, fwd_cols, v) + _walk_step(rev_indptr, rev_cols, v)
     return int(v.sum())
 
 
@@ -120,194 +86,48 @@ def walk_totals(fwd_indptr, fwd_cols, rev_indptr, rev_cols, node_count: int, k: 
 # distinct-neighbor counts (both orientations, parallel edges collapsed)
 
 
-def _neighbor_counts_py(fwd_indptr, fwd_dst, rev_indptr, rev_dst, out):
-    for u in range(out.size):
-        i = fwd_indptr[u]
-        iend = fwd_indptr[u + 1]
-        j = rev_indptr[u]
-        jend = rev_indptr[u + 1]
-        last = -1
-        count = 0
-        while i < iend or j < jend:
-            if j >= jend or (i < iend and fwd_dst[i] <= rev_dst[j]):
-                v = fwd_dst[i]
-                i += 1
-            else:
-                v = rev_dst[j]
-                j += 1
-            if v != last:
-                count += 1
-                last = v
-        out[u] = count
-
-
-_neighbor_counts_jit = njit(cache=True, nogil=True)(_neighbor_counts_py)
-
-
-def _neighbor_counts_np(fwd_indptr, fwd_dst, rev_indptr, rev_dst, out):
-    n = out.size
-    if fwd_dst.size + rev_dst.size == 0:
-        out[:] = 0
-        return
-    src = np.concatenate(
+def neighbor_counts(fwd_indptr, fwd_dst, rev_indptr, rev_dst, node_count: int):
+    """Distinct neighbours of every concept over both orientations."""
+    n = np.int64(node_count)
+    src = np.arange(node_count, dtype=np.int64)
+    keys = np.concatenate(
         [
-            np.repeat(np.arange(n, dtype=np.int64), np.diff(fwd_indptr)),
-            np.repeat(np.arange(n, dtype=np.int64), np.diff(rev_indptr)),
+            np.repeat(src * n, np.diff(fwd_indptr)) + fwd_dst,
+            np.repeat(src * n, np.diff(rev_indptr)) + rev_dst,
         ]
     )
-    nbr = np.concatenate([fwd_dst.astype(np.int64), rev_dst.astype(np.int64)])
-    keys = np.unique(src * np.int64(n) + nbr)
-    out[:] = np.bincount(keys // np.int64(n), minlength=n)
-
-
-def neighbor_counts(fwd_indptr, fwd_dst, rev_indptr, rev_dst, node_count: int):
-    out = np.zeros(node_count, dtype=np.int64)
-    if HAVE_NUMBA:
-        _neighbor_counts_jit(fwd_indptr, fwd_dst, rev_indptr, rev_dst, out)
-    else:
-        _neighbor_counts_np(fwd_indptr, fwd_dst, rev_indptr, rev_dst, out)
-    return out
+    keys.sort()
+    return np.bincount(keys[_run_starts(keys)] // n, minlength=node_count)
 
 
 # ---------------------------------------------------------------------------
 # normalized association scores for the outside-knowledge hop
 
 
-def _assoc_batch_py(indptr, dst, nbh_counts, c1, c2, c3, c4s, walks3, walks4, node_count, out):
-    m12 = _row_count(indptr, dst, c1, c2) + _row_count(indptr, dst, c2, c1)
-    m23 = _row_count(indptr, dst, c2, c3) + _row_count(indptr, dst, c3, c2)
-    base = m12 * m23
-    for i in range(c4s.size):
-        c4 = c4s[i]
-        m34 = _row_count(indptr, dst, c3, c4) + _row_count(indptr, dst, c4, c3)
-        seq = base * m34
-        if seq == 0:
-            out[i] = SCORE_SENTINEL
-        elif seq == walks4:
-            out[i] = 1.0
-        else:
-            joint = seq / walks4
-            p_prefix = base / walks3
-            p_hop = nbh_counts[c4] / node_count
-            pmi = np.log(joint / (p_hop * p_prefix))
-            out[i] = pmi / (-np.log(joint))
-
-
-_assoc_batch_jit = njit(cache=True, nogil=True)(_assoc_batch_py)
-
-
-def _assoc_batch_np(indptr, dst, nbh_counts, c1, c2, c3, c4s, walks3, walks4, node_count, out):
-    m12 = _row_span_count_py(indptr, dst, c1, c2) + _row_span_count_py(indptr, dst, c2, c1)
-    m23 = _row_span_count_py(indptr, dst, c2, c3) + _row_span_count_py(indptr, dst, c3, c2)
-    base = m12 * m23
-    row = dst[indptr[c3] : indptr[c3 + 1]]
-    fwd34 = np.searchsorted(row, c4s, side="right") - np.searchsorted(row, c4s, side="left")
-    rev34 = np.empty(c4s.size, dtype=np.int64)
-    for i, c4 in enumerate(c4s):
-        rev34[i] = _row_span_count_py(indptr, dst, int(c4), c3)
-    seq = base * (fwd34 + rev34)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        joint = seq / walks4
-        p_prefix = base / walks3
-        p_hop = nbh_counts[c4s] / node_count
-        pmi = np.log(joint / (p_hop * p_prefix))
-        scores = pmi / (-np.log(joint))
-    out[:] = np.where(seq == 0, SCORE_SENTINEL, np.where(seq == walks4, 1.0, scores))
-
-
-def association_scores(indptr, dst, nbh_counts, c1, c2, c3, c4s, walks3, walks4, node_count):
+def association_scores(
+    fwd_indptr, fwd_dst, rev_indptr, rev_dst, nbh_counts, c1, c2, c3, c4s, walks3, walks4, node_count
+):
     """Normalized pointwise-mutual-information scores for candidate fourth hops.
 
     ``walks3``/``walks4`` are the global totals of 3-node and 4-node walks.
     Returns float64 scores; a zero joint count yields ``SCORE_SENTINEL`` and a
     joint count equal to the global total yields +1 by convention.
     """
-    out = np.empty(len(c4s), dtype=np.float64)
+    csr = (fwd_indptr, fwd_dst, rev_indptr, rev_dst)
     c4s = np.asarray(c4s, dtype=np.int32)
-    if HAVE_NUMBA:
-        _assoc_batch_jit(indptr, dst, nbh_counts, c1, c2, c3, c4s, walks3, walks4, node_count, out)
-    else:
-        _assoc_batch_np(indptr, dst, nbh_counts, c1, c2, c3, c4s, walks3, walks4, node_count, out)
-    return out
+    base = _multiplicity(*csr, c1, c2) * _multiplicity(*csr, c2, c3)
+    seq = base * _multiplicity(*csr, c3, c4s)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        joint = seq / walks4
+        p_prefix = base / walks3
+        p_hop = nbh_counts[c4s] / node_count
+        pmi = np.log(joint / (p_hop * p_prefix))
+        scores = pmi / (-np.log(joint))
+    return np.where(seq == 0, SCORE_SENTINEL, np.where(seq == walks4, 1.0, scores))
 
 
 # ---------------------------------------------------------------------------
 # candidate expansion: merged, deduplicated neighbors per parent node
-
-
-def _expand_py(
-    parents,
-    ancestors,
-    fwd_indptr,
-    fwd_dst,
-    fwd_rel,
-    rev_indptr,
-    rev_dst,
-    rev_rel,
-    allowed,
-    cand,
-    minrel,
-    offsets,
-):
-    pos = 0
-    n_anc = ancestors.shape[1]
-    for p in range(parents.size):
-        node = parents[p]
-        i = fwd_indptr[node]
-        iend = fwd_indptr[node + 1]
-        j = rev_indptr[node]
-        jend = rev_indptr[node + 1]
-        last = -1
-        last_kept = False
-        while i < iend or j < jend:
-            if j >= jend or (i < iend and fwd_dst[i] <= rev_dst[j]):
-                v = fwd_dst[i]
-                r = fwd_rel[i]
-                i += 1
-            else:
-                v = rev_dst[j]
-                r = rev_rel[j]
-                j += 1
-            if v == last:
-                if last_kept and r < minrel[pos - 1]:
-                    minrel[pos - 1] = r
-                continue
-            last = v
-            last_kept = False
-            if not allowed[v]:
-                continue
-            blocked = False
-            for a in range(n_anc):
-                if ancestors[p, a] == v:
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            cand[pos] = v
-            minrel[pos] = r
-            pos += 1
-            last_kept = True
-        offsets[p + 1] = pos
-    return pos
-
-
-_expand_jit = njit(cache=True, nogil=True)(_expand_py)
-
-
-def _expand_np_one(node, anc_row, fwd_indptr, fwd_dst, fwd_rel, rev_indptr, rev_dst, rev_rel, allowed):
-    f0, f1 = fwd_indptr[node], fwd_indptr[node + 1]
-    r0, r1 = rev_indptr[node], rev_indptr[node + 1]
-    nbrs = np.concatenate([fwd_dst[f0:f1], rev_dst[r0:r1]])
-    rels = np.concatenate([fwd_rel[f0:f1], rev_rel[r0:r1]])
-    if nbrs.size == 0:
-        return nbrs.astype(np.int32), rels.astype(np.int32)
-    order = np.lexsort((rels, nbrs))
-    nbrs = nbrs[order]
-    rels = rels[order]
-    uniq, first = np.unique(nbrs, return_index=True)
-    rels = rels[first]
-    keep = allowed[uniq] & ~np.isin(uniq, anc_row)
-    return uniq[keep].astype(np.int32), rels[keep].astype(np.int32)
 
 
 def expand_candidates(parents, ancestors, fwd_indptr, fwd_dst, fwd_rel, rev_indptr, rev_dst, rev_rel, allowed):
@@ -318,57 +138,35 @@ def expand_candidates(parents, ancestors, fwd_indptr, fwd_dst, fwd_rel, rev_indp
     Returns (flat candidates, flat min relation ids, offsets of len parents+1);
     each parent's slice is sorted by concept id.
     """
-    parents = np.asarray(parents, dtype=np.int32)
-    if HAVE_NUMBA:
-        idx = parents.astype(np.int64)
-        bound = int(
-            np.sum(fwd_indptr[idx + 1] - fwd_indptr[idx]) + np.sum(rev_indptr[idx + 1] - rev_indptr[idx])
-        )
-        cand = np.empty(int(bound), dtype=np.int32)
-        minrel = np.empty(int(bound), dtype=np.int32)
-        offsets = np.zeros(parents.size + 1, dtype=np.int64)
-        total = _expand_jit(
-            parents,
-            ancestors,
-            fwd_indptr,
-            fwd_dst,
-            fwd_rel,
-            rev_indptr,
-            rev_dst,
-            rev_rel,
-            allowed,
-            cand,
-            minrel,
-            offsets,
-        )
-        return cand[:total].copy(), minrel[:total].copy(), offsets
-    chunks_c = []
-    chunks_r = []
-    offsets = np.zeros(parents.size + 1, dtype=np.int64)
-    for p, node in enumerate(parents):
-        c, r = _expand_np_one(
-            int(node), ancestors[p], fwd_indptr, fwd_dst, fwd_rel, rev_indptr, rev_dst, rev_rel, allowed
-        )
-        chunks_c.append(c)
-        chunks_r.append(r)
-        offsets[p + 1] = offsets[p] + c.size
-    if chunks_c:
-        return np.concatenate(chunks_c), np.concatenate(chunks_r), offsets
-    return np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32), offsets
+    # a concept recurs as parent under many branches: expand each once
+    concepts, inverse = np.unique(np.asarray(parents, dtype=np.int64), return_inverse=True)
+    segs, nbrs, rels = [], [], []
+    for indptr, dst, rel in ((fwd_indptr, fwd_dst, fwd_rel), (rev_indptr, rev_dst, rev_rel)):
+        pos, seg = _gather_rows(indptr, concepts)
+        # filter first: every later array is built over the kept rows only
+        keep = allowed[dst[pos]].nonzero()[0]
+        pos, seg = pos[keep], seg[keep]
+        segs.append(seg)
+        nbrs.append(dst[pos])
+        rels.append(rel[pos])
+    seg = np.concatenate(segs)
+    nbr = np.concatenate(nbrs)
+    rel = np.concatenate(rels)
 
+    # the first entry of each (concept, neighbor) run carries the minimal relation
+    order = np.lexsort((rel, nbr, seg))
+    seg, nbr, rel = seg[order], nbr[order], rel[order]
+    first = _run_starts(seg, nbr)
+    seg, nbr, rel = seg[first], nbr[first], rel[first]
+    concept_offsets = np.zeros(concepts.size + 1, dtype=np.int64)
+    np.bincount(seg, minlength=concepts.size).cumsum(out=concept_offsets[1:])
 
-def warmup() -> None:
-    """Force-compile the jitted kernels on a toy graph (no-op without numba)."""
-    if not HAVE_NUMBA:
-        return
-    indptr = np.array([0, 1, 2], dtype=np.int64)
-    dst = np.array([1, 0], dtype=np.int32)
-    rel = np.zeros(2, dtype=np.int32)
-    walk_totals(indptr, dst, indptr, dst, 2, 2)
-    neighbor_counts(indptr, dst, indptr, dst, 2)
-    nbh = np.ones(2, dtype=np.int64)
-    association_scores(indptr, dst, nbh, 0, 1, 0, np.array([1], dtype=np.int32), 2, 2, 2)
-    anc = np.full((1, 4), -1, dtype=np.int32)
-    expand_candidates(
-        np.array([0], dtype=np.int32), anc, indptr, dst, rel, indptr, dst, rel, np.ones(2, dtype=np.bool_)
-    )
+    # copy each concept's list to its parents, then drop the parent's ancestors
+    pos, seg = _gather_rows(concept_offsets, inverse)
+    nbr, rel = nbr[pos], rel[pos]
+    keep = np.ones(nbr.size, dtype=np.bool_)
+    for column in ancestors.T:  # one column at a time bounds the temporaries
+        keep &= column[seg] != nbr
+    offsets = np.zeros(inverse.size + 1, dtype=np.int64)
+    np.bincount(seg[keep], minlength=inverse.size).cumsum(out=offsets[1:])
+    return nbr[keep].astype(np.int32, copy=False), rel[keep].astype(np.int32, copy=False), offsets

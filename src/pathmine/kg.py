@@ -268,7 +268,9 @@ class KnowledgeGraph:
         """Stored edges between the pair in either orientation."""
         self._check_concept(a)
         self._check_concept(b)
-        return kernels.pair_multiplicity(self.fwd_indptr, self.fwd_dst, a, b)
+        return kernels.pair_multiplicity(
+            self.fwd_indptr, self.fwd_dst, self.rev_indptr, self.rev_dst, a, b
+        )
 
     def walk_count(self, k: int) -> int:
         """Number of k-edge walks, counted with edge multiplicity.
@@ -478,6 +480,8 @@ class WalkStats:
         w4 = g.walk_count(3)
         if w3 <= 0 or w4 <= 0:
             raise PathmineError("graph has no multi-step walks; cannot build statistics")
+        if max(w3, w4) >= 1 << 63:
+            raise PathmineError("walk totals exceed the 64-bit range of the index")
         return cls(walks_len3=w3, walks_len4=w4, node_count=g.node_count)
 
 

@@ -13,7 +13,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, get_type_hints
 
 import numpy as np
 
@@ -39,6 +39,11 @@ class Config:
     stopword_path: str | None = None
 
     def __post_init__(self):
+        for name, hint in get_type_hints(Config).items():
+            value = getattr(self, name)
+            # bool is an int subclass, but never a valid count or seed
+            if isinstance(value, bool) or not isinstance(value, hint):
+                raise ValueError(f"{name} must be {getattr(hint, '__name__', hint)}, got {value!r}")
         if self.max_ngram < 1:
             raise ValueError("max_ngram must be >= 1")
         if self.max_children_per_node < 2:
@@ -50,6 +55,8 @@ class Config:
     def from_file(cls, path: str, **overrides) -> "Config":
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = set(data) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

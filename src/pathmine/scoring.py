@@ -59,6 +59,8 @@ def npmi(
     out = kernels.association_scores(
         g.fwd_indptr,
         g.fwd_dst,
+        g.rev_indptr,
+        g.rev_dst,
         g.neighbor_count,
         c1,
         c2,
@@ -113,6 +115,8 @@ def score_raw(
         raw[lo:hi] = kernels.association_scores(
             g.fwd_indptr,
             g.fwd_dst,
+            g.rev_indptr,
+            g.rev_dst,
             g.neighbor_count,
             c1,
             c2,

@@ -131,20 +131,21 @@ def enumerate_levels(tree: PathTree, level: int) -> list[TreeNode]:
 
 
 def _ranked_cap(cand, minrel, offsets, scores, cap):
-    """Keep the top ``cap`` entries per segment by (score desc, concept asc)."""
+    """Keep the top ``cap`` entries per segment by (score desc, concept asc).
+
+    Each segment must arrive sorted by concept, as ``expand_candidates``
+    returns it, and scores must be non-negative integers.
+    """
     seg = np.repeat(np.arange(offsets.size - 1, dtype=np.int64), np.diff(offsets))
     if cand.size == 0:
         return cand, minrel, seg
-    order = np.lexsort((cand, -scores, seg))
-    seg_sorted = seg[order]
-    first_pos = np.flatnonzero(np.r_[True, seg_sorted[1:] != seg_sorted[:-1]])
-    sizes = np.diff(np.r_[first_pos, seg_sorted.size])
-    rank = np.arange(seg_sorted.size) - np.repeat(first_pos, sizes)
-    keep = order[rank < cap]
-    keep.sort()  # restore (segment, rank) grouping deterministically
-    order_kept = np.lexsort((cand[keep], -scores[keep], seg[keep]))
-    keep = keep[order_kept]
-    return cand[keep], minrel[keep], seg[keep]
+    # one stable sort by (segment, score desc): segments stay in place and
+    # equal scores keep their concept order
+    top = int(scores.max())
+    order = np.argsort(seg * (top + 1) + (top - scores), kind="stable")
+    kept = np.arange(cand.size) - offsets[seg] < cap
+    keep = order[kept]
+    return cand[keep], minrel[keep], seg[kept]
 
 
 def build_tree(

@@ -8,11 +8,14 @@ agreement with the production implementations is meaningful.
 from __future__ import annotations
 
 import math
+import os
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pathmine
 from pathmine import KnowledgeGraph, graph_from_triples
 from pathmine import kernels
 
@@ -59,9 +62,12 @@ def story_dump_bytes() -> bytes:
 
 
 @pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # jit compilation happens once here, not inside timed tests
-    kernels.warmup()
+def child_pythonpath():
+    # interpreters started by tests import the same pathmine as this one
+    patch = pytest.MonkeyPatch()
+    patch.setenv("PYTHONPATH", str(Path(pathmine.__file__).resolve().parents[1]), prepend=os.pathsep)
+    yield
+    patch.undo()
 
 
 @pytest.fixture(scope="session")

@@ -103,6 +103,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             Config.from_file(str(path))
 
+    def test_wrong_types_rejected(self):
+        for bad in ({"max_ngram": "4"}, {"max_children_per_node": True}, {"seed": 1.0},
+                    {"lang": None}, {"stopword_path": 3}, {"max_total_paths": "2"}):
+            with pytest.raises(ValueError):
+                Config(**bad)
+        assert Config(max_total_paths=None, stopword_path=None).max_total_paths is None
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Config(max_ngram=0)
@@ -161,6 +168,24 @@ class TestCli:
     def test_usage_error_exit_code(self, capsys):
         assert main(["extract", "--nonsense"]) == 1
         assert main(["no-such-command"]) == 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"max_ngram": "4"}, {"seed": True}, {"max_total_paths": 2.5}, {"lang": 7}, {"max_ngram": 0}, [1]],
+    )
+    def test_bad_config_is_usage_error(self, tmp_path, story_index, capsys, bad):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(bad))
+        requests = tmp_path / "r.jsonl"
+        requests.write_text(json.dumps({"context": STORY_CONTEXT, "query": STORY_QUERY}) + "\n")
+        code = main(
+            ["extract", "--graph", story_index, "--input", str(requests), "--output", "-",
+             "--config", str(config)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: invalid config:")
+        assert len(err.strip().splitlines()) == 1
 
     def test_corrupt_index_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.idx"
