@@ -3,12 +3,11 @@
 Every kernel is vectorized numpy: work is done on whole arrays of rows at
 once, never in a Python loop per node, parent or candidate.
 
-Graph rows are CSR-style: ``indptr`` is int64 of length ``node_count + 1``
-and the per-row destination arrays are sorted by (destination, relation),
-with one entry per stored edge (parallel edges repeat the destination).
-The reverse CSR's row ``u`` lists the sources of the edges ending at ``u``,
-so the stored edges from ``b`` to ``a`` are the entries ``b`` of ``a``'s
-reverse row.
+The graph is one undirected CSR: ``indptr`` is int64 of length
+``node_count + 1``, and row ``u`` of ``dst``/``rel`` holds one entry per
+stored edge incident to ``u`` (a self-loop twice), sorted by
+(neighbor, relation).  Summing ``x`` over row ``u`` is therefore the
+``(A + A^T) x`` step of the direction-agnostic walk operator.
 """
 
 from __future__ import annotations
@@ -40,83 +39,73 @@ def _run_starts(*keys):
     return first
 
 
-def _multiplicity(fwd_indptr, fwd_dst, rev_indptr, rev_dst, a, bs):
+def _row_sums(indptr, values):
+    # row sums as differences of one running sum
+    run = np.zeros(values.size + 1, dtype=values.dtype)
+    np.cumsum(values, out=run[1:])
+    return run[indptr[1:]] - run[indptr[:-1]]
+
+
+def _multiplicity(indptr, dst, a, bs):
     """Stored edges between ``a`` and each of ``bs``, both orientations."""
-    total = 0
-    for indptr, dst in ((fwd_indptr, fwd_dst), (rev_indptr, rev_dst)):
-        row = dst[indptr[a] : indptr[a + 1]]
-        total = total + row.searchsorted(bs, side="right") - row.searchsorted(bs, side="left")
-    return total
+    row = dst[indptr[a] : indptr[a + 1]]
+    return row.searchsorted(bs, side="right") - row.searchsorted(bs, side="left")
 
 
-def pair_multiplicity(fwd_indptr, fwd_dst, rev_indptr, rev_dst, a, b) -> int:
+def pair_multiplicity(indptr, dst, a, b) -> int:
     """Stored edges between a and b in either orientation (parallel counted)."""
-    return int(_multiplicity(fwd_indptr, fwd_dst, rev_indptr, rev_dst, a, b))
+    return int(_multiplicity(indptr, dst, a, b))
 
 
 # ---------------------------------------------------------------------------
 # walk counting: v <- B v with B = A + A^T, multiplicity-weighted
 
 
-def _walk_step(indptr, cols, x):
-    # row sums of x[cols] as differences of one running sum
-    run = np.zeros(cols.size + 1, dtype=x.dtype)
-    np.cumsum(x[cols], out=run[1:])
-    return run[indptr[1:]] - run[indptr[:-1]]
-
-
-def walk_totals(fwd_indptr, fwd_cols, rev_indptr, rev_cols, node_count: int, k: int) -> int:
+def walk_totals(indptr, dst, degrees, k: int) -> int:
     """Total number of k-edge walks, traversing stored edges in both directions.
 
-    Exact for any graph: once a step's total could leave int64 the walk
-    vector is carried in Python integers.
+    ``degrees`` is ``np.diff(indptr)``.  Exact for any graph: once a step's
+    total could leave int64 the walk vector is carried in Python integers.
     """
-    degree = (np.diff(fwd_indptr) + np.diff(rev_indptr)).astype(np.float64)
-    v = np.ones(node_count, dtype=np.int64)
+    weights = degrees.astype(np.float64)
+    v = np.ones(degrees.size, dtype=np.int64)
     for _ in range(k):
-        # the next vector sums to degree . v, and every entry and running
+        # the next vector sums to degrees . v, and every entry and running
         # sum of a step is at most that
-        if v.dtype != object and float(degree @ v) >= _INT64_SAFE:
+        if v.dtype != object and float(weights @ v) >= _INT64_SAFE:
             v = v.astype(object)
-        v = _walk_step(fwd_indptr, fwd_cols, v) + _walk_step(rev_indptr, rev_cols, v)
+        v = _row_sums(indptr, v[dst])
     return int(v.sum())
 
 
 # ---------------------------------------------------------------------------
-# distinct-neighbor counts (both orientations, parallel edges collapsed)
+# distinct-neighbor counts (parallel edges collapsed)
 
 
-def neighbor_counts(fwd_indptr, fwd_dst, rev_indptr, rev_dst, node_count: int):
-    """Distinct neighbours of every concept over both orientations."""
-    n = np.int64(node_count)
-    src = np.arange(node_count, dtype=np.int64)
-    keys = np.concatenate(
-        [
-            np.repeat(src * n, np.diff(fwd_indptr)) + fwd_dst,
-            np.repeat(src * n, np.diff(rev_indptr)) + rev_dst,
-        ]
-    )
-    keys.sort()
-    return np.bincount(keys[_run_starts(keys)] // n, minlength=node_count)
+def neighbor_counts(indptr, dst):
+    """Distinct neighbors of every concept: the neighbor runs of each row."""
+    starts = np.ones(dst.size, dtype=np.int64)
+    starts[1:] = dst[1:] != dst[:-1]
+    # a row's first entry starts a run even if the previous row ends on it
+    row_lo = indptr[:-1]
+    starts[row_lo[row_lo < dst.size]] = 1
+    return _row_sums(indptr, starts)
 
 
 # ---------------------------------------------------------------------------
 # normalized association scores for the outside-knowledge hop
 
 
-def association_scores(
-    fwd_indptr, fwd_dst, rev_indptr, rev_dst, nbh_counts, c1, c2, c3, c4s, walks3, walks4, node_count
-):
+def association_scores(indptr, dst, nbh_counts, c1, c2, c3, c4s, walks3, walks4, node_count):
     """Normalized pointwise-mutual-information scores for candidate fourth hops.
 
     ``walks3``/``walks4`` are the global totals of 3-node and 4-node walks.
     Returns float64 scores; a zero joint count yields ``SCORE_SENTINEL`` and a
     joint count equal to the global total yields +1 by convention.
     """
-    csr = (fwd_indptr, fwd_dst, rev_indptr, rev_dst)
     c4s = np.asarray(c4s, dtype=np.int32)
-    base = _multiplicity(*csr, c1, c2) * _multiplicity(*csr, c2, c3)
-    seq = base * _multiplicity(*csr, c3, c4s)
+    base = _multiplicity(indptr, dst, c1, c2) * _multiplicity(indptr, dst, c2, c3)
+    seq = base * _multiplicity(indptr, dst, c3, c4s)
     with np.errstate(divide="ignore", invalid="ignore"):
         joint = seq / walks4
         p_prefix = base / walks3
@@ -127,10 +116,10 @@ def association_scores(
 
 
 # ---------------------------------------------------------------------------
-# candidate expansion: merged, deduplicated neighbors per parent node
+# candidate expansion: deduplicated neighbors per parent node
 
 
-def expand_candidates(parents, ancestors, fwd_indptr, fwd_dst, fwd_rel, rev_indptr, rev_dst, rev_rel, allowed):
+def expand_candidates(parents, ancestors, indptr, dst, rel, allowed):
     """Per-parent deduplicated neighbor concepts with their minimal relation id.
 
     ``ancestors`` is (len(parents), depth) int32, padded with -1; candidates
@@ -140,22 +129,14 @@ def expand_candidates(parents, ancestors, fwd_indptr, fwd_dst, fwd_rel, rev_indp
     """
     # a concept recurs as parent under many branches: expand each once
     concepts, inverse = np.unique(np.asarray(parents, dtype=np.int64), return_inverse=True)
-    segs, nbrs, rels = [], [], []
-    for indptr, dst, rel in ((fwd_indptr, fwd_dst, fwd_rel), (rev_indptr, rev_dst, rev_rel)):
-        pos, seg = _gather_rows(indptr, concepts)
-        # filter first: every later array is built over the kept rows only
-        keep = allowed[dst[pos]].nonzero()[0]
-        pos, seg = pos[keep], seg[keep]
-        segs.append(seg)
-        nbrs.append(dst[pos])
-        rels.append(rel[pos])
-    seg = np.concatenate(segs)
-    nbr = np.concatenate(nbrs)
-    rel = np.concatenate(rels)
+    pos, seg = _gather_rows(indptr, concepts)
+    # filter first: every later array is built over the kept rows only
+    keep = allowed[dst[pos]].nonzero()[0]
+    pos, seg = pos[keep], seg[keep]
+    nbr, rel = dst[pos], rel[pos]
 
-    # the first entry of each (concept, neighbor) run carries the minimal relation
-    order = np.lexsort((rel, nbr, seg))
-    seg, nbr, rel = seg[order], nbr[order], rel[order]
+    # rows are sorted by (neighbor, relation): the first entry of each
+    # (concept, neighbor) run carries the minimal relation
     first = _run_starts(seg, nbr)
     seg, nbr, rel = seg[first], nbr[first], rel[first]
     concept_offsets = np.zeros(concepts.size + 1, dtype=np.int64)

@@ -14,7 +14,10 @@ checksum.  Walk statistics are stored in the ``STAT`` section so they are
 computed once per graph.
 
 All traversal is direction-agnostic: a stored edge can be walked from
-either endpoint, and relation names are reported unmodified.
+either endpoint, and relation names are reported unmodified.  In memory
+the edges form one undirected CSR (``adj_indptr``/``adj_dst``/``adj_rel``)
+that lists every stored edge in both endpoints' rows; the index stores
+only the edge table, and loading rebuilds the CSR with one sort.
 """
 
 from __future__ import annotations
@@ -138,7 +141,6 @@ class KnowledgeGraph:
         lang: str,
         surfaces: list[str],
         relation_names: list[str],
-        relation_symmetric: np.ndarray,
         edge_start: np.ndarray,
         edge_rel: np.ndarray,
         edge_end: np.ndarray,
@@ -150,7 +152,6 @@ class KnowledgeGraph:
         if len(self.surface_to_id) != len(surfaces):
             raise ValueError("duplicate concept surfaces")
         self.relation_names = relation_names
-        self.relation_symmetric = np.asarray(relation_symmetric, dtype=np.bool_)
         self.edge_start = np.asarray(edge_start, dtype=np.int32)
         self.edge_rel = np.asarray(edge_rel, dtype=np.int32)
         self.edge_end = np.asarray(edge_end, dtype=np.int32)
@@ -158,24 +159,27 @@ class KnowledgeGraph:
         self._build_indices()
 
     def _build_indices(self) -> None:
+        """One undirected CSR: each stored edge sits in both endpoints' rows
+        (a self-loop twice in its own), rows sorted by (neighbor, relation)."""
         n = self.node_count
-        order = np.lexsort((self.edge_rel, self.edge_end, self.edge_start))
-        self.fwd_dst = self.edge_end[order].copy()
-        self.fwd_rel = self.edge_rel[order].copy()
-        counts = np.bincount(self.edge_start, minlength=n)
-        self.fwd_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.fwd_indptr[1:])
-
-        order = np.lexsort((self.edge_rel, self.edge_start, self.edge_end))
-        self.rev_dst = self.edge_start[order].copy()
-        self.rev_rel = self.edge_rel[order].copy()
-        counts = np.bincount(self.edge_end, minlength=n)
-        self.rev_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.rev_indptr[1:])
-
-        self.neighbor_count = kernels.neighbor_counts(
-            self.fwd_indptr, self.fwd_dst, self.rev_indptr, self.rev_dst, n
-        )
+        r = max(len(self.relation_names), 1)
+        if n * n * r >= 1 << 63:
+            raise PathmineError(
+                f"graph too large to index: {n} concepts x {r} relations exceed a 64-bit key"
+            )
+        # sort one packed (row, neighbor, relation) key, then decode it
+        key = np.concatenate([self.edge_start, self.edge_end]).astype(np.int64)
+        key *= n
+        key += np.concatenate([self.edge_end, self.edge_start])
+        key *= r
+        key += np.concatenate([self.edge_rel, self.edge_rel])
+        key.sort()
+        self.adj_indptr = key.searchsorted(np.arange(n + 1, dtype=np.int64) * (n * r))
+        self.adj_rel = (key % r).astype(np.int32)
+        key //= r
+        self.adj_dst = (key % n).astype(np.int32)
+        self.degrees = np.diff(self.adj_indptr)
+        self.neighbor_count = kernels.neighbor_counts(self.adj_indptr, self.adj_dst)
         # all-concepts mask shared by unconstrained tree expansions
         self.all_allowed = np.ones(n, dtype=np.bool_)
 
@@ -215,12 +219,7 @@ class KnowledgeGraph:
     def degree(self, cid: int) -> int:
         """Stored edges incident to the concept, parallel edges counted."""
         self._check_concept(cid)
-        return int(
-            self.fwd_indptr[cid + 1]
-            - self.fwd_indptr[cid]
-            + self.rev_indptr[cid + 1]
-            - self.rev_indptr[cid]
-        )
+        return int(self.degrees[cid])
 
     def _check_concept(self, cid: int) -> None:
         if not 0 <= cid < self.node_count:
@@ -228,49 +227,32 @@ class KnowledgeGraph:
 
     # -- queries -----------------------------------------------------------
 
-    def neighbors(self, cid: int, direction: str = "both") -> list[tuple[int, int]]:
+    def neighbors(self, cid: int) -> list[tuple[int, int]]:
         """(relation id, concept id) pairs adjacent to ``cid``.
 
         Deduplicated on (relation, concept) and sorted by concept id then
-        relation id.  ``direction`` is "out", "in", or "both".
+        relation id.
         """
         self._check_concept(cid)
-        if direction not in ("out", "in", "both"):
-            raise ValueError(f"invalid direction {direction!r}")
-        parts = []
-        if direction in ("out", "both"):
-            lo, hi = self.fwd_indptr[cid], self.fwd_indptr[cid + 1]
-            parts.append((self.fwd_dst[lo:hi], self.fwd_rel[lo:hi]))
-        if direction in ("in", "both"):
-            lo, hi = self.rev_indptr[cid], self.rev_indptr[cid + 1]
-            parts.append((self.rev_dst[lo:hi], self.rev_rel[lo:hi]))
-        concepts = np.concatenate([p[0] for p in parts])
-        rels = np.concatenate([p[1] for p in parts])
-        if concepts.size == 0:
-            return []
-        pairs = np.unique(np.stack([concepts, rels], axis=1), axis=0)
-        return [(int(r), int(c)) for c, r in pairs]
+        lo, hi = self.adj_indptr[cid], self.adj_indptr[cid + 1]
+        pairs = zip(self.adj_dst[lo:hi].tolist(), self.adj_rel[lo:hi].tolist())
+        return [(r, c) for c, r in dict.fromkeys(pairs)]
 
     def edges_between(self, a: int, b: int) -> list[int]:
         """Relation ids usable for a hop between ``a`` and ``b`` (sorted)."""
         self._check_concept(a)
         self._check_concept(b)
-        rels = []
-        for src, dst in ((a, b), (b, a)):
-            lo, hi = self.fwd_indptr[src], self.fwd_indptr[src + 1]
-            row = self.fwd_dst[lo:hi]
-            left = int(np.searchsorted(row, dst, side="left"))
-            right = int(np.searchsorted(row, dst, side="right"))
-            rels.extend(int(r) for r in self.fwd_rel[lo + left : lo + right])
-        return sorted(set(rels))
+        lo, hi = self.adj_indptr[a], self.adj_indptr[a + 1]
+        row = self.adj_dst[lo:hi]
+        left = lo + row.searchsorted(b, side="left")
+        right = lo + row.searchsorted(b, side="right")
+        return list(dict.fromkeys(self.adj_rel[left:right].tolist()))
 
     def pair_multiplicity(self, a: int, b: int) -> int:
         """Stored edges between the pair in either orientation."""
         self._check_concept(a)
         self._check_concept(b)
-        return kernels.pair_multiplicity(
-            self.fwd_indptr, self.fwd_dst, self.rev_indptr, self.rev_dst, a, b
-        )
+        return kernels.pair_multiplicity(self.adj_indptr, self.adj_dst, a, b)
 
     def walk_count(self, k: int) -> int:
         """Number of k-edge walks, counted with edge multiplicity.
@@ -281,9 +263,7 @@ class KnowledgeGraph:
         """
         if not 1 <= k <= 4:
             raise ValueError(f"walk length {k} out of range 1..4")
-        return kernels.walk_totals(
-            self.fwd_indptr, self.fwd_dst, self.rev_indptr, self.rev_dst, self.node_count, k
-        )
+        return kernels.walk_totals(self.adj_indptr, self.adj_dst, self.degrees, k)
 
     # -- equality (used by ingestion-idempotence tests) ---------------------
 
@@ -375,7 +355,6 @@ def _assemble(
         lang,
         surfaces,
         relation_names,
-        np.asarray([name in SYMMETRIC_RELATIONS for name in relation_names], dtype=np.bool_),
         edge_start,
         edge_rel,
         edge_end,
@@ -569,7 +548,9 @@ def load_index(source: BinaryIO | str) -> tuple[KnowledgeGraph, WalkStats | None
     """Read an index produced by :func:`save_index`.
 
     Raises :class:`IndexVersionError`, :class:`IndexTruncatedError`, or
-    :class:`IndexChecksumError` for the corresponding defects.
+    :class:`IndexChecksumError` for the corresponding defects, and
+    :class:`IndexFormatError` for ids out of range or walk statistics of
+    another graph.
     """
     own = isinstance(source, str)
     fh: BinaryIO = open(source, "rb") if own else source  # type: ignore[assignment]
@@ -609,10 +590,9 @@ def load_index(source: BinaryIO | str) -> tuple[KnowledgeGraph, WalkStats | None
     surfaces = [conc.string() for _ in range(n_concepts)]
     rels_rd = _Reader(sections[b"RELS"])
     relation_names = []
-    symmetric = np.zeros(n_relations, dtype=np.bool_)
-    for i in range(n_relations):
+    for _ in range(n_relations):
         relation_names.append(rels_rd.string())
-        symmetric[i] = rels_rd.take(1)[0] != 0
+        rels_rd.take(1)  # symmetric flag; derived from the name instead
     edge_blob = sections[b"EDGE"]
     if len(edge_blob) != n_edges * 16:
         raise IndexTruncatedError("edge section has wrong length")
@@ -624,12 +604,19 @@ def load_index(source: BinaryIO | str) -> tuple[KnowledgeGraph, WalkStats | None
     edge_end = np.frombuffer(edge_blob, dtype="<i4", count=n_edges, offset=off)
     off += n_edges * 4
     edge_weight = np.frombuffer(edge_blob, dtype="<f4", count=n_edges, offset=off)
+    for name, ids, bound in (
+        ("edge start", edge_start, n_concepts),
+        ("edge end", edge_end, n_concepts),
+        ("relation", edge_rel, n_relations),
+    ):
+        if ids.size and not (0 <= ids.min() and ids.max() < bound):
+            raise IndexFormatError(f"{name} id out of range [0, {bound})")
 
-    g = KnowledgeGraph(
-        lang, surfaces, relation_names, symmetric, edge_start, edge_rel, edge_end, edge_weight
-    )
     stats = None
     if b"STAT" in sections:
         w3, w4, nc = struct.unpack("<QQQ", sections[b"STAT"])
+        if nc != n_concepts:
+            raise IndexFormatError(f"walk statistics are for {nc} concepts, the graph has {n_concepts}")
         stats = WalkStats(walks_len3=w3, walks_len4=w4, node_count=nc)
+    g = KnowledgeGraph(lang, surfaces, relation_names, edge_start, edge_rel, edge_end, edge_weight)
     return g, stats

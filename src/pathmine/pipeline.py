@@ -64,11 +64,7 @@ class Config:
         return cls(**data)
 
     def build_config(self) -> BuildConfig:
-        return BuildConfig(
-            max_children_per_node=self.max_children_per_node,
-            max_ngram=self.max_ngram,
-            rng_seed=self.seed,
-        )
+        return BuildConfig(max_children_per_node=self.max_children_per_node)
 
 
 @dataclass(frozen=True)

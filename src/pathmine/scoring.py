@@ -57,10 +57,8 @@ def npmi(
     for cid in (c1, c2, c3, c4):
         g._check_concept(cid)
     out = kernels.association_scores(
-        g.fwd_indptr,
-        g.fwd_dst,
-        g.rev_indptr,
-        g.rev_dst,
+        g.adj_indptr,
+        g.adj_dst,
         g.neighbor_count,
         c1,
         c2,
@@ -113,10 +111,8 @@ def score_raw(
         c2 = int(tree.concepts[c2_idx])
         c1 = int(tree.concepts[int(tree.parents[c2_idx])])
         raw[lo:hi] = kernels.association_scores(
-            g.fwd_indptr,
-            g.fwd_dst,
-            g.rev_indptr,
-            g.rev_dst,
+            g.adj_indptr,
+            g.adj_dst,
             g.neighbor_count,
             c1,
             c2,

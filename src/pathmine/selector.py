@@ -45,27 +45,21 @@ def select_paths(st: ScoredTree) -> list[SelectedPath]:
     tree = st.tree
     c_score = st.c_score
     paths: list[SelectedPath] = []
-
-    def kept_children(idx: int) -> list[int]:
+    # depth-first with an explicit stack: a recursive closure would form a
+    # reference cycle holding the tree until the next full collection
+    stack = [(0, [int(tree.concepts[0])], [])]
+    while stack:
+        idx, concepts, relations = stack.pop()
         lo, hi = int(tree.child_start[idx]), int(tree.child_end[idx])
-        children = list(range(lo, hi))
-        children.sort(key=lambda i: (-c_score[i], tree.concepts[i]))
-        return children[:TOP_CHILDREN]
-
-    def descend(idx: int, concepts: list[int], relations: list[int]) -> None:
-        kept = kept_children(idx)
+        kept = sorted(range(lo, hi), key=lambda i: (-c_score[i], tree.concepts[i]))[:TOP_CHILDREN]
         if not kept:
             if len(concepts) >= 2:
                 paths.append(SelectedPath(tuple(concepts), tuple(relations)))
-            return
-        for child in kept:
-            descend(
-                child,
-                concepts + [int(tree.concepts[child])],
-                relations + [int(tree.rels[child])],
+            continue
+        for child in reversed(kept):  # reversed, so the best child pops first
+            stack.append(
+                (child, concepts + [int(tree.concepts[child])], relations + [int(tree.rels[child])])
             )
-
-    descend(0, [int(tree.concepts[0])], [])
     return paths
 
 

@@ -30,8 +30,6 @@ _EXPAND_CHUNK_BUDGET = 1 << 23
 @dataclass(frozen=True)
 class BuildConfig:
     max_children_per_node: int = 100
-    max_ngram: int = 4
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.max_children_per_node < 2:
@@ -166,7 +164,6 @@ def build_tree(
     n = g.node_count
     ctx_counts = gp.context_mentions.dense_counts(n)
     ctx_mask = ctx_counts > 0
-    degree = (np.diff(g.fwd_indptr) + np.diff(g.rev_indptr)).astype(np.int64)
 
     concepts = [np.asarray([c1], dtype=np.int32)]
     parents = [np.asarray([-1], dtype=np.int64)]
@@ -186,7 +183,7 @@ def build_tree(
         grounded = level != 4
         allowed = ctx_mask if grounded else g.all_allowed
 
-        cum = np.cumsum(degree[frontier])
+        cum = np.cumsum(g.degrees[frontier])
         total = int(cum[-1]) if cum.size else 0
         if total <= _EXPAND_CHUNK_BUDGET:
             bounds = [0, int(frontier.size)]
@@ -200,15 +197,12 @@ def build_tree(
             cand, minrel, offsets = kernels.expand_candidates(
                 frontier[start:stop],
                 ancestors[start:stop],
-                g.fwd_indptr,
-                g.fwd_dst,
-                g.fwd_rel,
-                g.rev_indptr,
-                g.rev_dst,
-                g.rev_rel,
+                g.adj_indptr,
+                g.adj_dst,
+                g.adj_rel,
                 allowed,
             )
-            scores = ctx_counts[cand] if grounded else degree[cand]
+            scores = ctx_counts[cand] if grounded else g.degrees[cand]
             cand, minrel, seg = _ranked_cap(cand, minrel, offsets, scores, cfg.max_children_per_node)
             cand_parts.append(cand)
             rel_parts.append(minrel)

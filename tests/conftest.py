@@ -211,6 +211,28 @@ def neighbors_oracle(g: KnowledgeGraph, c: int) -> list[tuple[int, int]]:
     return sorted(pairs, key=lambda p: (p[1], p[0]))
 
 
+def write_defective_index(path: str, defect: str) -> None:
+    """Save the story graph with one out-of-range id, under a valid checksum.
+
+    ``defect`` is "start", "end" or "relation" (an edge id one past its
+    range) or "stat_nodes" (walk statistics for one concept too many).
+    """
+    g = graph_from_triples(STORY_TRIPLES)
+    stats = pathmine.WalkStats.from_graph(g)
+    if defect == "stat_nodes":
+        stats = pathmine.WalkStats(stats.walks_len3, stats.walks_len4, g.node_count + 1)
+    else:
+        column, bound = {
+            "start": ("edge_start", g.node_count),
+            "end": ("edge_end", g.node_count),
+            "relation": ("edge_rel", len(g.relation_names)),
+        }[defect]
+        ids = getattr(g, column).copy()
+        ids[-1] = bound
+        setattr(g, column, ids)
+    pathmine.save_index(g, path, stats)
+
+
 def reference_token_count(text: str) -> int:
     """Character-scan tokenizer: word runs plus apostrophe-led clitics."""
     count = 0

@@ -43,12 +43,9 @@ def _expand(g, parents, ancestors, allowed):
     return kernels.expand_candidates(
         np.asarray(parents, dtype=np.int32),
         ancestors,
-        g.fwd_indptr,
-        g.fwd_dst,
-        g.fwd_rel,
-        g.rev_indptr,
-        g.rev_dst,
-        g.rev_rel,
+        g.adj_indptr,
+        g.adj_dst,
+        g.adj_rel,
         allowed,
     )
 
@@ -159,10 +156,8 @@ class TestAssociationScores:
                     c1 = g.neighbors(c2)[-1][1]
                 c4s = rng.integers(0, g.node_count, size=24).astype(np.int32)
                 got = kernels.association_scores(
-                    g.fwd_indptr,
-                    g.fwd_dst,
-                    g.rev_indptr,
-                    g.rev_dst,
+                    g.adj_indptr,
+                    g.adj_dst,
                     g.neighbor_count,
                     c1,
                     c2,
@@ -187,13 +182,13 @@ class TestNeighborCounts:
     def test_distinct_neighbors(self):
         for g in _graphs(2, 12):
             want = [len({c for _, c in g.neighbors(u)}) for u in range(g.node_count)]
-            got = kernels.neighbor_counts(g.fwd_indptr, g.fwd_dst, g.rev_indptr, g.rev_dst, g.node_count)
+            got = kernels.neighbor_counts(g.adj_indptr, g.adj_dst)
             assert got.tolist() == want
 
     def test_graph_without_edges(self):
         indptr = np.zeros(4, dtype=np.int64)
         dst = np.empty(0, dtype=np.int32)
-        assert kernels.neighbor_counts(indptr, dst, indptr, dst, 3).tolist() == [0, 0, 0]
+        assert kernels.neighbor_counts(indptr, dst).tolist() == [0, 0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +197,9 @@ class TestNeighborCounts:
 
 def _two_node_csr(parallel: int):
     """Nodes 0 and 1 joined by ``parallel`` stored edges 0 -> 1."""
-    fwd_indptr = np.array([0, parallel, parallel], dtype=np.int64)
-    rev_indptr = np.array([0, 0, parallel], dtype=np.int64)
-    return fwd_indptr, np.ones(parallel, dtype=np.int32), rev_indptr, np.zeros(parallel, dtype=np.int32)
+    indptr = np.array([0, parallel, 2 * parallel], dtype=np.int64)
+    dst = np.repeat(np.array([1, 0], dtype=np.int32), parallel)
+    return indptr, dst, np.diff(indptr)
 
 
 class TestWalkTotals:
@@ -212,7 +207,7 @@ class TestWalkTotals:
     def test_exact_beyond_int64(self, parallel):
         csr = _two_node_csr(parallel)
         for k in (1, 2, 3, 4):
-            assert kernels.walk_totals(*csr, 2, k) == 2 * parallel**k
+            assert kernels.walk_totals(*csr, k) == 2 * parallel**k
 
     def test_stats_beyond_index_fields_rejected(self):
         class Huge:

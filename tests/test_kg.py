@@ -14,6 +14,8 @@ from pathmine import (
     IndexTruncatedError,
     IndexVersionError,
     IngestError,
+    KnowledgeGraph,
+    PathmineError,
     graph_from_triples,
     ingest_csv,
     load_index,
@@ -22,10 +24,13 @@ from pathmine import (
 from pathmine.kg import WalkStats
 
 from conftest import (
+    STORY_TRIPLES,
     count_walks_oracle,
+    edge_table,
     story_dump_bytes,
     neighbors_oracle,
     random_multigraph,
+    write_defective_index,
 )
 
 
@@ -148,7 +153,7 @@ class TestNeighbors:
         g = story_graph
         lady = g.concept_id("lady")
         got = {
-            (g.relation_names[r], g.surfaces[c]) for r, c in g.neighbors(lady, "both")
+            (g.relation_names[r], g.surfaces[c]) for r, c in g.neighbors(lady)
         }
         assert {("AtLocation", "church"), ("RelatedTo", "mother"), ("RelatedTo", "person")} <= got
 
@@ -156,27 +161,16 @@ class TestNeighbors:
         g = graph_from_triples([("a", "RelatedTo", "b")], extra_concepts=["lonely"])
         assert g.neighbors(g.concept_id("lonely")) == []
 
-    def test_direction_split(self, story_graph):
-        g = story_graph
-        church = g.concept_id("church")
-        out = set(g.neighbors(church, "out"))
-        inc = set(g.neighbors(church, "in"))
-        both = set(g.neighbors(church, "both"))
-        assert out | inc == both
-        assert (g.relation_names.index("AtLocation"), g.concept_id("lady")) in inc
-
     def test_invalid_id_raises(self, story_graph):
         with pytest.raises(ValueError):
             story_graph.neighbors(10_000)
-        with pytest.raises(ValueError):
-            story_graph.neighbors(0, "sideways")
 
     def test_matches_bruteforce_scan_on_random_graphs(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             g = random_multigraph(rng, max_nodes=20, max_edges=60)
             for c in range(g.node_count):
-                assert g.neighbors(c, "both") == neighbors_oracle(g, c)
+                assert g.neighbors(c) == neighbors_oracle(g, c)
 
     def test_sorted_by_concept_then_relation(self):
         g = graph_from_triples(
@@ -247,25 +241,39 @@ class TestWalkCount:
 
 class TestIndexInvariants:
     def test_every_edge_indexed_exactly_once(self):
+        # once in each endpoint's row, so a self-loop sits twice in its own
         rng = np.random.default_rng(3)
         g = random_multigraph(rng, max_nodes=25, max_edges=120)
-        fwd = sorted(
-            zip(
-                np.repeat(np.arange(g.node_count), np.diff(g.fwd_indptr)),
-                g.fwd_rel,
-                g.fwd_dst,
-            )
+        rows = np.repeat(np.arange(g.node_count), np.diff(g.adj_indptr))
+        got = sorted(zip(rows.tolist(), g.adj_rel.tolist(), g.adj_dst.tolist()))
+        want = sorted(
+            [(s, r, e) for s, r, e in edge_table(g)] + [(e, r, s) for s, r, e in edge_table(g)]
         )
-        rev = sorted(
-            zip(
-                g.rev_dst,
-                g.rev_rel,
-                np.repeat(np.arange(g.node_count), np.diff(g.rev_indptr)),
-            )
-        )
-        edges = sorted(zip(g.edge_start, g.edge_rel, g.edge_end))
-        assert [tuple(map(int, t)) for t in fwd] == [tuple(map(int, t)) for t in edges]
-        assert [tuple(map(int, t)) for t in rev] == [tuple(map(int, t)) for t in edges]
+        assert any(s == e for s, _, e in edge_table(g))
+        assert got == want
+
+    def test_rows_sorted_by_neighbor_then_relation(self):
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            g = random_multigraph(rng, max_nodes=25, max_edges=120)
+            for c in range(g.node_count):
+                lo, hi = g.adj_indptr[c], g.adj_indptr[c + 1]
+                row = list(zip(g.adj_dst[lo:hi].tolist(), g.adj_rel[lo:hi].tolist()))
+                assert row == sorted(row)
+
+    def test_degrees_count_incident_edges(self):
+        rng = np.random.default_rng(9)
+        g = random_multigraph(rng, max_nodes=25, max_edges=120)
+        for c in range(g.node_count):
+            want = sum((s == c) + (e == c) for s, _, e in edge_table(g))
+            assert g.degree(c) == g.degrees[c] == want
+
+    def test_graph_too_large_for_packed_key(self):
+        class Huge(KnowledgeGraph):
+            node_count = 1 << 31  # n * n * relations reaches 2**63
+
+        with pytest.raises(PathmineError, match="too large"):
+            Huge("en", ["a", "b"], ["RelatedTo", "IsA"], [0], [0], [1], [1.0])
 
 
 def _random_dump_lines(rng: np.random.Generator, n_lines: int) -> list[str]:
@@ -331,6 +339,13 @@ class TestPersistence:
         path = str(tmp_path / "junk.idx")
         open(path, "wb").write(b"JUNKJUNKJUNKJUNKJUNK")
         with pytest.raises(IndexFormatError):
+            load_index(path)
+
+    @pytest.mark.parametrize("defect", ["start", "end", "relation", "stat_nodes"])
+    def test_out_of_range_ids_rejected(self, defect, tmp_path):
+        path = str(tmp_path / "bad.idx")
+        write_defective_index(path, defect)
+        with pytest.raises(IndexFormatError, match="out of range|walk statistics"):
             load_index(path)
 
     def test_resave_is_byte_identical_for_ingested_sample(self, tmp_path):

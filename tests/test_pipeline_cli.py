@@ -22,7 +22,14 @@ from pathmine import (
 )
 from pathmine.cli import main, render_explanation
 
-from conftest import STORY_CONTEXT, STORY_FULL_PATH, STORY_QUERY, STORY_TRUNCATION, story_dump_bytes
+from conftest import (
+    STORY_CONTEXT,
+    STORY_FULL_PATH,
+    STORY_QUERY,
+    STORY_TRUNCATION,
+    story_dump_bytes,
+    write_defective_index,
+)
 
 
 @pytest.fixture()
@@ -196,6 +203,19 @@ class TestCli:
             ["extract", "--graph", str(bad), "--input", str(requests), "--output", "-"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("defect", ["start", "end", "relation", "stat_nodes"])
+    def test_out_of_range_index_is_data_error(self, tmp_path, capsys, defect):
+        bad = str(tmp_path / "bad.idx")
+        write_defective_index(bad, defect)
+        requests = tmp_path / "r.jsonl"
+        requests.write_text(json.dumps({"context": STORY_CONTEXT, "query": STORY_QUERY}) + "\n")
+        code = main(["extract", "--graph", bad, "--input", str(requests), "--output", "-"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith("error: ")
 
     def test_malformed_request_line_keeps_batch_alive(self, tmp_path, story_index):
         requests = tmp_path / "requests.jsonl"

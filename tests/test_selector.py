@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -112,6 +115,19 @@ class TestSelectPaths:
         paths = select_paths(st)
         assert sorted(p.concepts[-1] for p in paths) == [3, 5]
 
+    def test_paths_listed_best_first(self):
+        # depth-first, better child first: the order fixes the realization draws
+        tree = PathTree(
+            BuildConfig(),
+            concepts=[0, 5, 3, 7, 9, 8],
+            parents=[-1, 0, 0, 0, 2, 2],
+            rels=[-1, 0, 0, 0, 0, 0],
+            levels=[1, 2, 2, 2, 3, 3],
+        )
+        raw = np.array([0.0, 0.1, 0.3, 0.2, 0.1, 0.4])
+        st = cumulative_score(sibling_softmax(ScoredTree(tree=tree, raw=raw)))
+        assert [p.concepts for p in select_paths(st)] == [(0, 3, 8), (0, 3, 9), (0, 7)]
+
     def test_never_more_than_two_kept_per_node(self, story_scored):
         _, st = story_scored
         paths = select_paths(st)
@@ -145,6 +161,25 @@ class TestSelectPaths:
             expected = {c.index for c in ranked[:2]}
             got = {c.index for c in kids if c.index in kept_nodes}
             assert got == expected
+
+
+    def test_tree_freed_without_cycle_collection(self, story_graph):
+        # selection must not park the tree in a reference cycle: with the
+        # cycle collector off, dropping the results frees it at once
+        pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
+        stats = WalkStats.from_graph(story_graph)
+        gc.disable()
+        try:
+            tree = build_tree(story_graph.concept_id("lady"), pair, story_graph)
+            alive = weakref.ref(tree)
+            scored = score_tree(tree, pair, story_graph, stats)
+            del tree
+            selection = realize_selection(scored, story_graph, np.random.default_rng(0))
+            assert selection.full_paths
+            del selection, scored
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestExpandSubpaths:
