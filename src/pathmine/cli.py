@@ -151,7 +151,11 @@ def render_explanation(extractor: Extractor, context: str, query: str) -> str:
         def fmt(value: float) -> str:
             return "-inf" if value == SCORE_SENTINEL else f"{value:.6f}"
 
-        def walk(idx: int, depth: int, kept: bool) -> None:
+        # depth-first with an explicit stack: a recursive closure would form a
+        # reference cycle holding the tree until the next full collection
+        stack = [(0, 0, True)]
+        while stack:
+            idx, depth, kept = stack.pop()
             node = tree.node(idx)
             indent = "  " * depth
             mark = "kept" if kept else "dropped"
@@ -169,10 +173,8 @@ def render_explanation(extractor: Extractor, context: str, query: str) -> str:
                 children, key=lambda ch: (-scored.c_of(ch), ch.concept)
             )
             kept_set = {ch.index for ch in ranked[:2]} if kept else set()
-            for child in children:
-                walk(child.index, depth + 1, child.index in kept_set)
-
-        walk(0, 0, True)
+            for child in reversed(children):  # reversed, so the first child pops first
+                stack.append((child.index, depth + 1, child.index in kept_set))
         if analysis.selection.full_paths:
             lines.append("selected paths:")
             for tokens in analysis.selection.realized:

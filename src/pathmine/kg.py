@@ -6,7 +6,20 @@ The input dump is tab-separated with five fields per line::
 
 Relation URIs look like ``/r/AtLocation``; concept URIs like
 ``/c/en/ice_cream[/...]`` (trailing sense segments are dropped).  Edge
-weights come from the metadata key ``"weight"`` and default to 1.0.
+weights come from the metadata key ``"weight"`` and default to 1.0; a
+weight must be finite and non-negative as float32, or the line counts as
+malformed.
+
+Ingest reads the dump in blocks of whole lines (``_BLOCK_BYTES``, about
+4 MiB) and works on each block column by column; only a block that is
+not valid UTF-8 is decoded line by line.  Each distinct relation or
+concept URI is parsed once: URIs of the kept language stay in a table
+across blocks, the rest are forgotten after their block, so the table
+grows with the graph's concepts rather than with the dump.  Metadata is
+parsed once per line.  Memory is one block's columns, the kept-language
+tables and the kept edges' codes.  Ids are then assigned by first
+appearance and duplicates dropped in one vectorized pass, shared with
+:func:`graph_from_triples`.
 
 The persisted index is a little-endian binary file: magic ``PMKG``, a u32
 format version, tagged length-prefixed sections, and a trailing 64-bit
@@ -25,9 +38,12 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Iterator
+from itertools import compress
+from operator import itemgetter
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -129,6 +145,14 @@ def _parse_concept_uri(uri: str) -> tuple[str, str] | None:
     return lang, surface
 
 
+def _check_packable(n: int, r: int) -> None:
+    """Refuse a graph whose packed (concept, concept, relation) key overflows int64."""
+    if n * n * r >= 1 << 63:
+        raise PathmineError(
+            f"graph too large to index: {n} concepts x {r} relations exceed a 64-bit key"
+        )
+
+
 class KnowledgeGraph:
     """Immutable concept/relation/edge store with O(1)-amortized adjacency.
 
@@ -163,10 +187,7 @@ class KnowledgeGraph:
         (a self-loop twice in its own), rows sorted by (neighbor, relation)."""
         n = self.node_count
         r = max(len(self.relation_names), 1)
-        if n * n * r >= 1 << 63:
-            raise PathmineError(
-                f"graph too large to index: {n} concepts x {r} relations exceed a 64-bit key"
-            )
+        _check_packable(n, r)
         # sort one packed (row, neighbor, relation) key, then decode it
         key = np.concatenate([self.edge_start, self.edge_end]).astype(np.int64)
         key *= n
@@ -282,83 +303,165 @@ class KnowledgeGraph:
 # ---------------------------------------------------------------------------
 # ingestion
 
+# bytes read per block: bounds the per-block columns and code tables
+_BLOCK_BYTES = 1 << 22
 
-def _iter_lines(source: BinaryIO | Iterable[bytes]) -> Iterator[bytes]:
+# codes of URIs that give no edge: malformed, or a concept of another language
+_MALFORMED = -1
+_OTHER_LANGUAGE = -2
+
+
+def _blocks(source: BinaryIO | Iterable[bytes]) -> Iterator[bytes]:
+    """The dump as blocks of whole lines, about ``_BLOCK_BYTES`` each.
+
+    A file object is read in blocks cut after their last newline; an
+    iterable yields one line per element, with or without its newline.
+    Every block but the last ends in a newline.
+    """
     if hasattr(source, "read"):
-        for line in source:  # type: ignore[union-attr]
-            yield line
-    else:
-        yield from source
+        # only each new chunk is searched, so a line longer than a block
+        # costs time linear in its length
+        pending: list[bytes] = []
+        while chunk := source.read(_BLOCK_BYTES):  # type: ignore[union-attr]
+            head, newline, tail = chunk.rpartition(b"\n")
+            if newline:
+                yield b"".join([*pending, head, newline])
+                pending = []
+            pending.append(tail)
+        if rest := b"".join(pending):
+            yield rest
+        return
+    lines: list[bytes] = []
+    size = 0
+    for line in source:
+        lines.append(line if line.endswith(b"\n") else line + b"\n")
+        size += len(line)
+        if size >= _BLOCK_BYTES:
+            yield b"".join(lines)
+            lines, size = [], 0
+    if lines:
+        yield b"".join(lines)
+
+
+def _split_block(block: bytes) -> tuple[int, list[str]]:
+    """(line count, fields of the well-formed lines, five per line).
+
+    A line is well formed when it decodes as UTF-8 and holds exactly four
+    tabs.  Lines end at ``\\n`` only; a trailing ``\\r`` stays in the last
+    field, where JSON and the blank test read it as whitespace.
+    """
+    raw = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    if not block.endswith(b"\n"):
+        ends = np.append(ends, raw.size)
+    tabs = np.flatnonzero(raw == ord("\t"))
+    ok = np.diff(tabs.searchsorted(ends), prepend=0) == 4
+    try:
+        lines = block.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        # a line is UTF-8 when it survives a decode with replacement unchanged
+        raws = block.split(b"\n")[: ends.size]
+        lines = [raw.decode("utf-8", "replace") for raw in raws]
+        ok &= [line.encode("utf-8") == raw for line, raw in zip(lines, raws)]
+    return ends.size, "\t".join(compress(lines, ok)).split("\t")
+
+
+def _codes(column: list[str], table: dict[str, int], parse: Callable[[str], int]) -> np.ndarray:
+    """``parse`` of each value, called once per value not yet in ``table``.
+
+    Non-negative codes stay in ``table`` for later blocks; negative ones
+    (rejected values) serve this call only, so the table grows with the
+    accepted values, not with the length of the dump.
+    """
+    rejected: dict[str, int] = {}
+    for value in set(column).difference(table):
+        code = parse(value)
+        if code >= 0:
+            table[value] = code
+        else:
+            rejected[value] = code
+    table.update(rejected)
+    # one C-level lookup; itemgetter gives a bare value for a single key
+    codes = np.array(itemgetter(*column)(table) if column else (), dtype=np.int64).reshape(-1)
+    for value in rejected:
+        del table[value]
+    return codes
+
+
+# json.loads is this plus whitespace handling in Python that costs more
+# than decoding a short metadata object; _weight strips the whitespace
+# JSON allows around a value itself
+_decode_json = json.JSONDecoder().raw_decode
+
+
+def _weight(meta: str) -> float:
+    """The metadata's ``"weight"`` (1.0 when absent), or NaN if unreadable."""
+    if not meta.strip():
+        return 1.0
+    body = meta.strip(" \t\n\r")
+    try:
+        value, end = _decode_json(body)
+        if end != len(body):
+            return math.nan
+        return float(value.get("weight", 1.0))
+    except (ValueError, TypeError, AttributeError, OverflowError, RecursionError):
+        return math.nan
+
+
+def _first_appearance(codes: np.ndarray, size: int) -> np.ndarray:
+    """The distinct codes (each in [0, size)), in the order of their first
+    position in ``codes``."""
+    first = np.full(size, codes.size)
+    np.minimum.at(first, codes, np.arange(codes.size))
+    present = np.flatnonzero(first < codes.size)
+    return present[np.argsort(first[present])]
 
 
 def _assemble(
     lang: str,
-    triples: Iterable[tuple[str, str, str, float]],
-    report: IngestReport,
-    extra_concepts: Iterable[str] = (),
+    surfaces: list[str],
+    relation_names: list[str],
+    start: np.ndarray,
+    rel: np.ndarray,
+    end: np.ndarray,
+    weight: np.ndarray,
+    extra: Sequence[int] = (),
 ) -> KnowledgeGraph:
-    surfaces: list[str] = []
-    surface_ids: dict[str, int] = {}
-    relation_names: list[str] = []
-    relation_ids: dict[str, int] = {}
-    starts: list[int] = []
-    rels: list[int] = []
-    ends: list[int] = []
-    weights: list[float] = []
+    """The graph of coded edges: ``start``/``end`` index ``surfaces`` and
+    ``rel`` indexes ``relation_names``.
 
-    def concept_of(surface: str) -> int:
-        cid = surface_ids.get(surface)
-        if cid is None:
-            cid = len(surfaces)
-            surface_ids[surface] = cid
-            surfaces.append(surface)
-        return cid
+    Ids follow first appearance: the ``extra`` concepts, then each edge's
+    start before its end.  Of duplicate edges the first is kept.
+    """
+    walk = np.stack([start, end], axis=1).ravel()
+    concepts = _first_appearance(
+        np.concatenate([np.array(extra, dtype=np.int64), walk]), len(surfaces)
+    )
+    relations = _first_appearance(rel, len(relation_names))
+    concept_id = np.empty(len(surfaces), dtype=np.int64)
+    concept_id[concepts] = np.arange(concepts.size)
+    relation_id = np.empty(len(relation_names), dtype=np.int64)
+    relation_id[relations] = np.arange(relations.size)
+    start, rel, end = concept_id[start], relation_id[rel], concept_id[end]
+    names = [relation_names[r] for r in relations.tolist()]
 
-    for extra in extra_concepts:
-        concept_of(_normalize_surface(extra))
-
-    for start_surf, rel_name, end_surf, weight in triples:
-        rid = relation_ids.get(rel_name)
-        if rid is None:
-            rid = len(relation_names)
-            relation_ids[rel_name] = rid
-            relation_names.append(rel_name)
-        starts.append(concept_of(start_surf))
-        rels.append(rid)
-        ends.append(concept_of(end_surf))
-        weights.append(weight)
-
-    edge_start = np.asarray(starts, dtype=np.int32)
-    edge_rel = np.asarray(rels, dtype=np.int32)
-    edge_end = np.asarray(ends, dtype=np.int32)
-    edge_weight = np.asarray(weights, dtype=np.float32)
-
-    # deduplicate exact triples; symmetric relations also fold mirror images
-    if edge_start.size:
-        symmetric = np.asarray(
-            [name in SYMMETRIC_RELATIONS for name in relation_names], dtype=np.bool_
-        )
-        sym_edge = symmetric[edge_rel]
-        lo = np.where(sym_edge, np.minimum(edge_start, edge_end), edge_start)
-        hi = np.where(sym_edge, np.maximum(edge_start, edge_end), edge_end)
-        keys = np.stack([lo, edge_rel, hi], axis=1)
-        _, first = np.unique(keys, axis=0, return_index=True)
-        keep = np.sort(first)
-        report.duplicates_removed = int(edge_start.size - keep.size)
-        edge_start = edge_start[keep]
-        edge_rel = edge_rel[keep]
-        edge_end = edge_end[keep]
-        edge_weight = edge_weight[keep]
-
-    report.edges_kept = int(edge_start.size)
+    # deduplicate exact triples, symmetric relations also folding mirror
+    # images, by one packed (lo, relation, hi) key
+    n, r = int(concepts.size), max(len(names), 1)
+    _check_packable(n, r)
+    symmetric = np.array([name in SYMMETRIC_RELATIONS for name in names], dtype=np.bool_)[rel]
+    lo = np.where(symmetric, np.minimum(start, end), start)
+    hi = np.where(symmetric, np.maximum(start, end), end)
+    _, first = np.unique((lo * r + rel) * n + hi, return_index=True)
+    keep = np.sort(first)
     return KnowledgeGraph(
         lang,
-        surfaces,
-        relation_names,
-        edge_start,
-        edge_rel,
-        edge_end,
-        edge_weight,
+        [surfaces[c] for c in concepts.tolist()],
+        names,
+        start[keep],
+        rel[keep],
+        end[keep],
+        weight[keep],
     )
 
 
@@ -367,53 +470,58 @@ def ingest_csv(
 ) -> tuple[KnowledgeGraph, IngestReport]:
     """Parse an assertion dump, keeping edges whose endpoints match ``lang``.
 
-    Malformed lines are skipped and counted in the returned report; a dump
+    ``source`` is a binary file object (plain or gzip) or an iterable of
+    byte lines.  Malformed lines are skipped and counted in the returned
+    report; a weight must be finite and non-negative as float32.  A dump
     yielding zero edges raises :class:`IngestError`.
     """
     if not lang:
         raise ValueError("language tag must be non-empty")
     report = IngestReport()
-    triples: list[tuple[str, str, str, float]] = []
-    for raw in _iter_lines(source):
-        report.lines_total += 1
-        try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            report.skipped_malformed += 1
-            continue
-        line = line.rstrip("\r\n")
-        if not line:
-            report.skipped_malformed += 1
-            continue
-        fields = line.split("\t")
-        if len(fields) != 5:
-            report.skipped_malformed += 1
-            continue
-        _, rel_uri, start_uri, end_uri, meta = fields
-        if not rel_uri.startswith("/r/") or len(rel_uri) <= 3:
-            report.skipped_malformed += 1
-            continue
-        rel_name = rel_uri[3:]
-        start = _parse_concept_uri(start_uri)
-        end = _parse_concept_uri(end_uri)
-        if start is None or end is None:
-            report.skipped_malformed += 1
-            continue
-        try:
-            weight = float(json.loads(meta).get("weight", 1.0)) if meta.strip() else 1.0
-        except (ValueError, AttributeError):
-            report.skipped_malformed += 1
-            continue
-        if weight < 0:
-            report.skipped_malformed += 1
-            continue
-        if start[0] != lang or end[0] != lang:
-            report.skipped_language += 1
-            continue
-        triples.append((start[1], rel_name, end[1], weight))
-    if not triples:
+    surfaces: dict[str, int] = {}
+    relation_names: dict[str, int] = {}
+    concept_codes: dict[str, int] = {}
+    relation_codes: dict[str, int] = {}
+
+    def concept_code(uri: str) -> int:
+        parsed = _parse_concept_uri(uri)
+        if parsed is None:
+            return _MALFORMED
+        if parsed[0] != lang:
+            return _OTHER_LANGUAGE
+        return surfaces.setdefault(parsed[1], len(surfaces))
+
+    def relation_code(uri: str) -> int:
+        if not uri.startswith("/r/") or len(uri) <= 3:
+            return _MALFORMED
+        return relation_names.setdefault(uri[3:], len(relation_names))
+
+    parts: list[tuple[np.ndarray, ...]] = []
+    for block in _blocks(source):
+        n_lines, fields = _split_block(block)
+        rel = _codes(fields[1::5], relation_codes, relation_code)
+        k = rel.size
+        endpoints = _codes(fields[2::5] + fields[3::5], concept_codes, concept_code)
+        start, end = endpoints[:k], endpoints[k:]
+        weight = np.fromiter(map(_weight, fields[4::5]), np.float64, k)
+        with np.errstate(over="ignore"):
+            weight32 = weight.astype(np.float32)
+        malformed = (rel < 0) | (start == _MALFORMED) | (end == _MALFORMED)
+        malformed |= ~(weight >= 0) | ~np.isfinite(weight32)
+        keep = ~malformed & (start >= 0) & (end >= 0)
+        n_malformed = n_lines - k + int(np.count_nonzero(malformed))
+        n_kept = int(np.count_nonzero(keep))
+        report.lines_total += n_lines
+        report.skipped_malformed += n_malformed
+        report.skipped_language += n_lines - n_malformed - n_kept
+        parts.append((start[keep], rel[keep], end[keep], weight32[keep]))
+    if not any(part[0].size for part in parts):
         raise IngestError("no edges")
-    return _assemble(lang, triples, report), report
+    start, rel, end, weight = map(np.concatenate, zip(*parts))
+    g = _assemble(lang, list(surfaces), list(relation_names), start, rel, end, weight)
+    report.edges_kept = g.edge_count
+    report.duplicates_removed = int(start.size) - g.edge_count
+    return g, report
 
 
 def graph_from_triples(
@@ -430,11 +538,20 @@ def graph_from_triples(
     triples = list(triples)
     if weights is None:
         weights = [1.0] * len(triples)
-    rows = [
-        (_normalize_surface(s), r, _normalize_surface(e), w)
-        for (s, r, e), w in zip(triples, weights)
-    ]
-    return _assemble(lang, rows, IngestReport(), extra_concepts=extra_concepts)
+    rows = list(zip(triples, weights))
+    surfaces: dict[str, int] = {}
+    relation_names: dict[str, int] = {}
+
+    def concept(surface: str) -> int:
+        return surfaces.setdefault(_normalize_surface(surface), len(surfaces))
+
+    extra = [concept(s) for s in extra_concepts]
+    coded = np.array(
+        [(concept(s), relation_names.setdefault(r, len(relation_names)), concept(e)) for (s, r, e), _ in rows],
+        dtype=np.int64,
+    ).reshape(-1, 3)
+    weight = np.array([w for _, w in rows], dtype=np.float32)
+    return _assemble(lang, list(surfaces), list(relation_names), *coded.T, weight, extra)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ agreement with the production implementations is meaningful.
 
 from __future__ import annotations
 
+import io
+import json
 import math
 import os
+import struct
 from collections import defaultdict
 from pathlib import Path
 
@@ -209,6 +212,85 @@ def neighbors_oracle(g: KnowledgeGraph, c: int) -> list[tuple[int, int]]:
         if e == c:
             pairs.add((r, s))
     return sorted(pairs, key=lambda p: (p[1], p[0]))
+
+
+SYMMETRIC = {
+    "RelatedTo",
+    "Synonym",
+    "Antonym",
+    "DistinctFrom",
+    "SimilarTo",
+    "LocatedNear",
+    "EtymologicallyRelatedTo",
+}
+
+
+def _concept_oracle(uri: str) -> tuple[str, str] | None:
+    parts = uri.split("/")
+    if len(parts) < 4 or parts[0] != "" or parts[1] != "c":
+        return None
+    surface = parts[3].strip().lower().replace(" ", "_")
+    if not parts[2] or not surface:
+        return None
+    return parts[2], surface
+
+
+def _weight_oracle(meta: str) -> float | None:
+    try:
+        weight = float(json.loads(meta).get("weight", 1.0)) if meta.strip() else 1.0
+        struct.pack("<f", weight)  # OverflowError beyond the float32 range
+    except (ValueError, TypeError, AttributeError, OverflowError, RecursionError):
+        return None
+    return weight if weight >= 0 and math.isfinite(weight) else None
+
+
+def ingest_oracle(dump: bytes, lang: str) -> tuple[KnowledgeGraph | None, dict[str, int]]:
+    """Line-at-a-time reference for ``ingest_csv``: the graph (None when no
+    edge survives) and the report's fields.
+
+    Lines split as a binary file splits them; a weight must be finite and
+    non-negative as float32.
+    """
+    report = dict.fromkeys(
+        ["lines_total", "edges_kept", "skipped_malformed", "skipped_language", "duplicates_removed"], 0
+    )
+    surfaces: dict[str, int] = {}
+    relations: dict[str, int] = {}
+    seen: set[tuple[int, int, int]] = set()
+    edges: list[tuple[int, int, int, float]] = []
+    for raw in io.BytesIO(dump):
+        report["lines_total"] += 1
+        try:
+            fields = raw.decode("utf-8").rstrip("\r\n").split("\t")
+        except UnicodeDecodeError:
+            fields = []
+        if len(fields) != 5:
+            report["skipped_malformed"] += 1
+            continue
+        _, rel_uri, start_uri, end_uri, meta = fields
+        start, end = _concept_oracle(start_uri), _concept_oracle(end_uri)
+        weight = _weight_oracle(meta)
+        if not rel_uri.startswith("/r/") or len(rel_uri) <= 3 or None in (start, end, weight):
+            report["skipped_malformed"] += 1
+            continue
+        if start[0] != lang or end[0] != lang:
+            report["skipped_language"] += 1
+            continue
+        s = surfaces.setdefault(start[1], len(surfaces))
+        r = relations.setdefault(rel_uri[3:], len(relations))
+        e = surfaces.setdefault(end[1], len(surfaces))
+        key = (min(s, e), r, max(s, e)) if rel_uri[3:] in SYMMETRIC else (s, r, e)
+        if key in seen:
+            report["duplicates_removed"] += 1
+            continue
+        seen.add(key)
+        edges.append((s, r, e, weight))
+    report["edges_kept"] = len(edges)
+    if not edges:
+        return None, report
+    start, rel, end, weight = zip(*edges)
+    graph = KnowledgeGraph(lang, list(surfaces), list(relations), start, rel, end, weight)
+    return graph, report
 
 
 def write_defective_index(path: str, defect: str) -> None:

@@ -136,6 +136,35 @@ class TestIngest:
         assert g.edge(0).weight == pytest.approx(2.5)
         assert g.edge(1).weight == pytest.approx(1.0)
 
+    @pytest.mark.parametrize(
+        "weight",
+        # float() rejects these
+        ["null", "[1.0]", '{"value": 1.0}', "1" + "0" * 400]
+        # not finite and non-negative as float32
+        + ["NaN", "Infinity", "-Infinity", "1e39", "3.4028236e38", "-1", "-1e-50"],
+        ids=["null", "list", "object", "huge_int", "nan", "inf", "-inf", "1e39", "past_f32_max", "-1", "-1e-50"],
+    )
+    def test_unusable_weight_is_malformed(self, weight):
+        g, report = ingest_csv(
+            _dump([_line("RelatedTo", "a", "b", meta=f'{{"weight": {weight}}}'), _line("IsA", "b", "c")]),
+            "en",
+        )
+        assert report.skipped_malformed == 1
+        assert g.edge_count == 1 and g.concept_id("a") is None
+
+    def test_weight_at_the_float32_limits_is_kept(self):
+        g, report = ingest_csv(
+            _dump(
+                [
+                    _line("RelatedTo", "a", "b", meta='{"weight": 3.4028235e38}'),
+                    _line("RelatedTo", "b", "c", meta='{"weight": -0.0}'),
+                ]
+            ),
+            "en",
+        )
+        assert report.skipped_malformed == 0
+        assert g.edge_weight.tolist() == [float(np.finfo(np.float32).max), 0.0]
+
     def test_ingestion_is_idempotent(self):
         g1, _ = ingest_csv(io.BytesIO(story_dump_bytes()), "en")
         g2, _ = ingest_csv(io.BytesIO(story_dump_bytes()), "en")

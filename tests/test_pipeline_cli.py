@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -164,6 +166,13 @@ class TestCli:
         assert code == 2
         assert "no edges" in capsys.readouterr().err
 
+    def test_null_weight_is_counted_malformed(self, tmp_path, capsys):
+        dump = tmp_path / "dump.tsv"
+        dump.write_bytes(story_dump_bytes() + b'/a/x\t/r/IsA\t/c/en/lady\t/c/en/person\t{"weight": null}\n')
+        assert main(["build-index", str(dump), "-o", str(tmp_path / "g.idx")]) == 0
+        err = capsys.readouterr().err
+        assert "kept=9 malformed=1" in err and "Traceback" not in err
+
     def test_rebuild_is_byte_identical(self, tmp_path):
         dump = _write_story_dump(tmp_path)
         a = tmp_path / "a.idx"
@@ -296,6 +305,59 @@ class TestExplain:
                 if ln.strip().startswith(g.surfaces[node.concept] + " ")
             )
             assert expected in line
+
+    def test_story_pair_text(self, story_extractor):
+        assert render_explanation(story_extractor, STORY_CONTEXT, STORY_QUERY) == STORY_EXPLANATION
+
+    def test_tree_freed_without_cycle_collection(self, story_extractor, monkeypatch):
+        # rendering must not park the tree in a reference cycle: with the
+        # cycle collector off, the tree is freed when the call returns
+        trees = []
+        analyze = story_extractor.analyze
+
+        def spy(context, query):
+            analyses = analyze(context, query)
+            trees.extend(weakref.ref(analysis.tree) for analysis in analyses)
+            return analyses
+
+        monkeypatch.setattr(story_extractor, "analyze", spy)
+        gc.disable()
+        try:
+            render_explanation(story_extractor, STORY_CONTEXT, STORY_QUERY)
+            assert trees and all(ref() is None for ref in trees)
+        finally:
+            gc.enable()
+
+
+STORY_EXPLANATION = "\n".join(
+    [
+        "tree rooted at 'lady' (13 nodes)",
+        "lady (root)",
+        "  church via AtLocation raw=0.057143 n=0.336493 c=2.836493 [kept]",
+        "    house via RelatedTo raw=0.057143 n=1.000000 c=2.500000 [kept]",
+        "      child via RelatedTo raw=0.074791 n=1.000000 c=1.500000 [kept]",
+        "        daughter via RelatedTo raw=0.028571 n=0.500000 c=0.500000 [kept]",
+        "        their via RelatedTo raw=0.028571 n=0.500000 c=0.500000 [kept]",
+        "  mother via RelatedTo raw=0.057143 n=0.336493 c=2.836493 [kept]",
+        "    daughter via RelatedTo raw=0.028571 n=1.000000 c=2.500000 [kept]",
+        "      child via RelatedTo raw=0.074791 n=1.000000 c=1.500000 [kept]",
+        "        house via RelatedTo raw=0.057143 n=0.507142 c=0.507142 [kept]",
+        "        their via RelatedTo raw=0.028571 n=0.492858 c=0.492858 [kept]",
+        "  person via RelatedTo raw=0.028571 n=0.327015 c=1.327015 [dropped]",
+        "    lover via RelatedTo raw=0.028571 n=1.000000 c=1.000000 [dropped]",
+        "selected paths:",
+        "  lady AtLocation church RelatedTo house RelatedTo child RelatedTo daughter",
+        "  lady AtLocation church RelatedTo house RelatedTo child RelatedTo their",
+        "  lady RelatedTo mother RelatedTo daughter RelatedTo child RelatedTo house",
+        "  lady RelatedTo mother RelatedTo daughter RelatedTo child RelatedTo their",
+        "  lady AtLocation church",
+        "  lady AtLocation church RelatedTo house",
+        "  lady AtLocation church RelatedTo house RelatedTo child",
+        "  lady RelatedTo mother",
+        "  lady RelatedTo mother RelatedTo daughter",
+        "  lady RelatedTo mother RelatedTo daughter RelatedTo child",
+    ]
+)
 
 
 class TestModuleEntry:
