@@ -8,6 +8,10 @@ The graph is one undirected CSR: ``indptr`` is int64 of length
 stored edge incident to ``u`` (a self-loop twice), sorted by
 (neighbor, relation).  Summing ``x`` over row ``u`` is therefore the
 ``(A + A^T) x`` step of the direction-agnostic walk operator.
+
+Multiplicities are counted for aligned ``(a, b)`` arrays, so one call
+scores every fourth hop of a tree.  Expansion returns each parent's
+candidates ranked by (score desc, concept asc), so a cap keeps a prefix.
 """
 
 from __future__ import annotations
@@ -46,15 +50,17 @@ def _row_sums(indptr, values):
     return run[indptr[1:]] - run[indptr[:-1]]
 
 
-def _multiplicity(indptr, dst, a, bs):
-    """Stored edges between ``a`` and each of ``bs``, both orientations."""
-    row = dst[indptr[a] : indptr[a + 1]]
-    return row.searchsorted(bs, side="right") - row.searchsorted(bs, side="left")
-
-
-def pair_multiplicity(indptr, dst, a, b) -> int:
-    """Stored edges between a and b in either orientation (parallel counted)."""
-    return int(_multiplicity(indptr, dst, a, b))
+def multiplicity(indptr, dst, a, b):
+    """Stored edges between each aligned pair ``a[i]``, ``b[i]`` of two
+    integer arrays, in either orientation, parallel edges counted."""
+    # gather the row of each run of equal ``a`` once; keyed by (run,
+    # neighbor) the gathered rows form one sorted array
+    first = _run_starts(a)
+    pos, run = _gather_rows(indptr, a[first])
+    n = indptr.size - 1
+    key = run * n + dst[pos]
+    query = (first.cumsum() - 1) * n + b
+    return key.searchsorted(query, side="right") - key.searchsorted(query, side="left")
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +105,15 @@ def neighbor_counts(indptr, dst):
 def association_scores(indptr, dst, nbh_counts, c1, c2, c3, c4s, walks3, walks4, node_count):
     """Normalized pointwise-mutual-information scores for candidate fourth hops.
 
+    ``c1``/``c2``/``c3`` hold each hop's prefix, aligned with ``c4s`` (a
+    scalar is shared by every hop).
     ``walks3``/``walks4`` are the global totals of 3-node and 4-node walks.
     Returns float64 scores; a zero joint count yields ``SCORE_SENTINEL`` and a
     joint count equal to the global total yields +1 by convention.
     """
-    c4s = np.asarray(c4s, dtype=np.int32)
-    base = _multiplicity(indptr, dst, c1, c2) * _multiplicity(indptr, dst, c2, c3)
-    seq = base * _multiplicity(indptr, dst, c3, c4s)
+    c1, c2, c3, c4s = np.broadcast_arrays(*(np.asarray(c, dtype=np.int64) for c in (c1, c2, c3, c4s)))
+    base = multiplicity(indptr, dst, c1, c2) * multiplicity(indptr, dst, c2, c3)
+    seq = base * multiplicity(indptr, dst, c3, c4s)
     with np.errstate(divide="ignore", invalid="ignore"):
         joint = seq / walks4
         p_prefix = base / walks3
@@ -119,30 +127,40 @@ def association_scores(indptr, dst, nbh_counts, c1, c2, c3, c4s, walks3, walks4,
 # candidate expansion: deduplicated neighbors per parent node
 
 
-def expand_candidates(parents, ancestors, indptr, dst, rel, allowed):
+def expand_candidates(parents, ancestors, indptr, dst, rel, allowed, scores):
     """Per-parent deduplicated neighbor concepts with their minimal relation id.
 
     ``ancestors`` is (len(parents), depth) int32, padded with -1; candidates
-    appearing there are excluded, as are concepts where ``allowed`` is False.
+    appearing there are excluded, as are concepts where ``allowed`` is False
+    (``None`` keeps every concept).  ``scores`` holds a non-negative integer
+    rank score per concept.
     Returns (flat candidates, flat min relation ids, offsets of len parents+1);
-    each parent's slice is sorted by concept id.
+    each parent's slice is sorted by (score desc, concept asc).
     """
     # a concept recurs as parent under many branches: expand each once
     concepts, inverse = np.unique(np.asarray(parents, dtype=np.int64), return_inverse=True)
     pos, seg = _gather_rows(indptr, concepts)
-    # filter first: every later array is built over the kept rows only
-    keep = allowed[dst[pos]].nonzero()[0]
-    pos, seg = pos[keep], seg[keep]
+    if allowed is not None:
+        # filter first: every later array is built over the kept rows only
+        keep = allowed[dst[pos]].nonzero()[0]
+        pos, seg = pos[keep], seg[keep]
     nbr, rel = dst[pos], rel[pos]
 
     # rows are sorted by (neighbor, relation): the first entry of each
     # (concept, neighbor) run carries the minimal relation
     first = _run_starts(seg, nbr)
     seg, nbr, rel = seg[first], nbr[first], rel[first]
+    # rank each expanded concept's list once: a stable sort by (list,
+    # score desc) leaves equal scores in neighbor-id order
+    score = scores[nbr]
+    top = int(score.max()) if score.size else 0
+    order = np.argsort(seg * (top + 1) + (top - score), kind="stable")
+    nbr, rel = nbr[order], rel[order]
     concept_offsets = np.zeros(concepts.size + 1, dtype=np.int64)
     np.bincount(seg, minlength=concepts.size).cumsum(out=concept_offsets[1:])
 
-    # copy each concept's list to its parents, then drop the parent's ancestors
+    # copy each concept's list to its parents, then drop the parent's
+    # ancestors; dropping keeps the rank order
     pos, seg = _gather_rows(concept_offsets, inverse)
     nbr, rel = nbr[pos], rel[pos]
     keep = np.ones(nbr.size, dtype=np.bool_)

@@ -201,8 +201,6 @@ class KnowledgeGraph:
         self.adj_dst = (key % n).astype(np.int32)
         self.degrees = np.diff(self.adj_indptr)
         self.neighbor_count = kernels.neighbor_counts(self.adj_indptr, self.adj_dst)
-        # all-concepts mask shared by unconstrained tree expansions
-        self.all_allowed = np.ones(n, dtype=np.bool_)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -273,7 +271,7 @@ class KnowledgeGraph:
         """Stored edges between the pair in either orientation."""
         self._check_concept(a)
         self._check_concept(b)
-        return kernels.pair_multiplicity(self.adj_indptr, self.adj_dst, a, b)
+        return int(kernels.multiplicity(self.adj_indptr, self.adj_dst, np.array([a]), np.array([b]))[0])
 
     def walk_count(self, k: int) -> int:
         """Number of k-edge walks, counted with edge multiplicity.
@@ -536,9 +534,9 @@ def graph_from_triples(
     first-appearance order exactly as ingestion would.
     """
     triples = list(triples)
-    if weights is None:
-        weights = [1.0] * len(triples)
-    rows = list(zip(triples, weights))
+    weight = np.array([1.0] * len(triples) if weights is None else list(weights), dtype=np.float32)
+    if weight.shape != (len(triples),):
+        raise ValueError(f"{weight.size} weights for {len(triples)} triples")
     surfaces: dict[str, int] = {}
     relation_names: dict[str, int] = {}
 
@@ -547,10 +545,9 @@ def graph_from_triples(
 
     extra = [concept(s) for s in extra_concepts]
     coded = np.array(
-        [(concept(s), relation_names.setdefault(r, len(relation_names)), concept(e)) for (s, r, e), _ in rows],
+        [(concept(s), relation_names.setdefault(r, len(relation_names)), concept(e)) for s, r, e in triples],
         dtype=np.int64,
     ).reshape(-1, 3)
-    weight = np.array([w for _, w in rows], dtype=np.float32)
     return _assemble(lang, list(surfaces), list(relation_names), *coded.T, weight, extra)
 
 

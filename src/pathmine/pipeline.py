@@ -175,9 +175,11 @@ def parse_request_line(line: str) -> ExtractionRequest:
         raise ValueError("request line must be a JSON object")
     if "context" not in data or "query" not in data:
         raise ValueError("request needs 'context' and 'query' fields")
-    return ExtractionRequest(
-        context=str(data["context"]), query=str(data["query"]), id=data.get("id")
-    )
+    if not isinstance(data["context"], str) or not isinstance(data["query"], str):
+        raise ValueError("'context' and 'query' must be strings")
+    if not isinstance(data.get("id"), (str, type(None))):
+        raise ValueError("'id' must be a string or null")
+    return ExtractionRequest(context=data["context"], query=data["query"], id=data.get("id"))
 
 
 def run_batch(

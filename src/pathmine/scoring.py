@@ -60,10 +60,10 @@ def npmi(
         g.adj_indptr,
         g.adj_dst,
         g.neighbor_count,
-        c1,
-        c2,
-        c3,
-        np.asarray([c4], dtype=np.int32),
+        [c1],
+        [c2],
+        [c3],
+        [c4],
         stats.walks_len3,
         stats.walks_len4,
         stats.node_count,
@@ -96,28 +96,21 @@ def score_raw(
         raise ValueError("context is empty")
     ctx_counts = m.dense_counts(g.node_count)
 
-    grounded_mask = (tree.levels == 2) | (tree.levels == 3) | (tree.levels == 5)
-    grounded_idx = np.flatnonzero(grounded_mask)
-    raw[grounded_idx] = ctx_counts[tree.concepts[grounded_idx]] / m.source_len
-
-    # level-4 nodes share (c1, c2, c3) per parent; score them batch-wise
-    for parent_idx in np.flatnonzero(tree.levels == 3):
-        lo = int(tree.child_start[parent_idx])
-        hi = int(tree.child_end[parent_idx])
-        if lo == hi:
-            continue
-        c3 = int(tree.concepts[parent_idx])
-        c2_idx = int(tree.parents[parent_idx])
-        c2 = int(tree.concepts[c2_idx])
-        c1 = int(tree.concepts[int(tree.parents[c2_idx])])
-        raw[lo:hi] = kernels.association_scores(
+    # term frequency below the root, then NPMI over every level-4 hop in one call
+    raw[1:] = ctx_counts[tree.concepts[1:]] / m.source_len
+    c4_idx = tree.level_indices(4)
+    if c4_idx.size:  # most trees of a short context stop above level 4
+        c3_idx = tree.parents[c4_idx]
+        c2_idx = tree.parents[c3_idx]
+        c1_idx = tree.parents[c2_idx]
+        raw[c4_idx] = kernels.association_scores(
             g.adj_indptr,
             g.adj_dst,
             g.neighbor_count,
-            c1,
-            c2,
-            c3,
-            tree.concepts[lo:hi],
+            tree.concepts[c1_idx],
+            tree.concepts[c2_idx],
+            tree.concepts[c3_idx],
+            tree.concepts[c4_idx],
             stats.walks_len3,
             stats.walks_len4,
             stats.node_count,
@@ -151,22 +144,24 @@ def cumulative_score(st: ScoredTree) -> ScoredTree:
     assert st.n_score is not None, "sibling_softmax must run first"
     tree = st.tree
     c_score = st.n_score.copy()
-    for level in range(4, 0, -1):
-        child_idx = tree.level_indices(level + 1)
-        if child_idx.size == 0:
-            continue
-        # nodes of one level are contiguous in BFS order
-        lo, hi = int(child_idx[0]), int(child_idx[-1]) + 1
-        child_vals = c_score[lo:hi]
-        par = tree.parents[lo:hi]
-        order = np.lexsort((-child_vals, par))
-        par_sorted = par[order]
-        vals_sorted = child_vals[order]
-        first = np.flatnonzero(np.r_[True, par_sorted[1:] != par_sorted[:-1]])
-        sizes = np.diff(np.r_[first, par_sorted.size])
-        top1 = vals_sorted[first]
-        second = np.where(sizes >= 2, vals_sorted[np.minimum(first + 1, vals_sorted.size - 1)], top1)
-        c_score[par_sorted[first]] += (top1 + second) / 2.0
+    # BFS order groups the inner nodes by level, and each level above the
+    # deepest inner one has inner nodes; accumulate bottom-up
+    inner = np.flatnonzero(tree.child_start < tree.child_end)
+    inner_levels = tree.levels[inner]
+    for level in range(int(inner_levels[-1]) if inner.size else 0, 0, -1):
+        part = inner[inner_levels == level]
+        # each parent's children form one block; a level's blocks are
+        # contiguous and in parent order
+        starts, sizes = tree.child_start[part], tree.child_end[part] - tree.child_start[part]
+        blocks = starts - starts[0]
+        child_vals = c_score[starts[0] : starts[-1] + sizes[-1]]
+        top1 = np.maximum.reduceat(child_vals, blocks)
+        # mask one occurrence of each block's maximum, so a tie gives second == top1
+        hits = np.flatnonzero(child_vals == np.repeat(top1, sizes))
+        rest = child_vals.copy()
+        rest[hits[hits.searchsorted(blocks)]] = -np.inf
+        second = np.where(sizes >= 2, np.maximum.reduceat(rest, blocks), top1)
+        c_score[part] += (top1 + second) / 2.0
     return replace(st, c_score=c_score)
 
 

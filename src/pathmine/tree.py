@@ -128,24 +128,6 @@ def enumerate_levels(tree: PathTree, level: int) -> list[TreeNode]:
     return [TreeNode(tree, int(i)) for i in tree.level_indices(level)]
 
 
-def _ranked_cap(cand, minrel, offsets, scores, cap):
-    """Keep the top ``cap`` entries per segment by (score desc, concept asc).
-
-    Each segment must arrive sorted by concept, as ``expand_candidates``
-    returns it, and scores must be non-negative integers.
-    """
-    seg = np.repeat(np.arange(offsets.size - 1, dtype=np.int64), np.diff(offsets))
-    if cand.size == 0:
-        return cand, minrel, seg
-    # one stable sort by (segment, score desc): segments stay in place and
-    # equal scores keep their concept order
-    top = int(scores.max())
-    order = np.argsort(seg * (top + 1) + (top - scores), kind="stable")
-    kept = np.arange(cand.size) - offsets[seg] < cap
-    keep = order[kept]
-    return cand[keep], minrel[keep], seg[kept]
-
-
 def build_tree(
     c1: int, gp: GroundedPair, g: KnowledgeGraph, cfg: BuildConfig | None = None
 ) -> PathTree:
@@ -180,8 +162,9 @@ def build_tree(
     for level in range(2, MAX_LEVEL + 1):
         if frontier.size == 0:
             break
-        grounded = level != 4
-        allowed = ctx_mask if grounded else g.all_allowed
+        # grounded levels rank by context term frequency and keep only
+        # context concepts; level 4 ranks by degree and keeps every concept
+        allowed, scores = (ctx_mask, ctx_counts) if level != 4 else (None, g.degrees)
 
         cum = np.cumsum(g.degrees[frontier])
         total = int(cum[-1]) if cum.size else 0
@@ -201,16 +184,20 @@ def build_tree(
                 g.adj_dst,
                 g.adj_rel,
                 allowed,
+                scores,
             )
-            scores = ctx_counts[cand] if grounded else g.degrees[cand]
-            cand, minrel, seg = _ranked_cap(cand, minrel, offsets, scores, cfg.max_children_per_node)
+            sizes = np.diff(offsets)
+            seg = np.arange(sizes.size, dtype=np.int64).repeat(sizes)
+            # each parent's slice arrives ranked by (score desc, concept
+            # asc), so the cap keeps its first positions
+            if sizes.max() > cfg.max_children_per_node:
+                kept = np.arange(cand.size) - offsets[seg] < cfg.max_children_per_node
+                cand, minrel, seg = cand[kept], minrel[kept], seg[kept]
             cand_parts.append(cand)
             rel_parts.append(minrel)
             seg_parts.append(seg + start)
 
-        cand = np.concatenate(cand_parts) if cand_parts else np.empty(0, dtype=np.int32)
-        minrel = np.concatenate(rel_parts) if rel_parts else np.empty(0, dtype=np.int32)
-        seg = np.concatenate(seg_parts) if seg_parts else np.empty(0, dtype=np.int64)
+        cand, minrel, seg = map(np.concatenate, (cand_parts, rel_parts, seg_parts))
         if cand.size == 0:
             break
 

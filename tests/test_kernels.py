@@ -24,22 +24,23 @@ def _graphs(seed: int, count: int):
 # candidate expansion
 
 
-def expand_reference(g, parents, ancestors, allowed):
-    """Per parent: neighbors() collapsed to the minimal relation, then filtered."""
+def expand_reference(g, parents, ancestors, allowed, scores):
+    """Per parent: neighbors() collapsed to the minimal relation, filtered,
+    then ranked by (score desc, concept asc)."""
     cand, minrel, offsets = [], [], [0]
     for p, node in enumerate(parents):
         best: dict[int, int] = {}
         for rel, c in g.neighbors(int(node)):
             best[c] = min(rel, best.get(c, rel))
-        for c in sorted(best):
-            if allowed[c] and c not in ancestors[p]:
-                cand.append(c)
-                minrel.append(best[c])
+        kept = [c for c in best if (allowed is None or allowed[c]) and c not in ancestors[p]]
+        for c in sorted(kept, key=lambda c: (-int(scores[c]), c)):
+            cand.append(c)
+            minrel.append(best[c])
         offsets.append(len(cand))
     return cand, minrel, offsets
 
 
-def _expand(g, parents, ancestors, allowed):
+def _expand(g, parents, ancestors, allowed, scores=None):
     return kernels.expand_candidates(
         np.asarray(parents, dtype=np.int32),
         ancestors,
@@ -47,12 +48,15 @@ def _expand(g, parents, ancestors, allowed):
         g.adj_dst,
         g.adj_rel,
         allowed,
+        np.zeros(g.node_count, dtype=np.int64) if scores is None else scores,
     )
 
 
-def _assert_expand_matches(g, parents, ancestors, allowed):
-    cand, minrel, offsets = _expand(g, parents, ancestors, allowed)
-    want = expand_reference(g, parents, ancestors.tolist(), allowed)
+def _assert_expand_matches(g, parents, ancestors, allowed, scores=None):
+    if scores is None:
+        scores = np.zeros(g.node_count, dtype=np.int64)
+    cand, minrel, offsets = _expand(g, parents, ancestors, allowed, scores)
+    want = expand_reference(g, parents, ancestors.tolist(), allowed, scores)
     assert cand.dtype == np.int32 and minrel.dtype == np.int32 and offsets.dtype == np.int64
     assert (cand.tolist(), minrel.tolist(), offsets.tolist()) == want
 
@@ -66,8 +70,10 @@ class TestExpandCandidates:
             ancestors = np.full((parents.size, 4), -1, dtype=np.int32)
             ancestors[:, 0] = parents
             ancestors[:, 1:depth] = rng.integers(0, g.node_count, size=(parents.size, depth - 1))
-            allowed = rng.random(g.node_count) < 0.7
-            _assert_expand_matches(g, parents, ancestors, allowed)
+            allowed = rng.random(g.node_count) < 0.7 if rng.random() < 0.8 else None
+            # few distinct values, so equal scores are common
+            scores = rng.integers(0, 4, size=g.node_count)
+            _assert_expand_matches(g, parents, ancestors, allowed, scores)
 
     def test_parallel_edges_keep_minimal_relation(self):
         g = graph_from_triples(
@@ -75,7 +81,7 @@ class TestExpandCandidates:
         )
         a, b, c = (g.concept_id(s) for s in "abc")
         ancestors = np.array([[a, -1, -1, -1]], dtype=np.int32)
-        cand, minrel, offsets = _expand(g, [a], ancestors, g.all_allowed)
+        cand, minrel, offsets = _expand(g, [a], ancestors, None)
         rels_ab = [g.relation_names.index(r) for r in ("UsedFor", "IsA", "AtLocation")]
         assert cand.tolist() == sorted([b, c])
         assert minrel[cand.tolist().index(b)] == min(rels_ab)
@@ -96,14 +102,14 @@ class TestExpandCandidates:
         g = graph_from_triples([("a", "RelatedTo", "b")], extra_concepts=["lonely"])
         lonely, a = g.concept_id("lonely"), g.concept_id("a")
         ancestors = np.full((3, 4), -1, dtype=np.int32)
-        cand, minrel, offsets = _expand(g, [lonely, a, lonely], ancestors, g.all_allowed)
+        cand, minrel, offsets = _expand(g, [lonely, a, lonely], ancestors, None)
         assert cand.tolist() == [g.concept_id("b")]
         assert offsets.tolist() == [0, 0, 1, 1]
-        _assert_expand_matches(g, [lonely, a, lonely], ancestors, g.all_allowed)
+        _assert_expand_matches(g, [lonely, a, lonely], ancestors, None)
 
     def test_empty_frontier(self):
         g = graph_from_triples([("a", "RelatedTo", "b")])
-        cand, minrel, offsets = _expand(g, [], np.full((0, 4), -1, dtype=np.int32), g.all_allowed)
+        cand, minrel, offsets = _expand(g, [], np.full((0, 4), -1, dtype=np.int32), None)
         assert cand.size == 0 and minrel.size == 0
         assert offsets.tolist() == [0]
 

@@ -176,6 +176,15 @@ class TestIngest:
         )
         assert g.concept_id("ice_cream") == 0
 
+    def test_weight_count_must_match_triples(self):
+        triples = [("a", "RelatedTo", "b"), ("b", "IsA", "c")]
+        with pytest.raises(ValueError):
+            graph_from_triples(triples, weights=[2.0])
+        with pytest.raises(ValueError):
+            graph_from_triples(triples, weights=[1.0, 2.0, 3.0])
+        g = graph_from_triples(triples, weights=[2.0, 3.0])
+        assert g.edge_weight.tolist() == [2.0, 3.0]
+
 
 class TestNeighbors:
     def test_story_graph_lady(self, story_graph):

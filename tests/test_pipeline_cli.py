@@ -88,6 +88,23 @@ class TestExtractor:
         assert results[1].error is not None
         assert results[0].error is None and results[2].error is None
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"context": None, "query": STORY_QUERY},
+            {"context": STORY_CONTEXT, "query": ["lady"]},
+            {"context": STORY_CONTEXT, "query": STORY_QUERY, "id": {"x": [1]}},
+            {"context": STORY_CONTEXT, "query": STORY_QUERY, "id": 7},
+        ],
+    )
+    def test_non_string_request_field_is_a_bad_request(self, story_extractor, fields):
+        line = json.dumps(fields)
+        ok = json.dumps({"id": "ok", "context": STORY_CONTEXT, "query": STORY_QUERY})
+        bad, good = run_batch(story_extractor, [line, ok])
+        assert bad.id is None and bad.paths == []
+        assert bad.error.startswith("bad request: ")
+        assert good.error is None and good.paths
+
     def test_worker_counts_agree_byte_for_byte(self, story_extractor):
         lines = [
             json.dumps({"id": str(i), "context": STORY_CONTEXT, "query": STORY_QUERY})

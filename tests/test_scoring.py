@@ -140,12 +140,49 @@ class TestRawScore:
                 st.raw[int(node)], rel=1e-12
             )
 
+    def test_level_four_raws_equal_npmi_bit_for_bit(self):
+        rng = np.random.default_rng(61)
+        sentinels = scored = 0
+        for trial in range(12):
+            # parallel edges and self-loops come with the random multigraphs
+            g = random_multigraph(rng, max_nodes=20, max_edges=80)
+            stats = WalkStats.from_graph(g)
+            names = [g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=25)]
+            pair = ground_pair(" ".join(names), names[0], g)
+            if not pair.query_concepts:
+                continue
+            built = build_tree(pair.query_concepts[0], pair, g, BuildConfig(max_children_per_node=3))
+            for tree in (built, _random_path_tree(rng, g.node_count)):
+                st = score_raw(tree, pair, g, stats)
+                for idx in tree.level_indices(4):
+                    want = npmi(*tree.node(int(idx)).path_concepts(), g, stats)
+                    assert st.raw[idx] == want
+                    sentinels += want == SCORE_SENTINEL
+                    scored += 1
+        assert sentinels > 0 and scored - sentinels > 0
+
     def test_root_is_not_scored(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         tree = build_tree(story_graph.concept_id("lady"), pair, story_graph)
         stats = WalkStats.from_graph(story_graph)
         with pytest.raises(ValueError):
             raw_score(tree.root, pair, story_graph, stats)
+
+
+def _random_path_tree(rng, node_count: int) -> PathTree:
+    """Five levels of random concepts, so most fourth hops are not edges."""
+    concepts, parents, levels = [int(rng.integers(node_count))], [-1], [1]
+    frontier = [0]
+    for level in range(2, 6):
+        nxt = []
+        for parent in frontier:
+            for _ in range(int(rng.integers(0, 4))):
+                nxt.append(len(concepts))
+                concepts.append(int(rng.integers(node_count)))
+                parents.append(parent)
+                levels.append(level)
+        frontier = nxt
+    return PathTree(BuildConfig(), concepts, parents, [-1] + [0] * (len(concepts) - 1), levels)
 
 
 def _softmax_oracle(raw):
@@ -238,6 +275,25 @@ class TestCumulativeScore:
         assert st.c_score[1] == pytest.approx(st.n_score[1] + (kids[0] + kids[1]) / 2)
         with_weakest = st.n_score[1] + (kids[0] + kids[2]) / 2
         assert st.c_score[1] != pytest.approx(with_weakest)
+
+    @pytest.mark.parametrize(
+        "third_block",
+        [[0.1, 0.5, 0.5], [0.5, 0.5, 0.1], [0.3, 0.3, 0.3], [0.5, 0.2, 0.2], [0.2, 0.5, 0.2]],
+    )
+    def test_exactly_tied_children_match_recursion(self, third_block):
+        # level-2 parents with blocks of 1, 2 and 3 children, top values tied
+        tree = PathTree(
+            BuildConfig(),
+            concepts=list(range(10)),
+            parents=[-1, 0, 0, 0, 1, 2, 2, 3, 3, 3],
+            rels=[-1] + [0] * 9,
+            levels=[1, 2, 2, 2, 3, 3, 3, 3, 3, 3],
+        )
+        n_score = np.array([1.0, 0.4, 0.4, 0.2, 0.7, 0.25, 0.25, *third_block])
+        st = cumulative_score(ScoredTree(tree=tree, raw=np.zeros(10), n_score=n_score))
+        oracle = _cumulative_oracle(st)
+        for idx in range(tree.node_count):
+            assert st.c_score[idx] == oracle(idx)
 
     def test_single_child_average_is_the_child(self):
         tree = PathTree(

@@ -129,6 +129,58 @@ class TestEnumerateLevels:
                 assert len(enumerate_levels(tree, level)) <= 3 ** (level - 1)
 
 
+def build_reference(g, pair, root: int, cap: int):
+    """Plain-Python growth: per node, neighbors() collapsed to the minimal
+    relation, the path's concepts dropped, context concepts only at grounded
+    levels, then the first ``cap`` by (score desc, concept asc) where the
+    score is the context count, or the degree at level 4.
+
+    Returns the tree's concept, parent, relation and level lists, and the
+    number of nodes the cap cut short."""
+    count = pair.context_mentions.count
+    concepts, parents, rels, levels = [root], [-1], [-1], [1]
+    capped = 0
+    frontier = [(0, [root])]
+    for level in range(2, 6):
+        score = g.degree if level == 4 else count
+        nxt = []
+        for idx, path in frontier:
+            best: dict[int, int] = {}
+            for rel, c in g.neighbors(path[-1]):
+                best[c] = min(rel, best.get(c, rel))
+            kept = [c for c in best if c not in path and (level == 4 or count(c) > 0)]
+            capped += len(kept) > cap
+            for c in sorted(kept, key=lambda c: (-score(c), c))[:cap]:
+                nxt.append((len(concepts), path + [c]))
+                concepts.append(c)
+                parents.append(idx)
+                rels.append(best[c])
+                levels.append(level)
+        frontier = nxt
+    return concepts, parents, rels, levels, capped
+
+
+class TestCapOracle:
+    @pytest.mark.parametrize("cap", [2, 3])
+    def test_binding_cap_matches_plain_python(self, cap):
+        rng = np.random.default_rng(40 + cap)
+        trees = capped = 0
+        while trees < 25:
+            g = random_multigraph(rng, max_nodes=25, max_edges=120)
+            names = [g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=30)]
+            pair = ground_pair(" ".join(names), names[0], g)
+            if not pair.query_concepts:
+                continue
+            root = pair.query_concepts[0]
+            tree = build_tree(root, pair, g, BuildConfig(max_children_per_node=cap))
+            *want, cut = build_reference(g, pair, root, cap)
+            got = (tree.concepts, tree.parents, tree.rels, tree.levels)
+            assert [a.tolist() for a in got] == want
+            capped += cut > 0
+            trees += 1
+        assert capped >= 10
+
+
 class TestDeterminismAndMonotonicity:
     def test_rebuild_identical(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
