@@ -12,7 +12,6 @@ from typing import IO
 import click
 
 from .kg import (
-    IngestError,
     KnowledgeGraph,
     PathmineError,
     WalkStats,
@@ -22,22 +21,18 @@ from .kg import (
 )
 from .pipeline import Config, Extractor, run_batch
 from .scoring import SCORE_SENTINEL
+from .selector import top_children
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
 
 def _config_from_options(config_path: str | None, **overrides) -> Config:
-    """The run's config; any invalid value is a usage error."""
+    """The file's config (or the defaults) with every given flag on top; any
+    invalid value is a usage error."""
+    given = {name: value for name, value in overrides.items() if value is not None}
     try:
-        if config_path:
-            return Config.from_file(config_path, **overrides)
-        defaults = Config()
-        merged = {
-            name: (overrides[name] if overrides.get(name) is not None else getattr(defaults, name))
-            for name in Config.__dataclass_fields__
-        }
-        return Config(**merged)
+        return Config.from_file(config_path, **given) if config_path else Config(**given)
     except ValueError as exc:
         raise click.UsageError(f"invalid config: {exc}") from exc
 
@@ -168,12 +163,8 @@ def render_explanation(extractor: Extractor, context: str, query: str) -> str:
                     f"raw={fmt(scored.raw_of(node))} n={fmt(scored.n_of(node))} "
                     f"c={fmt(scored.c_of(node))} [{mark}]"
                 )
-            children = node.children
-            ranked = sorted(
-                children, key=lambda ch: (-scored.c_of(ch), ch.concept)
-            )
-            kept_set = {ch.index for ch in ranked[:2]} if kept else set()
-            for child in reversed(children):  # reversed, so the first child pops first
+            kept_set = set(top_children(scored, idx)) if kept else set()
+            for child in reversed(node.children):  # reversed, so the first child pops first
                 stack.append((child.index, depth + 1, child.index in kept_set))
         if analysis.selection.full_paths:
             lines.append("selected paths:")
@@ -196,13 +187,7 @@ def main(argv: list[str] | None = None) -> int:
     except click.ClickException as exc:
         exc.show()
         return USAGE_ERROR
-    except (IngestError, PathmineError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return DATA_ERROR
-    except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return DATA_ERROR
-    except ValueError as exc:
+    except (PathmineError, OSError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         return DATA_ERROR
     return 0

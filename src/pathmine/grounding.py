@@ -110,13 +110,6 @@ def extract_concepts(
     return ConceptMentionSet(mentions=mentions, source_len=n_tokens)
 
 
-def term_frequency(cid: int, m: ConceptMentionSet) -> float:
-    """Mention count over source token count; 0 for unmentioned concepts."""
-    if m.source_len <= 0:
-        raise ValueError("term frequency undefined for empty source text")
-    return m.count(cid) / m.source_len
-
-
 def ground_pair(
     context: str,
     query: str,
@@ -132,6 +125,3 @@ def ground_pair(
     # dict preserves first-mention order; counts are irrelevant for the query
     return GroundedPair(context_mentions=ctx, query_concepts=list(query_mentions.mentions))
 
-
-def total_mentions(m: ConceptMentionSet) -> int:
-    return sum(m.mentions.values())

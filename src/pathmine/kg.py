@@ -91,28 +91,6 @@ class IndexChecksumError(IndexFormatError):
     """The index file's trailing checksum does not match its contents."""
 
 
-@dataclass(frozen=True)
-class Concept:
-    id: int
-    surface: str
-    language: str
-
-
-@dataclass(frozen=True)
-class Relation:
-    id: int
-    name: str
-    symmetric: bool
-
-
-@dataclass(frozen=True)
-class Edge:
-    start: int
-    relation: int
-    end: int
-    weight: float
-
-
 @dataclass
 class IngestReport:
     lines_total: int = 0
@@ -212,28 +190,8 @@ class KnowledgeGraph:
     def edge_count(self) -> int:
         return int(self.edge_start.size)
 
-    def concept(self, cid: int) -> Concept:
-        self._check_concept(cid)
-        return Concept(cid, self.surfaces[cid], self.lang)
-
     def concept_id(self, surface: str) -> int | None:
         return self.surface_to_id.get(surface)
-
-    def relation(self, rid: int) -> Relation:
-        if not 0 <= rid < len(self.relation_names):
-            raise ValueError(f"unknown relation id {rid}")
-        name = self.relation_names[rid]
-        return Relation(rid, name, name in SYMMETRIC_RELATIONS)
-
-    def edge(self, idx: int) -> Edge:
-        if not 0 <= idx < self.edge_count:
-            raise ValueError(f"edge index {idx} out of range")
-        return Edge(
-            int(self.edge_start[idx]),
-            int(self.edge_rel[idx]),
-            int(self.edge_end[idx]),
-            float(self.edge_weight[idx]),
-        )
 
     def degree(self, cid: int) -> int:
         """Stored edges incident to the concept, parallel edges counted."""
@@ -309,36 +267,23 @@ _MALFORMED = -1
 _OTHER_LANGUAGE = -2
 
 
-def _blocks(source: BinaryIO | Iterable[bytes]) -> Iterator[bytes]:
-    """The dump as blocks of whole lines, about ``_BLOCK_BYTES`` each.
+def _blocks(source: BinaryIO) -> Iterator[bytes]:
+    """The dump file as blocks of whole lines, about ``_BLOCK_BYTES`` each.
 
-    A file object is read in blocks cut after their last newline; an
-    iterable yields one line per element, with or without its newline.
-    Every block but the last ends in a newline.
+    Each block is cut after its last newline; every block but the last
+    ends in one.
     """
-    if hasattr(source, "read"):
-        # only each new chunk is searched, so a line longer than a block
-        # costs time linear in its length
-        pending: list[bytes] = []
-        while chunk := source.read(_BLOCK_BYTES):  # type: ignore[union-attr]
-            head, newline, tail = chunk.rpartition(b"\n")
-            if newline:
-                yield b"".join([*pending, head, newline])
-                pending = []
-            pending.append(tail)
-        if rest := b"".join(pending):
-            yield rest
-        return
-    lines: list[bytes] = []
-    size = 0
-    for line in source:
-        lines.append(line if line.endswith(b"\n") else line + b"\n")
-        size += len(line)
-        if size >= _BLOCK_BYTES:
-            yield b"".join(lines)
-            lines, size = [], 0
-    if lines:
-        yield b"".join(lines)
+    # only each new chunk is searched, so a line longer than a block
+    # costs time linear in its length
+    pending: list[bytes] = []
+    while chunk := source.read(_BLOCK_BYTES):
+        head, newline, tail = chunk.rpartition(b"\n")
+        if newline:
+            yield b"".join([*pending, head, newline])
+            pending = []
+        pending.append(tail)
+    if rest := b"".join(pending):
+        yield rest
 
 
 def _split_block(block: bytes) -> tuple[int, list[str]]:
@@ -463,15 +408,13 @@ def _assemble(
     )
 
 
-def ingest_csv(
-    source: BinaryIO | Iterable[bytes], lang: str
-) -> tuple[KnowledgeGraph, IngestReport]:
+def ingest_csv(source: BinaryIO, lang: str) -> tuple[KnowledgeGraph, IngestReport]:
     """Parse an assertion dump, keeping edges whose endpoints match ``lang``.
 
-    ``source`` is a binary file object (plain or gzip) or an iterable of
-    byte lines.  Malformed lines are skipped and counted in the returned
-    report; a weight must be finite and non-negative as float32.  A dump
-    yielding zero edges raises :class:`IngestError`.
+    ``source`` is a binary file object, plain or gzip, read in blocks.
+    Malformed lines are skipped and counted in the returned report; a
+    weight must be finite and non-negative as float32.  A dump yielding
+    zero edges raises :class:`IngestError`.
     """
     if not lang:
         raise ValueError("language tag must be non-empty")
@@ -606,7 +549,10 @@ class _Reader:
         return struct.unpack("<Q", self.take(8))[0]
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise IndexFormatError(f"index string is not UTF-8: {exc.reason}") from None
 
 
 def _checksum(payload: bytes) -> int:
@@ -663,8 +609,9 @@ def load_index(source: BinaryIO | str) -> tuple[KnowledgeGraph, WalkStats | None
 
     Raises :class:`IndexVersionError`, :class:`IndexTruncatedError`, or
     :class:`IndexChecksumError` for the corresponding defects, and
-    :class:`IndexFormatError` for ids out of range or walk statistics of
-    another graph.
+    :class:`IndexFormatError` for ids out of range, strings that are not
+    UTF-8, duplicate concept surfaces, or walk statistics that are
+    malformed, not positive, or of another graph.
     """
     own = isinstance(source, str)
     fh: BinaryIO = open(source, "rb") if own else source  # type: ignore[assignment]
@@ -728,9 +675,16 @@ def load_index(source: BinaryIO | str) -> tuple[KnowledgeGraph, WalkStats | None
 
     stats = None
     if b"STAT" in sections:
+        if len(sections[b"STAT"]) != 24:
+            raise IndexFormatError("walk statistics section has wrong length")
         w3, w4, nc = struct.unpack("<QQQ", sections[b"STAT"])
         if nc != n_concepts:
             raise IndexFormatError(f"walk statistics are for {nc} concepts, the graph has {n_concepts}")
+        if not (0 < w3 < 1 << 63 and 0 < w4 < 1 << 63):
+            raise IndexFormatError(f"walk statistics totals {w3}, {w4} outside [1, 2**63)")
         stats = WalkStats(walks_len3=w3, walks_len4=w4, node_count=nc)
-    g = KnowledgeGraph(lang, surfaces, relation_names, edge_start, edge_rel, edge_end, edge_weight)
+    try:
+        g = KnowledgeGraph(lang, surfaces, relation_names, edge_start, edge_rel, edge_end, edge_weight)
+    except ValueError as exc:  # duplicate concept surfaces
+        raise IndexFormatError(str(exc)) from None
     return g, stats

@@ -46,10 +46,12 @@ class Config:
                 raise ValueError(f"{name} must be {getattr(hint, '__name__', hint)}, got {value!r}")
         if self.max_ngram < 1:
             raise ValueError("max_ngram must be >= 1")
-        if self.max_children_per_node < 2:
-            raise ValueError("max_children_per_node must be >= 2")
         if self.max_total_paths is not None and self.max_total_paths < 0:
             raise ValueError("max_total_paths must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        # BuildConfig checks the cap; the one instance serves every tree
+        object.__setattr__(self, "build", BuildConfig(self.max_children_per_node))
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "Config":
@@ -60,11 +62,8 @@ class Config:
         unknown = set(data) - {f for f in cls.__dataclass_fields__}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        data.update({k: v for k, v in overrides.items() if v is not None})
+        data.update(overrides)
         return cls(**data)
-
-    def build_config(self) -> BuildConfig:
-        return BuildConfig(max_children_per_node=self.max_children_per_node)
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,6 @@ class Extractor:
         self.stats = stats
         self.config = config or Config()
         self.stopwords = load_stopwords(self.config.stopword_path)
-        self._build_cfg = self.config.build_config()
 
     def ground(self, context: str, query: str) -> GroundedPair:
         ctx = extract_concepts(
@@ -130,7 +128,7 @@ class Extractor:
         if pair.context_mentions.source_len == 0:
             return analyses
         for tree_index, c1 in enumerate(pair.query_concepts):
-            tree = build_tree(c1, pair, self.graph, self._build_cfg)
+            tree = build_tree(c1, pair, self.graph, self.config.build)
             scored = score_tree(tree, pair, self.graph, self.stats)
             rng = np.random.default_rng([self.config.seed, request_index, tree_index])
             selection = realize_selection(scored, self.graph, rng)

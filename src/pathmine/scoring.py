@@ -71,21 +71,6 @@ def npmi(
     return float(out[0])
 
 
-def raw_score(
-    node: TreeNode, gp: GroundedPair, g: KnowledgeGraph, stats: WalkStats
-) -> float:
-    """Raw score of a single non-root node (term frequency or NPMI)."""
-    if node.level == 1:
-        raise ValueError("the root node is not scored")
-    if node.level == 4:
-        path = node.path_concepts()
-        return npmi(path[0], path[1], path[2], path[3], g, stats)
-    m = gp.context_mentions
-    if m.source_len <= 0:
-        raise ValueError("context is empty")
-    return m.count(node.concept) / m.source_len
-
-
 def score_raw(
     tree: PathTree, gp: GroundedPair, g: KnowledgeGraph, stats: WalkStats
 ) -> ScoredTree:

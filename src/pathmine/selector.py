@@ -34,24 +34,29 @@ class PathSelection:
     realized: list[list[str]]
 
 
+def top_children(st: ScoredTree, idx: int) -> list[int]:
+    """The node's (at most) two children with the highest cumulative
+    scores, best first, ties to the lower concept id."""
+    assert st.c_score is not None, "cumulative scores required"
+    tree, c_score = st.tree, st.c_score
+    lo, hi = int(tree.child_start[idx]), int(tree.child_end[idx])
+    return sorted(range(lo, hi), key=lambda i: (-c_score[i], tree.concepts[i]))[:TOP_CHILDREN]
+
+
 def select_paths(st: ScoredTree) -> list[SelectedPath]:
     """Root-to-leaf paths of the kept subtree.
 
-    Descending from the root, each node keeps at most its two children with
-    the highest cumulative scores (ties to the lower concept id), bounding
-    the result at 16 full paths per tree.
+    Descending from the root, each node keeps its :func:`top_children`,
+    bounding the result at 16 full paths per tree.
     """
-    assert st.c_score is not None, "cumulative scores required"
     tree = st.tree
-    c_score = st.c_score
     paths: list[SelectedPath] = []
     # depth-first with an explicit stack: a recursive closure would form a
     # reference cycle holding the tree until the next full collection
     stack = [(0, [int(tree.concepts[0])], [])]
     while stack:
         idx, concepts, relations = stack.pop()
-        lo, hi = int(tree.child_start[idx]), int(tree.child_end[idx])
-        kept = sorted(range(lo, hi), key=lambda i: (-c_score[i], tree.concepts[i]))[:TOP_CHILDREN]
+        kept = top_children(st, idx)
         if not kept:
             if len(concepts) >= 2:
                 paths.append(SelectedPath(tuple(concepts), tuple(relations)))
@@ -99,34 +104,25 @@ def realize_tokens(
     return tokens
 
 
-def _token_prefix_length(g: KnowledgeGraph, concepts: tuple[int, ...]) -> int:
-    words = sum(len(g.surfaces[c].split("_")) for c in concepts)
-    return words + len(concepts) - 1
-
-
 def realize_selection(
     st: ScoredTree, g: KnowledgeGraph, rng: np.random.Generator
 ) -> PathSelection:
     """Select, expand, and realize one tree's paths.
 
-    Truncations inherit the relation draw of the first full path they
-    prefix, so every realized truncation is literally a prefix of a
-    realized full path.
+    Each truncation is realized as a token prefix of the first full path
+    it prefixes, so it inherits that path's relation draws.
     """
     full = select_paths(st)
+    realized: list[list[str]] = []
+    prefix_tokens: dict[tuple[tuple[int, ...], tuple[int, ...]], list[str]] = {}
+    for path in full:
+        tokens = realize_tokens(path, g, rng)
+        realized.append(tokens)
+        end = len(tokens)
+        for n in range(len(path.concepts) - 1, 1, -1):
+            # drop concept n's words and the relation token before them
+            end -= 1 + len(g.surfaces[path.concepts[n]].split("_"))
+            prefix_tokens.setdefault((path.concepts[:n], path.relations[: n - 1]), tokens[:end])
     truncations = expand_subpaths(full)
-    realized_full = [realize_tokens(p, g, rng) for p in full]
-
-    realized: list[list[str]] = list(realized_full)
-    for trunc in truncations:
-        for parent, parent_tokens in zip(full, realized_full):
-            n = len(trunc.concepts)
-            if (
-                parent.concepts[:n] == trunc.concepts
-                and parent.relations[: n - 1] == trunc.relations
-            ):
-                realized.append(parent_tokens[: _token_prefix_length(g, trunc.concepts)])
-                break
-        else:  # pragma: no cover - expand_subpaths only emits prefixes of full
-            realized.append(realize_tokens(trunc, g, rng))
+    realized += [prefix_tokens[t.concepts, t.relations] for t in truncations]
     return PathSelection(full_paths=full, truncations=truncations, realized=realized)

@@ -293,16 +293,44 @@ def ingest_oracle(dump: bytes, lang: str) -> tuple[KnowledgeGraph | None, dict[s
     return graph, report
 
 
+def _resealed(blob: bytes, tag: bytes, payload: bytes) -> bytes:
+    """The index ``blob`` with section ``tag`` replaced by ``payload``, under a
+    re-computed checksum, so only the section checks can reject it."""
+    body, pos = bytearray(blob[:8]), 8  # magic and version
+    while pos < len(blob) - 8:
+        name, size = blob[pos : pos + 4], struct.unpack("<Q", blob[pos + 4 : pos + 12])[0]
+        old = blob[pos + 12 : pos + 12 + size]
+        new = payload if name == tag else old
+        body += name + struct.pack("<Q", len(new)) + new
+        pos += 12 + size
+    return bytes(body) + struct.pack("<Q", pathmine.kg._checksum(bytes(body)))
+
+
 def write_defective_index(path: str, defect: str) -> None:
-    """Save the story graph with one out-of-range id, under a valid checksum.
+    """Save the story graph with one hostile value, under a valid checksum.
 
     ``defect`` is "start", "end" or "relation" (an edge id one past its
-    range) or "stat_nodes" (walk statistics for one concept too many).
+    range), "stat_nodes" (walk statistics for one concept too many),
+    "stat_len3_zero"/"stat_len4_zero"/"stat_len4_huge" (a walk total of 0
+    or 2**63), "stat_short" (a 16-byte statistics section),
+    "conc_duplicate" (two concepts named alike) or "conc_undecodable" (a
+    concept name that is not UTF-8).
     """
     g = graph_from_triples(STORY_TRIPLES)
     stats = pathmine.WalkStats.from_graph(g)
-    if defect == "stat_nodes":
-        stats = pathmine.WalkStats(stats.walks_len3, stats.walks_len4, g.node_count + 1)
+    section = None
+    if defect.startswith("stat_"):
+        w3, w4, nodes = stats.walks_len3, stats.walks_len4, g.node_count
+        section = b"STAT", struct.pack(
+            "<QQQ",
+            0 if defect == "stat_len3_zero" else w3,
+            {"stat_len4_zero": 0, "stat_len4_huge": 1 << 63}.get(defect, w4),
+            nodes + 1 if defect == "stat_nodes" else nodes,
+        )[: 16 if defect == "stat_short" else 24]
+    elif defect.startswith("conc_"):
+        names = [s.encode("utf-8") for s in g.surfaces]
+        names[-1] = names[0] if defect == "conc_duplicate" else b"caf\xe9"
+        section = b"CONC", b"".join(struct.pack("<I", len(n)) + n for n in names)
     else:
         column, bound = {
             "start": ("edge_start", g.node_count),
@@ -312,7 +340,10 @@ def write_defective_index(path: str, defect: str) -> None:
         ids = getattr(g, column).copy()
         ids[-1] = bound
         setattr(g, column, ids)
-    pathmine.save_index(g, path, stats)
+    buf = io.BytesIO()
+    pathmine.save_index(g, buf, stats)
+    blob = buf.getvalue() if section is None else _resealed(buf.getvalue(), *section)
+    Path(path).write_bytes(blob)
 
 
 def reference_token_count(text: str) -> int:

@@ -1,21 +1,18 @@
-"""Tokenization, greedy concept matching, and term frequency."""
+"""Tokenization, greedy concept matching, and pair grounding."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from pathmine import (
     extract_concepts,
     graph_from_triples,
     ground_pair,
     load_stopwords,
-    term_frequency,
     tokenize,
 )
-from pathmine.grounding import ConceptMentionSet, total_mentions
 
-from conftest import STORY_TRIPLES, reference_token_count, random_multigraph
+from conftest import reference_token_count, random_multigraph
 
 
 STOPWORDS = load_stopwords()
@@ -112,41 +109,13 @@ class TestExtractConcepts:
         g = random_multigraph(rng, max_nodes=30, max_edges=60)
         names = [g.surfaces[int(rng.integers(g.node_count))] for _ in range(200)]
         mentions = extract_concepts(tokenize(" ".join(names)), g, 4, STOPWORDS)
-        assert total_mentions(mentions) <= 200
+        assert sum(mentions.mentions.values()) <= 200
 
     def test_deterministic(self, story_graph):
         text = "the lady and the church and the house"
         a = extract_concepts(tokenize(text), story_graph, 4, STOPWORDS)
         b = extract_concepts(tokenize(text), story_graph, 4, STOPWORDS)
         assert a.mentions == b.mentions
-
-
-class TestTermFrequency:
-    def test_direct_formula(self):
-        m = ConceptMentionSet(mentions={3: 5}, source_len=100)
-        assert term_frequency(3, m) == pytest.approx(0.05)
-
-    def test_unmentioned_concept(self):
-        m = ConceptMentionSet(mentions={3: 5}, source_len=100)
-        assert term_frequency(7, m) == 0.0
-
-    def test_empty_source_raises(self):
-        with pytest.raises(ValueError):
-            term_frequency(0, ConceptMentionSet(mentions={}, source_len=0))
-
-    def test_sums_to_total_over_source_len(self, story_graph):
-        rng = np.random.default_rng(17)
-        surfaces = [t[0] for t in STORY_TRIPLES]
-        text = " ".join(surfaces[int(i)] for i in rng.integers(0, len(surfaces), size=500))
-        mentions = extract_concepts(tokenize(text), story_graph, 4, STOPWORDS)
-        total_tf = sum(term_frequency(c, mentions) for c in mentions.mentions)
-        assert total_tf == pytest.approx(total_mentions(mentions) / mentions.source_len)
-
-    def test_in_unit_interval_and_monotone(self):
-        m_lo = ConceptMentionSet(mentions={1: 2}, source_len=50)
-        m_hi = ConceptMentionSet(mentions={1: 9}, source_len=50)
-        assert 0.0 <= term_frequency(1, m_lo) <= 1.0
-        assert term_frequency(1, m_hi) > term_frequency(1, m_lo)
 
 
 class TestGroundPair:

@@ -133,8 +133,8 @@ class TestIngest:
             ),
             "en",
         )
-        assert g.edge(0).weight == pytest.approx(2.5)
-        assert g.edge(1).weight == pytest.approx(1.0)
+        assert g.edge_weight[0] == pytest.approx(2.5)
+        assert g.edge_weight[1] == pytest.approx(1.0)
 
     @pytest.mark.parametrize(
         "weight",
@@ -385,6 +385,23 @@ class TestPersistence:
         write_defective_index(path, defect)
         with pytest.raises(IndexFormatError, match="out of range|walk statistics"):
             load_index(path)
+
+    HOSTILE_SECTIONS = {
+        "stat_short": "wrong length",
+        "stat_len3_zero": "walk statistics totals 0, ",
+        "stat_len4_zero": "walk statistics totals .*, 0 ",
+        "stat_len4_huge": "outside",
+        "conc_duplicate": "duplicate concept surfaces",
+        "conc_undecodable": "not UTF-8",
+    }
+
+    @pytest.mark.parametrize("defect", sorted(HOSTILE_SECTIONS))
+    def test_hostile_sections_rejected(self, defect, tmp_path):
+        path = str(tmp_path / "bad.idx")
+        write_defective_index(path, defect)
+        with pytest.raises(IndexFormatError, match=self.HOSTILE_SECTIONS[defect]) as info:
+            load_index(path)
+        assert "\n" not in str(info.value)
 
     def test_resave_is_byte_identical_for_ingested_sample(self, tmp_path):
         rng = np.random.default_rng(42)

@@ -8,20 +8,26 @@ import json
 import subprocess
 import sys
 import weakref
+from contextlib import redirect_stderr
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathmine import (
     Config,
     ExtractionRequest,
     Extractor,
+    PathmineError,
     WalkStats,
     ingest_csv,
     load_index,
     run_batch,
     save_index,
 )
+from pathmine import cli
 from pathmine.cli import main, render_explanation
 
 from conftest import (
@@ -29,6 +35,7 @@ from conftest import (
     STORY_FULL_PATH,
     STORY_QUERY,
     STORY_TRUNCATION,
+    random_multigraph,
     story_dump_bytes,
     write_defective_index,
 )
@@ -41,6 +48,16 @@ def story_index(tmp_path):
     path = str(tmp_path / "story.idx")
     save_index(g, path, stats)
     return path
+
+
+@pytest.fixture(scope="module")
+def shared_story_index(tmp_path_factory):
+    """The story index and a request file, for tests that run many extractions."""
+    root = tmp_path_factory.mktemp("shared")
+    g, _ = ingest_csv(io.BytesIO(story_dump_bytes()), "en")
+    save_index(g, str(root / "story.idx"), WalkStats.from_graph(g))
+    (root / "r.jsonl").write_text(json.dumps({"context": STORY_CONTEXT, "query": STORY_QUERY}) + "\n")
+    return root
 
 
 @pytest.fixture()
@@ -141,6 +158,70 @@ class TestConfig:
             Config(max_ngram=0)
         with pytest.raises(ValueError):
             Config(max_total_paths=-1)
+        with pytest.raises(ValueError):
+            Config(seed=-1)
+
+    # a string stopword_path names a file, whose absence is a data error (2)
+    # rather than a bad config; every other value is generated
+    _values = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 6),
+        st.integers(2**62, 2**70),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=4),
+        st.lists(st.integers(0, 3), max_size=2),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    )
+    _files = st.one_of(
+        st.dictionaries(
+            st.sampled_from(["max_ngram", "max_children_per_node", "max_total_paths", "seed"]),
+            st.integers(2, 6),
+            max_size=4,
+        ),
+        st.dictionaries(
+            st.sampled_from([*Config.__dataclass_fields__, "bogus", "Seed", ""]), _values, max_size=4
+        ).filter(lambda d: not isinstance(d.get("stopword_path"), str)),
+        _values,
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=_files, seed=st.one_of(st.none(), st.integers(-2, 2**65)),
+           max_total_paths=st.one_of(st.none(), st.integers(-2, 5)))
+    def test_random_config_files_through_cli(self, shared_story_index, data, seed, max_total_paths):
+        config_path = shared_story_index / "config.json"
+        config_path.write_text(json.dumps(data))
+        flags = {"seed": seed, "max_total_paths": max_total_paths}
+        argv = ["extract", "--graph", str(shared_story_index / "story.idx"),
+                "--input", str(shared_story_index / "r.jsonl"),
+                "--output", str(shared_story_index / "out.jsonl"), "--config", str(config_path)]
+        for name, value in flags.items():
+            if value is not None:
+                argv += [f"--{name.replace('_', '-')}", str(value)]
+        used: list[Config] = []
+
+        def recording_extractor(graph, stats, config):
+            used.append(config)
+            return Extractor(graph, stats, config)
+
+        err = io.StringIO()
+        with mock.patch.object(cli, "Extractor", recording_extractor), redirect_stderr(err):
+            code = main(argv)
+
+        # a given flag wins over the file's value, an absent flag keeps it
+        try:
+            if not isinstance(data, dict) or set(data) - set(Config.__dataclass_fields__):
+                raise ValueError("not a config object")
+            expected = Config(**{**data, **{k: v for k, v in flags.items() if v is not None}})
+        except ValueError:
+            expected = None
+        if expected is None:
+            assert code == 1 and used == []
+            assert err.getvalue().startswith("usage error: invalid config:")
+            assert len(err.getvalue().strip().splitlines()) == 1
+        else:
+            assert code == 0, err.getvalue()
+            assert used == [expected]
 
 
 def _write_story_dump(tmp_path) -> str:
@@ -230,7 +311,11 @@ class TestCli:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("defect", ["start", "end", "relation", "stat_nodes"])
+    @pytest.mark.parametrize(
+        "defect",
+        ["start", "end", "relation", "stat_nodes", "stat_short", "stat_len3_zero", "stat_len4_zero",
+         "stat_len4_huge", "conc_duplicate", "conc_undecodable"],
+    )
     def test_out_of_range_index_is_data_error(self, tmp_path, capsys, defect):
         bad = str(tmp_path / "bad.idx")
         write_defective_index(bad, defect)
@@ -322,6 +407,49 @@ class TestExplain:
                 if ln.strip().startswith(g.surfaces[node.concept] + " ")
             )
             assert expected in line
+
+    def test_kept_marks_match_selected_paths(self):
+        rng = np.random.default_rng(71)
+        trees = boundary_ties = 0
+        for _ in range(40):
+            g = random_multigraph(rng, max_nodes=12, max_edges=40)
+            try:
+                stats = WalkStats.from_graph(g)
+            except PathmineError:
+                continue
+            extractor = Extractor(g, stats, Config(max_children_per_node=int(rng.integers(2, 4))))
+            # every concept mentioned once: sibling leaves tie exactly
+            context = " ".join(rng.permutation(g.surfaces))
+            query = " ".join(g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=2))
+            text = render_explanation(extractor, context, query)
+            marks = [
+                (line.split()[0], line.endswith("[kept]"))
+                for line in text.splitlines()
+                if line.endswith(("[kept]", "[dropped]"))
+            ]
+            expected = []
+            for analysis in extractor.analyze(context, query):
+                tree, c_score = analysis.tree, analysis.scored.c_score
+                on_paths = set()
+                for path in analysis.selection.full_paths:
+                    idx = 0
+                    for concept in path.concepts[1:]:
+                        children = range(tree.child_start[idx], tree.child_end[idx])
+                        idx = next(i for i in children if tree.concepts[i] == concept)
+                        on_paths.add(idx)
+                # explain lists the nodes depth-first, siblings in index order
+                stack = [0]
+                while stack:
+                    idx = stack.pop()
+                    if idx:
+                        expected.append((g.surfaces[tree.concepts[idx]], idx in on_paths))
+                    stack.extend(reversed(range(tree.child_start[idx], tree.child_end[idx])))
+                for idx in on_paths | {0}:
+                    ranked = sorted(c_score[tree.child_start[idx] : tree.child_end[idx]], reverse=True)
+                    boundary_ties += len(ranked) > 2 and ranked[1] == ranked[2]
+                trees += 1
+            assert marks == expected
+        assert trees > 20 and boundary_ties > 0
 
     def test_story_pair_text(self, story_extractor):
         assert render_explanation(story_extractor, STORY_CONTEXT, STORY_QUERY) == STORY_EXPLANATION

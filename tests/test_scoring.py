@@ -15,10 +15,10 @@ from pathmine import (
     graph_from_triples,
     ground_pair,
     npmi,
-    raw_score,
     score_tree,
     sibling_softmax,
 )
+from pathmine.grounding import ConceptMentionSet, GroundedPair
 from pathmine.scoring import ScoredTree, score_raw
 from pathmine.tree import PathTree, BuildConfig
 
@@ -121,9 +121,12 @@ class TestRawScore:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         tree = build_tree(story_graph.concept_id("lady"), pair, story_graph)
         stats = WalkStats.from_graph(story_graph)
-        for node in tree.root.children:
+        st = score_raw(tree, pair, story_graph, stats)
+        grounded = [tree.node(i) for i in range(1, tree.node_count) if tree.levels[i] != 4]
+        assert {node.level for node in grounded} == {2, 3, 5}
+        for node in grounded:
             expected = pair.context_mentions.count(node.concept) / pair.context_mentions.source_len
-            assert raw_score(node, pair, story_graph, stats) == pytest.approx(expected)
+            assert st.raw_of(node) == pytest.approx(expected)
 
     def test_level_four_uses_association_score(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
@@ -135,9 +138,6 @@ class TestRawScore:
             path = view.path_concepts()
             assert st.raw[int(node)] == pytest.approx(
                 npmi_oracle(story_graph, *path), rel=1e-9
-            )
-            assert raw_score(view, pair, story_graph, stats) == pytest.approx(
-                st.raw[int(node)], rel=1e-12
             )
 
     def test_level_four_raws_equal_npmi_bit_for_bit(self):
@@ -165,8 +165,14 @@ class TestRawScore:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         tree = build_tree(story_graph.concept_id("lady"), pair, story_graph)
         stats = WalkStats.from_graph(story_graph)
-        with pytest.raises(ValueError):
-            raw_score(tree.root, pair, story_graph, stats)
+        assert score_raw(tree, pair, story_graph, stats).raw[0] == 0.0
+
+    def test_empty_context_raises(self, story_graph):
+        lady = story_graph.concept_id("lady")
+        pair = GroundedPair(ConceptMentionSet(mentions={}, source_len=0), [lady])
+        tree = build_tree(lady, pair, story_graph)
+        with pytest.raises(ValueError, match="context is empty"):
+            score_raw(tree, pair, story_graph, WalkStats.from_graph(story_graph))
 
 
 def _random_path_tree(rng, node_count: int) -> PathTree:
