@@ -11,14 +11,7 @@ from typing import IO
 
 import click
 
-from .kg import (
-    KnowledgeGraph,
-    PathmineError,
-    WalkStats,
-    ingest_csv,
-    load_index,
-    save_index,
-)
+from .kg import PathmineError, WalkStats, ingest_csv, load_index, save_index
 from .pipeline import Config, Extractor, run_batch
 from .scoring import SCORE_SENTINEL
 from .selector import top_children
@@ -41,13 +34,6 @@ def _open_dump(path: str) -> IO[bytes]:
     if path.endswith(".gz"):
         return gzip.open(path, "rb")
     return open(path, "rb")
-
-
-def _load_graph(path: str) -> tuple[KnowledgeGraph, WalkStats]:
-    graph, stats = load_index(path)
-    if stats is None:
-        stats = WalkStats.from_graph(graph)
-    return graph, stats
 
 
 @click.group()
@@ -95,7 +81,7 @@ def extract_cmd(
     if workers < 1:
         raise click.BadParameter("workers must be >= 1")
     config = _config_from_options(config_path, seed=seed, max_total_paths=max_total_paths)
-    graph, stats = _load_graph(graph_path)
+    graph, stats = load_index(graph_path)
     extractor = Extractor(graph, stats, config)
 
     if input_path == "-":
@@ -126,7 +112,7 @@ def explain_cmd(
 ) -> None:
     """Print every scored tree with per-node scores and keep/drop decisions."""
     config = _config_from_options(config_path, seed=seed)
-    graph, stats = _load_graph(graph_path)
+    graph, stats = load_index(graph_path)
     extractor = Extractor(graph, stats, config)
     click.echo(render_explanation(extractor, context, query))
 

@@ -21,10 +21,24 @@ tables and the kept edges' codes.  Ids are then assigned by first
 appearance and duplicates dropped in one vectorized pass, shared with
 :func:`graph_from_triples`.
 
-The persisted index is a little-endian binary file: magic ``PMKG``, a u32
-format version, tagged length-prefixed sections, and a trailing 64-bit
-checksum.  Walk statistics are stored in the ``STAT`` section so they are
-computed once per graph.
+The persisted index (format 2) is a little-endian binary file: magic
+``PMKG``, a u32 format version, five sections, and a trailing u64
+blake2b checksum of everything before it.  Each section is a 4-byte tag,
+a u64 length and its contents:
+
+- ``META``: the language tag, UTF-8;
+- ``CONC``: the concept surfaces in id order, one UTF-8 blob joined by
+  ``"\\n"`` (no dump field can hold a newline; :func:`save_index` refuses
+  a hand-built name that does);
+- ``RELS``: the relation names, stored the same way;
+- ``EDGE``: the edge table as four columns of E values each: start,
+  relation and end ids as i32, then weights as f32 (16 bytes an edge);
+- ``STAT``: the walk statistics as three u64, walks of 3 and of 4
+  concepts and the concept count, so they are computed once per graph.
+
+Counts come from the sections themselves.  Loading decodes and splits
+each string table once.  An index of another format version is refused;
+it is rebuilt from its dump with ``pathmine build-index``.
 
 All traversal is direction-agnostic: a stored edge can be walked from
 either endpoint, and relation names are reported unmodified.  In memory
@@ -50,7 +64,7 @@ import numpy as np
 from . import kernels
 
 MAGIC = b"PMKG"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # Relations whose assertions are unordered; used only to deduplicate
 # mirror-image lines at ingestion (traversal is bidirectional regardless).
@@ -150,7 +164,7 @@ class KnowledgeGraph:
     ):
         self.lang = lang
         self.surfaces = surfaces
-        self.surface_to_id = {s: i for i, s in enumerate(surfaces)}
+        self.surface_to_id = dict(zip(surfaces, range(len(surfaces))))
         if len(self.surface_to_id) != len(surfaces):
             raise ValueError("duplicate concept surfaces")
         self.relation_names = relation_names
@@ -525,78 +539,37 @@ class WalkStats:
 # binary persistence
 
 
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
-class _Reader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise IndexTruncatedError("index file ends mid-record")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def string(self) -> str:
-        try:
-            return self.take(self.u32()).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise IndexFormatError(f"index string is not UTF-8: {exc.reason}") from None
-
-
 def _checksum(payload: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "little")
 
 
-def save_index(g: KnowledgeGraph, sink: BinaryIO | str, stats: WalkStats | None = None) -> None:
-    """Write the graph (and optional walk statistics) as a versioned index."""
+def _name_table(names: list[str], what: str) -> bytes:
+    """The names joined by newlines, as UTF-8; a name holding one is refused."""
+    if "\n" in "".join(names):
+        raise ValueError(f"a {what} name contains a newline; the index cannot store it")
+    return "\n".join(names).encode("utf-8")
+
+
+def save_index(g: KnowledgeGraph, sink: BinaryIO | str, stats: WalkStats) -> None:
+    """Write the graph and its walk statistics as a versioned index."""
+    body = io.BytesIO()
+    body.write(MAGIC)
+    body.write(struct.pack("<I", FORMAT_VERSION))
+    for tag, payload in (
+        (b"META", g.lang.encode("utf-8")),
+        (b"CONC", _name_table(g.surfaces, "concept")),
+        (b"RELS", _name_table(g.relation_names, "relation")),
+        (b"EDGE", np.concatenate([g.edge_start, g.edge_rel, g.edge_end]).astype("<i4").tobytes()
+         + g.edge_weight.astype("<f4").tobytes()),
+        (b"STAT", struct.pack("<QQQ", stats.walks_len3, stats.walks_len4, stats.node_count)),
+    ):
+        body.write(tag)
+        body.write(struct.pack("<Q", len(payload)))
+        body.write(payload)
+    payload = body.getvalue()
     own = isinstance(sink, str)
     fh: BinaryIO = open(sink, "wb") if own else sink  # type: ignore[assignment]
     try:
-        body = io.BytesIO()
-        body.write(MAGIC)
-        body.write(struct.pack("<I", FORMAT_VERSION))
-
-        def section(tag: bytes, payload: bytes) -> None:
-            body.write(tag)
-            body.write(struct.pack("<Q", len(payload)))
-            body.write(payload)
-
-        meta = _pack_str(g.lang)
-        meta += struct.pack("<QQQ", g.node_count, len(g.relation_names), g.edge_count)
-        section(b"META", meta)
-        section(b"CONC", b"".join(_pack_str(s) for s in g.surfaces))
-        section(
-            b"RELS",
-            b"".join(
-                _pack_str(name) + struct.pack("<B", name in SYMMETRIC_RELATIONS)
-                for name in g.relation_names
-            ),
-        )
-        edges = (
-            g.edge_start.astype("<i4").tobytes()
-            + g.edge_rel.astype("<i4").tobytes()
-            + g.edge_end.astype("<i4").tobytes()
-            + g.edge_weight.astype("<f4").tobytes()
-        )
-        section(b"EDGE", edges)
-        if stats is not None:
-            section(
-                b"STAT",
-                struct.pack("<QQQ", stats.walks_len3, stats.walks_len4, stats.node_count),
-            )
-        payload = body.getvalue()
         fh.write(payload)
         fh.write(struct.pack("<Q", _checksum(payload)))
     finally:
@@ -604,14 +577,38 @@ def save_index(g: KnowledgeGraph, sink: BinaryIO | str, stats: WalkStats | None 
             fh.close()
 
 
-def load_index(source: BinaryIO | str) -> tuple[KnowledgeGraph, WalkStats | None]:
+def _sections(payload: memoryview) -> dict[bytes, memoryview]:
+    """Section tag to contents (views, not copies), for the sections after
+    magic and version."""
+    sections: dict[bytes, memoryview] = {}
+    pos = len(MAGIC) + 4
+    while pos < len(payload):
+        if pos + 12 > len(payload):
+            raise IndexTruncatedError("index file ends mid-section header")
+        tag, (size,) = bytes(payload[pos : pos + 4]), struct.unpack_from("<Q", payload, pos + 4)
+        pos += 12
+        if pos + size > len(payload):
+            raise IndexTruncatedError(f"index section {tag!r} ends past the file")
+        sections[tag] = payload[pos : pos + size]
+        pos += size
+    return sections
+
+
+def _text(section: memoryview, what: str) -> str:
+    try:
+        return str(section, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(f"index {what} is not UTF-8: {exc.reason}") from None
+
+
+def load_index(source: BinaryIO | str) -> tuple[KnowledgeGraph, WalkStats]:
     """Read an index produced by :func:`save_index`.
 
     Raises :class:`IndexVersionError`, :class:`IndexTruncatedError`, or
     :class:`IndexChecksumError` for the corresponding defects, and
-    :class:`IndexFormatError` for ids out of range, strings that are not
-    UTF-8, duplicate concept surfaces, or walk statistics that are
-    malformed, not positive, or of another graph.
+    :class:`IndexFormatError` for a missing section, ids out of range,
+    text that is not UTF-8, duplicate concept surfaces, or walk statistics
+    that are malformed, not positive, or of another graph.
     """
     own = isinstance(source, str)
     fh: BinaryIO = open(source, "rb") if own else source  # type: ignore[assignment]
@@ -622,69 +619,48 @@ def load_index(source: BinaryIO | str) -> tuple[KnowledgeGraph, WalkStats | None
             fh.close()
     if len(blob) < len(MAGIC) + 4 + 8:
         raise IndexTruncatedError("index file too short")
-    payload, trailer = blob[:-8], blob[-8:]
+    payload, trailer = memoryview(blob)[:-8], blob[-8:]
     if payload[: len(MAGIC)] != MAGIC:
         raise IndexFormatError("bad magic bytes")
     if struct.unpack("<Q", trailer)[0] != _checksum(payload):
         raise IndexChecksumError("index checksum mismatch")
-    rd = _Reader(payload)
-    rd.take(len(MAGIC))
-    version = rd.u32()
+    (version,) = struct.unpack_from("<I", payload, len(MAGIC))
     if version != FORMAT_VERSION:
-        raise IndexVersionError(f"unsupported index version {version}")
-
-    sections: dict[bytes, bytes] = {}
-    while rd.pos < len(payload):
-        tag = rd.take(4)
-        sections[tag] = rd.take(rd.u64())
-    for required in (b"META", b"CONC", b"RELS", b"EDGE"):
+        raise IndexVersionError(
+            f"unsupported index version {version} (this pathmine reads {FORMAT_VERSION}); "
+            "re-run `pathmine build-index` on the dump"
+        )
+    sections = _sections(payload)
+    for required in (b"META", b"CONC", b"RELS", b"EDGE", b"STAT"):
         if required not in sections:
             raise IndexFormatError(f"missing section {required!r}")
 
-    meta = _Reader(sections[b"META"])
-    lang = meta.string()
-    n_concepts = meta.u64()
-    n_relations = meta.u64()
-    n_edges = meta.u64()
-
-    conc = _Reader(sections[b"CONC"])
-    surfaces = [conc.string() for _ in range(n_concepts)]
-    rels_rd = _Reader(sections[b"RELS"])
-    relation_names = []
-    for _ in range(n_relations):
-        relation_names.append(rels_rd.string())
-        rels_rd.take(1)  # symmetric flag; derived from the name instead
+    lang = _text(sections[b"META"], "language tag")
+    surfaces = _text(sections[b"CONC"], "concept table").split("\n")
+    relation_names = _text(sections[b"RELS"], "relation table").split("\n")
     edge_blob = sections[b"EDGE"]
-    if len(edge_blob) != n_edges * 16:
+    if len(edge_blob) % 16:
         raise IndexTruncatedError("edge section has wrong length")
-    off = 0
-    edge_start = np.frombuffer(edge_blob, dtype="<i4", count=n_edges, offset=off)
-    off += n_edges * 4
-    edge_rel = np.frombuffer(edge_blob, dtype="<i4", count=n_edges, offset=off)
-    off += n_edges * 4
-    edge_end = np.frombuffer(edge_blob, dtype="<i4", count=n_edges, offset=off)
-    off += n_edges * 4
-    edge_weight = np.frombuffer(edge_blob, dtype="<f4", count=n_edges, offset=off)
+    n_edges = len(edge_blob) // 16
+    edge_start, edge_rel, edge_end = np.frombuffer(edge_blob, "<i4", 3 * n_edges).reshape(3, n_edges)
+    edge_weight = np.frombuffer(edge_blob, "<f4", offset=12 * n_edges)
     for name, ids, bound in (
-        ("edge start", edge_start, n_concepts),
-        ("edge end", edge_end, n_concepts),
-        ("relation", edge_rel, n_relations),
+        ("edge start", edge_start, len(surfaces)),
+        ("edge end", edge_end, len(surfaces)),
+        ("relation", edge_rel, len(relation_names)),
     ):
         if ids.size and not (0 <= ids.min() and ids.max() < bound):
             raise IndexFormatError(f"{name} id out of range [0, {bound})")
 
-    stats = None
-    if b"STAT" in sections:
-        if len(sections[b"STAT"]) != 24:
-            raise IndexFormatError("walk statistics section has wrong length")
-        w3, w4, nc = struct.unpack("<QQQ", sections[b"STAT"])
-        if nc != n_concepts:
-            raise IndexFormatError(f"walk statistics are for {nc} concepts, the graph has {n_concepts}")
-        if not (0 < w3 < 1 << 63 and 0 < w4 < 1 << 63):
-            raise IndexFormatError(f"walk statistics totals {w3}, {w4} outside [1, 2**63)")
-        stats = WalkStats(walks_len3=w3, walks_len4=w4, node_count=nc)
+    if len(sections[b"STAT"]) != 24:
+        raise IndexFormatError("walk statistics section has wrong length")
+    w3, w4, nc = struct.unpack("<QQQ", sections[b"STAT"])
+    if nc != len(surfaces):
+        raise IndexFormatError(f"walk statistics are for {nc} concepts, the graph has {len(surfaces)}")
+    if not (0 < w3 < 1 << 63 and 0 < w4 < 1 << 63):
+        raise IndexFormatError(f"walk statistics totals {w3}, {w4} outside [1, 2**63)")
     try:
         g = KnowledgeGraph(lang, surfaces, relation_names, edge_start, edge_rel, edge_end, edge_weight)
     except ValueError as exc:  # duplicate concept surfaces
         raise IndexFormatError(str(exc)) from None
-    return g, stats
+    return g, WalkStats(walks_len3=w3, walks_len4=w4, node_count=nc)

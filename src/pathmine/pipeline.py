@@ -29,6 +29,14 @@ from .selector import PathSelection, realize_selection
 from .tree import BuildConfig, PathTree, build_tree
 
 
+def _json(text: str):
+    """``json.loads``, with nesting too deep for the parser a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nests too deeply") from None
+
+
 @dataclass(frozen=True)
 class Config:
     lang: str = "en"
@@ -52,11 +60,16 @@ class Config:
             raise ValueError("seed must be >= 0")
         # BuildConfig checks the cap; the one instance serves every tree
         object.__setattr__(self, "build", BuildConfig(self.max_children_per_node))
+        try:
+            stopwords = load_stopwords(self.stopword_path)
+        except (OSError, ValueError) as exc:  # missing, unreadable or not UTF-8
+            raise ValueError(f"stopword_path {self.stopword_path!r}: {exc}") from None
+        object.__setattr__(self, "stopwords", stopwords)
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "Config":
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = _json(fh.read())
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = set(data) - {f for f in cls.__dataclass_fields__}
@@ -110,14 +123,13 @@ class Extractor:
         self.graph = graph
         self.stats = stats
         self.config = config or Config()
-        self.stopwords = load_stopwords(self.config.stopword_path)
 
     def ground(self, context: str, query: str) -> GroundedPair:
         ctx = extract_concepts(
-            tokenize(context), self.graph, self.config.max_ngram, self.stopwords
+            tokenize(context), self.graph, self.config.max_ngram, self.config.stopwords
         )
         query_mentions = extract_concepts(
-            tokenize(query), self.graph, self.config.max_ngram, self.stopwords
+            tokenize(query), self.graph, self.config.max_ngram, self.config.stopwords
         )
         return GroundedPair(context_mentions=ctx, query_concepts=list(query_mentions.mentions))
 
@@ -168,7 +180,7 @@ class Extractor:
 
 
 def parse_request_line(line: str) -> ExtractionRequest:
-    data = json.loads(line)
+    data = _json(line)
     if not isinstance(data, dict):
         raise ValueError("request line must be a JSON object")
     if "context" not in data or "query" not in data:
@@ -189,7 +201,7 @@ def run_batch(
         index, line = item
         try:
             request = parse_request_line(line)
-        except (ValueError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             return ExtractionResult(id=None, paths=[], error=f"bad request: {exc}")
         return extractor.extract(request, request_index=index)
 

@@ -91,8 +91,7 @@ class TreeNode:
 class PathTree:
     """Rooted candidate tree stored as parallel arrays in BFS order."""
 
-    def __init__(self, config: BuildConfig, concepts, parents, rels, levels):
-        self.config = config
+    def __init__(self, concepts, parents, rels, levels):
         self.concepts = np.asarray(concepts, dtype=np.int32)
         self.parents = np.asarray(parents, dtype=np.int64)
         self.rels = np.asarray(rels, dtype=np.int32)
@@ -216,7 +215,6 @@ def build_tree(
         next_index += cand.size
 
     return PathTree(
-        cfg,
         np.concatenate(concepts),
         np.concatenate(parents),
         np.concatenate(rels),

@@ -293,17 +293,52 @@ def ingest_oracle(dump: bytes, lang: str) -> tuple[KnowledgeGraph | None, dict[s
     return graph, report
 
 
-def _resealed(blob: bytes, tag: bytes, payload: bytes) -> bytes:
-    """The index ``blob`` with section ``tag`` replaced by ``payload``, under a
-    re-computed checksum, so only the section checks can reject it."""
-    body, pos = bytearray(blob[:8]), 8  # magic and version
+def index_sections(blob: bytes) -> dict[bytes, bytes]:
+    """Section tag to contents, in file order, of a well-formed index ``blob``."""
+    sections, pos = {}, 8  # after magic and version
     while pos < len(blob) - 8:
-        name, size = blob[pos : pos + 4], struct.unpack("<Q", blob[pos + 4 : pos + 12])[0]
-        old = blob[pos + 12 : pos + 12 + size]
-        new = payload if name == tag else old
-        body += name + struct.pack("<Q", len(new)) + new
+        size = struct.unpack("<Q", blob[pos + 4 : pos + 12])[0]
+        sections[blob[pos : pos + 4]] = blob[pos + 12 : pos + 12 + size]
         pos += 12 + size
-    return bytes(body) + struct.pack("<Q", pathmine.kg._checksum(bytes(body)))
+    return sections
+
+
+def sealed_index(sections: dict[bytes, bytes], version: int = pathmine.kg.FORMAT_VERSION) -> bytes:
+    """An index file of the given sections under a valid checksum."""
+    body = pathmine.kg.MAGIC + struct.pack("<I", version)
+    body += b"".join(tag + struct.pack("<Q", len(payload)) + payload for tag, payload in sections.items())
+    return body + struct.pack("<Q", pathmine.kg._checksum(body))
+
+
+def _resealed(blob: bytes, tag: bytes, payload: bytes | None) -> bytes:
+    """The index ``blob`` with section ``tag`` replaced by ``payload`` (dropped
+    when None), under a re-computed checksum, so only the section checks
+    can reject it."""
+    sections = index_sections(blob)
+    if payload is None:
+        del sections[tag]
+    else:
+        sections[tag] = payload
+    return sealed_index(sections)
+
+
+def format1_index(g: KnowledgeGraph, stats: pathmine.WalkStats) -> bytes:
+    """The graph as index format 1 stored it: every string length-prefixed,
+    the counts in META and a symmetric flag after each relation name."""
+
+    def text(s: str) -> bytes:
+        raw = s.encode("utf-8")
+        return struct.pack("<I", len(raw)) + raw
+
+    sections = {
+        b"META": text(g.lang) + struct.pack("<QQQ", g.node_count, len(g.relation_names), g.edge_count),
+        b"CONC": b"".join(map(text, g.surfaces)),
+        b"RELS": b"".join(text(name) + bytes([name in SYMMETRIC]) for name in g.relation_names),
+        b"EDGE": np.concatenate([g.edge_start, g.edge_rel, g.edge_end]).astype("<i4").tobytes()
+        + g.edge_weight.astype("<f4").tobytes(),
+        b"STAT": struct.pack("<QQQ", stats.walks_len3, stats.walks_len4, stats.node_count),
+    }
+    return sealed_index(sections, version=1)
 
 
 def write_defective_index(path: str, defect: str) -> None:
@@ -312,14 +347,21 @@ def write_defective_index(path: str, defect: str) -> None:
     ``defect`` is "start", "end" or "relation" (an edge id one past its
     range), "stat_nodes" (walk statistics for one concept too many),
     "stat_len3_zero"/"stat_len4_zero"/"stat_len4_huge" (a walk total of 0
-    or 2**63), "stat_short" (a 16-byte statistics section),
-    "conc_duplicate" (two concepts named alike) or "conc_undecodable" (a
-    concept name that is not UTF-8).
+    or 2**63), "stat_short" (a 16-byte statistics section), "stat_missing"
+    (no statistics section), "conc_duplicate" (two concepts named alike),
+    "conc_undecodable" (a concept name that is not UTF-8),
+    "meta_undecodable" (a language tag that is not UTF-8) or "format_1"
+    (the whole graph in index format 1).
     """
     g = graph_from_triples(STORY_TRIPLES)
     stats = pathmine.WalkStats.from_graph(g)
     section = None
-    if defect.startswith("stat_"):
+    if defect == "format_1":
+        Path(path).write_bytes(format1_index(g, stats))
+        return
+    if defect == "stat_missing":
+        section = b"STAT", None
+    elif defect.startswith("stat_"):
         w3, w4, nodes = stats.walks_len3, stats.walks_len4, g.node_count
         section = b"STAT", struct.pack(
             "<QQQ",
@@ -330,7 +372,9 @@ def write_defective_index(path: str, defect: str) -> None:
     elif defect.startswith("conc_"):
         names = [s.encode("utf-8") for s in g.surfaces]
         names[-1] = names[0] if defect == "conc_duplicate" else b"caf\xe9"
-        section = b"CONC", b"".join(struct.pack("<I", len(n)) + n for n in names)
+        section = b"CONC", b"\n".join(names)
+    elif defect == "meta_undecodable":
+        section = b"META", b"e\xff"
     else:
         column, bound = {
             "start": ("edge_start", g.node_count),

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import io
-import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathmine import (
     IndexChecksumError,
@@ -26,7 +27,10 @@ from pathmine.kg import WalkStats
 from conftest import (
     STORY_TRIPLES,
     count_walks_oracle,
+    _resealed,
     edge_table,
+    index_sections,
+    sealed_index,
     story_dump_bytes,
     neighbors_oracle,
     random_multigraph,
@@ -327,6 +331,12 @@ def _random_dump_lines(rng: np.random.Generator, n_lines: int) -> list[str]:
 
 
 class TestPersistence:
+    @pytest.fixture(scope="class")
+    def story_blob(self, story_graph) -> bytes:
+        buf = io.BytesIO()
+        save_index(story_graph, buf, WalkStats.from_graph(story_graph))
+        return buf.getvalue()
+
     def test_round_trip_preserves_queries(self, story_graph, tmp_path):
         stats = WalkStats.from_graph(story_graph)
         path = str(tmp_path / "story.idx")
@@ -337,47 +347,44 @@ class TestPersistence:
         for c in range(story_graph.node_count):
             assert loaded.neighbors(c) == story_graph.neighbors(c)
 
-    def test_truncated_file_fails_checksum(self, story_graph, tmp_path):
-        path = str(tmp_path / "story.idx")
-        save_index(story_graph, path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[: len(blob) // 2])
+    def test_truncated_file_fails_checksum(self, story_blob, tmp_path):
+        path = tmp_path / "story.idx"
+        path.write_bytes(story_blob[: len(story_blob) // 2])
         with pytest.raises(IndexChecksumError):
-            load_index(path)
+            load_index(str(path))
 
     def test_tiny_file_reports_truncation(self, tmp_path):
-        path = str(tmp_path / "tiny.idx")
-        open(path, "wb").write(b"PM")
+        path = tmp_path / "tiny.idx"
+        path.write_bytes(b"PM")
         with pytest.raises(IndexTruncatedError):
-            load_index(path)
+            load_index(str(path))
 
-    def test_version_mismatch(self, story_graph, tmp_path):
-        from pathmine.kg import _checksum
-
-        path = str(tmp_path / "story.idx")
-        save_index(story_graph, path)
-        blob = bytearray(open(path, "rb").read())
-        payload = bytearray(blob[:-8])
-        payload[4:8] = struct.pack("<I", 99)
-        payload += struct.pack("<Q", _checksum(bytes(payload)))
-        open(path, "wb").write(payload)
+    def test_version_mismatch(self, story_blob, tmp_path):
+        path = tmp_path / "story.idx"
+        path.write_bytes(sealed_index(index_sections(story_blob), version=99))
         with pytest.raises(IndexVersionError):
-            load_index(path)
+            load_index(str(path))
 
-    def test_corrupt_byte_fails_checksum(self, story_graph, tmp_path):
-        path = str(tmp_path / "story.idx")
-        save_index(story_graph, path)
-        blob = bytearray(open(path, "rb").read())
-        blob[20] ^= 0xFF
-        open(path, "wb").write(blob)
-        with pytest.raises(IndexChecksumError):
+    def test_format_1_file_names_build_index(self, tmp_path):
+        path = str(tmp_path / "v1.idx")
+        write_defective_index(path, "format_1")
+        with pytest.raises(IndexVersionError, match="version 1 .*build-index") as info:
             load_index(path)
+        assert "\n" not in str(info.value)
+
+    def test_corrupt_byte_fails_checksum(self, story_blob, tmp_path):
+        path = tmp_path / "story.idx"
+        blob = bytearray(story_blob)
+        blob[20] ^= 0xFF
+        path.write_bytes(blob)
+        with pytest.raises(IndexChecksumError):
+            load_index(str(path))
 
     def test_bad_magic(self, tmp_path):
-        path = str(tmp_path / "junk.idx")
-        open(path, "wb").write(b"JUNKJUNKJUNKJUNKJUNK")
+        path = tmp_path / "junk.idx"
+        path.write_bytes(b"JUNKJUNKJUNKJUNKJUNK")
         with pytest.raises(IndexFormatError):
-            load_index(path)
+            load_index(str(path))
 
     @pytest.mark.parametrize("defect", ["start", "end", "relation", "stat_nodes"])
     def test_out_of_range_ids_rejected(self, defect, tmp_path):
@@ -391,8 +398,10 @@ class TestPersistence:
         "stat_len3_zero": "walk statistics totals 0, ",
         "stat_len4_zero": "walk statistics totals .*, 0 ",
         "stat_len4_huge": "outside",
+        "stat_missing": "missing section b'STAT'",
         "conc_duplicate": "duplicate concept surfaces",
-        "conc_undecodable": "not UTF-8",
+        "conc_undecodable": "concept table is not UTF-8",
+        "meta_undecodable": "language tag is not UTF-8",
     }
 
     @pytest.mark.parametrize("defect", sorted(HOSTILE_SECTIONS))
@@ -402,6 +411,32 @@ class TestPersistence:
         with pytest.raises(IndexFormatError, match=self.HOSTILE_SECTIONS[defect]) as info:
             load_index(path)
         assert "\n" not in str(info.value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tag=st.sampled_from([b"META", b"CONC", b"RELS", b"EDGE", b"STAT"]), data=st.data())
+    def test_damaged_section_loads_or_fails_typed(self, story_blob, tag, data):
+        payload = index_sections(story_blob)[tag]
+        if data.draw(st.booleans(), label="flip"):
+            pos = data.draw(st.integers(0, len(payload) - 1), label="position")
+            mask = data.draw(st.integers(1, 255), label="mask")
+            payload = payload[:pos] + bytes([payload[pos] ^ mask]) + payload[pos + 1 :]
+        else:
+            payload = payload[: data.draw(st.integers(0, len(payload) - 1), label="length")]
+        try:
+            graph, stats = load_index(io.BytesIO(_resealed(story_blob, tag, payload)))
+        except IndexFormatError as exc:
+            message = str(exc)
+            assert message.strip() and "\n" not in message
+        else:
+            assert stats.node_count == graph.node_count
+
+    @pytest.mark.parametrize("triple", [("a\nb", "RelatedTo", "c"), ("a", "Related\nTo", "c")])
+    def test_save_refuses_name_with_newline(self, triple, tmp_path):
+        g = graph_from_triples([triple, ("c", "IsA", "d")])
+        path = tmp_path / "g.idx"
+        with pytest.raises(ValueError, match="newline"):
+            save_index(g, str(path), WalkStats.from_graph(g))
+        assert not path.exists()
 
     def test_resave_is_byte_identical_for_ingested_sample(self, tmp_path):
         rng = np.random.default_rng(42)

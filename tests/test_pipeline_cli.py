@@ -98,12 +98,13 @@ class TestExtractor:
         lines = [
             json.dumps({"id": "a", "context": STORY_CONTEXT, "query": STORY_QUERY}),
             "{broken json",
+            "[" * 100_000,  # deeper than the JSON parser recurses
             json.dumps({"id": "c", "context": STORY_CONTEXT, "query": "church"}),
         ]
         results = list(run_batch(story_extractor, lines))
-        assert [r.id for r in results] == ["a", None, "c"]
-        assert results[1].error is not None
-        assert results[0].error is None and results[2].error is None
+        assert [r.id for r in results] == ["a", None, None, "c"]
+        assert all(r.error.startswith("bad request: ") for r in results[1:3])
+        assert results[0].error is None and results[3].error is None
 
     @pytest.mark.parametrize(
         "fields",
@@ -161,8 +162,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             Config(seed=-1)
 
-    # a string stopword_path names a file, whose absence is a data error (2)
-    # rather than a bad config; every other value is generated
     _values = st.one_of(
         st.none(),
         st.booleans(),
@@ -181,7 +180,7 @@ class TestConfig:
         ),
         st.dictionaries(
             st.sampled_from([*Config.__dataclass_fields__, "bogus", "Seed", ""]), _values, max_size=4
-        ).filter(lambda d: not isinstance(d.get("stopword_path"), str)),
+        ),
         _values,
     )
 
@@ -301,6 +300,27 @@ class TestCli:
         assert err.startswith("usage error: invalid config:")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["extract", "explain"])
+    @pytest.mark.parametrize(
+        "config_text",
+        ["[" * 100_000, '{"stopword_path": "DIR/missing.txt"}', '{"stopword_path": "DIR/latin1.txt"}'],
+        ids=["nested", "missing_stopwords", "latin1_stopwords"],
+    )
+    def test_unusable_config_file_is_usage_error(self, tmp_path, story_index, capsys, command, config_text):
+        (tmp_path / "latin1.txt").write_bytes(b"caf\xe9\n")
+        config = tmp_path / "config.json"
+        config.write_text(config_text.replace("DIR", tmp_path.as_posix()))
+        requests = tmp_path / "r.jsonl"
+        requests.write_text(json.dumps({"context": STORY_CONTEXT, "query": STORY_QUERY}) + "\n")
+        io_args = (["--input", str(requests), "--output", "-"] if command == "extract"
+                   else ["--context", STORY_CONTEXT, "--query", STORY_QUERY])
+        code = main([command, "--graph", story_index, *io_args, "--config", str(config)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: invalid config:")
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_corrupt_index_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.idx"
         bad.write_bytes(b"PMKGgarbagegarbagegarbage")
@@ -314,7 +334,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "defect",
         ["start", "end", "relation", "stat_nodes", "stat_short", "stat_len3_zero", "stat_len4_zero",
-         "stat_len4_huge", "conc_duplicate", "conc_undecodable"],
+         "stat_len4_huge", "stat_missing", "conc_duplicate", "conc_undecodable", "meta_undecodable",
+         "format_1"],
     )
     def test_out_of_range_index_is_data_error(self, tmp_path, capsys, defect):
         bad = str(tmp_path / "bad.idx")
@@ -333,6 +354,8 @@ class TestCli:
         requests.write_text(
             json.dumps({"id": "one", "context": STORY_CONTEXT, "query": STORY_QUERY})
             + "\nnot json at all\n"
+            + "[" * 100_000
+            + "\n"
             + json.dumps({"id": "two", "context": STORY_CONTEXT, "query": "church lady"})
             + "\n"
         )
@@ -342,10 +365,11 @@ class TestCli:
         )
         assert code == 0
         records = [json.loads(line) for line in out.read_text().splitlines()]
-        assert len(records) == 3
+        assert len(records) == 4
         assert records[0]["error"] is None
         assert records[1]["error"] is not None
-        assert records[2]["error"] is None
+        assert records[2]["error"].startswith("bad request: ")
+        assert records[3]["error"] is None
 
     def test_stdout_output(self, tmp_path, story_index, capsys):
         requests = tmp_path / "requests.jsonl"

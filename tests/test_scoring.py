@@ -103,7 +103,6 @@ class TestNpmi:
 
     def test_sentinel_ranks_last_after_softmax(self):
         tree = PathTree(
-            BuildConfig(),
             concepts=[0, 1, 2, 3],
             parents=[-1, 0, 0, 0],
             rels=[-1, 0, 0, 0],
@@ -188,7 +187,7 @@ def _random_path_tree(rng, node_count: int) -> PathTree:
                 parents.append(parent)
                 levels.append(level)
         frontier = nxt
-    return PathTree(BuildConfig(), concepts, parents, [-1] + [0] * (len(concepts) - 1), levels)
+    return PathTree(concepts, parents, [-1] + [0] * (len(concepts) - 1), levels)
 
 
 def _softmax_oracle(raw):
@@ -204,7 +203,6 @@ class TestSiblingSoftmax:
     def _single_group_tree(self, raw):
         n = len(raw)
         tree = PathTree(
-            BuildConfig(),
             concepts=list(range(n + 1)),
             parents=[-1] + [0] * n,
             rels=[-1] + [0] * n,
@@ -269,7 +267,6 @@ class TestCumulativeScore:
     def test_top_two_mean_excludes_weakest(self):
         # parent with three children; the worst child must not contribute
         tree = PathTree(
-            BuildConfig(),
             concepts=[0, 1, 2, 3, 4],
             parents=[-1, 0, 1, 1, 1],
             rels=[-1, 0, 0, 0, 0],
@@ -289,7 +286,6 @@ class TestCumulativeScore:
     def test_exactly_tied_children_match_recursion(self, third_block):
         # level-2 parents with blocks of 1, 2 and 3 children, top values tied
         tree = PathTree(
-            BuildConfig(),
             concepts=list(range(10)),
             parents=[-1, 0, 0, 0, 1, 2, 2, 3, 3, 3],
             rels=[-1] + [0] * 9,
@@ -303,7 +299,6 @@ class TestCumulativeScore:
 
     def test_single_child_average_is_the_child(self):
         tree = PathTree(
-            BuildConfig(),
             concepts=[0, 1],
             parents=[-1, 0],
             rels=[-1, 0],

@@ -22,7 +22,7 @@ from pathmine import (
 )
 from pathmine.scoring import ScoredTree, sibling_softmax, cumulative_score
 from pathmine.selector import SelectedPath
-from pathmine.tree import BuildConfig, PathTree
+from pathmine.tree import PathTree
 
 from conftest import STORY_CONTEXT, STORY_QUERY, random_multigraph
 
@@ -88,7 +88,6 @@ class TestSelectPaths:
                     new_frontier.append(idx)
             frontier = new_frontier
         tree = PathTree(
-            BuildConfig(),
             concepts=concepts,
             parents=parents,
             rels=[-1] + [0] * (len(concepts) - 1),
@@ -102,7 +101,6 @@ class TestSelectPaths:
 
     def test_exact_tie_prefers_lower_concept_id(self):
         tree = PathTree(
-            BuildConfig(),
             concepts=[0, 5, 3, 7],
             parents=[-1, 0, 0, 0],
             rels=[-1, 0, 0, 0],
@@ -118,7 +116,6 @@ class TestSelectPaths:
     def test_paths_listed_best_first(self):
         # depth-first, better child first: the order fixes the realization draws
         tree = PathTree(
-            BuildConfig(),
             concepts=[0, 5, 3, 7, 9, 8],
             parents=[-1, 0, 0, 0, 2, 2],
             rels=[-1, 0, 0, 0, 0, 0],
