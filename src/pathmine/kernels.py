@@ -73,12 +73,12 @@ def walk_totals(indptr, dst, degrees, k: int) -> int:
     ``degrees`` is ``np.diff(indptr)``.  Exact for any graph: once a step's
     total could leave int64 the walk vector is carried in Python integers.
     """
-    weights = degrees.astype(np.float64)
+    degrees_f = degrees.astype(np.float64)
     v = np.ones(degrees.size, dtype=np.int64)
     for _ in range(k):
         # the next vector sums to degrees . v, and every entry and running
         # sum of a step is at most that
-        if v.dtype != object and float(weights @ v) >= _INT64_SAFE:
+        if v.dtype != object and float(degrees_f @ v) >= _INT64_SAFE:
             v = v.astype(object)
         v = _row_sums(indptr, v[dst])
     return int(v.sum())

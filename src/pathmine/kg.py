@@ -5,23 +5,22 @@ The input dump is tab-separated with five fields per line::
     assertion_uri <TAB> relation_uri <TAB> start_uri <TAB> end_uri <TAB> json_metadata
 
 Relation URIs look like ``/r/AtLocation``; concept URIs like
-``/c/en/ice_cream[/...]`` (trailing sense segments are dropped).  Edge
-weights come from the metadata key ``"weight"`` and default to 1.0; a
-weight must be finite and non-negative as float32, or the line counts as
-malformed.
+``/c/en/ice_cream[/...]`` (trailing sense segments are dropped).  The
+metadata field is not read: no score uses an edge weight.  A line is
+malformed when it does not hold exactly four tabs, is not UTF-8, or has
+a relation or concept URI of the wrong shape.
 
 Ingest reads the dump in blocks of whole lines (``_BLOCK_BYTES``, about
 4 MiB) and works on each block column by column; only a block that is
 not valid UTF-8 is decoded line by line.  Each distinct relation or
 concept URI is parsed once: URIs of the kept language stay in a table
 across blocks, the rest are forgotten after their block, so the table
-grows with the graph's concepts rather than with the dump.  Metadata is
-parsed once per line.  Memory is one block's columns, the kept-language
-tables and the kept edges' codes.  Ids are then assigned by first
-appearance and duplicates dropped in one vectorized pass, shared with
-:func:`graph_from_triples`.
+grows with the graph's concepts rather than with the dump.  Memory is
+one block's columns, the kept-language tables and the kept edges'
+codes.  Ids are then assigned by first appearance and duplicates dropped
+in one vectorized pass, shared with :func:`graph_from_triples`.
 
-The persisted index (format 2) is a little-endian binary file: magic
+The persisted index (format 3) is a little-endian binary file: magic
 ``PMKG``, a u32 format version, five sections, and a trailing u64
 blake2b checksum of everything before it.  Each section is a 4-byte tag,
 a u64 length and its contents:
@@ -31,8 +30,8 @@ a u64 length and its contents:
   ``"\\n"`` (no dump field can hold a newline; :func:`save_index` refuses
   a hand-built name that does);
 - ``RELS``: the relation names, stored the same way;
-- ``EDGE``: the edge table as four columns of E values each: start,
-  relation and end ids as i32, then weights as f32 (16 bytes an edge);
+- ``EDGE``: the edge table as three i32 columns of E values each: start,
+  relation and end ids (12 bytes an edge);
 - ``STAT``: the walk statistics as three u64, walks of 3 and of 4
   concepts and the concept count, so they are computed once per graph.
 
@@ -51,8 +50,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import json
-import math
 import struct
 from dataclasses import dataclass
 from itertools import compress
@@ -64,7 +61,7 @@ import numpy as np
 from . import kernels
 
 MAGIC = b"PMKG"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # Relations whose assertions are unordered; used only to deduplicate
 # mirror-image lines at ingestion (traversal is bidirectional regardless).
@@ -160,7 +157,6 @@ class KnowledgeGraph:
         edge_start: np.ndarray,
         edge_rel: np.ndarray,
         edge_end: np.ndarray,
-        edge_weight: np.ndarray,
     ):
         self.lang = lang
         self.surfaces = surfaces
@@ -171,7 +167,6 @@ class KnowledgeGraph:
         self.edge_start = np.asarray(edge_start, dtype=np.int32)
         self.edge_rel = np.asarray(edge_rel, dtype=np.int32)
         self.edge_end = np.asarray(edge_end, dtype=np.int32)
-        self.edge_weight = np.asarray(edge_weight, dtype=np.float32)
         self._build_indices()
 
     def _build_indices(self) -> None:
@@ -266,7 +261,6 @@ class KnowledgeGraph:
             and np.array_equal(self.edge_start, other.edge_start)
             and np.array_equal(self.edge_rel, other.edge_rel)
             and np.array_equal(self.edge_end, other.edge_end)
-            and np.array_equal(self.edge_weight, other.edge_weight)
         )
 
 
@@ -305,7 +299,7 @@ def _split_block(block: bytes) -> tuple[int, list[str]]:
 
     A line is well formed when it decodes as UTF-8 and holds exactly four
     tabs.  Lines end at ``\\n`` only; a trailing ``\\r`` stays in the last
-    field, where JSON and the blank test read it as whitespace.
+    field, which is not read.
     """
     raw = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(raw == ord("\n"))
@@ -345,26 +339,6 @@ def _codes(column: list[str], table: dict[str, int], parse: Callable[[str], int]
     return codes
 
 
-# json.loads is this plus whitespace handling in Python that costs more
-# than decoding a short metadata object; _weight strips the whitespace
-# JSON allows around a value itself
-_decode_json = json.JSONDecoder().raw_decode
-
-
-def _weight(meta: str) -> float:
-    """The metadata's ``"weight"`` (1.0 when absent), or NaN if unreadable."""
-    if not meta.strip():
-        return 1.0
-    body = meta.strip(" \t\n\r")
-    try:
-        value, end = _decode_json(body)
-        if end != len(body):
-            return math.nan
-        return float(value.get("weight", 1.0))
-    except (ValueError, TypeError, AttributeError, OverflowError, RecursionError):
-        return math.nan
-
-
 def _first_appearance(codes: np.ndarray, size: int) -> np.ndarray:
     """The distinct codes (each in [0, size)), in the order of their first
     position in ``codes``."""
@@ -381,7 +355,6 @@ def _assemble(
     start: np.ndarray,
     rel: np.ndarray,
     end: np.ndarray,
-    weight: np.ndarray,
     extra: Sequence[int] = (),
 ) -> KnowledgeGraph:
     """The graph of coded edges: ``start``/``end`` index ``surfaces`` and
@@ -418,7 +391,6 @@ def _assemble(
         start[keep],
         rel[keep],
         end[keep],
-        weight[keep],
     )
 
 
@@ -426,9 +398,9 @@ def ingest_csv(source: BinaryIO, lang: str) -> tuple[KnowledgeGraph, IngestRepor
     """Parse an assertion dump, keeping edges whose endpoints match ``lang``.
 
     ``source`` is a binary file object, plain or gzip, read in blocks.
-    Malformed lines are skipped and counted in the returned report; a
-    weight must be finite and non-negative as float32.  A dump yielding
-    zero edges raises :class:`IngestError`.
+    Malformed lines are skipped and counted in the returned report; the
+    metadata field is not read.  A dump yielding zero edges raises
+    :class:`IngestError`.
     """
     if not lang:
         raise ValueError("language tag must be non-empty")
@@ -458,22 +430,18 @@ def ingest_csv(source: BinaryIO, lang: str) -> tuple[KnowledgeGraph, IngestRepor
         k = rel.size
         endpoints = _codes(fields[2::5] + fields[3::5], concept_codes, concept_code)
         start, end = endpoints[:k], endpoints[k:]
-        weight = np.fromiter(map(_weight, fields[4::5]), np.float64, k)
-        with np.errstate(over="ignore"):
-            weight32 = weight.astype(np.float32)
         malformed = (rel < 0) | (start == _MALFORMED) | (end == _MALFORMED)
-        malformed |= ~(weight >= 0) | ~np.isfinite(weight32)
         keep = ~malformed & (start >= 0) & (end >= 0)
         n_malformed = n_lines - k + int(np.count_nonzero(malformed))
         n_kept = int(np.count_nonzero(keep))
         report.lines_total += n_lines
         report.skipped_malformed += n_malformed
         report.skipped_language += n_lines - n_malformed - n_kept
-        parts.append((start[keep], rel[keep], end[keep], weight32[keep]))
+        parts.append((start[keep], rel[keep], end[keep]))
     if not any(part[0].size for part in parts):
         raise IngestError("no edges")
-    start, rel, end, weight = map(np.concatenate, zip(*parts))
-    g = _assemble(lang, list(surfaces), list(relation_names), start, rel, end, weight)
+    start, rel, end = map(np.concatenate, zip(*parts))
+    g = _assemble(lang, list(surfaces), list(relation_names), start, rel, end)
     report.edges_kept = g.edge_count
     report.duplicates_removed = int(start.size) - g.edge_count
     return g, report
@@ -483,17 +451,12 @@ def graph_from_triples(
     triples: Iterable[tuple[str, str, str]],
     lang: str = "en",
     extra_concepts: Iterable[str] = (),
-    weights: Iterable[float] | None = None,
 ) -> KnowledgeGraph:
     """Build a graph directly from (start, relation, end) surface triples.
 
     Convenience constructor for hand-built graphs; ids are assigned in
     first-appearance order exactly as ingestion would.
     """
-    triples = list(triples)
-    weight = np.array([1.0] * len(triples) if weights is None else list(weights), dtype=np.float32)
-    if weight.shape != (len(triples),):
-        raise ValueError(f"{weight.size} weights for {len(triples)} triples")
     surfaces: dict[str, int] = {}
     relation_names: dict[str, int] = {}
 
@@ -505,7 +468,7 @@ def graph_from_triples(
         [(concept(s), relation_names.setdefault(r, len(relation_names)), concept(e)) for s, r, e in triples],
         dtype=np.int64,
     ).reshape(-1, 3)
-    return _assemble(lang, list(surfaces), list(relation_names), *coded.T, weight, extra)
+    return _assemble(lang, list(surfaces), list(relation_names), *coded.T, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -552,6 +515,8 @@ def _name_table(names: list[str], what: str) -> bytes:
 
 def save_index(g: KnowledgeGraph, sink: BinaryIO | str, stats: WalkStats) -> None:
     """Write the graph and its walk statistics as a versioned index."""
+    if stats.node_count != g.node_count:
+        raise ValueError(f"walk statistics are for {stats.node_count} concepts, the graph has {g.node_count}")
     body = io.BytesIO()
     body.write(MAGIC)
     body.write(struct.pack("<I", FORMAT_VERSION))
@@ -559,8 +524,7 @@ def save_index(g: KnowledgeGraph, sink: BinaryIO | str, stats: WalkStats) -> Non
         (b"META", g.lang.encode("utf-8")),
         (b"CONC", _name_table(g.surfaces, "concept")),
         (b"RELS", _name_table(g.relation_names, "relation")),
-        (b"EDGE", np.concatenate([g.edge_start, g.edge_rel, g.edge_end]).astype("<i4").tobytes()
-         + g.edge_weight.astype("<f4").tobytes()),
+        (b"EDGE", np.concatenate([g.edge_start, g.edge_rel, g.edge_end]).astype("<i4").tobytes()),
         (b"STAT", struct.pack("<QQQ", stats.walks_len3, stats.walks_len4, stats.node_count)),
     ):
         body.write(tag)
@@ -639,11 +603,9 @@ def load_index(source: BinaryIO | str) -> tuple[KnowledgeGraph, WalkStats]:
     surfaces = _text(sections[b"CONC"], "concept table").split("\n")
     relation_names = _text(sections[b"RELS"], "relation table").split("\n")
     edge_blob = sections[b"EDGE"]
-    if len(edge_blob) % 16:
+    if len(edge_blob) % 12:
         raise IndexTruncatedError("edge section has wrong length")
-    n_edges = len(edge_blob) // 16
-    edge_start, edge_rel, edge_end = np.frombuffer(edge_blob, "<i4", 3 * n_edges).reshape(3, n_edges)
-    edge_weight = np.frombuffer(edge_blob, "<f4", offset=12 * n_edges)
+    edge_start, edge_rel, edge_end = np.frombuffer(edge_blob, "<i4").reshape(3, -1)
     for name, ids, bound in (
         ("edge start", edge_start, len(surfaces)),
         ("edge end", edge_end, len(surfaces)),
@@ -660,7 +622,7 @@ def load_index(source: BinaryIO | str) -> tuple[KnowledgeGraph, WalkStats]:
     if not (0 < w3 < 1 << 63 and 0 < w4 < 1 << 63):
         raise IndexFormatError(f"walk statistics totals {w3}, {w4} outside [1, 2**63)")
     try:
-        g = KnowledgeGraph(lang, surfaces, relation_names, edge_start, edge_rel, edge_end, edge_weight)
+        g = KnowledgeGraph(lang, surfaces, relation_names, edge_start, edge_rel, edge_end)
     except ValueError as exc:  # duplicate concept surfaces
         raise IndexFormatError(str(exc)) from None
     return g, WalkStats(walks_len3=w3, walks_len4=w4, node_count=nc)

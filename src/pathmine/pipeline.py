@@ -189,6 +189,12 @@ def parse_request_line(line: str) -> ExtractionRequest:
         raise ValueError("'context' and 'query' must be strings")
     if not isinstance(data.get("id"), (str, type(None))):
         raise ValueError("'id' must be a string or null")
+    # JSON escapes can spell a lone surrogate, which no UTF-8 output can hold
+    for name in ("context", "query", "id"):
+        try:
+            (data.get(name) or "").encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError(f"'{name}' is not valid Unicode (lone surrogate)") from None
     return ExtractionRequest(context=data["context"], query=data["query"], id=data.get("id"))
 
 

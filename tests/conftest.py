@@ -8,7 +8,6 @@ agreement with the production implementations is meaningful.
 from __future__ import annotations
 
 import io
-import json
 import math
 import os
 import struct
@@ -235,21 +234,12 @@ def _concept_oracle(uri: str) -> tuple[str, str] | None:
     return parts[2], surface
 
 
-def _weight_oracle(meta: str) -> float | None:
-    try:
-        weight = float(json.loads(meta).get("weight", 1.0)) if meta.strip() else 1.0
-        struct.pack("<f", weight)  # OverflowError beyond the float32 range
-    except (ValueError, TypeError, AttributeError, OverflowError, RecursionError):
-        return None
-    return weight if weight >= 0 and math.isfinite(weight) else None
-
-
 def ingest_oracle(dump: bytes, lang: str) -> tuple[KnowledgeGraph | None, dict[str, int]]:
     """Line-at-a-time reference for ``ingest_csv``: the graph (None when no
     edge survives) and the report's fields.
 
-    Lines split as a binary file splits them; a weight must be finite and
-    non-negative as float32.
+    Lines split as a binary file splits them; the metadata field is never
+    read.
     """
     report = dict.fromkeys(
         ["lines_total", "edges_kept", "skipped_malformed", "skipped_language", "duplicates_removed"], 0
@@ -257,7 +247,7 @@ def ingest_oracle(dump: bytes, lang: str) -> tuple[KnowledgeGraph | None, dict[s
     surfaces: dict[str, int] = {}
     relations: dict[str, int] = {}
     seen: set[tuple[int, int, int]] = set()
-    edges: list[tuple[int, int, int, float]] = []
+    edges: list[tuple[int, int, int]] = []
     for raw in io.BytesIO(dump):
         report["lines_total"] += 1
         try:
@@ -267,10 +257,9 @@ def ingest_oracle(dump: bytes, lang: str) -> tuple[KnowledgeGraph | None, dict[s
         if len(fields) != 5:
             report["skipped_malformed"] += 1
             continue
-        _, rel_uri, start_uri, end_uri, meta = fields
+        _, rel_uri, start_uri, end_uri, _ = fields
         start, end = _concept_oracle(start_uri), _concept_oracle(end_uri)
-        weight = _weight_oracle(meta)
-        if not rel_uri.startswith("/r/") or len(rel_uri) <= 3 or None in (start, end, weight):
+        if not rel_uri.startswith("/r/") or len(rel_uri) <= 3 or None in (start, end):
             report["skipped_malformed"] += 1
             continue
         if start[0] != lang or end[0] != lang:
@@ -284,12 +273,12 @@ def ingest_oracle(dump: bytes, lang: str) -> tuple[KnowledgeGraph | None, dict[s
             report["duplicates_removed"] += 1
             continue
         seen.add(key)
-        edges.append((s, r, e, weight))
+        edges.append((s, r, e))
     report["edges_kept"] = len(edges)
     if not edges:
         return None, report
-    start, rel, end, weight = zip(*edges)
-    graph = KnowledgeGraph(lang, list(surfaces), list(relations), start, rel, end, weight)
+    start, rel, end = zip(*edges)
+    graph = KnowledgeGraph(lang, list(surfaces), list(relations), start, rel, end)
     return graph, report
 
 
@@ -324,7 +313,9 @@ def _resealed(blob: bytes, tag: bytes, payload: bytes | None) -> bytes:
 
 def format1_index(g: KnowledgeGraph, stats: pathmine.WalkStats) -> bytes:
     """The graph as index format 1 stored it: every string length-prefixed,
-    the counts in META and a symmetric flag after each relation name."""
+    the counts in META and a symmetric flag after each relation name (its
+    edges are written as format 3 writes them; the version alone refuses
+    the file)."""
 
     def text(s: str) -> bytes:
         raw = s.encode("utf-8")
@@ -334,11 +325,20 @@ def format1_index(g: KnowledgeGraph, stats: pathmine.WalkStats) -> bytes:
         b"META": text(g.lang) + struct.pack("<QQQ", g.node_count, len(g.relation_names), g.edge_count),
         b"CONC": b"".join(map(text, g.surfaces)),
         b"RELS": b"".join(text(name) + bytes([name in SYMMETRIC]) for name in g.relation_names),
-        b"EDGE": np.concatenate([g.edge_start, g.edge_rel, g.edge_end]).astype("<i4").tobytes()
-        + g.edge_weight.astype("<f4").tobytes(),
+        b"EDGE": np.concatenate([g.edge_start, g.edge_rel, g.edge_end]).astype("<i4").tobytes(),
         b"STAT": struct.pack("<QQQ", stats.walks_len3, stats.walks_len4, stats.node_count),
     }
     return sealed_index(sections, version=1)
+
+
+def format2_index(g: KnowledgeGraph, stats: pathmine.WalkStats) -> bytes:
+    """The graph as index format 2 stored it: format 3's sections, but a
+    float32 weight column (all 1.0) after the three id columns."""
+    buf = io.BytesIO()
+    pathmine.save_index(g, buf, stats)
+    sections = index_sections(buf.getvalue())
+    sections[b"EDGE"] += np.ones(g.edge_count, dtype="<f4").tobytes()
+    return sealed_index(sections, version=2)
 
 
 def write_defective_index(path: str, defect: str) -> None:
@@ -350,14 +350,14 @@ def write_defective_index(path: str, defect: str) -> None:
     or 2**63), "stat_short" (a 16-byte statistics section), "stat_missing"
     (no statistics section), "conc_duplicate" (two concepts named alike),
     "conc_undecodable" (a concept name that is not UTF-8),
-    "meta_undecodable" (a language tag that is not UTF-8) or "format_1"
-    (the whole graph in index format 1).
+    "meta_undecodable" (a language tag that is not UTF-8), "format_1" or
+    "format_2" (the whole graph in index format 1 or 2).
     """
     g = graph_from_triples(STORY_TRIPLES)
     stats = pathmine.WalkStats.from_graph(g)
     section = None
-    if defect == "format_1":
-        Path(path).write_bytes(format1_index(g, stats))
+    if defect in ("format_1", "format_2"):
+        Path(path).write_bytes({"format_1": format1_index, "format_2": format2_index}[defect](g, stats))
         return
     if defect == "stat_missing":
         section = b"STAT", None

@@ -90,13 +90,14 @@ class TestIngest:
             _line("RelatedTo", "lady", "church"),
             "not a dump line",
             "/a/x\t/r/RelatedTo\t/c/en/a",  # too few fields
-            _line("RelatedTo", "a", "b", meta="not json"),
+            _line("RelatedTo", "a", "b", meta="not json"),  # metadata is not read: kept
             "/a/x\tRelatedTo\t/c/en/a\t/c/en/b\t{}",  # bad relation uri
+            "/a/x\t/r/IsA\t/c/en\t/c/en/b\t{}",  # bad concept uri
         ]
         g, report = ingest_csv(_dump(lines), "en")
-        assert g.edge_count == 1
+        assert g.edge_count == 2
         assert report.skipped_malformed == 4
-        assert report.lines_total == 5
+        assert report.lines_total == 6
 
     def test_exact_duplicates_removed(self):
         g, report = ingest_csv(
@@ -127,19 +128,6 @@ class TestIngest:
         assert report.duplicates_removed == 1
         assert g.edge_count == 3
 
-    def test_weight_default_and_parse(self):
-        g, _ = ingest_csv(
-            _dump(
-                [
-                    _line("RelatedTo", "a", "b", meta='{"weight": 2.5}'),
-                    _line("RelatedTo", "b", "c", meta="{}"),
-                ]
-            ),
-            "en",
-        )
-        assert g.edge_weight[0] == pytest.approx(2.5)
-        assert g.edge_weight[1] == pytest.approx(1.0)
-
     @pytest.mark.parametrize(
         "weight",
         # float() rejects these
@@ -149,45 +137,28 @@ class TestIngest:
         ids=["null", "list", "object", "huge_int", "nan", "inf", "-inf", "1e39", "past_f32_max", "-1", "-1e-50"],
     )
     def test_unusable_weight_is_malformed(self, weight):
+        # the metadata is not read, so no weight makes a line malformed
         g, report = ingest_csv(
             _dump([_line("RelatedTo", "a", "b", meta=f'{{"weight": {weight}}}'), _line("IsA", "b", "c")]),
             "en",
         )
-        assert report.skipped_malformed == 1
-        assert g.edge_count == 1 and g.concept_id("a") is None
-
-    def test_weight_at_the_float32_limits_is_kept(self):
-        g, report = ingest_csv(
-            _dump(
-                [
-                    _line("RelatedTo", "a", "b", meta='{"weight": 3.4028235e38}'),
-                    _line("RelatedTo", "b", "c", meta='{"weight": -0.0}'),
-                ]
-            ),
-            "en",
-        )
         assert report.skipped_malformed == 0
-        assert g.edge_weight.tolist() == [float(np.finfo(np.float32).max), 0.0]
+        assert g.edge_count == report.edges_kept == 2
+        assert g.edges_between(g.concept_id("a"), g.concept_id("b")) == [g.relation_names.index("RelatedTo")]
 
     def test_ingestion_is_idempotent(self):
-        g1, _ = ingest_csv(io.BytesIO(story_dump_bytes()), "en")
-        g2, _ = ingest_csv(io.BytesIO(story_dump_bytes()), "en")
-        assert g1.same_tables(g2)
+        g1, r1 = ingest_csv(io.BytesIO(story_dump_bytes()), "en")
+        g2, r2 = ingest_csv(io.BytesIO(story_dump_bytes()), "en")
+        # a UTF-8 byte order mark lands in the first assertion URI, which is not read
+        g3, r3 = ingest_csv(io.BytesIO(b"\xef\xbb\xbf" + story_dump_bytes()), "en")
+        assert g1.same_tables(g2) and g1.same_tables(g3)
+        assert r1 == r2 == r3
 
     def test_surface_normalization(self):
         g, _ = ingest_csv(
             _dump(["/a/x\t/r/IsA\t/c/en/Ice_Cream/n/wn\t/c/en/food\t{}"]), "en"
         )
         assert g.concept_id("ice_cream") == 0
-
-    def test_weight_count_must_match_triples(self):
-        triples = [("a", "RelatedTo", "b"), ("b", "IsA", "c")]
-        with pytest.raises(ValueError):
-            graph_from_triples(triples, weights=[2.0])
-        with pytest.raises(ValueError):
-            graph_from_triples(triples, weights=[1.0, 2.0, 3.0])
-        g = graph_from_triples(triples, weights=[2.0, 3.0])
-        assert g.edge_weight.tolist() == [2.0, 3.0]
 
 
 class TestNeighbors:
@@ -315,7 +286,7 @@ class TestIndexInvariants:
             node_count = 1 << 31  # n * n * relations reaches 2**63
 
         with pytest.raises(PathmineError, match="too large"):
-            Huge("en", ["a", "b"], ["RelatedTo", "IsA"], [0], [0], [1], [1.0])
+            Huge("en", ["a", "b"], ["RelatedTo", "IsA"], [0], [0], [1])
 
 
 def _random_dump_lines(rng: np.random.Generator, n_lines: int) -> list[str]:
@@ -364,6 +335,10 @@ class TestPersistence:
         path.write_bytes(sealed_index(index_sections(story_blob), version=99))
         with pytest.raises(IndexVersionError):
             load_index(str(path))
+        write_defective_index(str(path), "format_2")  # 16 bytes an edge, with weights
+        with pytest.raises(IndexVersionError, match="version 2 .*build-index") as info:
+            load_index(str(path))
+        assert "\n" not in str(info.value)
 
     def test_format_1_file_names_build_index(self, tmp_path):
         path = str(tmp_path / "v1.idx")
@@ -371,6 +346,19 @@ class TestPersistence:
         with pytest.raises(IndexVersionError, match="version 1 .*build-index") as info:
             load_index(path)
         assert "\n" not in str(info.value)
+
+    def test_edge_section_holds_three_id_columns(self, story_graph, story_blob):
+        edges = index_sections(story_blob)[b"EDGE"]
+        assert len(edges) == 12 * story_graph.edge_count
+        columns = np.frombuffer(edges, "<i4").reshape(3, -1)
+        assert [tuple(map(int, edge)) for edge in columns.T] == edge_table(story_graph)
+
+    def test_save_refuses_stats_of_another_graph(self, tmp_path):
+        g = graph_from_triples([("a", "IsA", "b"), ("b", "IsA", "c")])
+        path = tmp_path / "g.idx"
+        with pytest.raises(ValueError, match="walk statistics are for 99 concepts, the graph has 3"):
+            save_index(g, str(path), WalkStats(5, 7, 99))
+        assert not path.exists()
 
     def test_corrupt_byte_fails_checksum(self, story_blob, tmp_path):
         path = tmp_path / "story.idx"

@@ -113,6 +113,9 @@ class TestExtractor:
             {"context": STORY_CONTEXT, "query": ["lady"]},
             {"context": STORY_CONTEXT, "query": STORY_QUERY, "id": {"x": [1]}},
             {"context": STORY_CONTEXT, "query": STORY_QUERY, "id": 7},
+            # JSON escapes of lone surrogates, which no UTF-8 output can hold
+            {"context": STORY_CONTEXT, "query": STORY_QUERY, "id": "\ud800"},
+            {"context": "\udfff", "query": STORY_QUERY},
         ],
     )
     def test_non_string_request_field_is_a_bad_request(self, story_extractor, fields):
@@ -264,11 +267,15 @@ class TestCli:
         assert "no edges" in capsys.readouterr().err
 
     def test_null_weight_is_counted_malformed(self, tmp_path, capsys):
+        # the metadata is not read, so a null weight is an edge like any other
         dump = tmp_path / "dump.tsv"
         dump.write_bytes(story_dump_bytes() + b'/a/x\t/r/IsA\t/c/en/lady\t/c/en/person\t{"weight": null}\n')
         assert main(["build-index", str(dump), "-o", str(tmp_path / "g.idx")]) == 0
         err = capsys.readouterr().err
-        assert "kept=9 malformed=1" in err and "Traceback" not in err
+        assert "kept=10 malformed=0" in err and "Traceback" not in err
+        g, _ = load_index(str(tmp_path / "g.idx"))
+        rels = g.edges_between(g.concept_id("lady"), g.concept_id("person"))
+        assert "IsA" in [g.relation_names[r] for r in rels]
 
     def test_rebuild_is_byte_identical(self, tmp_path):
         dump = _write_story_dump(tmp_path)
@@ -335,7 +342,7 @@ class TestCli:
         "defect",
         ["start", "end", "relation", "stat_nodes", "stat_short", "stat_len3_zero", "stat_len4_zero",
          "stat_len4_huge", "stat_missing", "conc_duplicate", "conc_undecodable", "meta_undecodable",
-         "format_1"],
+         "format_1", "format_2"],
     )
     def test_out_of_range_index_is_data_error(self, tmp_path, capsys, defect):
         bad = str(tmp_path / "bad.idx")
@@ -356,6 +363,7 @@ class TestCli:
             + "\nnot json at all\n"
             + "[" * 100_000
             + "\n"
+            + '{"id": "\\ud800", "context": "x", "query": "y"}\n'  # a surrogate no UTF-8 output holds
             + json.dumps({"id": "two", "context": STORY_CONTEXT, "query": "church lady"})
             + "\n"
         )
@@ -365,11 +373,12 @@ class TestCli:
         )
         assert code == 0
         records = [json.loads(line) for line in out.read_text().splitlines()]
-        assert len(records) == 4
+        assert len(records) == 5
         assert records[0]["error"] is None
         assert records[1]["error"] is not None
         assert records[2]["error"].startswith("bad request: ")
-        assert records[3]["error"] is None
+        assert records[3]["error"].startswith("bad request: ")
+        assert records[4]["id"] == "two" and records[4]["error"] is None
 
     def test_stdout_output(self, tmp_path, story_index, capsys):
         requests = tmp_path / "requests.jsonl"
