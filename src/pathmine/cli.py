@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import gzip
 import sys
-from typing import IO
+from typing import IO, Iterator
 
 import click
+import numpy as np
 
 from .kg import PathmineError, WalkStats, ingest_csv, load_index, save_index
 from .pipeline import Config, Extractor, run_batch
@@ -85,11 +86,10 @@ def extract_cmd(
     extractor = Extractor(graph, stats, config)
 
     if input_path == "-":
-        lines = [line.rstrip("\n") for line in sys.stdin]
+        lines = list(_request_lines(sys.stdin.buffer))
     else:
-        with open(input_path, encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh]
-    lines = [line for line in lines if line.strip()]
+        with open(input_path, "rb") as fh:
+            lines = list(_request_lines(fh))
 
     out = sys.stdout if output_path == "-" else open(output_path, "w", encoding="utf-8")
     try:
@@ -99,6 +99,21 @@ def extract_cmd(
     finally:
         if out is not sys.stdout:
             out.close()
+
+
+def _request_lines(fh: IO[bytes]) -> Iterator[str | bytes]:
+    """The non-blank lines of a request stream, split at \\n, \\r or \\r\\n
+    and decoded one at a time.  A line that is not UTF-8 is passed on as
+    bytes, which ``run_batch`` answers with a bad-request result."""
+    for chunk in fh:
+        for raw in chunk.splitlines():
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                yield raw
+                continue
+            if line.strip():
+                yield line
 
 
 @cli.command("explain")
@@ -122,25 +137,26 @@ def render_explanation(extractor: Extractor, context: str, query: str) -> str:
     analyses = extractor.analyze(context, query)
     if not analyses:
         return "no query concepts grounded; no paths"
+    # every analysis shares the request's forest
+    tree, scored = analyses[0].tree, analyses[0].scored
+    sizes = np.bincount(tree.root_of(), minlength=tree.root_count)
+
+    def fmt(value: float) -> str:
+        return "-inf" if value == SCORE_SENTINEL else f"{value:.6f}"
+
     lines: list[str] = []
     for analysis in analyses:
-        tree = analysis.tree
-        scored = analysis.scored
         root_surface = graph.surfaces[analysis.root_concept]
-        lines.append(f"tree rooted at {root_surface!r} ({tree.node_count} nodes)")
-
-        def fmt(value: float) -> str:
-            return "-inf" if value == SCORE_SENTINEL else f"{value:.6f}"
-
+        lines.append(f"tree rooted at {root_surface!r} ({sizes[analysis.root]} nodes)")
         # depth-first with an explicit stack: a recursive closure would form a
         # reference cycle holding the tree until the next full collection
-        stack = [(0, 0, True)]
+        stack = [(analysis.root, 0, True)]
         while stack:
             idx, depth, kept = stack.pop()
             node = tree.node(idx)
             indent = "  " * depth
             mark = "kept" if kept else "dropped"
-            if idx == 0:
+            if depth == 0:
                 lines.append(f"{indent}{graph.surfaces[node.concept]} (root)")
             else:
                 rel = graph.relation_names[node.incoming_relation]

@@ -87,26 +87,36 @@ def extract_concepts(
     At each position the longest n-gram (joined with underscores) that names
     a concept wins and the scan advances past it; single tokens that are
     stopwords never match alone.  Matches therefore never overlap.
+
+    The probe starts at the longest n-gram that could match.  An n-gram
+    joins at least n words, and the first of them is its first token when
+    that token holds no ``_``; so no n-gram longer than the token's entry
+    in ``g.multiword_spans`` (1 when no multiword surface starts with it)
+    names a concept.  A token that holds ``_`` starts at ``max_ngram``.
     """
     if max_ngram < 1:
         raise ValueError("max_ngram must be >= 1")
     tokens = text.tokens
+    surface_to_id, spans = g.surface_to_id, g.multiword_spans
     mentions: dict[int, int] = {}
     i = 0
     n_tokens = len(tokens)
     while i < n_tokens:
-        matched = False
-        for n in range(min(max_ngram, n_tokens - i), 0, -1):
-            if n == 1 and tokens[i] in stopwords:
-                break
-            cid = g.surface_to_id.get("_".join(tokens[i : i + n]))
-            if cid is not None:
-                mentions[cid] = mentions.get(cid, 0) + 1
-                i += n
-                matched = True
-                break
-        if not matched:
-            i += 1
+        token = tokens[i]
+        longest = max_ngram if "_" in token else spans.get(token, 1)
+        cid = None
+        if longest > 1:
+            for n in range(min(longest, max_ngram, n_tokens - i), 1, -1):
+                cid = surface_to_id.get("_".join(tokens[i : i + n]))
+                if cid is not None:
+                    break
+        if cid is None:
+            n = 1
+            if token not in stopwords:
+                cid = surface_to_id.get(token)
+        if cid is not None:
+            mentions[cid] = mentions.get(cid, 0) + 1
+        i += n
     return ConceptMentionSet(mentions=mentions, source_len=n_tokens)
 
 

@@ -132,8 +132,8 @@ def expand_candidates(parents, ancestors, indptr, dst, rel, allowed, scores):
 
     ``ancestors`` is (len(parents), depth) int32, padded with -1; candidates
     appearing there are excluded, as are concepts where ``allowed`` is False
-    (``None`` keeps every concept).  ``scores`` holds a non-negative integer
-    rank score per concept.
+    or zero (``None`` keeps every concept).  ``scores`` holds a non-negative
+    integer rank score per concept.
     Returns (flat candidates, flat min relation ids, offsets of len parents+1);
     each parent's slice is sorted by (score desc, concept asc).
     """

@@ -163,6 +163,12 @@ class KnowledgeGraph:
         self.surface_to_id = dict(zip(surfaces, range(len(surfaces))))
         if len(self.surface_to_id) != len(surfaces):
             raise ValueError("duplicate concept surfaces")
+        # first word of each multiword surface -> the most words of any
+        # surface starting with it: grounding's longest useful n-gram
+        self.multiword_spans: dict[str, int] = {}
+        for words in (s.split("_") for s in surfaces if "_" in s):
+            if self.multiword_spans.get(words[0], 0) < len(words):
+                self.multiword_spans[words[0]] = len(words)
         self.relation_names = relation_names
         self.edge_start = np.asarray(edge_start, dtype=np.int32)
         self.edge_rel = np.asarray(edge_rel, dtype=np.int32)
@@ -183,7 +189,9 @@ class KnowledgeGraph:
         key += np.concatenate([self.edge_rel, self.edge_rel])
         key.sort()
         self.adj_indptr = key.searchsorted(np.arange(n + 1, dtype=np.int64) * (n * r))
-        self.adj_rel = (key % r).astype(np.int32)
+        # the smallest type that holds every relation id: one byte for any
+        # real relation vocabulary, a quarter of the int32 column
+        self.adj_rel = (key % r).astype(np.min_scalar_type(r - 1))
         key //= r
         self.adj_dst = (key % n).astype(np.int32)
         self.degrees = np.diff(self.adj_indptr)

@@ -92,12 +92,18 @@ class ExtractionRequest:
 
 @dataclass
 class TreeAnalysis:
-    """One query concept's tree with scores and selection; explain/debug view."""
+    """One query concept's tree: its root's index in the request's forest,
+    the scored forest it shares with its siblings, and its selection;
+    explain/debug view."""
 
-    root_concept: int
+    root: int
     tree: PathTree
     scored: ScoredTree
     selection: PathSelection
+
+    @property
+    def root_concept(self) -> int:
+        return int(self.tree.concepts[self.root])
 
 
 @dataclass
@@ -134,19 +140,22 @@ class Extractor:
         return GroundedPair(context_mentions=ctx, query_concepts=list(query_mentions.mentions))
 
     def analyze(self, context: str, query: str, request_index: int = 0) -> list[TreeAnalysis]:
-        """Build, score, and select paths for every grounded query concept."""
+        """Build and score one forest over every grounded query concept, then
+        select each tree's paths."""
         pair = self.ground(context, query)
+        if pair.context_mentions.source_len == 0 or not pair.query_concepts:
+            return []
+        forest = build_tree(pair.query_concepts, pair, self.graph, self.config.build)
+        scored = score_tree(forest, pair, self.graph, self.stats)
         analyses: list[TreeAnalysis] = []
-        if pair.context_mentions.source_len == 0:
-            return analyses
-        for tree_index, c1 in enumerate(pair.query_concepts):
-            tree = build_tree(c1, pair, self.graph, self.config.build)
-            scored = score_tree(tree, pair, self.graph, self.stats)
-            rng = np.random.default_rng([self.config.seed, request_index, tree_index])
-            selection = realize_selection(scored, self.graph, rng)
-            analyses.append(
-                TreeAnalysis(root_concept=c1, tree=tree, scored=scored, selection=selection)
-            )
+        for root in range(forest.root_count):
+            if forest.child_start[root] == forest.child_end[root]:
+                # a bare root has no path: skip seeding a generator never drawn from
+                selection = PathSelection(full_paths=[], truncations=[], realized=[])
+            else:
+                rng = np.random.default_rng([self.config.seed, request_index, root])
+                selection = realize_selection(scored, self.graph, rng, root)
+            analyses.append(TreeAnalysis(root=root, tree=forest, scored=scored, selection=selection))
         return analyses
 
     def extract(self, request: ExtractionRequest, request_index: int = 0) -> ExtractionResult:
@@ -167,7 +176,7 @@ class Extractor:
             paths = paths[: self.config.max_total_paths]
         stats = {
             "trees": len(analyses),
-            "tree_nodes": sum(a.tree.node_count for a in analyses),
+            "tree_nodes": analyses[0].tree.node_count if analyses else 0,
             "full_paths": sum(len(a.selection.full_paths) for a in analyses),
             "truncations": sum(len(a.selection.truncations) for a in analyses),
         }
@@ -199,14 +208,19 @@ def parse_request_line(line: str) -> ExtractionRequest:
 
 
 def run_batch(
-    extractor: Extractor, lines: Iterable[str], workers: int = 1
+    extractor: Extractor, lines: Iterable[str | bytes], workers: int = 1
 ) -> Iterator[ExtractionResult]:
-    """Process JSON-lines requests, preserving input order across workers."""
+    """Process JSON-lines requests, preserving input order across workers.
 
-    def process(item: tuple[int, str]) -> ExtractionResult:
+    A ``bytes`` line is decoded as UTF-8 on its own; one that does not
+    decode is a bad request, as is a line that is not a JSON request.
+    """
+
+    def process(item: tuple[int, str | bytes]) -> ExtractionResult:
         index, line = item
         try:
-            request = parse_request_line(line)
+            # UnicodeDecodeError is a ValueError
+            request = parse_request_line(line if isinstance(line, str) else line.decode("utf-8"))
         except ValueError as exc:
             return ExtractionResult(id=None, paths=[], error=f"bad request: {exc}")
         return extractor.extract(request, request_index=index)

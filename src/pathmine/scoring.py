@@ -74,17 +74,18 @@ def npmi(
 def score_raw(
     tree: PathTree, gp: GroundedPair, g: KnowledgeGraph, stats: WalkStats
 ) -> ScoredTree:
-    """Fill raw scores for every node of the tree (root kept at 0)."""
+    """Fill raw scores for every node of the forest (roots kept at 0)."""
     raw = np.zeros(tree.node_count, dtype=np.float64)
     m = gp.context_mentions
     if m.source_len <= 0:
         raise ValueError("context is empty")
     ctx_counts = m.dense_counts(g.node_count)
 
-    # term frequency below the root, then NPMI over every level-4 hop in one call
-    raw[1:] = ctx_counts[tree.concepts[1:]] / m.source_len
+    # term frequency below the roots, then NPMI over every level-4 hop in one call
+    k = tree.root_count
+    raw[k:] = ctx_counts[tree.concepts[k:]] / m.source_len
     c4_idx = tree.level_indices(4)
-    if c4_idx.size:  # most trees of a short context stop above level 4
+    if c4_idx.size:  # most forests of a short context stop above level 4
         c3_idx = tree.parents[c4_idx]
         c2_idx = tree.parents[c3_idx]
         c1_idx = tree.parents[c2_idx]
@@ -106,20 +107,20 @@ def score_raw(
 def sibling_softmax(st: ScoredTree) -> ScoredTree:
     """Normalize raw scores against siblings; each group sums to 1."""
     tree = st.tree
-    n = tree.node_count
+    n, k = tree.node_count, tree.root_count
     n_score = np.zeros(n, dtype=np.float64)
-    n_score[0] = 1.0
-    if n > 1:
+    n_score[:k] = 1.0
+    if n > k:
         has_children = np.flatnonzero(tree.child_start < tree.child_end)
         starts = tree.child_start[has_children]
         sizes = (tree.child_end - tree.child_start)[has_children]
         # non-root nodes form contiguous sibling blocks in BFS order
-        child_raw = st.raw[1:]
-        group_max = np.maximum.reduceat(child_raw, starts - 1)
+        child_raw = st.raw[k:]
+        group_max = np.maximum.reduceat(child_raw, starts - k)
         with np.errstate(over="ignore"):  # sentinel raws underflow to exp(-inf)=0
             shifted = np.exp(child_raw - np.repeat(group_max, sizes))
-        group_sum = np.add.reduceat(shifted, starts - 1)
-        n_score[1:] = shifted / np.repeat(group_sum, sizes)
+        group_sum = np.add.reduceat(shifted, starts - k)
+        n_score[k:] = shifted / np.repeat(group_sum, sizes)
     return replace(st, n_score=n_score)
 
 
@@ -153,5 +154,6 @@ def cumulative_score(st: ScoredTree) -> ScoredTree:
 def score_tree(
     tree: PathTree, gp: GroundedPair, g: KnowledgeGraph, stats: WalkStats
 ) -> ScoredTree:
-    """Raw scores, sibling softmax, and cumulative pass in one call."""
+    """Raw scores, sibling softmax, and cumulative pass in one call; every
+    level-1 node of the forest is a root."""
     return cumulative_score(sibling_softmax(score_raw(tree, gp, g, stats)))

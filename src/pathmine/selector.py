@@ -43,8 +43,8 @@ def top_children(st: ScoredTree, idx: int) -> list[int]:
     return sorted(range(lo, hi), key=lambda i: (-c_score[i], tree.concepts[i]))[:TOP_CHILDREN]
 
 
-def select_paths(st: ScoredTree) -> list[SelectedPath]:
-    """Root-to-leaf paths of the kept subtree.
+def select_paths(st: ScoredTree, root: int = 0) -> list[SelectedPath]:
+    """Root-to-leaf paths of the kept subtree below the forest node ``root``.
 
     Descending from the root, each node keeps its :func:`top_children`,
     bounding the result at 16 full paths per tree.
@@ -53,7 +53,7 @@ def select_paths(st: ScoredTree) -> list[SelectedPath]:
     paths: list[SelectedPath] = []
     # depth-first with an explicit stack: a recursive closure would form a
     # reference cycle holding the tree until the next full collection
-    stack = [(0, [int(tree.concepts[0])], [])]
+    stack = [(root, [int(tree.concepts[root])], [])]
     while stack:
         idx, concepts, relations = stack.pop()
         kept = top_children(st, idx)
@@ -105,14 +105,15 @@ def realize_tokens(
 
 
 def realize_selection(
-    st: ScoredTree, g: KnowledgeGraph, rng: np.random.Generator
+    st: ScoredTree, g: KnowledgeGraph, rng: np.random.Generator, root: int = 0
 ) -> PathSelection:
-    """Select, expand, and realize one tree's paths.
+    """Select, expand, and realize the paths of the tree rooted at the
+    forest node ``root``; ``rng`` is that tree's own generator.
 
     Each truncation is realized as a token prefix of the first full path
     it prefixes, so it inherits that path's relation draws.
     """
-    full = select_paths(st)
+    full = select_paths(st, root)
     realized: list[list[str]] = []
     prefix_tokens: dict[tuple[tuple[int, ...], tuple[int, ...]], list[str]] = {}
     for path in full:

@@ -6,14 +6,22 @@ into the graph neighborhood of its parent.  When a node has no qualifying
 continuation it is kept as a leaf, so partial branches survive.  No path
 may revisit a concept already on it.
 
+A request grows one forest: the trees of all its query concepts, built
+together.  The roots are the first nodes (level 1), and each level is
+expanded for every tree by the same kernel calls, so a request pays each
+level's fixed cost once however many trees it has.  A one-root forest is
+exactly the single tree.
+
 Nodes live in flat numpy arrays in breadth-first order (children of one
-parent are contiguous), which keeps scoring vectorizable; :class:`TreeNode`
-is a light view over one index.
+parent are contiguous, and each level holds the trees' nodes in root
+order), which keeps scoring vectorizable; :class:`TreeNode` is a light
+view over one index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -89,7 +97,8 @@ class TreeNode:
 
 
 class PathTree:
-    """Rooted candidate tree stored as parallel arrays in BFS order."""
+    """Candidate forest stored as parallel arrays in BFS order; its
+    ``root_count`` level-1 nodes come first."""
 
     def __init__(self, concepts, parents, rels, levels):
         self.concepts = np.asarray(concepts, dtype=np.int32)
@@ -97,17 +106,29 @@ class PathTree:
         self.rels = np.asarray(rels, dtype=np.int32)
         self.levels = np.asarray(levels, dtype=np.int8)
         n = self.concepts.size
+        k = self.root_count = int(self.levels.searchsorted(2))
         self.child_start = np.zeros(n, dtype=np.int64)
         self.child_end = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            counts = np.bincount(self.parents[1:], minlength=n)
-            ends = np.cumsum(counts) + 1
+        if n > k:
+            counts = np.bincount(self.parents[k:], minlength=n)
+            ends = np.cumsum(counts) + k
             self.child_start[:] = ends - counts
             self.child_end[:] = ends
 
     @property
     def root(self) -> TreeNode:
+        """The first root: the root of a one-root forest."""
         return TreeNode(self, 0)
+
+    def root_of(self) -> np.ndarray:
+        """Index of the root above every node (a root's own index)."""
+        out = np.arange(self.node_count, dtype=np.int64)
+        # parents sit one level up, so resolving the levels in order
+        # needs one gather each
+        for level in range(2, MAX_LEVEL + 1):
+            idx = self.level_indices(level)
+            out[idx] = out[self.parents[idx]]
+        return out
 
     @property
     def node_count(self) -> int:
@@ -128,9 +149,10 @@ def enumerate_levels(tree: PathTree, level: int) -> list[TreeNode]:
 
 
 def build_tree(
-    c1: int, gp: GroundedPair, g: KnowledgeGraph, cfg: BuildConfig | None = None
+    roots: Sequence[int], gp: GroundedPair, g: KnowledgeGraph, cfg: BuildConfig | None = None
 ) -> PathTree:
-    """Grow the candidate tree for one query concept.
+    """Grow the candidate forest of the given query concepts, one tree each
+    in the order given.
 
     Candidate children beyond ``max_children_per_node`` are dropped by
     context term-frequency rank (graph degree at the unconstrained level),
@@ -138,32 +160,36 @@ def build_tree(
     """
     if cfg is None:
         cfg = BuildConfig()
-    g._check_concept(c1)
-    if c1 not in gp.query_concepts:
-        raise ValueError("root concept is not one of the query concepts")
+    roots = [int(c) for c in roots]
+    if not roots:
+        raise ValueError("a forest needs at least one root concept")
+    for c1 in roots:
+        g._check_concept(c1)
+        if c1 not in gp.query_concepts:
+            raise ValueError("root concept is not one of the query concepts")
 
-    n = g.node_count
-    ctx_counts = gp.context_mentions.dense_counts(n)
-    ctx_mask = ctx_counts > 0
+    ctx_counts = gp.context_mentions.dense_counts(g.node_count)
 
-    concepts = [np.asarray([c1], dtype=np.int32)]
-    parents = [np.asarray([-1], dtype=np.int64)]
-    rels = [np.asarray([-1], dtype=np.int32)]
-    levels = [np.asarray([1], dtype=np.int8)]
+    k = len(roots)
+    frontier = np.asarray(roots, dtype=np.int32)
+    frontier_idx = np.arange(k, dtype=np.int64)
+    concepts = [frontier]
+    parents = [np.full(k, -1, dtype=np.int64)]
+    rels = [np.full(k, -1, dtype=np.int32)]
+    levels = [np.ones(k, dtype=np.int8)]
 
-    frontier = np.asarray([c1], dtype=np.int32)
-    frontier_idx = np.asarray([0], dtype=np.int64)
     # per-frontier-node ancestors padded to depth 4 with -1
-    ancestors = np.full((1, 4), -1, dtype=np.int32)
-    ancestors[0, 0] = c1
-    next_index = 1
+    ancestors = np.full((k, 4), -1, dtype=np.int32)
+    ancestors[:, 0] = frontier
+    next_index = k
 
     for level in range(2, MAX_LEVEL + 1):
         if frontier.size == 0:
             break
         # grounded levels rank by context term frequency and keep only
-        # context concepts; level 4 ranks by degree and keeps every concept
-        allowed, scores = (ctx_mask, ctx_counts) if level != 4 else (None, g.degrees)
+        # context concepts (a nonzero count); level 4 ranks by degree and
+        # keeps every concept
+        allowed, scores = (ctx_counts, ctx_counts) if level != 4 else (None, g.degrees)
 
         cum = np.cumsum(g.degrees[frontier])
         total = int(cum[-1]) if cum.size else 0

@@ -414,3 +414,24 @@ def reference_token_count(text: str) -> int:
         else:
             i += 1
     return count
+
+
+def grounding_oracle(
+    tokens: tuple[str, ...], surfaces: set[str], max_ngram: int, stopwords: frozenset[str]
+) -> dict[str, int]:
+    """Greedy longest match by brute force: at each position every n-gram
+    from ``max_ngram`` tokens down is joined with underscores and looked
+    up, with no bound on where the probe starts.  Surface -> count, in
+    first-match order."""
+    counts: dict[str, int] = {}
+    i = 0
+    while i < len(tokens):
+        for n in range(min(max_ngram, len(tokens) - i), 0, -1):
+            joined = "_".join(tokens[i : i + n])
+            if joined in surfaces and not (n == 1 and joined in stopwords):
+                counts[joined] = counts.get(joined, 0) + 1
+                i += n
+                break
+        else:
+            i += 1
+    return counts

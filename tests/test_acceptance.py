@@ -78,7 +78,7 @@ def test_criterion_2_cumulative_scoring_keeps_best_two():
     )
     pair = ground_pair(context, "the lady", g)
     stats = WalkStats.from_graph(g)
-    tree = build_tree(g.concept_id("lady"), pair, g)
+    tree = build_tree([g.concept_id("lady")], pair, g)
     st = score_tree(tree, pair, g, stats)
 
     mother = tree.root.children[0]
@@ -144,7 +144,7 @@ def _tree_ensemble(min_trees: int):
         )
         pair = ground_pair(" ".join(names), query, g)
         for c1 in pair.query_concepts:
-            tree = build_tree(c1, pair, g)
+            tree = build_tree([c1], pair, g)
             yield g, tree, score_tree(tree, pair, g, stats)
             produced += 1
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathmine import (
     extract_concepts,
@@ -11,11 +13,39 @@ from pathmine import (
     load_stopwords,
     tokenize,
 )
+from pathmine.grounding import TokenizedText
 
-from conftest import reference_token_count, random_multigraph
+from conftest import grounding_oracle, reference_token_count, random_multigraph
 
 
 STOPWORDS = load_stopwords()
+
+# a small alphabet, so surfaces share first words, a first word is often
+# no surface on its own, and stopwords start and end multiword surfaces
+WORDS = ("a", "b", "c", "the", "of")
+ORACLE_STOPWORDS = frozenset({"the", "of"})
+_word_runs = st.lists(st.sampled_from(WORDS), min_size=1, max_size=5)
+
+
+@st.composite
+def _grounding_cases(draw):
+    """A vocabulary of one- to five-word surfaces, a token stream and a
+    ``max_ngram``.  The stream spells words and surfaces with random token
+    boundaries: words not cut apart share one token, joined by ``_``."""
+    vocab = draw(st.lists(_word_runs.map("_".join), min_size=1, max_size=8, unique=True))
+    spelled = st.one_of(_word_runs, st.sampled_from(vocab).map(lambda s: s.split("_")))
+    tokens: list[str] = []
+    for words in draw(st.lists(spelled, max_size=10)):
+        cuts = draw(st.lists(st.booleans(), min_size=len(words) - 1, max_size=len(words) - 1))
+        token = words[0]
+        for word, cut in zip(words[1:], cuts):
+            if cut:
+                tokens.append(token)
+                token = word
+            else:
+                token += "_" + word
+        tokens.append(token)
+    return vocab, tuple(tokens), draw(st.integers(1, 4))
 
 
 class TestTokenize:
@@ -110,6 +140,16 @@ class TestExtractConcepts:
         names = [g.surfaces[int(rng.integers(g.node_count))] for _ in range(200)]
         mentions = extract_concepts(tokenize(" ".join(names)), g, 4, STOPWORDS)
         assert sum(mentions.mentions.values()) <= 200
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_grounding_cases())
+    def test_matches_brute_force_longest_match(self, case):
+        vocab, tokens, max_ngram = case
+        g = graph_from_triples([], extra_concepts=vocab)
+        mentions = extract_concepts(TokenizedText(tokens), g, max_ngram, ORACLE_STOPWORDS)
+        got = [(g.surfaces[c], n) for c, n in mentions.mentions.items()]
+        assert got == list(grounding_oracle(tokens, set(vocab), max_ngram, ORACLE_STOPWORDS).items())
+        assert mentions.source_len == len(tokens)
 
     def test_deterministic(self, story_graph):
         text = "the lady and the church and the house"

@@ -122,9 +122,9 @@ class TestExpandCandidates:
             if not pair.query_concepts:
                 continue
             root = pair.query_concepts[0]
-            whole = build_tree(root, pair, g)
+            whole = build_tree([root], pair, g)
             monkeypatch.setattr(tree, "_EXPAND_CHUNK_BUDGET", 3)
-            chunked = build_tree(root, pair, g)
+            chunked = build_tree([root], pair, g)
             monkeypatch.undo()
             for name in ("concepts", "parents", "rels", "levels"):
                 assert np.array_equal(getattr(whole, name), getattr(chunked, name)), name

@@ -380,6 +380,33 @@ class TestCli:
         assert records[3]["error"].startswith("bad request: ")
         assert records[4]["id"] == "two" and records[4]["error"] is None
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_undecodable_request_line_is_a_bad_request(
+        self, tmp_path, story_index, capsys, monkeypatch, source
+    ):
+        good = json.dumps({"id": "one", "context": STORY_CONTEXT, "query": STORY_QUERY}).encode()
+        last = json.dumps({"id": "two", "context": STORY_CONTEXT, "query": "church lady"}).encode()
+
+        def extract(middle: bytes) -> list[str]:
+            data = good + b"\n\n" + middle + b"\r\n" + last + b"\n"
+            if source == "stdin":
+                monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+                path = "-"
+            else:
+                path = tmp_path / "requests.jsonl"
+                path.write_bytes(data)
+            code = main(["extract", "--graph", story_index, "--input", str(path), "--output", "-"])
+            assert code == 0
+            return capsys.readouterr().out.splitlines()
+
+        bad = extract(b'{"id": "x", "context": "caf\xff", "query": "lady"}')
+        assert len(bad) == 3
+        assert json.loads(bad[1])["error"].startswith("bad request: ")
+        # the other lines keep their request index, so their bytes are unchanged
+        reference = extract(b'{"id": "x", "context": "cafe", "query": "lady"}')
+        assert bad[0] == reference[0] and bad[2] == reference[2]
+        assert json.loads(bad[2])["id"] == "two" and json.loads(bad[2])["error"] is None
+
     def test_stdout_output(self, tmp_path, story_index, capsys):
         requests = tmp_path / "requests.jsonl"
         requests.write_text(json.dumps({"context": STORY_CONTEXT, "query": STORY_QUERY}) + "\n")
@@ -443,7 +470,7 @@ class TestExplain:
 
     def test_kept_marks_match_selected_paths(self):
         rng = np.random.default_rng(71)
-        trees = boundary_ties = 0
+        trees = boundary_ties = forests = 0
         for _ in range(40):
             g = random_multigraph(rng, max_nodes=12, max_edges=40)
             try:
@@ -461,28 +488,30 @@ class TestExplain:
                 if line.endswith(("[kept]", "[dropped]"))
             ]
             expected = []
-            for analysis in extractor.analyze(context, query):
-                tree, c_score = analysis.tree, analysis.scored.c_score
+            analyses = extractor.analyze(context, query)
+            forests += len(analyses) > 1
+            for analysis in analyses:
+                tree, c_score, root = analysis.tree, analysis.scored.c_score, analysis.root
                 on_paths = set()
                 for path in analysis.selection.full_paths:
-                    idx = 0
+                    idx = root
                     for concept in path.concepts[1:]:
                         children = range(tree.child_start[idx], tree.child_end[idx])
                         idx = next(i for i in children if tree.concepts[i] == concept)
                         on_paths.add(idx)
-                # explain lists the nodes depth-first, siblings in index order
-                stack = [0]
+                # explain lists each tree's nodes depth-first, siblings in index order
+                stack = [root]
                 while stack:
                     idx = stack.pop()
-                    if idx:
+                    if idx != root:
                         expected.append((g.surfaces[tree.concepts[idx]], idx in on_paths))
                     stack.extend(reversed(range(tree.child_start[idx], tree.child_end[idx])))
-                for idx in on_paths | {0}:
+                for idx in on_paths | {root}:
                     ranked = sorted(c_score[tree.child_start[idx] : tree.child_end[idx]], reverse=True)
                     boundary_ties += len(ranked) > 2 and ranked[1] == ranked[2]
                 trees += 1
             assert marks == expected
-        assert trees > 20 and boundary_ties > 0
+        assert trees > 20 and boundary_ties > 0 and forests > 5
 
     def test_story_pair_text(self, story_extractor):
         assert render_explanation(story_extractor, STORY_CONTEXT, STORY_QUERY) == STORY_EXPLANATION

@@ -118,7 +118,7 @@ class TestNpmi:
 class TestRawScore:
     def test_term_frequency_levels(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
-        tree = build_tree(story_graph.concept_id("lady"), pair, story_graph)
+        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
         stats = WalkStats.from_graph(story_graph)
         st = score_raw(tree, pair, story_graph, stats)
         grounded = [tree.node(i) for i in range(1, tree.node_count) if tree.levels[i] != 4]
@@ -129,7 +129,7 @@ class TestRawScore:
 
     def test_level_four_uses_association_score(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
-        tree = build_tree(story_graph.concept_id("lady"), pair, story_graph)
+        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
         stats = WalkStats.from_graph(story_graph)
         st = score_raw(tree, pair, story_graph, stats)
         for node in tree.level_indices(4):
@@ -150,7 +150,7 @@ class TestRawScore:
             pair = ground_pair(" ".join(names), names[0], g)
             if not pair.query_concepts:
                 continue
-            built = build_tree(pair.query_concepts[0], pair, g, BuildConfig(max_children_per_node=3))
+            built = build_tree([pair.query_concepts[0]], pair, g, BuildConfig(max_children_per_node=3))
             for tree in (built, _random_path_tree(rng, g.node_count)):
                 st = score_raw(tree, pair, g, stats)
                 for idx in tree.level_indices(4):
@@ -162,14 +162,14 @@ class TestRawScore:
 
     def test_root_is_not_scored(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
-        tree = build_tree(story_graph.concept_id("lady"), pair, story_graph)
+        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
         stats = WalkStats.from_graph(story_graph)
         assert score_raw(tree, pair, story_graph, stats).raw[0] == 0.0
 
     def test_empty_context_raises(self, story_graph):
         lady = story_graph.concept_id("lady")
         pair = GroundedPair(ConceptMentionSet(mentions={}, source_len=0), [lady])
-        tree = build_tree(lady, pair, story_graph)
+        tree = build_tree([lady], pair, story_graph)
         with pytest.raises(ValueError, match="context is empty"):
             score_raw(tree, pair, story_graph, WalkStats.from_graph(story_graph))
 
@@ -229,7 +229,7 @@ class TestSiblingSoftmax:
     def test_groups_sum_to_one(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         stats = WalkStats.from_graph(story_graph)
-        tree = build_tree(story_graph.concept_id("lady"), pair, story_graph)
+        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
         st = sibling_softmax(score_raw(tree, pair, story_graph, stats))
         for idx in range(tree.node_count):
             node = tree.node(idx)
@@ -258,7 +258,7 @@ class TestCumulativeScore:
     def test_leaves_keep_normalized_score(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         stats = WalkStats.from_graph(story_graph)
-        tree = build_tree(story_graph.concept_id("lady"), pair, story_graph)
+        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
         st = score_tree(tree, pair, story_graph, stats)
         for idx in range(tree.node_count):
             if not tree.node(idx).children:
@@ -310,7 +310,7 @@ class TestCumulativeScore:
     def test_story_tree_matches_recursive_recomputation(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         stats = WalkStats.from_graph(story_graph)
-        tree = build_tree(story_graph.concept_id("lady"), pair, story_graph)
+        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
         st = score_tree(tree, pair, story_graph, stats)
         oracle = _cumulative_oracle(st)
         for idx in range(tree.node_count):
@@ -321,7 +321,7 @@ class TestCumulativeScore:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         assert pair.context_mentions.source_len == 35
         stats = WalkStats.from_graph(story_graph)
-        tree = build_tree(story_graph.concept_id("lady"), pair, story_graph)
+        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
         st = score_tree(tree, pair, story_graph, stats)
         by_surface = {story_graph.surfaces[n.concept]: n for n in tree.root.children}
         # softmax over raw TFs (2/35, 2/35, 1/35), recomputed with plain math
@@ -341,7 +341,7 @@ class TestCumulativeScore:
             if not pair.query_concepts:
                 continue
             stats = WalkStats.from_graph(g)
-            tree = build_tree(pair.query_concepts[0], pair, g)
+            tree = build_tree([pair.query_concepts[0]], pair, g)
             st = score_tree(tree, pair, g, stats)
             oracle = _cumulative_oracle(st)
             for idx in range(tree.node_count):
@@ -351,7 +351,7 @@ class TestCumulativeScore:
     def test_internal_nodes_strictly_exceed_normalized_score(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         stats = WalkStats.from_graph(story_graph)
-        tree = build_tree(story_graph.concept_id("lady"), pair, story_graph)
+        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
         st = score_tree(tree, pair, story_graph, stats)
         internal = tree.child_start < tree.child_end
         assert np.all(st.c_score[internal] > st.n_score[internal])
@@ -363,7 +363,7 @@ class TestRankMonotonicity:
 
         def rank_of(context: str, surface: str) -> int:
             pair = ground_pair(context, STORY_QUERY, story_graph)
-            tree = build_tree(story_graph.concept_id("lady"), pair, story_graph)
+            tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
             st = sibling_softmax(score_raw(tree, pair, story_graph, stats))
             siblings = sorted(
                 tree.root.children, key=lambda n: (-st.n_of(n), n.concept)

@@ -31,7 +31,7 @@ from conftest import STORY_CONTEXT, STORY_QUERY, random_multigraph
 def story_scored(story_graph):
     pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
     stats = WalkStats.from_graph(story_graph)
-    tree = build_tree(story_graph.concept_id("lady"), pair, story_graph)
+    tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
     return story_graph, score_tree(tree, pair, story_graph, stats)
 
 
@@ -52,7 +52,7 @@ def triple_child_scored():
     )
     pair = ground_pair(context, "the lady", g)
     stats = WalkStats.from_graph(g)
-    tree = build_tree(g.concept_id("lady"), pair, g)
+    tree = build_tree([g.concept_id("lady")], pair, g)
     return g, score_tree(tree, pair, g, stats)
 
 
@@ -67,7 +67,7 @@ class TestSelectPaths:
     def test_root_only_tree_selects_nothing(self, story_graph):
         pair = ground_pair("irrelevant words only", "lady", story_graph)
         stats = WalkStats.from_graph(story_graph)
-        tree = build_tree(story_graph.concept_id("lady"), pair, story_graph)
+        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
         st = score_tree(tree, pair, story_graph, stats)
         assert select_paths(st) == []
 
@@ -167,7 +167,7 @@ class TestSelectPaths:
         stats = WalkStats.from_graph(story_graph)
         gc.disable()
         try:
-            tree = build_tree(story_graph.concept_id("lady"), pair, story_graph)
+            tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
             alive = weakref.ref(tree)
             scored = score_tree(tree, pair, story_graph, stats)
             del tree
@@ -230,7 +230,7 @@ class TestRealizeTokens:
         )
         pair = ground_pair("down and south again down", "up", g)
         stats = WalkStats.from_graph(g)
-        st = score_tree(build_tree(g.concept_id("up"), pair, g), pair, g, stats)
+        st = score_tree(build_tree([g.concept_id("up")], pair, g), pair, g, stats)
         a = realize_selection(st, g, np.random.default_rng(5)).realized
         b = realize_selection(st, g, np.random.default_rng(5)).realized
         assert a == b
@@ -283,7 +283,7 @@ class TestRealizeTokens:
             "the mother and daughter and child and their story", "lady", g
         )
         stats = WalkStats.from_graph(g)
-        tree = build_tree(g.concept_id("lady"), pair, g)
+        tree = build_tree([g.concept_id("lady")], pair, g)
         st = score_tree(tree, pair, g, stats)
         for seed in range(20):
             selection = realize_selection(st, g, np.random.default_rng(seed))
@@ -305,7 +305,7 @@ class TestCapsOnRandomInputs:
                 continue
             stats = WalkStats.from_graph(g)
             for c1 in pair.query_concepts:
-                st = score_tree(build_tree(c1, pair, g), pair, g, stats)
+                st = score_tree(build_tree([c1], pair, g), pair, g, stats)
                 paths = select_paths(st)
                 assert len(paths) <= MAX_FULL_PATHS
                 for p in paths:

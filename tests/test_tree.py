@@ -7,10 +7,16 @@ import pytest
 
 from pathmine import (
     BuildConfig,
+    PathmineError,
+    WalkStats,
     build_tree,
     enumerate_levels,
     graph_from_triples,
     ground_pair,
+    realize_selection,
+    score_tree,
+    select_paths,
+    tree as tree_module,
 )
 
 from conftest import STORY_CONTEXT, STORY_QUERY, random_multigraph
@@ -23,7 +29,7 @@ def _surfaces(g, nodes):
 @pytest.fixture()
 def story_tree(story_graph):
     pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
-    tree = build_tree(story_graph.concept_id("lady"), pair, story_graph)
+    tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
     return story_graph, pair, tree
 
 
@@ -72,7 +78,7 @@ class TestStoryTree:
 class TestDegenerateTrees:
     def test_query_concept_with_no_context_link(self, story_graph):
         pair = ground_pair("nothing relevant here", "lady", story_graph)
-        tree = build_tree(story_graph.concept_id("lady"), pair, story_graph)
+        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
         assert tree.node_count == 1
         assert tree.root.children == []
 
@@ -86,7 +92,7 @@ class TestDegenerateTrees:
             ]
         )
         pair = ground_pair("mother daughter story", "the lady", g)
-        tree = build_tree(g.concept_id("lady"), pair, g)
+        tree = build_tree([g.concept_id("lady")], pair, g)
         level4 = enumerate_levels(tree, 4)
         assert [g.surfaces[n.concept] for n in level4] == ["child"]
         assert level4[0].children == []
@@ -95,12 +101,12 @@ class TestDegenerateTrees:
     def test_unknown_root_raises(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         with pytest.raises(ValueError):
-            build_tree(99999, pair, story_graph)
+            build_tree([99999], pair, story_graph)
 
     def test_root_must_be_query_concept(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         with pytest.raises(ValueError):
-            build_tree(story_graph.concept_id("church"), pair, story_graph)
+            build_tree([story_graph.concept_id("church")], pair, story_graph)
 
 
 class TestEnumerateLevels:
@@ -124,7 +130,7 @@ class TestEnumerateLevels:
             pair = ground_pair(" ".join(names), names[0], g)
             if not pair.query_concepts:
                 continue
-            tree = build_tree(pair.query_concepts[0], pair, g, cfg)
+            tree = build_tree([pair.query_concepts[0]], pair, g, cfg)
             for level in range(1, 6):
                 assert len(enumerate_levels(tree, level)) <= 3 ** (level - 1)
 
@@ -172,7 +178,7 @@ class TestCapOracle:
             if not pair.query_concepts:
                 continue
             root = pair.query_concepts[0]
-            tree = build_tree(root, pair, g, BuildConfig(max_children_per_node=cap))
+            tree = build_tree([root], pair, g, BuildConfig(max_children_per_node=cap))
             *want, cut = build_reference(g, pair, root, cap)
             got = (tree.concepts, tree.parents, tree.rels, tree.levels)
             assert [a.tolist() for a in got] == want
@@ -184,8 +190,8 @@ class TestCapOracle:
 class TestDeterminismAndMonotonicity:
     def test_rebuild_identical(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
-        t1 = build_tree(story_graph.concept_id("lady"), pair, story_graph)
-        t2 = build_tree(story_graph.concept_id("lady"), pair, story_graph)
+        t1 = build_tree([story_graph.concept_id("lady")], pair, story_graph)
+        t2 = build_tree([story_graph.concept_id("lady")], pair, story_graph)
         assert np.array_equal(t1.concepts, t2.concepts)
         assert np.array_equal(t1.parents, t2.parents)
         assert np.array_equal(t1.rels, t2.rels)
@@ -206,7 +212,7 @@ class TestDeterminismAndMonotonicity:
             if not pair.query_concepts:
                 continue
             root_surface = g.surfaces[pair.query_concepts[0]]
-            tree = build_tree(pair.query_concepts[0], pair, g, cfg)
+            tree = build_tree([pair.query_concepts[0]], pair, g, cfg)
             nodes_before = {
                 (int(lvl), g.surfaces[int(c)]) for c, lvl in zip(tree.concepts, tree.levels)
             }
@@ -217,7 +223,7 @@ class TestDeterminismAndMonotonicity:
                 extra_concepts=[g.surfaces[i] for i in range(g.node_count)],
             )
             pair2 = ground_pair(context, root_surface, g2)
-            tree2 = build_tree(g2.concept_id(root_surface), pair2, g2, cfg)
+            tree2 = build_tree([g2.concept_id(root_surface)], pair2, g2, cfg)
             nodes_after = {
                 (int(lvl), g2.surfaces[int(c)]) for c, lvl in zip(tree2.concepts, tree2.levels)
             }
@@ -228,9 +234,70 @@ class TestDeterminismAndMonotonicity:
         cfg = BuildConfig(max_children_per_node=2)
         # church and mother appear twice in context, person once: cap at 2 drops person
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, g)
-        tree = build_tree(g.concept_id("lady"), pair, g, cfg)
+        tree = build_tree([g.concept_id("lady")], pair, g, cfg)
         assert _surfaces(g, tree.root.children) == ["church", "mother"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BuildConfig(max_children_per_node=1)
+
+
+class TestForest:
+    @pytest.mark.parametrize("budget", [None, 3], ids=["one_chunk", "many_chunks"])
+    def test_each_root_subtree_equals_its_single_tree(self, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(tree_module, "_EXPAND_CHUNK_BUDGET", budget)
+        rng = np.random.default_rng(61)
+        forests = deep = 0
+        while forests < 30:
+            g = random_multigraph(rng, max_nodes=20, max_edges=100)
+            try:
+                stats = WalkStats.from_graph(g)
+            except PathmineError:
+                continue
+            cfg = BuildConfig(max_children_per_node=int(rng.integers(2, 4)))
+            names = [g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=30)]
+            query = " ".join(g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=4))
+            pair = ground_pair(" ".join(names), query, g)
+            if not pair.query_concepts:
+                continue
+            forest = build_tree(pair.query_concepts, pair, g, cfg)
+            scored = score_tree(forest, pair, g, stats)
+            assert forest.root_count == len(pair.query_concepts)
+            root_of = forest.root_of()
+            for r, c1 in enumerate(pair.query_concepts):
+                single = build_tree([c1], pair, g, cfg)
+                alone = score_tree(single, pair, g, stats)
+                sub = np.flatnonzero(root_of == r)
+                # the subtree's nodes, in forest order, are the single tree's
+                assert forest.concepts[sub].tolist() == single.concepts.tolist()
+                assert forest.rels[sub].tolist() == single.rels.tolist()
+                assert forest.levels[sub].tolist() == single.levels.tolist()
+                parents = np.where(sub == r, -1, sub.searchsorted(forest.parents[sub]))
+                assert parents.tolist() == single.parents.tolist()
+                for name in ("raw", "n_score", "c_score"):
+                    assert getattr(scored, name)[sub].tolist() == getattr(alone, name).tolist(), name
+                assert select_paths(scored, r) == select_paths(alone)
+                got = realize_selection(scored, g, np.random.default_rng([7, r]), r)
+                want = realize_selection(alone, g, np.random.default_rng([7, r]))
+                assert got == want
+                deep += bool((single.levels == 5).any())
+            forests += forest.root_count > 1
+        assert deep > 10
+
+    def test_one_root_forest_is_the_single_tree(self, story_tree):
+        g, pair, tree = story_tree
+        assert tree.root_count == 1 and tree.root.level == 1
+        assert tree.root_of().tolist() == [0] * tree.node_count
+
+    def test_roots_come_first_in_query_order(self, story_graph):
+        pair = ground_pair(STORY_CONTEXT, "church lady", story_graph)
+        forest = build_tree(pair.query_concepts, pair, story_graph)
+        roots = [forest.node(i) for i in range(forest.root_count)]
+        assert [story_graph.surfaces[n.concept] for n in roots] == ["church", "lady"]
+        assert all(n.level == 1 and n.parent is None for n in roots)
+
+    def test_no_roots_rejected(self, story_graph):
+        pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
+        with pytest.raises(ValueError, match="at least one root"):
+            build_tree([], pair, story_graph)
