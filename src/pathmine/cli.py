@@ -10,12 +10,11 @@ import sys
 from typing import IO, Iterator
 
 import click
-import numpy as np
 
 from .kg import PathmineError, WalkStats, ingest_csv, load_index, save_index
 from .pipeline import Config, Extractor, run_batch
 from .scoring import SCORE_SENTINEL
-from .selector import top_children
+from .selector import top_children, top_leaves
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -139,35 +138,37 @@ def render_explanation(extractor: Extractor, context: str, query: str) -> str:
         return "no query concepts grounded; no paths"
     # every analysis shares the request's forest
     tree, scored = analyses[0].tree, analyses[0].scored
-    sizes = np.bincount(tree.root_of(), minlength=tree.root_count)
+    sizes = tree.sizes()
 
     def fmt(value: float) -> str:
         return "-inf" if value == SCORE_SENTINEL else f"{value:.6f}"
+
+    def line(depth, concept, rel, raw, n, c, kept) -> str:
+        return (
+            f"{'  ' * depth}{graph.surfaces[concept]} via {graph.relation_names[rel]} "
+            f"raw={fmt(raw)} n={fmt(n)} c={fmt(c)} [{'kept' if kept else 'dropped'}]"
+        )
 
     lines: list[str] = []
     for analysis in analyses:
         root_surface = graph.surfaces[analysis.root_concept]
         lines.append(f"tree rooted at {root_surface!r} ({sizes[analysis.root]} nodes)")
+        lines.append(f"{root_surface} (root)")
         # depth-first with an explicit stack: a recursive closure would form a
         # reference cycle holding the tree until the next full collection
         stack = [(analysis.root, 0, True)]
         while stack:
             idx, depth, kept = stack.pop()
-            node = tree.node(idx)
-            indent = "  " * depth
-            mark = "kept" if kept else "dropped"
-            if depth == 0:
-                lines.append(f"{indent}{graph.surfaces[node.concept]} (root)")
-            else:
-                rel = graph.relation_names[node.incoming_relation]
-                lines.append(
-                    f"{indent}{graph.surfaces[node.concept]} via {rel} "
-                    f"raw={fmt(scored.raw_of(node))} n={fmt(scored.n_of(node))} "
-                    f"c={fmt(scored.c_of(node))} [{mark}]"
-                )
+            if depth:
+                lines.append(line(depth, tree.concepts[idx], tree.rels[idx], scored.raw[idx],
+                                  scored.n_score[idx], scored.c_score[idx], kept))
+            # level-5 children are leaves, re-grown for this node alone
+            best, l5 = top_leaves(scored, idx) if kept else (), tree.level5
+            for p, r, v in zip(*scored.level5_scores(idx)):
+                lines.append(line(depth + 1, l5.concepts[p], l5.rels[p], r, v, v, p in best))
             kept_set = set(top_children(scored, idx)) if kept else set()
-            for child in reversed(node.children):  # reversed, so the first child pops first
-                stack.append((child.index, depth + 1, child.index in kept_set))
+            for child in range(tree.child_end[idx] - 1, tree.child_start[idx] - 1, -1):
+                stack.append((child, depth + 1, child in kept_set))  # the first child pops first
         if analysis.selection.full_paths:
             lines.append("selected paths:")
             for tokens in analysis.selection.realized:

@@ -11,7 +11,8 @@ stored edge incident to ``u`` (a self-loop twice), sorted by
 
 Multiplicities are counted for aligned ``(a, b)`` arrays, so one call
 scores every fourth hop of a tree.  Expansion returns each parent's
-candidates ranked by (score desc, concept asc), so a cap keeps a prefix.
+candidates ranked by (score desc, concept asc), so a cap keeps a prefix;
+the level-5 lists are ranked the same way, from the context side.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ SCORE_SENTINEL = float(np.finfo(np.float64).min)
 _INT64_SAFE = float(1 << 62)
 
 
-def _gather_rows(indptr, rows):
+def gather_rows(indptr, rows):
     """Flat positions of every entry of ``rows``, and the row index of each."""
     # ndarray methods, not np.* wrappers: this runs for every tree level
     lo = indptr[rows]
@@ -56,7 +57,7 @@ def multiplicity(indptr, dst, a, b):
     # gather the row of each run of equal ``a`` once; keyed by (run,
     # neighbor) the gathered rows form one sorted array
     first = _run_starts(a)
-    pos, run = _gather_rows(indptr, a[first])
+    pos, run = gather_rows(indptr, a[first])
     n = indptr.size - 1
     key = run * n + dst[pos]
     query = (first.cumsum() - 1) * n + b
@@ -139,7 +140,7 @@ def expand_candidates(parents, ancestors, indptr, dst, rel, allowed, scores):
     """
     # a concept recurs as parent under many branches: expand each once
     concepts, inverse = np.unique(np.asarray(parents, dtype=np.int64), return_inverse=True)
-    pos, seg = _gather_rows(indptr, concepts)
+    pos, seg = gather_rows(indptr, concepts)
     if allowed is not None:
         # filter first: every later array is built over the kept rows only
         keep = allowed[dst[pos]].nonzero()[0]
@@ -161,7 +162,7 @@ def expand_candidates(parents, ancestors, indptr, dst, rel, allowed, scores):
 
     # copy each concept's list to its parents, then drop the parent's
     # ancestors; dropping keeps the rank order
-    pos, seg = _gather_rows(concept_offsets, inverse)
+    pos, seg = gather_rows(concept_offsets, inverse)
     nbr, rel = nbr[pos], rel[pos]
     keep = np.ones(nbr.size, dtype=np.bool_)
     for column in ancestors.T:  # one column at a time bounds the temporaries
@@ -169,3 +170,29 @@ def expand_candidates(parents, ancestors, indptr, dst, rel, allowed, scores):
     offsets = np.zeros(inverse.size + 1, dtype=np.int64)
     np.bincount(seg[keep], minlength=inverse.size).cumsum(out=offsets[1:])
     return nbr[keep].astype(np.int32, copy=False), rel[keep].astype(np.int32, copy=False), offsets
+
+
+def context_lists(indptr, dst, rel, ctx, slot):
+    """Every target concept's neighbours among ``ctx``, in ``ctx``'s order.
+
+    ``ctx`` holds distinct concepts in rank order; ``slot`` maps each
+    concept to its target index, or -1.  The rows read are those of
+    ``ctx``, not of the targets: the CSR is undirected, so ``p`` is in row
+    ``c`` exactly when ``c`` is in row ``p``, with the same relations.
+    Returns the sorted keys ``target * len(ctx) + rank``, one per
+    (target, neighbour) pair, and each pair's minimal relation id.
+    """
+    pos, rank = gather_rows(indptr, np.asarray(ctx, dtype=np.int64))
+    target = slot[dst[pos]]
+    keep = (target >= 0).nonzero()[0]
+    pos, rank, target = pos[keep], rank[keep], target[keep]
+    # a row lists a neighbour's parallel edges together, lowest relation first
+    first = _run_starts(rank, target)
+    rel = rel[pos[first]].astype(np.int64)
+    # sort one packed (target, rank, relation) key; it fits in 64 bits
+    # wherever the CSR's own (row, neighbor, relation) key does
+    n_rel = int(rel.max()) + 1 if rel.size else 1
+    key = (target[first].astype(np.int64) * len(ctx) + rank[first]) * n_rel + rel
+    key.sort()
+    key, rel = np.divmod(key, n_rel)
+    return key, rel.astype(np.int32)

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import mmap
 import struct
 from dataclasses import dataclass
 from itertools import compress
@@ -582,15 +583,32 @@ def load_index(source: BinaryIO | str) -> tuple[KnowledgeGraph, WalkStats]:
     text that is not UTF-8, duplicate concept surfaces, or walk statistics
     that are malformed, not positive, or of another graph.
     """
+    lang, surfaces, relation_names, edges, (w3, w4, nc) = _read_index(source)
+    try:
+        g = KnowledgeGraph(lang, surfaces, relation_names, *edges)
+    except ValueError as exc:  # duplicate concept surfaces
+        raise IndexFormatError(str(exc)) from None
+    return g, WalkStats(walks_len3=w3, walks_len4=w4, node_count=nc)
+
+
+def _read_index(source: BinaryIO | str):
+    """The checked contents of an index: its language, name tables, edge
+    columns (copied out of the file's bytes) and walk statistics.  The
+    bytes sit in an anonymous map, not on the heap, so they are handed
+    back whole when it returns, before the CSR is built."""
     own = isinstance(source, str)
     fh: BinaryIO = open(source, "rb") if own else source  # type: ignore[assignment]
     try:
-        blob = fh.read()
+        start = fh.tell()
+        size = fh.seek(0, io.SEEK_END) - start
+        fh.seek(start)
+        if size < len(MAGIC) + 4 + 8:
+            raise IndexTruncatedError("index file too short")
+        blob = mmap.mmap(-1, size)
+        fh.readinto(blob)  # a short read leaves zeros, which fail the checksum
     finally:
         if own:
             fh.close()
-    if len(blob) < len(MAGIC) + 4 + 8:
-        raise IndexTruncatedError("index file too short")
     payload, trailer = memoryview(blob)[:-8], blob[-8:]
     if payload[: len(MAGIC)] != MAGIC:
         raise IndexFormatError("bad magic bytes")
@@ -613,7 +631,8 @@ def load_index(source: BinaryIO | str) -> tuple[KnowledgeGraph, WalkStats]:
     edge_blob = sections[b"EDGE"]
     if len(edge_blob) % 12:
         raise IndexTruncatedError("edge section has wrong length")
-    edge_start, edge_rel, edge_end = np.frombuffer(edge_blob, "<i4").reshape(3, -1)
+    edges = np.frombuffer(edge_blob, "<i4").reshape(3, -1).astype(np.int32)
+    edge_start, edge_rel, edge_end = edges
     for name, ids, bound in (
         ("edge start", edge_start, len(surfaces)),
         ("edge end", edge_end, len(surfaces)),
@@ -629,8 +648,4 @@ def load_index(source: BinaryIO | str) -> tuple[KnowledgeGraph, WalkStats]:
         raise IndexFormatError(f"walk statistics are for {nc} concepts, the graph has {len(surfaces)}")
     if not (0 < w3 < 1 << 63 and 0 < w4 < 1 << 63):
         raise IndexFormatError(f"walk statistics totals {w3}, {w4} outside [1, 2**63)")
-    try:
-        g = KnowledgeGraph(lang, surfaces, relation_names, edge_start, edge_rel, edge_end)
-    except ValueError as exc:  # duplicate concept surfaces
-        raise IndexFormatError(str(exc)) from None
-    return g, WalkStats(walks_len3=w3, walks_len4=w4, node_count=nc)
+    return lang, surfaces, relation_names, edges, (w3, w4, nc)

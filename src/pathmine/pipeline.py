@@ -174,9 +174,10 @@ class Extractor:
             paths.extend(analysis.selection.realized)
         if self.config.max_total_paths is not None:
             paths = paths[: self.config.max_total_paths]
+        forest = analyses[0].tree if analyses else None
         stats = {
             "trees": len(analyses),
-            "tree_nodes": analyses[0].tree.node_count if analyses else 0,
+            "tree_nodes": forest.node_count + int(forest.level5.count.sum()) if forest else 0,
             "full_paths": sum(len(a.selection.full_paths) for a in analyses),
             "truncations": sum(len(a.selection.truncations) for a in analyses),
         }

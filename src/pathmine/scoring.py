@@ -6,41 +6,51 @@ information between the hop and its three-concept prefix, estimated from
 global walk counts.  Scores are then softmax-normalized within each
 sibling group and accumulated bottom-up, every node adding the mean of
 its two best children.
+
+Level 5 is scored from the tree's :class:`~pathmine.tree.Level5` summary,
+never child by child.  A level-5 raw score is a context count over the
+context length, so a level-4 node's softmax denominator is summed by
+value: ``count * exp(value - max)`` for each distinct value, values
+descending.  Its two best children are the first two it keeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import kernels
 from .grounding import GroundedPair
 from .kg import KnowledgeGraph, WalkStats
-from .tree import PathTree, TreeNode
+from .tree import PathTree
 
 SCORE_SENTINEL = kernels.SCORE_SENTINEL
 
 
 @dataclass
 class ScoredTree:
-    """A path tree with per-node raw / sibling-normalized / cumulative scores."""
+    """A path tree with per-node raw / sibling-normalized / cumulative
+    scores; ``raw5`` scores each entry of the level-5 lists, and ``sum5``
+    is each level-4 node's level-5 softmax denominator."""
 
     tree: PathTree
     raw: np.ndarray
+    raw5: np.ndarray = field(default_factory=lambda: np.zeros(0))
     n_score: np.ndarray | None = None
     c_score: np.ndarray | None = None
+    sum5: np.ndarray | None = None
 
-    def raw_of(self, node: TreeNode) -> float:
-        return float(self.raw[node.index])
-
-    def n_of(self, node: TreeNode) -> float:
-        assert self.n_score is not None
-        return float(self.n_score[node.index])
-
-    def c_of(self, node: TreeNode) -> float:
-        assert self.c_score is not None
-        return float(self.c_score[node.index])
+    def level5_scores(self, idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Positions, raw and normalized scores of node ``idx``'s kept
+        level-5 children, best first; a leaf's cumulative score is its
+        normalized one."""
+        assert self.sum5 is not None, "sibling_softmax must run first"
+        pos = self.tree.level5_children(idx)
+        raw = self.raw5[pos]
+        if not pos.size:
+            return pos, raw, raw
+        return pos, raw, np.exp(raw - raw[0]) / self.sum5[idx - self.tree.first4]
 
 
 def npmi(
@@ -84,6 +94,7 @@ def score_raw(
     # term frequency below the roots, then NPMI over every level-4 hop in one call
     k = tree.root_count
     raw[k:] = ctx_counts[tree.concepts[k:]] / m.source_len
+    raw5 = ctx_counts[tree.level5.concepts] / m.source_len
     c4_idx = tree.level_indices(4)
     if c4_idx.size:  # most forests of a short context stop above level 4
         c3_idx = tree.parents[c4_idx]
@@ -101,7 +112,7 @@ def score_raw(
             stats.walks_len4,
             stats.node_count,
         )
-    return ScoredTree(tree=tree, raw=raw)
+    return ScoredTree(tree=tree, raw=raw, raw5=raw5)
 
 
 def sibling_softmax(st: ScoredTree) -> ScoredTree:
@@ -121,15 +132,34 @@ def sibling_softmax(st: ScoredTree) -> ScoredTree:
             shifted = np.exp(child_raw - np.repeat(group_max, sizes))
         group_sum = np.add.reduceat(shifted, starts - k)
         n_score[k:] = shifted / np.repeat(group_sum, sizes)
-    return replace(st, n_score=n_score)
+    # level 5 by value: a node's runs hold its distinct raws, the largest first
+    l5 = tree.level5
+    sum5 = np.zeros(l5.count.size)
+    if l5.run_pos.size:  # most forests of a short context stop above level 4
+        has = np.flatnonzero(l5.count)
+        first, runs = l5.run_bounds[has], np.diff(l5.run_bounds)[has]
+        run_raw = st.raw5[l5.run_pos]
+        terms = l5.run_size * np.exp(run_raw - np.repeat(run_raw[first], runs))
+        sum5[has] = np.add.reduceat(terms, first)
+    return replace(st, n_score=n_score, sum5=sum5)
 
 
 def cumulative_score(st: ScoredTree) -> ScoredTree:
     """Bottom-up cumulative scores: leaves keep their normalized score,
     inner nodes add the mean of their top-two children."""
     assert st.n_score is not None, "sibling_softmax must run first"
-    tree = st.tree
+    tree, l5 = st.tree, st.tree.level5
     c_score = st.n_score.copy()
+    # a level-4 node's best child scores 1 / sum5; its second shares the
+    # first run's raw if that run holds two children, else has the next run's
+    if l5.run_pos.size:
+        has = np.flatnonzero(l5.count)
+        first, total = l5.run_bounds[has], st.sum5[has]
+        run_raw = st.raw5[l5.run_pos]
+        second = np.where(l5.run_size[first] >= 2, first, np.minimum(first + 1, run_raw.size - 1))
+        top1 = 1.0 / total
+        top2 = np.where(l5.count[has] >= 2, np.exp(run_raw[second] - run_raw[first]) / total, top1)
+        c_score[tree.first4 + has] += (top1 + top2) / 2.0
     # BFS order groups the inner nodes by level, and each level above the
     # deepest inner one has inner nodes; accumulate bottom-up
     inner = np.flatnonzero(tree.child_start < tree.child_end)

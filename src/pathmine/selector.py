@@ -35,21 +35,28 @@ class PathSelection:
 
 
 def top_children(st: ScoredTree, idx: int) -> list[int]:
-    """The node's (at most) two children with the highest cumulative
-    scores, best first, ties to the lower concept id."""
+    """The node's (at most) two children of levels 2-4 with the highest
+    cumulative scores, best first, ties to the lower concept id."""
     assert st.c_score is not None, "cumulative scores required"
     tree, c_score = st.tree, st.c_score
     lo, hi = int(tree.child_start[idx]), int(tree.child_end[idx])
     return sorted(range(lo, hi), key=lambda i: (-c_score[i], tree.concepts[i]))[:TOP_CHILDREN]
 
 
+def top_leaves(st: ScoredTree, idx: int) -> np.ndarray:
+    """Positions in ``level5`` of a level-4 node's (at most) two best
+    children: the first two it keeps, which rank by context count."""
+    return st.tree.level5_children(idx)[:TOP_CHILDREN]
+
+
 def select_paths(st: ScoredTree, root: int = 0) -> list[SelectedPath]:
     """Root-to-leaf paths of the kept subtree below the forest node ``root``.
 
-    Descending from the root, each node keeps its :func:`top_children`,
-    bounding the result at 16 full paths per tree.
+    Descending from the root, each node keeps its :func:`top_children`
+    (:func:`top_leaves` at level 4), bounding the result at 16 full paths
+    per tree.
     """
-    tree = st.tree
+    tree, l5 = st.tree, st.tree.level5
     paths: list[SelectedPath] = []
     # depth-first with an explicit stack: a recursive closure would form a
     # reference cycle holding the tree until the next full collection
@@ -58,7 +65,11 @@ def select_paths(st: ScoredTree, root: int = 0) -> list[SelectedPath]:
         idx, concepts, relations = stack.pop()
         kept = top_children(st, idx)
         if not kept:
-            if len(concepts) >= 2:
+            leaves = top_leaves(st, idx)  # a level-4 node's children are not in the arrays
+            if leaves.size:
+                for c, r in zip(l5.concepts[leaves].tolist(), l5.rels[leaves].tolist()):
+                    paths.append(SelectedPath(tuple(concepts + [c]), tuple(relations + [r])))
+            elif len(concepts) >= 2:
                 paths.append(SelectedPath(tuple(concepts), tuple(relations)))
             continue
         for child in reversed(kept):  # reversed, so the best child pops first

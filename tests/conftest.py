@@ -114,6 +114,50 @@ def random_multigraph(
     return graph_from_triples(triples, extra_concepts=names)
 
 
+def regrown(tree: pathmine.PathTree, scored: pathmine.ScoredTree | None = None):
+    """``tree`` with every kept level-5 child re-grown, through
+    ``level5_children``, into the arrays: level 5 follows level 4 in parent
+    order, so the order stays breadth-first.  With ``scored``, also a
+    ``ScoredTree`` of the same nodes' raw, normalized and cumulative
+    scores (a level-5 leaf's cumulative score is its normalized one)."""
+    idx4 = [int(i) for i in tree.level_indices(4)]
+    if scored is None:
+        parts = [(tree.level5_children(i),) for i in idx4]
+    else:
+        parts = [scored.level5_scores(i) for i in idx4]
+    pos = np.concatenate([np.zeros(0, dtype=np.int64)] + [p[0] for p in parts])
+    sizes = [len(p[0]) for p in parts]
+    full = pathmine.PathTree(
+        np.concatenate([tree.concepts, tree.level5.concepts[pos]]),
+        np.concatenate([tree.parents, np.repeat(np.asarray(idx4, dtype=np.int64), sizes)]),
+        np.concatenate([tree.rels, tree.level5.rels[pos]]),
+        np.concatenate([tree.levels, np.full(pos.size, 5, dtype=np.int8)]),
+    )
+    if scored is None:
+        return full
+    raw5, n5 = (np.concatenate([np.zeros(0)] + [p[k] for p in parts]) for k in (1, 2))
+    return full, pathmine.ScoredTree(
+        tree=full,
+        raw=np.concatenate([scored.raw, raw5]),
+        n_score=np.concatenate([scored.n_score, n5]),
+        c_score=None if scored.c_score is None else np.concatenate([scored.c_score, n5]),
+    )
+
+
+def children(tree: pathmine.PathTree, idx: int) -> list[int]:
+    """Array indices of a node's children, in order."""
+    return list(range(int(tree.child_start[idx]), int(tree.child_end[idx])))
+
+
+def path_to(tree: pathmine.PathTree, idx: int) -> list[int]:
+    """Concepts from the root down to node ``idx``."""
+    out = []
+    while idx >= 0:
+        out.append(int(tree.concepts[idx]))
+        idx = int(tree.parents[idx])
+    return out[::-1]
+
+
 # ---------------------------------------------------------------------------
 # oracles (edge-table based, no CSR indices)
 

@@ -42,6 +42,7 @@ from conftest import (
     story_dump_bytes,
     partner_count_oracle,
     random_multigraph,
+    regrown,
     walks_through_oracle,
 )
 
@@ -81,10 +82,11 @@ def test_criterion_2_cumulative_scoring_keeps_best_two():
     tree = build_tree([g.concept_id("lady")], pair, g)
     st = score_tree(tree, pair, g, stats)
 
-    mother = tree.root.children[0]
-    assert g.surfaces[mother.concept] == "mother"
-    ranked = sorted(mother.children, key=lambda n: (-st.c_of(n), n.concept))
-    kept = {g.surfaces[n.concept] for n in ranked[:2]}
+    mother = int(tree.child_start[0])
+    assert g.surfaces[tree.concepts[mother]] == "mother"
+    kids = range(tree.child_start[mother], tree.child_end[mother])
+    ranked = sorted(kids, key=lambda i: (-st.c_score[i], tree.concepts[i]))
+    kept = {g.surfaces[tree.concepts[i]] for i in ranked[:2]}
     assert kept == {"daughter", "married"}
 
     paths = select_paths(st)
@@ -153,6 +155,10 @@ def test_criterion_4_score_invariants_over_generated_trees():
     trees = 0
     for g, tree, st in _tree_ensemble(1000):
         trees += 1
+        # level 5 re-grown as nodes, with the scores its summary gives them
+        full, st = regrown(tree, st)
+        assert tree.sizes().sum() == full.node_count
+        tree = full
         # sibling groups sum to one
         for idx in range(tree.node_count):
             lo = int(tree.child_start[idx])

@@ -353,6 +353,14 @@ class TestPersistence:
         columns = np.frombuffer(edges, "<i4").reshape(3, -1)
         assert [tuple(map(int, edge)) for edge in columns.T] == edge_table(story_graph)
 
+    def test_loaded_columns_hold_no_file_bytes(self, story_blob):
+        # views into the read buffer would keep the whole file alive
+        g, _ = load_index(io.BytesIO(story_blob))
+        for column in (g.edge_start, g.edge_rel, g.edge_end):
+            while isinstance(column.base, np.ndarray):
+                column = column.base
+            assert column.base is None and column.nbytes == 12 * g.edge_count
+
     def test_save_refuses_stats_of_another_graph(self, tmp_path):
         g = graph_from_triples([("a", "IsA", "b"), ("b", "IsA", "c")])
         path = tmp_path / "g.idx"

@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from contextlib import redirect_stderr
 from unittest import mock
@@ -36,6 +37,7 @@ from conftest import (
     STORY_QUERY,
     STORY_TRUNCATION,
     random_multigraph,
+    regrown,
     story_dump_bytes,
     write_defective_index,
 )
@@ -125,6 +127,24 @@ class TestExtractor:
         assert bad.id is None and bad.paths == []
         assert bad.error.startswith("bad request: ")
         assert good.error is None and good.paths
+
+    def test_multi_megabyte_lines_stay_bounded(self, story_extractor):
+        # every token of a request is a Python string (about 50 bytes each);
+        # nothing else may grow faster than the line
+        words = ["lady", "church", "house", "child", "mother", "person"] + ["understanding"] * 30
+        context = " ".join(np.random.default_rng(5).choice(words, size=200_000))
+        valid = json.dumps({"id": "big", "context": context, "query": STORY_QUERY})
+        malformed = valid[:-1]  # the closing brace is missing
+        assert len(valid) > 2_000_000
+        tracemalloc.start()
+        try:
+            good, bad = run_batch(story_extractor, [valid, malformed])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert good.error is None and good.paths and good.stats["full_paths"] > 0
+        assert bad.error.startswith("bad request:") and not bad.paths
+        assert peak < 10 * len(valid)
 
     def test_worker_counts_agree_byte_for_byte(self, story_extractor):
         lines = [
@@ -459,12 +479,11 @@ class TestExplain:
         scored = analyses[0].scored
         g = story_extractor.graph
         for node_idx in tree.level_indices(2):
-            node = tree.node(int(node_idx))
-            expected = f"n={scored.n_of(node):.6f}"
+            expected = f"n={scored.n_score[node_idx]:.6f}"
             line = next(
                 ln
                 for ln in text.splitlines()
-                if ln.strip().startswith(g.surfaces[node.concept] + " ")
+                if ln.strip().startswith(g.surfaces[tree.concepts[node_idx]] + " ")
             )
             assert expected in line
 
@@ -491,7 +510,9 @@ class TestExplain:
             analyses = extractor.analyze(context, query)
             forests += len(analyses) > 1
             for analysis in analyses:
-                tree, c_score, root = analysis.tree, analysis.scored.c_score, analysis.root
+                # level 5 re-grown as nodes, with the scores its summary gives them
+                tree, scored = regrown(analysis.tree, analysis.scored)
+                c_score, root = scored.c_score, analysis.root
                 on_paths = set()
                 for path in analysis.selection.full_paths:
                     idx = root

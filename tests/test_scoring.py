@@ -25,9 +25,12 @@ from pathmine.tree import PathTree, BuildConfig
 from conftest import (
     STORY_CONTEXT,
     STORY_QUERY,
+    children,
     npmi_oracle,
+    path_to,
     probabilities_oracle,
     random_multigraph,
+    regrown,
 )
 
 
@@ -120,12 +123,12 @@ class TestRawScore:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
         stats = WalkStats.from_graph(story_graph)
-        st = score_raw(tree, pair, story_graph, stats)
-        grounded = [tree.node(i) for i in range(1, tree.node_count) if tree.levels[i] != 4]
-        assert {node.level for node in grounded} == {2, 3, 5}
-        for node in grounded:
-            expected = pair.context_mentions.count(node.concept) / pair.context_mentions.source_len
-            assert st.raw_of(node) == pytest.approx(expected)
+        tree, st = regrown(tree, sibling_softmax(score_raw(tree, pair, story_graph, stats)))
+        grounded = [i for i in range(1, tree.node_count) if tree.levels[i] != 4]
+        assert {int(tree.levels[i]) for i in grounded} == {2, 3, 5}
+        for i in grounded:
+            expected = pair.context_mentions.count(int(tree.concepts[i])) / pair.context_mentions.source_len
+            assert st.raw[i] == pytest.approx(expected)
 
     def test_level_four_uses_association_score(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
@@ -133,8 +136,7 @@ class TestRawScore:
         stats = WalkStats.from_graph(story_graph)
         st = score_raw(tree, pair, story_graph, stats)
         for node in tree.level_indices(4):
-            view = tree.node(int(node))
-            path = view.path_concepts()
+            path = path_to(tree, int(node))
             assert st.raw[int(node)] == pytest.approx(
                 npmi_oracle(story_graph, *path), rel=1e-9
             )
@@ -154,7 +156,7 @@ class TestRawScore:
             for tree in (built, _random_path_tree(rng, g.node_count)):
                 st = score_raw(tree, pair, g, stats)
                 for idx in tree.level_indices(4):
-                    want = npmi(*tree.node(int(idx)).path_concepts(), g, stats)
+                    want = npmi(*path_to(tree, int(idx)), g, stats)
                     assert st.raw[idx] == want
                     sentinels += want == SCORE_SENTINEL
                     scored += 1
@@ -175,10 +177,10 @@ class TestRawScore:
 
 
 def _random_path_tree(rng, node_count: int) -> PathTree:
-    """Five levels of random concepts, so most fourth hops are not edges."""
+    """Four levels of random concepts, so most fourth hops are not edges."""
     concepts, parents, levels = [int(rng.integers(node_count))], [-1], [1]
     frontier = [0]
-    for level in range(2, 6):
+    for level in range(2, 5):
         nxt = []
         for parent in frontier:
             for _ in range(int(rng.integers(0, 4))):
@@ -230,25 +232,24 @@ class TestSiblingSoftmax:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         stats = WalkStats.from_graph(story_graph)
         tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
-        st = sibling_softmax(score_raw(tree, pair, story_graph, stats))
+        tree, st = regrown(tree, sibling_softmax(score_raw(tree, pair, story_graph, stats)))
+        assert tree.level_indices(5).size
         for idx in range(tree.node_count):
-            node = tree.node(idx)
-            if node.children:
-                total = sum(st.n_of(c) for c in node.children)
+            if children(tree, idx):
+                total = sum(st.n_score[c] for c in children(tree, idx))
                 assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def _cumulative_oracle(st: ScoredTree):
-    """Plain recursive recomputation over the node view API."""
+    """Plain recursive recomputation over each node's children."""
     tree = st.tree
 
     def c_of(idx: int) -> float:
-        node = tree.node(idx)
         n = float(st.n_score[idx])
-        kids = node.children
+        kids = children(tree, idx)
         if not kids:
             return n
-        child_scores = sorted((c_of(k.index) for k in kids), reverse=True)
+        child_scores = sorted((c_of(k) for k in kids), reverse=True)
         return n + sum(child_scores[:2]) / len(child_scores[:2])
 
     return c_of
@@ -259,9 +260,9 @@ class TestCumulativeScore:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         stats = WalkStats.from_graph(story_graph)
         tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
-        st = score_tree(tree, pair, story_graph, stats)
+        tree, st = regrown(tree, score_tree(tree, pair, story_graph, stats))
         for idx in range(tree.node_count):
-            if not tree.node(idx).children:
+            if not children(tree, idx):
                 assert st.c_score[idx] == st.n_score[idx]
 
     def test_top_two_mean_excludes_weakest(self):
@@ -311,7 +312,7 @@ class TestCumulativeScore:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         stats = WalkStats.from_graph(story_graph)
         tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
-        st = score_tree(tree, pair, story_graph, stats)
+        tree, st = regrown(tree, score_tree(tree, pair, story_graph, stats))
         oracle = _cumulative_oracle(st)
         for idx in range(tree.node_count):
             assert st.c_score[idx] == pytest.approx(oracle(idx), abs=1e-9)
@@ -323,13 +324,13 @@ class TestCumulativeScore:
         stats = WalkStats.from_graph(story_graph)
         tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
         st = score_tree(tree, pair, story_graph, stats)
-        by_surface = {story_graph.surfaces[n.concept]: n for n in tree.root.children}
+        by_surface = {story_graph.surfaces[tree.concepts[i]]: i for i in children(tree, 0)}
         # softmax over raw TFs (2/35, 2/35, 1/35), recomputed with plain math
         tf = [2 / 35, 2 / 35, 1 / 35]
         exps = [math.exp(x - max(tf)) for x in tf]
         want = [e / sum(exps) for e in exps]
-        assert st.n_of(by_surface["church"]) == pytest.approx(want[0], abs=1e-12)
-        assert st.n_of(by_surface["person"]) == pytest.approx(want[2], abs=1e-12)
+        assert st.n_score[by_surface["church"]] == pytest.approx(want[0], abs=1e-12)
+        assert st.n_score[by_surface["person"]] == pytest.approx(want[2], abs=1e-12)
 
     def test_random_trees_match_recursive_recomputation(self):
         rng = np.random.default_rng(53)
@@ -342,7 +343,7 @@ class TestCumulativeScore:
                 continue
             stats = WalkStats.from_graph(g)
             tree = build_tree([pair.query_concepts[0]], pair, g)
-            st = score_tree(tree, pair, g, stats)
+            tree, st = regrown(tree, score_tree(tree, pair, g, stats))
             oracle = _cumulative_oracle(st)
             for idx in range(tree.node_count):
                 assert st.c_score[idx] == pytest.approx(oracle(idx), abs=1e-9)
@@ -352,7 +353,7 @@ class TestCumulativeScore:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         stats = WalkStats.from_graph(story_graph)
         tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
-        st = score_tree(tree, pair, story_graph, stats)
+        tree, st = regrown(tree, score_tree(tree, pair, story_graph, stats))
         internal = tree.child_start < tree.child_end
         assert np.all(st.c_score[internal] > st.n_score[internal])
 
@@ -365,10 +366,8 @@ class TestRankMonotonicity:
             pair = ground_pair(context, STORY_QUERY, story_graph)
             tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
             st = sibling_softmax(score_raw(tree, pair, story_graph, stats))
-            siblings = sorted(
-                tree.root.children, key=lambda n: (-st.n_of(n), n.concept)
-            )
-            return [story_graph.surfaces[n.concept] for n in siblings].index(surface)
+            siblings = sorted(children(tree, 0), key=lambda i: (-st.n_score[i], tree.concepts[i]))
+            return [story_graph.surfaces[tree.concepts[i]] for i in siblings].index(surface)
 
         for surface in ("church", "person"):
             base = rank_of(STORY_CONTEXT, surface)

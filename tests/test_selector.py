@@ -24,7 +24,7 @@ from pathmine.scoring import ScoredTree, sibling_softmax, cumulative_score
 from pathmine.selector import SelectedPath
 from pathmine.tree import PathTree
 
-from conftest import STORY_CONTEXT, STORY_QUERY, random_multigraph
+from conftest import STORY_CONTEXT, STORY_QUERY, children, random_multigraph, regrown
 
 
 @pytest.fixture()
@@ -136,28 +136,23 @@ class TestSelectPaths:
 
     def test_kept_children_have_maximal_scores(self, story_scored):
         _, st = story_scored
-        tree = st.tree
         paths = select_paths(st)
+        # level 5 re-grown as nodes, with the scores its summary gives them
+        tree, st = regrown(st.tree, st)
         kept_nodes = set()
         for p in paths:
             idx = 0
             kept_nodes.add(0)
             for concept in p.concepts[1:]:
-                idx = next(
-                    c.index
-                    for c in tree.node(idx).children
-                    if c.concept == concept
-                )
+                idx = next(c for c in children(tree, idx) if tree.concepts[c] == concept)
                 kept_nodes.add(idx)
+        assert tree.levels[sorted(kept_nodes)].max() == 5
         for idx in sorted(kept_nodes):
-            node = tree.node(idx)
-            kids = node.children
+            kids = children(tree, idx)
             if not kids:
                 continue
-            ranked = sorted(kids, key=lambda c: (-st.c_of(c), c.concept))
-            expected = {c.index for c in ranked[:2]}
-            got = {c.index for c in kids if c.index in kept_nodes}
-            assert got == expected
+            ranked = sorted(kids, key=lambda c: (-st.c_score[c], tree.concepts[c]))
+            assert {c for c in kids if c in kept_nodes} == set(ranked[:2])
 
 
     def test_tree_freed_without_cycle_collection(self, story_graph):

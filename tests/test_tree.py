@@ -10,7 +10,6 @@ from pathmine import (
     PathmineError,
     WalkStats,
     build_tree,
-    enumerate_levels,
     graph_from_triples,
     ground_pair,
     realize_selection,
@@ -19,11 +18,11 @@ from pathmine import (
     tree as tree_module,
 )
 
-from conftest import STORY_CONTEXT, STORY_QUERY, random_multigraph
+from conftest import STORY_CONTEXT, STORY_QUERY, children, path_to, random_multigraph, regrown
 
 
-def _surfaces(g, nodes):
-    return [g.surfaces[n.concept] for n in nodes]
+def _surfaces(g, tree, nodes):
+    return [g.surfaces[int(tree.concepts[i])] for i in nodes]
 
 
 @pytest.fixture()
@@ -36,51 +35,53 @@ def story_tree(story_graph):
 class TestStoryTree:
     def test_level_two_children(self, story_tree):
         g, _, tree = story_tree
-        assert _surfaces(g, tree.root.children) == ["church", "mother", "person"]
+        assert _surfaces(g, tree, children(tree, 0)) == ["church", "mother", "person"]
 
     def test_known_branches_present(self, story_tree):
         g, _, tree = story_tree
-        by_surface = {g.surfaces[n.concept]: n for n in enumerate_levels(tree, 2)}
-        assert _surfaces(g, by_surface["mother"].children) == ["daughter"]
-        house = by_surface["church"].children[0]
-        assert g.surfaces[house.concept] == "house"
-        child = house.children[0]
-        assert g.surfaces[child.concept] == "child"
-        assert child.level == 4
-        assert "their" in _surfaces(g, child.children)
+        full = regrown(tree)
+        by_surface = {g.surfaces[full.concepts[i]]: int(i) for i in full.level_indices(2)}
+        assert _surfaces(g, full, children(full, by_surface["mother"])) == ["daughter"]
+        house = children(full, by_surface["church"])[0]
+        assert g.surfaces[full.concepts[house]] == "house"
+        child = children(full, house)[0]
+        assert g.surfaces[full.concepts[child]] == "child"
+        assert full.levels[child] == 4
+        assert "their" in _surfaces(g, full, children(full, child))
 
     def test_roots_relation_is_none(self, story_tree):
         _, _, tree = story_tree
-        assert tree.root.incoming_relation is None
-        assert tree.root.level == 1
-        for node in enumerate_levels(tree, 2):
-            assert node.incoming_relation is not None
+        assert tree.rels[0] == -1 and tree.levels[0] == 1
+        full = regrown(tree)
+        assert (full.rels[1:] >= 0).all()
 
     def test_grounded_levels_are_context_members(self, story_tree):
         _, pair, tree = story_tree
+        full = regrown(tree)
         for level in (2, 3, 5):
-            for node in enumerate_levels(tree, level):
-                assert pair.context_mentions.count(node.concept) > 0
+            assert full.level_indices(level).size
+            for i in full.level_indices(level):
+                assert pair.context_mentions.count(int(full.concepts[i])) > 0
 
     def test_level_four_is_graph_neighbor_of_parent(self, story_tree):
         g, _, tree = story_tree
-        for node in enumerate_levels(tree, 4):
-            assert g.edges_between(node.parent.concept, node.concept)
+        for i in tree.level_indices(4):
+            assert g.edges_between(int(tree.concepts[tree.parents[i]]), int(tree.concepts[i]))
 
     def test_no_path_repeats_a_concept(self, story_tree):
         _, _, tree = story_tree
-        for level in range(1, 6):
-            for node in enumerate_levels(tree, level):
-                path = node.path_concepts()
-                assert len(path) == len(set(path))
+        full = regrown(tree)
+        for i in range(full.node_count):
+            path = path_to(full, i)
+            assert len(path) == len(set(path))
 
 
 class TestDegenerateTrees:
     def test_query_concept_with_no_context_link(self, story_graph):
         pair = ground_pair("nothing relevant here", "lady", story_graph)
         tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
-        assert tree.node_count == 1
-        assert tree.root.children == []
+        assert tree.node_count == 1 and tree.sizes().tolist() == [1]
+        assert children(tree, 0) == []
 
     def test_branch_truncated_at_level_four(self):
         # child has no context-grounded continuation: branch kept as a leaf
@@ -93,10 +94,11 @@ class TestDegenerateTrees:
         )
         pair = ground_pair("mother daughter story", "the lady", g)
         tree = build_tree([g.concept_id("lady")], pair, g)
-        level4 = enumerate_levels(tree, 4)
-        assert [g.surfaces[n.concept] for n in level4] == ["child"]
-        assert level4[0].children == []
-        assert enumerate_levels(tree, 5) == []
+        level4 = tree.level_indices(4)
+        assert _surfaces(g, tree, level4) == ["child"]
+        assert tree.level5_children(int(level4[0])).size == 0
+        assert tree.level5.count.tolist() == [0]
+        assert regrown(tree).level_indices(5).size == 0
 
     def test_unknown_root_raises(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
@@ -112,14 +114,13 @@ class TestDegenerateTrees:
 class TestEnumerateLevels:
     def test_level_one_is_root(self, story_tree):
         _, _, tree = story_tree
-        nodes = enumerate_levels(tree, 1)
-        assert len(nodes) == 1 and nodes[0] == tree.root
+        assert tree.level_indices(1).tolist() == [0]
 
     def test_out_of_range(self, story_tree):
         _, _, tree = story_tree
         for level in (0, 6):
             with pytest.raises(ValueError):
-                enumerate_levels(tree, level)
+                tree.level_indices(level)
 
     def test_level_counts_bounded_by_branching(self):
         rng = np.random.default_rng(23)
@@ -130,9 +131,9 @@ class TestEnumerateLevels:
             pair = ground_pair(" ".join(names), names[0], g)
             if not pair.query_concepts:
                 continue
-            tree = build_tree([pair.query_concepts[0]], pair, g, cfg)
+            tree = regrown(build_tree([pair.query_concepts[0]], pair, g, cfg))
             for level in range(1, 6):
-                assert len(enumerate_levels(tree, level)) <= 3 ** (level - 1)
+                assert len(tree.level_indices(level)) <= 3 ** (level - 1)
 
 
 def build_reference(g, pair, root: int, cap: int):
@@ -178,7 +179,7 @@ class TestCapOracle:
             if not pair.query_concepts:
                 continue
             root = pair.query_concepts[0]
-            tree = build_tree([root], pair, g, BuildConfig(max_children_per_node=cap))
+            tree = regrown(build_tree([root], pair, g, BuildConfig(max_children_per_node=cap)))
             *want, cut = build_reference(g, pair, root, cap)
             got = (tree.concepts, tree.parents, tree.rels, tree.levels)
             assert [a.tolist() for a in got] == want
@@ -190,8 +191,8 @@ class TestCapOracle:
 class TestDeterminismAndMonotonicity:
     def test_rebuild_identical(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
-        t1 = build_tree([story_graph.concept_id("lady")], pair, story_graph)
-        t2 = build_tree([story_graph.concept_id("lady")], pair, story_graph)
+        t1 = regrown(build_tree([story_graph.concept_id("lady")], pair, story_graph))
+        t2 = regrown(build_tree([story_graph.concept_id("lady")], pair, story_graph))
         assert np.array_equal(t1.concepts, t2.concepts)
         assert np.array_equal(t1.parents, t2.parents)
         assert np.array_equal(t1.rels, t2.rels)
@@ -212,7 +213,7 @@ class TestDeterminismAndMonotonicity:
             if not pair.query_concepts:
                 continue
             root_surface = g.surfaces[pair.query_concepts[0]]
-            tree = build_tree([pair.query_concepts[0]], pair, g, cfg)
+            tree = regrown(build_tree([pair.query_concepts[0]], pair, g, cfg))
             nodes_before = {
                 (int(lvl), g.surfaces[int(c)]) for c, lvl in zip(tree.concepts, tree.levels)
             }
@@ -223,7 +224,7 @@ class TestDeterminismAndMonotonicity:
                 extra_concepts=[g.surfaces[i] for i in range(g.node_count)],
             )
             pair2 = ground_pair(context, root_surface, g2)
-            tree2 = build_tree([g2.concept_id(root_surface)], pair2, g2, cfg)
+            tree2 = regrown(build_tree([g2.concept_id(root_surface)], pair2, g2, cfg))
             nodes_after = {
                 (int(lvl), g2.surfaces[int(c)]) for c, lvl in zip(tree2.concepts, tree2.levels)
             }
@@ -235,7 +236,7 @@ class TestDeterminismAndMonotonicity:
         # church and mother appear twice in context, person once: cap at 2 drops person
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, g)
         tree = build_tree([g.concept_id("lady")], pair, g, cfg)
-        assert _surfaces(g, tree.root.children) == ["church", "mother"]
+        assert _surfaces(g, tree, children(tree, 0)) == ["church", "mother"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -264,38 +265,42 @@ class TestForest:
             forest = build_tree(pair.query_concepts, pair, g, cfg)
             scored = score_tree(forest, pair, g, stats)
             assert forest.root_count == len(pair.query_concepts)
-            root_of = forest.root_of()
+            full, full_scored = regrown(forest, scored)
+            root_of = full.root_of()
+            assert forest.sizes().tolist() == np.bincount(root_of).tolist()
             for r, c1 in enumerate(pair.query_concepts):
                 single = build_tree([c1], pair, g, cfg)
                 alone = score_tree(single, pair, g, stats)
+                assert single.sizes().tolist() == [forest.sizes()[r]]
+                select_want = select_paths(alone), realize_selection(alone, g, np.random.default_rng([7, r]))
+                single, alone = regrown(single, alone)
                 sub = np.flatnonzero(root_of == r)
                 # the subtree's nodes, in forest order, are the single tree's
-                assert forest.concepts[sub].tolist() == single.concepts.tolist()
-                assert forest.rels[sub].tolist() == single.rels.tolist()
-                assert forest.levels[sub].tolist() == single.levels.tolist()
-                parents = np.where(sub == r, -1, sub.searchsorted(forest.parents[sub]))
+                assert full.concepts[sub].tolist() == single.concepts.tolist()
+                assert full.rels[sub].tolist() == single.rels.tolist()
+                assert full.levels[sub].tolist() == single.levels.tolist()
+                parents = np.where(sub == r, -1, sub.searchsorted(full.parents[sub]))
                 assert parents.tolist() == single.parents.tolist()
                 for name in ("raw", "n_score", "c_score"):
-                    assert getattr(scored, name)[sub].tolist() == getattr(alone, name).tolist(), name
-                assert select_paths(scored, r) == select_paths(alone)
-                got = realize_selection(scored, g, np.random.default_rng([7, r]), r)
-                want = realize_selection(alone, g, np.random.default_rng([7, r]))
-                assert got == want
+                    assert getattr(full_scored, name)[sub].tolist() == getattr(alone, name).tolist(), name
+                assert select_paths(scored, r) == select_want[0]
+                assert realize_selection(scored, g, np.random.default_rng([7, r]), r) == select_want[1]
                 deep += bool((single.levels == 5).any())
             forests += forest.root_count > 1
         assert deep > 10
 
     def test_one_root_forest_is_the_single_tree(self, story_tree):
         g, pair, tree = story_tree
-        assert tree.root_count == 1 and tree.root.level == 1
+        assert tree.root_count == 1 and tree.levels[0] == 1
         assert tree.root_of().tolist() == [0] * tree.node_count
+        assert tree.sizes().tolist() == [regrown(tree).node_count]
 
     def test_roots_come_first_in_query_order(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, "church lady", story_graph)
         forest = build_tree(pair.query_concepts, pair, story_graph)
-        roots = [forest.node(i) for i in range(forest.root_count)]
-        assert [story_graph.surfaces[n.concept] for n in roots] == ["church", "lady"]
-        assert all(n.level == 1 and n.parent is None for n in roots)
+        roots = range(forest.root_count)
+        assert _surfaces(story_graph, forest, roots) == ["church", "lady"]
+        assert all(forest.levels[i] == 1 and forest.parents[i] == -1 for i in roots)
 
     def test_no_roots_rejected(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
