@@ -12,7 +12,10 @@ stored edge incident to ``u`` (a self-loop twice), sorted by
 Multiplicities are counted for aligned ``(a, b)`` arrays, so one call
 scores every fourth hop of a tree.  Expansion returns each parent's
 candidates ranked by (score desc, concept asc), so a cap keeps a prefix;
-the level-5 lists are ranked the same way, from the context side.
+the level-5 lists are ranked the same way, from the context side.  Each
+distinct concept's ranked list is cut to a limit before it is copied to
+its parents, so the copies number at most ``parents * limit`` however
+long the rows are.
 """
 
 from __future__ import annotations
@@ -128,13 +131,16 @@ def association_scores(indptr, dst, nbh_counts, c1, c2, c3, c4s, walks3, walks4,
 # candidate expansion: deduplicated neighbors per parent node
 
 
-def expand_candidates(parents, ancestors, indptr, dst, rel, allowed, scores):
+def expand_candidates(parents, ancestors, indptr, dst, rel, allowed, scores, limit):
     """Per-parent deduplicated neighbor concepts with their minimal relation id.
 
     ``ancestors`` is (len(parents), depth) int32, padded with -1; candidates
     appearing there are excluded, as are concepts where ``allowed`` is False
     or zero (``None`` keeps every concept).  ``scores`` holds a non-negative
-    integer rank score per concept.
+    integer rank score per concept.  Each concept's ranked list is cut to
+    its first ``limit`` entries before the ancestors are dropped, so a
+    parent gets at most ``limit`` candidates, and the copies to parents
+    take memory in the output's size, not the rows'.
     Returns (flat candidates, flat min relation ids, offsets of len parents+1);
     each parent's slice is sorted by (score desc, concept asc).
     """
@@ -156,9 +162,12 @@ def expand_candidates(parents, ancestors, indptr, dst, rel, allowed, scores):
     score = scores[nbr]
     top = int(score.max()) if score.size else 0
     order = np.argsort(seg * (top + 1) + (top - score), kind="stable")
+    # then keep each list's first ``limit`` entries
+    sizes = np.bincount(seg, minlength=concepts.size)
+    order = order[np.arange(order.size) - (sizes.cumsum() - sizes).repeat(sizes) < limit]
     nbr, rel = nbr[order], rel[order]
     concept_offsets = np.zeros(concepts.size + 1, dtype=np.int64)
-    np.bincount(seg, minlength=concepts.size).cumsum(out=concept_offsets[1:])
+    np.minimum(sizes, limit).cumsum(out=concept_offsets[1:])
 
     # copy each concept's list to its parents, then drop the parent's
     # ancestors; dropping keeps the rank order

@@ -52,6 +52,8 @@ class Config:
             # bool is an int subclass, but never a valid count or seed
             if isinstance(value, bool) or not isinstance(value, hint):
                 raise ValueError(f"{name} must be {getattr(hint, '__name__', hint)}, got {value!r}")
+        if not self.lang:
+            raise ValueError("lang must be non-empty")
         if self.max_ngram < 1:
             raise ValueError("max_ngram must be >= 1")
         if self.max_total_paths is not None and self.max_total_paths < 0:

@@ -36,17 +36,16 @@ from .kg import KnowledgeGraph
 
 MAX_LEVEL = 5
 
-# keep per-level candidate memory bounded when expanding huge frontiers
-_EXPAND_CHUNK_BUDGET = 1 << 23
-
 
 @dataclass(frozen=True)
 class BuildConfig:
     max_children_per_node: int = 100
 
     def __post_init__(self):
-        if self.max_children_per_node < 2:
-            raise ValueError("max_children_per_node must be >= 2")
+        # the cap plus a path's four concepts must fit in int64; a cap of
+        # 2**62 already keeps every child
+        if not 2 <= self.max_children_per_node <= 2**62:
+            raise ValueError("max_children_per_node must be in 2..2**62")
 
 
 @dataclass(frozen=True)
@@ -178,46 +177,25 @@ def build_tree(
     ancestors[:, 0] = frontier
     next_index = k
 
+    cap = cfg.max_children_per_node
     for level in range(2, MAX_LEVEL):
-        if frontier.size == 0:
-            break
         # grounded levels rank by context term frequency and keep only
         # context concepts (a nonzero count); level 4 ranks by degree and
         # keeps every concept
         allowed, scores = (ctx_counts, ctx_counts) if level != 4 else (None, g.degrees)
-
-        cum = np.cumsum(g.degrees[frontier])
-        total = int(cum[-1]) if cum.size else 0
-        if total <= _EXPAND_CHUNK_BUDGET:
-            bounds = [0, int(frontier.size)]
-        else:
-            targets = np.arange(1, total // _EXPAND_CHUNK_BUDGET + 1) * _EXPAND_CHUNK_BUDGET
-            cuts = np.searchsorted(cum, targets, side="left") + 1
-            bounds = sorted({0, int(frontier.size), *cuts.tolist()})
-
-        cand_parts, rel_parts, seg_parts = [], [], []
-        for start, stop in zip(bounds[:-1], bounds[1:]):
-            cand, minrel, offsets = kernels.expand_candidates(
-                frontier[start:stop],
-                ancestors[start:stop],
-                g.adj_indptr,
-                g.adj_dst,
-                g.adj_rel,
-                allowed,
-                scores,
-            )
-            sizes = np.diff(offsets)
-            seg = np.arange(sizes.size, dtype=np.int64).repeat(sizes)
-            # each parent's slice arrives ranked by (score desc, concept
-            # asc), so the cap keeps its first positions
-            if sizes.max() > cfg.max_children_per_node:
-                kept = np.arange(cand.size) - offsets[seg] < cfg.max_children_per_node
-                cand, minrel, seg = cand[kept], minrel[kept], seg[kept]
-            cand_parts.append(cand)
-            rel_parts.append(minrel)
-            seg_parts.append(seg + start)
-
-        cand, minrel, seg = map(np.concatenate, (cand_parts, rel_parts, seg_parts))
+        # a parent drops at most the four concepts of its path from its
+        # concept's ranked list, so its kept children are among the first
+        # ``cap + 4``
+        cand, minrel, offsets = kernels.expand_candidates(
+            frontier, ancestors, g.adj_indptr, g.adj_dst, g.adj_rel, allowed, scores, cap + 4
+        )
+        sizes = np.diff(offsets)
+        seg = np.arange(sizes.size, dtype=np.int64).repeat(sizes)
+        # each parent's slice arrives ranked by (score desc, concept asc),
+        # so the cap keeps its first positions
+        if sizes.max() > cap:
+            kept = np.arange(cand.size) - offsets[seg] < cap
+            cand, minrel, seg = cand[kept], minrel[kept], seg[kept]
         if cand.size == 0:
             break
 
@@ -237,7 +215,7 @@ def build_tree(
     level5 = None
     if len(concepts) == 4:  # the frontier is level 4, and ``ancestors`` its paths
         upper = np.concatenate(concepts[:2])
-        level5 = _level5(ancestors, upper, gp.context_mentions.mentions, g, cfg.max_children_per_node)
+        level5 = _level5(ancestors, upper, gp.context_mentions.mentions, g, cap)
     return PathTree(
         np.concatenate(concepts),
         np.concatenate(parents),

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from pathmine import PathmineError, WalkStats, build_tree, graph_from_triples, ground_pair, kernels, tree
+from pathmine import PathmineError, WalkStats, graph_from_triples, kernels
 
 from conftest import multiplicity_oracle, partner_count_oracle, random_multigraph, story_dump_bytes
 
@@ -24,23 +24,25 @@ def _graphs(seed: int, count: int):
 # candidate expansion
 
 
-def expand_reference(g, parents, ancestors, allowed, scores):
+def expand_reference(g, parents, ancestors, allowed, scores, limit=None):
     """Per parent: neighbors() collapsed to the minimal relation, filtered,
-    then ranked by (score desc, concept asc)."""
+    ranked by (score desc, concept asc) and cut to ``limit``, less its
+    ancestors."""
     cand, minrel, offsets = [], [], [0]
     for p, node in enumerate(parents):
         best: dict[int, int] = {}
         for rel, c in g.neighbors(int(node)):
             best[c] = min(rel, best.get(c, rel))
-        kept = [c for c in best if (allowed is None or allowed[c]) and c not in ancestors[p]]
-        for c in sorted(kept, key=lambda c: (-int(scores[c]), c)):
-            cand.append(c)
-            minrel.append(best[c])
+        ranked = sorted((c for c in best if allowed is None or allowed[c]), key=lambda c: (-int(scores[c]), c))
+        for c in ranked[:limit]:
+            if c not in ancestors[p]:
+                cand.append(c)
+                minrel.append(best[c])
         offsets.append(len(cand))
     return cand, minrel, offsets
 
 
-def _expand(g, parents, ancestors, allowed, scores=None):
+def _expand(g, parents, ancestors, allowed, scores=None, limit=2**62):
     return kernels.expand_candidates(
         np.asarray(parents, dtype=np.int32),
         ancestors,
@@ -49,14 +51,15 @@ def _expand(g, parents, ancestors, allowed, scores=None):
         g.adj_rel,
         allowed,
         np.zeros(g.node_count, dtype=np.int64) if scores is None else scores,
+        limit,
     )
 
 
-def _assert_expand_matches(g, parents, ancestors, allowed, scores=None):
+def _assert_expand_matches(g, parents, ancestors, allowed, scores=None, limit=2**62):
     if scores is None:
         scores = np.zeros(g.node_count, dtype=np.int64)
-    cand, minrel, offsets = _expand(g, parents, ancestors, allowed, scores)
-    want = expand_reference(g, parents, ancestors.tolist(), allowed, scores)
+    cand, minrel, offsets = _expand(g, parents, ancestors, allowed, scores, limit)
+    want = expand_reference(g, parents, ancestors.tolist(), allowed, scores, limit)
     assert cand.dtype == np.int32 and minrel.dtype == np.int32 and offsets.dtype == np.int64
     assert (cand.tolist(), minrel.tolist(), offsets.tolist()) == want
 
@@ -74,6 +77,33 @@ class TestExpandCandidates:
             # few distinct values, so equal scores are common
             scores = rng.integers(0, 4, size=g.node_count)
             _assert_expand_matches(g, parents, ancestors, allowed, scores)
+
+    def test_limit_cuts_each_list_before_ancestors_drop(self):
+        rng = np.random.default_rng(13)
+        cut = inside = outside = 0
+        for g in _graphs(13, 40):
+            parents = rng.integers(0, g.node_count, size=12).astype(np.int32)
+            depth = int(rng.integers(1, 5))
+            ancestors = np.full((parents.size, 4), -1, dtype=np.int32)
+            ancestors[:, 0] = parents
+            # ancestors drawn among the parents' neighbours, so they fall
+            # both inside and outside the cut
+            for i, p in enumerate(parents):
+                nbrs = [c for _, c in g.neighbors(int(p))] or [int(p)]
+                ancestors[i, 1:depth] = rng.choice(nbrs, size=depth - 1)
+            allowed = rng.random(g.node_count) < 0.7 if rng.random() < 0.5 else None
+            scores = rng.integers(0, 4, size=g.node_count)
+            limit = int(rng.integers(1, 6))
+            _assert_expand_matches(g, parents, ancestors, allowed, scores, limit)
+            # each parent's whole ranked list, nothing dropped or cut
+            ranked, _, bounds = expand_reference(g, parents, [()] * parents.size, allowed, scores)
+            cut += max(np.diff(bounds)) > limit
+            for i in range(parents.size):
+                row = ranked[bounds[i] : bounds[i + 1]]
+                for a in set(ancestors[i, 1:depth].tolist()) & set(row):
+                    inside += row.index(a) < limit
+                    outside += row.index(a) >= limit
+        assert cut > 20 and inside > 20 and outside > 20
 
     def test_parallel_edges_keep_minimal_relation(self):
         g = graph_from_triples(
@@ -112,24 +142,6 @@ class TestExpandCandidates:
         cand, minrel, offsets = _expand(g, [], np.full((0, 4), -1, dtype=np.int32), None)
         assert cand.size == 0 and minrel.size == 0
         assert offsets.tolist() == [0]
-
-    def test_multi_chunk_tree_equals_single_chunk(self, monkeypatch):
-        rng = np.random.default_rng(8)
-        built = 0
-        for g in _graphs(8, 12):
-            names = [g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=30)]
-            pair = ground_pair(" ".join(names), names[0], g)
-            if not pair.query_concepts:
-                continue
-            root = pair.query_concepts[0]
-            whole = build_tree([root], pair, g)
-            monkeypatch.setattr(tree, "_EXPAND_CHUNK_BUDGET", 3)
-            chunked = build_tree([root], pair, g)
-            monkeypatch.undo()
-            for name in ("concepts", "parents", "rels", "levels"):
-                assert np.array_equal(getattr(whole, name), getattr(chunked, name)), name
-            built += whole.node_count > 1
-        assert built >= 5
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathmine import (
@@ -184,6 +184,12 @@ class TestConfig:
             Config(max_total_paths=-1)
         with pytest.raises(ValueError):
             Config(seed=-1)
+        with pytest.raises(ValueError):
+            Config(lang="")
+        # cap + 4 must fit in int64; 2**62 already keeps every child
+        with pytest.raises(ValueError):
+            Config(max_children_per_node=2**63)
+        assert Config(max_children_per_node=2**62).build.max_children_per_node == 2**62
 
     _values = st.one_of(
         st.none(),
@@ -210,6 +216,8 @@ class TestConfig:
     @settings(max_examples=150, deadline=None)
     @given(data=_files, seed=st.one_of(st.none(), st.integers(-2, 2**65)),
            max_total_paths=st.one_of(st.none(), st.integers(-2, 5)))
+    @example(data={"max_children_per_node": 2**62}, seed=None, max_total_paths=None)
+    @example(data={"max_children_per_node": 2**63}, seed=None, max_total_paths=None)
     def test_random_config_files_through_cli(self, shared_story_index, data, seed, max_total_paths):
         config_path = shared_story_index / "config.json"
         config_path.write_text(json.dumps(data))
@@ -244,6 +252,8 @@ class TestConfig:
         else:
             assert code == 0, err.getvalue()
             assert used == [expected]
+            lines = (shared_story_index / "out.jsonl").read_text().splitlines()
+            assert lines and all(json.loads(line)["error"] is None for line in lines)
 
 
 def _write_story_dump(tmp_path) -> str:
@@ -304,6 +314,12 @@ class TestCli:
         assert main(["build-index", dump, "-o", str(a)]) == 0
         assert main(["build-index", dump, "-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_empty_lang_is_usage_error(self, tmp_path, capsys):
+        dump = _write_story_dump(tmp_path)
+        assert main(["build-index", dump, "-o", str(tmp_path / "x.idx"), "--lang", ""]) == 1
+        assert capsys.readouterr().err.startswith("usage error: invalid config:")
+        assert not (tmp_path / "x.idx").exists()
 
     def test_usage_error_exit_code(self, capsys):
         assert main(["extract", "--nonsense"]) == 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from pathmine import (
     realize_selection,
     score_tree,
     select_paths,
-    tree as tree_module,
 )
 
 from conftest import STORY_CONTEXT, STORY_QUERY, children, path_to, random_multigraph, regrown
@@ -241,13 +242,12 @@ class TestDeterminismAndMonotonicity:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BuildConfig(max_children_per_node=1)
+        with pytest.raises(ValueError):
+            BuildConfig(max_children_per_node=2**62 + 1)
 
 
 class TestForest:
-    @pytest.mark.parametrize("budget", [None, 3], ids=["one_chunk", "many_chunks"])
-    def test_each_root_subtree_equals_its_single_tree(self, budget, monkeypatch):
-        if budget is not None:
-            monkeypatch.setattr(tree_module, "_EXPAND_CHUNK_BUDGET", budget)
+    def test_each_root_subtree_equals_its_single_tree(self):
         rng = np.random.default_rng(61)
         forests = deep = 0
         while forests < 30:
@@ -306,3 +306,26 @@ class TestForest:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         with pytest.raises(ValueError, match="at least one root"):
             build_tree([], pair, story_graph)
+
+    def test_shared_wide_concept_expands_in_bounded_memory(self):
+        # 50 roots reach one context concept through 2 context hubs: 100
+        # level-3 nodes share its 20 k-neighbour row, which the cap of 2
+        # cuts to 2 children each
+        roots = [f"q{i}" for i in range(50)]
+        triples = [(q, "RelatedTo", h) for q in roots for h in ("hub0", "hub1")]
+        triples += [("hub0", "RelatedTo", "wide"), ("hub1", "RelatedTo", "wide")]
+        triples += [("wide", "RelatedTo", f"n{i}") for i in range(20_000)]
+        g = graph_from_triples(triples)
+        pair = ground_pair("hub0 hub1 wide", " ".join(roots), g)
+        assert len(pair.query_concepts) == 50
+        tracemalloc.start()
+        try:
+            forest = build_tree(pair.query_concepts, pair, g, BuildConfig(max_children_per_node=2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.bincount(forest.levels).tolist() == [0, 50, 100, 100, 200]
+        level4 = forest.concepts[forest.level_indices(4)]
+        # degree ranks the other hub first, then the lowest-id leaf
+        assert set(g.surfaces[int(c)] for c in level4) == {"hub0", "hub1", "n0"}
+        assert peak < 8 << 20
