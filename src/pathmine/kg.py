@@ -20,8 +20,8 @@ one block's columns, the kept-language tables and the kept edges'
 codes.  Ids are then assigned by first appearance and duplicates dropped
 in one vectorized pass, shared with :func:`graph_from_triples`.
 
-The persisted index (format 3) is a little-endian binary file: magic
-``PMKG``, a u32 format version, five sections, and a trailing u64
+The persisted index (format 4) is a little-endian binary file: magic
+``PMKG``, a u32 format version, eight sections, and a trailing u64
 blake2b checksum of everything before it.  Each section is a 4-byte tag,
 a u64 length and its contents:
 
@@ -30,27 +30,41 @@ a u64 length and its contents:
   ``"\\n"`` (no dump field can hold a newline; :func:`save_index` refuses
   a hand-built name that does);
 - ``RELS``: the relation names, stored the same way;
-- ``EDGE``: the edge table as three i32 columns of E values each: start,
-  relation and end ids (12 bytes an edge);
+- ``ROWS``: for each concept, the number of edges whose lower endpoint it
+  is, u32;
+- ``NBRS``: each edge's higher endpoint, i32, grouped by lower endpoint in
+  concept order;
+- ``EREL``: each edge's relation id, unsigned, at the narrowest width that
+  holds every relation id (one byte for up to 256 relations);
+- ``FLIP``: one bit per edge, least significant bit first, set when the
+  edge starts at its higher endpoint (0 for a self-loop);
 - ``STAT``: the walk statistics as three u64, walks of 3 and of 4
   concepts and the concept count, so they are computed once per graph.
 
-Counts come from the sections themselves.  Loading decodes and splits
-each string table once.  An index of another format version is refused;
-it is rebuilt from its dump with ``pathmine build-index``.
+So each edge is stored once, as the upper half of the undirected CSR
+below and in its order: 5 bytes and one bit an edge with up to 256
+relations.  Counts come from the sections themselves.  Loading decodes
+and splits each string table once and checks every length, id and count
+before it builds anything sized by them.  An index of another format
+version is refused; it is rebuilt from its dump with ``pathmine
+build-index``.
 
 All traversal is direction-agnostic: a stored edge can be walked from
 either endpoint, and relation names are reported unmodified.  In memory
-the edges form one undirected CSR (``adj_indptr``/``adj_dst``/``adj_rel``)
-that lists every stored edge in both endpoints' rows; the index stores
-only the edge table, and loading rebuilds the CSR with one sort.
+the edges form one undirected CSR (``adj_indptr``/``adj_dst``/``adj_rel``,
+with ``adj_incoming`` for orientation) that lists every edge in both
+endpoints' rows.  The graph is built by one sort, whether its edges come
+from a dump or from an index, so the CSR is symmetric by construction;
+the oriented edge columns are derived from it on demand.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import mmap
+import os
 import struct
 from dataclasses import dataclass
 from itertools import compress
@@ -62,7 +76,7 @@ import numpy as np
 from . import kernels
 
 MAGIC = b"PMKG"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # Relations whose assertions are unordered; used only to deduplicate
 # mirror-image lines at ingestion (traversal is bidirectional regardless).
@@ -135,12 +149,20 @@ def _parse_concept_uri(uri: str) -> tuple[str, str] | None:
     return lang, surface
 
 
-def _check_packable(n: int, r: int) -> None:
-    """Refuse a graph whose packed (concept, concept, relation) key overflows int64."""
-    if n * n * r >= 1 << 63:
+def _key_bits(n: int, r: int) -> tuple[int, int]:
+    """Bits of a concept id and of a relation id in the packed (row,
+    neighbour, relation, side) key of a graph of ``n`` concepts and ``r``
+    relations; a graph whose key needs more than 63 bits is refused.
+
+    A concept takes ``n.bit_length()`` bits, so row ``n`` (the end of the
+    last row) packs too.
+    """
+    node_bits, rel_bits = n.bit_length(), (r - 1).bit_length()
+    if 2 * node_bits + rel_bits + 1 > 63:
         raise PathmineError(
-            f"graph too large to index: {n} concepts x {r} relations exceed a 64-bit key"
+            f"graph too large to index: {n} concepts x {r} relations exceed a 63-bit key"
         )
+    return node_bits, rel_bits
 
 
 class KnowledgeGraph:
@@ -171,34 +193,71 @@ class KnowledgeGraph:
             if self.multiword_spans.get(words[0], 0) < len(words):
                 self.multiword_spans[words[0]] = len(words)
         self.relation_names = relation_names
-        self.edge_start = np.asarray(edge_start, dtype=np.int32)
-        self.edge_rel = np.asarray(edge_rel, dtype=np.int32)
-        self.edge_end = np.asarray(edge_end, dtype=np.int32)
-        self._build_indices()
+        self._build_indices(
+            np.asarray(edge_start, dtype=np.int32),
+            np.asarray(edge_rel, dtype=np.int32),
+            np.asarray(edge_end, dtype=np.int32),
+        )
 
-    def _build_indices(self) -> None:
-        """One undirected CSR: each stored edge sits in both endpoints' rows
-        (a self-loop twice in its own), rows sorted by (neighbor, relation)."""
+    def _build_indices(self, start: np.ndarray, rel: np.ndarray, end: np.ndarray) -> None:
+        """One undirected CSR: each edge sits in both endpoints' rows (a
+        self-loop twice in its own), rows sorted by (neighbor, relation,
+        side).  ``adj_incoming`` marks the entries whose row is the edge's
+        end; of a self-loop's two entries, the second."""
         n = self.node_count
         r = max(len(self.relation_names), 1)
-        _check_packable(n, r)
-        # sort one packed (row, neighbor, relation) key, then decode it
-        key = np.concatenate([self.edge_start, self.edge_end]).astype(np.int64)
-        key *= n
-        key += np.concatenate([self.edge_end, self.edge_start])
-        key *= r
-        key += np.concatenate([self.edge_rel, self.edge_rel])
+        node_bits, rel_bits = _key_bits(n, r)
+        # sort one packed (row, neighbor, relation, side) key, then decode it
+        key = np.concatenate([start, end]).astype(np.int64)
+        key <<= node_bits
+        key |= np.concatenate([end, start])
+        key <<= rel_bits
+        key |= np.concatenate([rel, rel])
+        key <<= 1
+        key[start.size :] |= 1
         key.sort()
-        self.adj_indptr = key.searchsorted(np.arange(n + 1, dtype=np.int64) * (n * r))
+        row_bits = node_bits + rel_bits + 1
+        self.adj_indptr = key.searchsorted(np.arange(n + 1, dtype=np.int64) << row_bits)
+        self.adj_incoming = (key & 1).astype(np.bool_)
+        key >>= 1
         # the smallest type that holds every relation id: one byte for any
         # real relation vocabulary, a quarter of the int32 column
-        self.adj_rel = (key % r).astype(np.min_scalar_type(r - 1))
-        key //= r
-        self.adj_dst = (key % n).astype(np.int32)
+        self.adj_rel = (key & ((1 << rel_bits) - 1)).astype(np.min_scalar_type(r - 1))
+        key >>= rel_bits
+        key &= (1 << node_bits) - 1
+        self.adj_dst = key.astype(np.int32)
+        del key  # before the distinct-neighbour count's own temporaries
         self.degrees = np.diff(self.adj_indptr)
         self.neighbor_count = kernels.neighbor_counts(self.adj_indptr, self.adj_dst)
 
     # -- basic accessors ---------------------------------------------------
+
+    def _upper_half(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each edge once, as the CSR entry in its lower endpoint's row:
+        (lower, higher, relation, flip) columns in CSR order, ``flip`` set
+        when the edge starts at the higher endpoint."""
+        rows = np.repeat(np.arange(self.node_count, dtype=np.int32), self.degrees)
+        # a self-loop's two entries differ only in side: keep the start's
+        upper = (rows < self.adj_dst) | ((rows == self.adj_dst) & ~self.adj_incoming)
+        return rows[upper], self.adj_dst[upper], self.adj_rel[upper], self.adj_incoming[upper]
+
+    @property
+    def edge_start(self) -> np.ndarray:
+        """Start ids of the edge multiset, ordered by (min, max, relation,
+        flip) of each edge; derived from the CSR on every access."""
+        lo, hi, _, flip = self._upper_half()
+        return np.where(flip, hi, lo)
+
+    @property
+    def edge_rel(self) -> np.ndarray:
+        """Relation ids of the edges, in :attr:`edge_start`'s order."""
+        return self._upper_half()[2].astype(np.int32)
+
+    @property
+    def edge_end(self) -> np.ndarray:
+        """End ids of the edges, in :attr:`edge_start`'s order."""
+        lo, hi, _, flip = self._upper_half()
+        return np.where(flip, lo, hi)
 
     @property
     def node_count(self) -> int:
@@ -206,7 +265,7 @@ class KnowledgeGraph:
 
     @property
     def edge_count(self) -> int:
-        return int(self.edge_start.size)
+        return self.adj_dst.size // 2
 
     def concept_id(self, surface: str) -> int | None:
         return self.surface_to_id.get(surface)
@@ -267,9 +326,10 @@ class KnowledgeGraph:
             self.lang == other.lang
             and self.surfaces == other.surfaces
             and self.relation_names == other.relation_names
-            and np.array_equal(self.edge_start, other.edge_start)
-            and np.array_equal(self.edge_rel, other.edge_rel)
-            and np.array_equal(self.edge_end, other.edge_end)
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name))
+                for name in ("adj_indptr", "adj_dst", "adj_rel", "adj_incoming")
+            )
         )
 
 
@@ -387,12 +447,11 @@ def _assemble(
     # deduplicate exact triples, symmetric relations also folding mirror
     # images, by one packed (lo, relation, hi) key
     n, r = int(concepts.size), max(len(names), 1)
-    _check_packable(n, r)
+    _key_bits(n, r)
     symmetric = np.array([name in SYMMETRIC_RELATIONS for name in names], dtype=np.bool_)[rel]
     lo = np.where(symmetric, np.minimum(start, end), start)
     hi = np.where(symmetric, np.maximum(start, end), end)
-    _, first = np.unique((lo * r + rel) * n + hi, return_index=True)
-    keep = np.sort(first)
+    _, keep = np.unique((lo * r + rel) * n + hi, return_index=True)
     return KnowledgeGraph(
         lang,
         [surfaces[c] for c in concepts.tolist()],
@@ -523,9 +582,14 @@ def _name_table(names: list[str], what: str) -> bytes:
 
 
 def save_index(g: KnowledgeGraph, sink: BinaryIO | str, stats: WalkStats) -> None:
-    """Write the graph and its walk statistics as a versioned index."""
+    """Write the graph and its walk statistics as a versioned index.
+
+    A path is written through a new file in its directory that then
+    replaces it, so a write that fails leaves the previous file whole.
+    """
     if stats.node_count != g.node_count:
         raise ValueError(f"walk statistics are for {stats.node_count} concepts, the graph has {g.node_count}")
+    lower, higher, rel, flip = g._upper_half()
     body = io.BytesIO()
     body.write(MAGIC)
     body.write(struct.pack("<I", FORMAT_VERSION))
@@ -533,21 +597,42 @@ def save_index(g: KnowledgeGraph, sink: BinaryIO | str, stats: WalkStats) -> Non
         (b"META", g.lang.encode("utf-8")),
         (b"CONC", _name_table(g.surfaces, "concept")),
         (b"RELS", _name_table(g.relation_names, "relation")),
-        (b"EDGE", np.concatenate([g.edge_start, g.edge_rel, g.edge_end]).astype("<i4").tobytes()),
+        (b"ROWS", np.bincount(lower, minlength=g.node_count).astype("<u4").tobytes()),
+        (b"NBRS", higher.astype("<i4").tobytes()),
+        (b"EREL", rel.astype(f"<u{rel.itemsize}").tobytes()),
+        (b"FLIP", np.packbits(flip, bitorder="little").tobytes()),
         (b"STAT", struct.pack("<QQQ", stats.walks_len3, stats.walks_len4, stats.node_count)),
     ):
         body.write(tag)
         body.write(struct.pack("<Q", len(payload)))
         body.write(payload)
     payload = body.getvalue()
-    own = isinstance(sink, str)
-    fh: BinaryIO = open(sink, "wb") if own else sink  # type: ignore[assignment]
+    if not isinstance(sink, str):
+        _write_sealed(sink, payload)
+        return
+    target = os.path.realpath(sink)
+    if os.path.exists(target) and not os.path.isfile(target):
+        # a device or a pipe cannot be replaced: it is written in place
+        with open(target, "wb") as fh:
+            _write_sealed(fh, payload)
+        return
+    partial = f"{target}.{os.getpid()}.partial"
     try:
-        fh.write(payload)
-        fh.write(struct.pack("<Q", _checksum(payload)))
-    finally:
-        if own:
-            fh.close()
+        with open(partial, "wb") as fh:
+            _write_sealed(fh, payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(partial, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
+
+
+def _write_sealed(fh: BinaryIO, payload: bytes) -> None:
+    """The payload, then its checksum."""
+    fh.write(payload)
+    fh.write(struct.pack("<Q", _checksum(payload)))
 
 
 def _sections(payload: memoryview) -> dict[bytes, memoryview]:
@@ -579,9 +664,11 @@ def load_index(source: BinaryIO | str) -> tuple[KnowledgeGraph, WalkStats]:
 
     Raises :class:`IndexVersionError`, :class:`IndexTruncatedError`, or
     :class:`IndexChecksumError` for the corresponding defects, and
-    :class:`IndexFormatError` for a missing section, ids out of range,
-    text that is not UTF-8, duplicate concept surfaces, or walk statistics
-    that are malformed, not positive, or of another graph.
+    :class:`IndexFormatError` for a missing section, a section of the
+    wrong length, row counts that do not sum to the edges, an edge stored
+    below the diagonal, ids out of range, text that is not UTF-8,
+    duplicate concept surfaces, or walk statistics that are malformed, not
+    positive, or of another graph.
     """
     lang, surfaces, relation_names, edges, (w3, w4, nc) = _read_index(source)
     try:
@@ -592,9 +679,9 @@ def load_index(source: BinaryIO | str) -> tuple[KnowledgeGraph, WalkStats]:
 
 
 def _read_index(source: BinaryIO | str):
-    """The checked contents of an index: its language, name tables, edge
-    columns (copied out of the file's bytes) and walk statistics.  The
-    bytes sit in an anonymous map, not on the heap, so they are handed
+    """The checked contents of an index: its language, name tables, oriented
+    edge columns (decoded out of the file's bytes) and walk statistics.
+    The bytes sit in an anonymous map, not on the heap, so they are handed
     back whole when it returns, before the CSR is built."""
     own = isinstance(source, str)
     fh: BinaryIO = open(source, "rb") if own else source  # type: ignore[assignment]
@@ -621,25 +708,14 @@ def _read_index(source: BinaryIO | str):
             "re-run `pathmine build-index` on the dump"
         )
     sections = _sections(payload)
-    for required in (b"META", b"CONC", b"RELS", b"EDGE", b"STAT"):
+    for required in (b"META", b"CONC", b"RELS", b"ROWS", b"NBRS", b"EREL", b"FLIP", b"STAT"):
         if required not in sections:
             raise IndexFormatError(f"missing section {required!r}")
 
     lang = _text(sections[b"META"], "language tag")
     surfaces = _text(sections[b"CONC"], "concept table").split("\n")
     relation_names = _text(sections[b"RELS"], "relation table").split("\n")
-    edge_blob = sections[b"EDGE"]
-    if len(edge_blob) % 12:
-        raise IndexTruncatedError("edge section has wrong length")
-    edges = np.frombuffer(edge_blob, "<i4").reshape(3, -1).astype(np.int32)
-    edge_start, edge_rel, edge_end = edges
-    for name, ids, bound in (
-        ("edge start", edge_start, len(surfaces)),
-        ("edge end", edge_end, len(surfaces)),
-        ("relation", edge_rel, len(relation_names)),
-    ):
-        if ids.size and not (0 <= ids.min() and ids.max() < bound):
-            raise IndexFormatError(f"{name} id out of range [0, {bound})")
+    edges = _edge_columns(sections, len(surfaces), len(relation_names))
 
     if len(sections[b"STAT"]) != 24:
         raise IndexFormatError("walk statistics section has wrong length")
@@ -649,3 +725,39 @@ def _read_index(source: BinaryIO | str):
     if not (0 < w3 < 1 << 63 and 0 < w4 < 1 << 63):
         raise IndexFormatError(f"walk statistics totals {w3}, {w4} outside [1, 2**63)")
     return lang, surfaces, relation_names, edges, (w3, w4, nc)
+
+
+def _edge_columns(
+    sections: dict[bytes, memoryview], n: int, r: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checked upper half of an index as (start, relation, end) columns
+    for ``n`` concepts and ``r`` relation names.  Every length and the
+    count sum are checked before anything sized by the counts is made."""
+    width = np.min_scalar_type(max(r, 1) - 1).itemsize  # as _build_indices narrows adj_rel
+    rows, higher, rel, flip = (sections[tag] for tag in (b"ROWS", b"NBRS", b"EREL", b"FLIP"))
+    if len(rows) != 4 * n:
+        raise IndexFormatError(f"row count section holds {len(rows)} bytes, not 4 for each of {n} concepts")
+    if len(higher) % 4:
+        raise IndexFormatError(f"neighbour section holds {len(higher)} bytes, not 4 an edge")
+    e = len(higher) // 4
+    if len(rel) != width * e:
+        raise IndexFormatError(f"relation id section holds {len(rel)} bytes, not {width} for each of {e} edges")
+    if len(flip) != (e + 7) // 8:
+        raise IndexFormatError(f"orientation section holds {len(flip)} bytes, not one bit for each of {e} edges")
+    counts = np.frombuffer(rows, "<u4")
+    total = int(counts.sum(dtype=np.uint64))
+    if total != e:
+        raise IndexFormatError(f"row counts sum to {total}, the index stores {e} edges")
+
+    lower = np.repeat(np.arange(n, dtype=np.int32), counts)
+    higher = np.frombuffer(higher, "<i4")
+    rel = np.frombuffer(rel, f"<u{width}")
+    if e and not (0 <= higher.min() and higher.max() < n):
+        raise IndexFormatError(f"neighbour id out of range [0, {n})")
+    if (higher < lower).any():
+        raise IndexFormatError("an edge is stored below the diagonal: its neighbour id is under its row's")
+    if e and rel.max() >= r:
+        raise IndexFormatError(f"relation id out of range [0, {r})")
+    flip = np.unpackbits(np.frombuffer(flip, np.uint8), count=e, bitorder="little").view(np.bool_)
+    # every column is a copy, so no array holds on to the file's bytes
+    return np.where(flip, higher, lower), rel.astype(np.int32), np.where(flip, lower, higher)

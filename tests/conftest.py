@@ -89,13 +89,15 @@ def story_dump() -> bytes:
 RELATION_POOL = ["RelatedTo", "AtLocation", "IsA", "Antonym", "PartOf", "UsedFor"]
 
 
-def random_multigraph(
+def random_triples(
     rng: np.random.Generator,
     max_nodes: int = 50,
     max_edges: int = 200,
     connected: bool = False,
     self_loops: bool = True,
-) -> KnowledgeGraph:
+) -> tuple[list[str], list[tuple[str, str, str]]]:
+    """Concept names and (start, relation, end) triples of a random
+    multigraph, repeats and mirror images included."""
     n = int(rng.integers(2, max_nodes + 1))
     m = int(rng.integers(1, max_edges + 1))
     names = [f"n{i}" for i in range(n)]
@@ -111,7 +113,25 @@ def random_multigraph(
             continue
         rel = RELATION_POOL[int(rng.integers(len(RELATION_POOL)))]
         triples.append((names[a], rel, names[b]))
+    return names, triples
+
+
+def random_multigraph(rng: np.random.Generator, **shape) -> KnowledgeGraph:
+    """The graph of :func:`random_triples`; concept ``n{i}`` has id ``i``."""
+    names, triples = random_triples(rng, **shape)
     return graph_from_triples(triples, extra_concepts=names)
+
+
+def kept_triples(triples: list[tuple[str, str, str]]) -> list[tuple[str, str, str]]:
+    """The triples a graph keeps, by a plain scan: the first of each
+    repeat, a symmetric relation's mirror image counting as a repeat."""
+    seen, kept = set(), []
+    for s, r, e in triples:
+        key = (min(s, e), r, max(s, e)) if r in SYMMETRIC else (s, r, e)
+        if key not in seen:
+            seen.add(key)
+            kept.append((s, r, e))
+    return kept
 
 
 def regrown(tree: pathmine.PathTree, scored: pathmine.ScoredTree | None = None):
@@ -369,45 +389,95 @@ def format1_index(g: KnowledgeGraph, stats: pathmine.WalkStats) -> bytes:
         b"META": text(g.lang) + struct.pack("<QQQ", g.node_count, len(g.relation_names), g.edge_count),
         b"CONC": b"".join(map(text, g.surfaces)),
         b"RELS": b"".join(text(name) + bytes([name in SYMMETRIC]) for name in g.relation_names),
-        b"EDGE": np.concatenate([g.edge_start, g.edge_rel, g.edge_end]).astype("<i4").tobytes(),
+        b"EDGE": _edge_table_bytes(g),
         b"STAT": struct.pack("<QQQ", stats.walks_len3, stats.walks_len4, stats.node_count),
     }
     return sealed_index(sections, version=1)
 
 
-def format2_index(g: KnowledgeGraph, stats: pathmine.WalkStats) -> bytes:
-    """The graph as index format 2 stored it: format 3's sections, but a
-    float32 weight column (all 1.0) after the three id columns."""
+def _edge_table_bytes(g: KnowledgeGraph) -> bytes:
+    """The edge table as formats 1 to 3 stored it: three i32 columns of
+    start, relation and end ids (12 bytes an edge)."""
+    return np.concatenate([g.edge_start, g.edge_rel, g.edge_end]).astype("<i4").tobytes()
+
+
+def format3_index(g: KnowledgeGraph, stats: pathmine.WalkStats, version: int = 3) -> bytes:
+    """The graph as index format 3 stored it: today's name tables and walk
+    statistics around an ``EDGE`` table in place of the upper-half
+    sections.  Version 2 (``version=2``) also held a float32 weight
+    column, all 1.0, after the three id columns."""
     buf = io.BytesIO()
     pathmine.save_index(g, buf, stats)
-    sections = index_sections(buf.getvalue())
-    sections[b"EDGE"] += np.ones(g.edge_count, dtype="<f4").tobytes()
-    return sealed_index(sections, version=2)
+    current = index_sections(buf.getvalue())
+    edges = _edge_table_bytes(g)
+    if version == 2:
+        edges += np.ones(g.edge_count, dtype="<f4").tobytes()
+    sections = {tag: current[tag] for tag in (b"META", b"CONC", b"RELS")}
+    sections.update({b"EDGE": edges, b"STAT": current[b"STAT"]})
+    return sealed_index(sections, version=version)
 
 
 def write_defective_index(path: str, defect: str) -> None:
     """Save the story graph with one hostile value, under a valid checksum.
 
-    ``defect`` is "start", "end" or "relation" (an edge id one past its
-    range), "stat_nodes" (walk statistics for one concept too many),
-    "stat_len3_zero"/"stat_len4_zero"/"stat_len4_huge" (a walk total of 0
-    or 2**63), "stat_short" (a 16-byte statistics section), "stat_missing"
-    (no statistics section), "conc_duplicate" (two concepts named alike),
-    "conc_undecodable" (a concept name that is not UTF-8),
-    "meta_undecodable" (a language tag that is not UTF-8), "format_1" or
-    "format_2" (the whole graph in index format 1 or 2).
+    ``defect`` is one of:
+
+    - "start" or "end": an edge that starts, or ends, at its higher
+      endpoint with that endpoint one past the concept range;
+    - "relation": a relation id one past its range;
+    - "below_diagonal": an edge stored under a higher row than its
+      neighbour;
+    - "rows_sum": row counts that sum to one edge more than are stored;
+    - "erel_width": relation ids two bytes wide where one is;
+    - "flip_length": an orientation section one byte too long;
+    - "stat_nodes" (walk statistics for one concept too many),
+      "stat_len3_zero"/"stat_len4_zero"/"stat_len4_huge" (a walk total of
+      0 or 2**63), "stat_short" (a 16-byte statistics section) or
+      "stat_missing" (no statistics section);
+    - "conc_duplicate" (two concepts named alike), "conc_undecodable" (a
+      concept name that is not UTF-8) or "meta_undecodable" (a language
+      tag that is not UTF-8);
+    - "format_1", "format_2" or "format_3": the whole graph in that older
+      index format.
     """
     g = graph_from_triples(STORY_TRIPLES)
     stats = pathmine.WalkStats.from_graph(g)
-    section = None
-    if defect in ("format_1", "format_2"):
-        Path(path).write_bytes({"format_1": format1_index, "format_2": format2_index}[defect](g, stats))
+    if defect in ("format_1", "format_2", "format_3"):
+        version = int(defect[-1])
+        blob = format1_index(g, stats) if version == 1 else format3_index(g, stats, version)
+        Path(path).write_bytes(blob)
         return
-    if defect == "stat_missing":
-        section = b"STAT", None
+    buf = io.BytesIO()
+    pathmine.save_index(g, buf, stats)
+    sections = index_sections(buf.getvalue())
+    rows = np.frombuffer(sections[b"ROWS"], "<u4").copy()
+    higher = np.frombuffer(sections[b"NBRS"], "<i4").copy()
+    flip = np.unpackbits(np.frombuffer(sections[b"FLIP"], np.uint8), bitorder="little")
+    if defect in ("start", "end"):
+        higher[-1] = g.node_count
+        flip[higher.size - 1] = defect == "start"
+        sections[b"NBRS"] = higher.tobytes()
+        sections[b"FLIP"] = np.packbits(flip, bitorder="little").tobytes()
+    elif defect == "relation":
+        rel = bytearray(sections[b"EREL"])
+        rel[-1] = len(g.relation_names)
+        sections[b"EREL"] = bytes(rel)
+    elif defect == "below_diagonal":
+        # the last edge sits in the highest row that stores any
+        higher[-1] = np.flatnonzero(rows)[-1] - 1
+        sections[b"NBRS"] = higher.tobytes()
+    elif defect == "rows_sum":
+        rows[-1] += 1
+        sections[b"ROWS"] = rows.tobytes()
+    elif defect == "erel_width":
+        sections[b"EREL"] = np.frombuffer(sections[b"EREL"], np.uint8).astype("<u2").tobytes()
+    elif defect == "flip_length":
+        sections[b"FLIP"] += b"\0"
+    elif defect == "stat_missing":
+        del sections[b"STAT"]
     elif defect.startswith("stat_"):
         w3, w4, nodes = stats.walks_len3, stats.walks_len4, g.node_count
-        section = b"STAT", struct.pack(
+        sections[b"STAT"] = struct.pack(
             "<QQQ",
             0 if defect == "stat_len3_zero" else w3,
             {"stat_len4_zero": 0, "stat_len4_huge": 1 << 63}.get(defect, w4),
@@ -416,22 +486,12 @@ def write_defective_index(path: str, defect: str) -> None:
     elif defect.startswith("conc_"):
         names = [s.encode("utf-8") for s in g.surfaces]
         names[-1] = names[0] if defect == "conc_duplicate" else b"caf\xe9"
-        section = b"CONC", b"\n".join(names)
+        sections[b"CONC"] = b"\n".join(names)
     elif defect == "meta_undecodable":
-        section = b"META", b"e\xff"
+        sections[b"META"] = b"e\xff"
     else:
-        column, bound = {
-            "start": ("edge_start", g.node_count),
-            "end": ("edge_end", g.node_count),
-            "relation": ("edge_rel", len(g.relation_names)),
-        }[defect]
-        ids = getattr(g, column).copy()
-        ids[-1] = bound
-        setattr(g, column, ids)
-    buf = io.BytesIO()
-    pathmine.save_index(g, buf, stats)
-    blob = buf.getvalue() if section is None else _resealed(buf.getvalue(), *section)
-    Path(path).write_bytes(blob)
+        raise ValueError(f"unknown defect {defect!r}")
+    Path(path).write_bytes(sealed_index(sections))
 
 
 def reference_token_count(text: str) -> int:

@@ -18,7 +18,7 @@ import pytest
 
 from pathmine import Config, Extractor, WalkStats, graph_from_triples, run_batch
 
-from conftest import random_multigraph
+from conftest import random_multigraph, random_triples
 
 GOLDEN = {
     # (graph seed, max_children_per_node): sha256 of the JSONL output
@@ -42,17 +42,14 @@ WORDS = ["red", "apple", "pie", "big", "tree", "old", "house"]
 def _multiword_graph(rng: np.random.Generator):
     """A seeded multigraph relabelled with distinct one- to four-word
     surfaces drawn from a small vocabulary, so surfaces share first words."""
-    g = random_multigraph(rng, max_nodes=30, max_edges=160)
+    plain, triples = random_triples(rng, max_nodes=30, max_edges=160)
     names: list[str] = []
-    while len(names) < g.node_count:
+    while len(names) < len(plain):
         name = "_".join(rng.choice(WORDS, size=int(rng.integers(1, 5))))
         if name not in names:
             names.append(name)
-    triples = [
-        (names[int(s)], g.relation_names[int(r)], names[int(e)])
-        for s, r, e in zip(g.edge_start, g.edge_rel, g.edge_end)
-    ]
-    return graph_from_triples(triples, extra_concepts=names)
+    label = dict(zip(plain, names))
+    return graph_from_triples([(label[s], r, label[e]) for s, r, e in triples], extra_concepts=names)
 
 
 def _batch(seed: int, cap: int, multiword: bool = False) -> tuple[str, dict]:

@@ -157,4 +157,5 @@ def test_extra_concepts_take_the_first_ids():
         [("a", "RelatedTo", "b"), ("Zed", "IsA", "c")], extra_concepts=["c", "Zed", "c"]
     )
     assert g.surfaces == ["c", "zed", "a", "b"]
-    assert (g.edge_start[1], g.edge_end[1]) == (1, 0)
+    edges = set(zip(g.edge_start.tolist(), g.edge_rel.tolist(), g.edge_end.tolist()))
+    assert edges == {(2, 0, 3), (1, 1, 0)}

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import io
+import os
+import stat
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from pathmine import (
     PathmineError,
     graph_from_triples,
     ingest_csv,
+    kg,
     load_index,
     save_index,
 )
@@ -30,10 +35,12 @@ from conftest import (
     _resealed,
     edge_table,
     index_sections,
+    kept_triples,
     sealed_index,
     story_dump_bytes,
     neighbors_oracle,
     random_multigraph,
+    random_triples,
     write_defective_index,
 )
 
@@ -256,13 +263,13 @@ class TestIndexInvariants:
     def test_every_edge_indexed_exactly_once(self):
         # once in each endpoint's row, so a self-loop sits twice in its own
         rng = np.random.default_rng(3)
-        g = random_multigraph(rng, max_nodes=25, max_edges=120)
+        names, triples = random_triples(rng, max_nodes=25, max_edges=120)
+        g = graph_from_triples(triples, extra_concepts=names)
         rows = np.repeat(np.arange(g.node_count), np.diff(g.adj_indptr))
-        got = sorted(zip(rows.tolist(), g.adj_rel.tolist(), g.adj_dst.tolist()))
-        want = sorted(
-            [(s, r, e) for s, r, e in edge_table(g)] + [(e, r, s) for s, r, e in edge_table(g)]
-        )
-        assert any(s == e for s, _, e in edge_table(g))
+        got = sorted(zip(rows.tolist(), g.adj_rel.tolist(), g.adj_dst.tolist(), g.adj_incoming.tolist()))
+        ids = [(g.concept_id(s), g.relation_names.index(r), g.concept_id(e)) for s, r, e in kept_triples(triples)]
+        want = sorted([(s, r, e, False) for s, r, e in ids] + [(e, r, s, True) for s, r, e in ids])
+        assert any(s == e for s, _, e in ids)
         assert got == want
 
     def test_rows_sorted_by_neighbor_then_relation(self):
@@ -335,10 +342,12 @@ class TestPersistence:
         path.write_bytes(sealed_index(index_sections(story_blob), version=99))
         with pytest.raises(IndexVersionError):
             load_index(str(path))
-        write_defective_index(str(path), "format_2")  # 16 bytes an edge, with weights
-        with pytest.raises(IndexVersionError, match="version 2 .*build-index") as info:
-            load_index(str(path))
-        assert "\n" not in str(info.value)
+        # an edge table of 16 bytes an edge, with weights, then of 12
+        for version in (2, 3):
+            write_defective_index(str(path), f"format_{version}")
+            with pytest.raises(IndexVersionError, match=f"version {version} .*build-index") as info:
+                load_index(str(path))
+            assert "\n" not in str(info.value)
 
     def test_format_1_file_names_build_index(self, tmp_path):
         path = str(tmp_path / "v1.idx")
@@ -347,19 +356,28 @@ class TestPersistence:
             load_index(path)
         assert "\n" not in str(info.value)
 
-    def test_edge_section_holds_three_id_columns(self, story_graph, story_blob):
-        edges = index_sections(story_blob)[b"EDGE"]
-        assert len(edges) == 12 * story_graph.edge_count
-        columns = np.frombuffer(edges, "<i4").reshape(3, -1)
-        assert [tuple(map(int, edge)) for edge in columns.T] == edge_table(story_graph)
+    def test_edge_sections_store_each_edge_once(self):
+        # ids: a 0, b 1, c 2; relations: IsA 0, RelatedTo 1, PartOf 2
+        g = graph_from_triples(
+            [("a", "IsA", "b"), ("b", "IsA", "a"), ("c", "RelatedTo", "c"), ("c", "PartOf", "a"), ("b", "RelatedTo", "c")]
+        )
+        buf = io.BytesIO()
+        save_index(g, buf, WalkStats.from_graph(g))
+        sections = index_sections(buf.getvalue())
+        assert list(sections) == [b"META", b"CONC", b"RELS", b"ROWS", b"NBRS", b"EREL", b"FLIP", b"STAT"]
+        # under each lower endpoint, by (higher, relation, starts at the higher)
+        assert np.frombuffer(sections[b"ROWS"], "<u4").tolist() == [3, 1, 1]
+        assert np.frombuffer(sections[b"NBRS"], "<i4").tolist() == [1, 1, 2, 2, 2]
+        assert list(sections[b"EREL"]) == [0, 0, 2, 1, 1]
+        assert sections[b"FLIP"] == bytes([0b00110])
 
     def test_loaded_columns_hold_no_file_bytes(self, story_blob):
         # views into the read buffer would keep the whole file alive
         g, _ = load_index(io.BytesIO(story_blob))
-        for column in (g.edge_start, g.edge_rel, g.edge_end):
+        for column in (g.adj_indptr, g.adj_dst, g.adj_rel, g.adj_incoming, g.degrees, g.neighbor_count):
             while isinstance(column.base, np.ndarray):
                 column = column.base
-            assert column.base is None and column.nbytes == 12 * g.edge_count
+            assert column.base is None
 
     def test_save_refuses_stats_of_another_graph(self, tmp_path):
         g = graph_from_triples([("a", "IsA", "b"), ("b", "IsA", "c")])
@@ -390,6 +408,10 @@ class TestPersistence:
             load_index(path)
 
     HOSTILE_SECTIONS = {
+        "below_diagonal": "stored below the diagonal",
+        "rows_sum": "row counts sum to 10, the index stores 9 edges",
+        "erel_width": "relation id section holds 18 bytes, not 1 for each of 9 edges",
+        "flip_length": "orientation section holds 3 bytes, not one bit for each of 9 edges",
         "stat_short": "wrong length",
         "stat_len3_zero": "walk statistics totals 0, ",
         "stat_len4_zero": "walk statistics totals .*, 0 ",
@@ -409,7 +431,10 @@ class TestPersistence:
         assert "\n" not in str(info.value)
 
     @settings(max_examples=300, deadline=None)
-    @given(tag=st.sampled_from([b"META", b"CONC", b"RELS", b"EDGE", b"STAT"]), data=st.data())
+    @given(
+        tag=st.sampled_from([b"META", b"CONC", b"RELS", b"ROWS", b"NBRS", b"EREL", b"FLIP", b"STAT"]),
+        data=st.data(),
+    )
     def test_damaged_section_loads_or_fails_typed(self, story_blob, tag, data):
         payload = index_sections(story_blob)[tag]
         if data.draw(st.booleans(), label="flip"):
@@ -433,6 +458,67 @@ class TestPersistence:
         with pytest.raises(ValueError, match="newline"):
             save_index(g, str(path), WalkStats.from_graph(g))
         assert not path.exists()
+
+    HAND_GRAPHS = {
+        "self_loops": [("a", "IsA", "a"), ("a", "RelatedTo", "a"), ("b", "IsA", "a"), ("b", "IsA", "b")],
+        "parallel": [("a", "IsA", "b"), ("a", "PartOf", "b"), ("b", "RelatedTo", "a"), ("a", "IsA", "b")],
+        "both_orientations": [("b", "IsA", "a"), ("a", "IsA", "b"), ("c", "UsedFor", "a")],
+        "folded_mirror": [("b", "RelatedTo", "a"), ("a", "RelatedTo", "b"), ("a", "Antonym", "b"), ("b", "Antonym", "a")],
+        # 300 relation ids: two bytes each
+        "wide_relations": [(f"c{i % 7}", f"R{i}", f"c{i * 3 % 11}") for i in range(300)],
+    }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.one_of(
+            st.integers(0, 2**32 - 1).map(lambda seed: random_triples(np.random.default_rng(seed), max_nodes=30, max_edges=120)),
+            st.sampled_from(sorted(HAND_GRAPHS)).map(lambda name: ([], TestPersistence.HAND_GRAPHS[name])),
+        )
+    )
+    def test_round_trip(self, case):
+        names, triples = case
+        g = graph_from_triples(triples, extra_concepts=names)
+        stats = WalkStats.from_graph(g)
+        first = io.BytesIO()
+        save_index(g, first, stats)
+        loaded, loaded_stats = load_index(io.BytesIO(first.getvalue()))
+        assert loaded_stats == stats
+        for name in ("adj_indptr", "adj_dst", "adj_rel", "adj_incoming", "degrees", "neighbor_count"):
+            want, got = getattr(g, name), getattr(loaded, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        # the oriented edges derived from the CSR are the input's, deduplicated
+        for graph in (g, loaded):
+            edges = zip(graph.edge_start.tolist(), graph.edge_rel.tolist(), graph.edge_end.tolist())
+            got = sorted((graph.surfaces[s], graph.relation_names[r], graph.surfaces[e]) for s, r, e in edges)
+            assert got == sorted(kept_triples(triples))
+            assert graph.edge_count == len(got)
+        second = io.BytesIO()
+        save_index(loaded, second, loaded_stats)
+        assert first.getvalue() == second.getvalue()
+
+    def test_failed_save_keeps_the_previous_index(self, story_graph, tmp_path):
+        path = tmp_path / "graph.idx"
+        save_index(story_graph, str(path), WalkStats.from_graph(story_graph))
+        before = path.read_bytes()
+        other = graph_from_triples([("x", "IsA", "y"), ("y", "IsA", "z")])
+        # the checksum is taken after the payload is written
+        with mock.patch.object(kg, "_checksum", side_effect=OSError(28, "No space left on device")):
+            with pytest.raises(OSError, match="No space left"):
+                save_index(other, str(path), WalkStats.from_graph(other))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["graph.idx"]
+
+    def test_pipe_target_is_written_in_place(self, story_blob, story_graph, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        save_index(story_graph, str(pipe), WalkStats.from_graph(story_graph))
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [story_blob]
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
 
     def test_resave_is_byte_identical_for_ingested_sample(self, tmp_path):
         rng = np.random.default_rng(42)

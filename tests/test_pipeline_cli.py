@@ -378,7 +378,7 @@ class TestCli:
         "defect",
         ["start", "end", "relation", "stat_nodes", "stat_short", "stat_len3_zero", "stat_len4_zero",
          "stat_len4_huge", "stat_missing", "conc_duplicate", "conc_undecodable", "meta_undecodable",
-         "format_1", "format_2"],
+         "format_1", "format_2", "format_3", "below_diagonal", "rows_sum", "erel_width", "flip_length"],
     )
     def test_out_of_range_index_is_data_error(self, tmp_path, capsys, defect):
         bad = str(tmp_path / "bad.idx")

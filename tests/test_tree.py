@@ -19,7 +19,7 @@ from pathmine import (
     select_paths,
 )
 
-from conftest import STORY_CONTEXT, STORY_QUERY, children, path_to, random_multigraph, regrown
+from conftest import STORY_CONTEXT, STORY_QUERY, children, path_to, random_multigraph, random_triples, regrown
 
 
 def _surfaces(g, tree, nodes):
@@ -203,11 +203,8 @@ class TestDeterminismAndMonotonicity:
         rng = np.random.default_rng(31)
         cfg = BuildConfig(max_children_per_node=10_000)
         for trial in range(10):
-            g = random_multigraph(rng, max_nodes=15, max_edges=40, self_loops=False)
-            triples = [
-                (g.surfaces[int(s)], g.relation_names[int(r)], g.surfaces[int(e)])
-                for s, r, e in zip(g.edge_start, g.edge_rel, g.edge_end)
-            ]
+            surfaces, triples = random_triples(rng, max_nodes=15, max_edges=40, self_loops=False)
+            g = graph_from_triples(triples, extra_concepts=surfaces)
             names = [g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=20)]
             context = " ".join(names)
             pair = ground_pair(context, names[0], g)
@@ -219,11 +216,8 @@ class TestDeterminismAndMonotonicity:
                 (int(lvl), g.surfaces[int(c)]) for c, lvl in zip(tree.concepts, tree.levels)
             }
 
-            drop = int(rng.integers(len(triples)))
-            g2 = graph_from_triples(
-                triples[:drop] + triples[drop + 1 :],
-                extra_concepts=[g.surfaces[i] for i in range(g.node_count)],
-            )
+            gone = triples[int(rng.integers(len(triples)))]
+            g2 = graph_from_triples([t for t in triples if t != gone], extra_concepts=surfaces)
             pair2 = ground_pair(context, root_surface, g2)
             tree2 = regrown(build_tree([g2.concept_id(root_surface)], pair2, g2, cfg))
             nodes_after = {
