@@ -9,9 +9,9 @@ stored edge incident to ``u`` (a self-loop twice), sorted by
 (neighbor, relation).  Summing ``x`` over row ``u`` is therefore the
 ``(A + A^T) x`` step of the direction-agnostic walk operator.
 
-Multiplicities are counted for aligned ``(a, b)`` arrays, so one call
-scores every fourth hop of a tree.  Expansion returns each parent's
-candidates ranked by (score desc, concept asc), so a cap keeps a prefix;
+Expansion ranks each parent's candidates by (score desc, concept asc),
+so a cap keeps a prefix, and gives each its edge count to the parent (the
+length of its (concept, neighbor) run), the only count scoring needs;
 the level-5 lists are ranked the same way, from the context side.  Each
 distinct concept's ranked list is cut to a limit before it is copied to
 its parents, so the copies number at most ``parents * limit`` however
@@ -40,10 +40,10 @@ def gather_rows(indptr, rows):
     return pos, np.arange(rows.size, dtype=np.int64).repeat(counts)
 
 
-def _run_starts(*keys):
-    """Mask of the sorted entries that differ from their predecessor in any key."""
-    first = np.ones(keys[0].size, dtype=np.bool_)
-    first[1:] = np.logical_or.reduce([k[1:] != k[:-1] for k in keys])
+def _run_starts(a, b):
+    """Mask of the sorted entries that differ from their predecessor in either key."""
+    first = np.ones(a.size, dtype=np.bool_)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
     return first
 
 
@@ -52,19 +52,6 @@ def _row_sums(indptr, values):
     run = np.zeros(values.size + 1, dtype=values.dtype)
     np.cumsum(values, out=run[1:])
     return run[indptr[1:]] - run[indptr[:-1]]
-
-
-def multiplicity(indptr, dst, a, b):
-    """Stored edges between each aligned pair ``a[i]``, ``b[i]`` of two
-    integer arrays, in either orientation, parallel edges counted."""
-    # gather the row of each run of equal ``a`` once; keyed by (run,
-    # neighbor) the gathered rows form one sorted array
-    first = _run_starts(a)
-    pos, run = gather_rows(indptr, a[first])
-    n = indptr.size - 1
-    key = run * n + dst[pos]
-    query = (first.cumsum() - 1) * n + b
-    return key.searchsorted(query, side="right") - key.searchsorted(query, side="left")
 
 
 # ---------------------------------------------------------------------------
@@ -94,33 +81,35 @@ def walk_totals(indptr, dst, degrees, k: int) -> int:
 
 def neighbor_counts(indptr, dst):
     """Distinct neighbors of every concept: the neighbor runs of each row."""
-    starts = np.ones(dst.size, dtype=np.int64)
-    starts[1:] = dst[1:] != dst[:-1]
+    # the run starts are summed in place in one int32 array; the sum may
+    # wrap, but a row has fewer than 2**31 runs, so its difference is exact
+    run = np.zeros(dst.size + 1, dtype=np.int32)
+    starts = run[1:]
+    np.not_equal(dst[1:], dst[:-1], out=starts[1:])
     # a row's first entry starts a run even if the previous row ends on it
     row_lo = indptr[:-1]
     starts[row_lo[row_lo < dst.size]] = 1
-    return _row_sums(indptr, starts)
+    np.cumsum(starts, out=starts)
+    return (run[indptr[1:]] - run[indptr[:-1]]).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
 # normalized association scores for the outside-knowledge hop
 
 
-def association_scores(indptr, dst, nbh_counts, c1, c2, c3, c4s, walks3, walks4, node_count):
+def association_scores(nbh_counts, prefix, hop, c4s, walks3, walks4, node_count):
     """Normalized pointwise-mutual-information scores for candidate fourth hops.
 
-    ``c1``/``c2``/``c3`` hold each hop's prefix, aligned with ``c4s`` (a
-    scalar is shared by every hop).
+    ``prefix``/``hop`` hold each hop's c1-c2-c3 walk count and c3-c4 edge
+    count, aligned with ``c4s``; expansion finds both.
     ``walks3``/``walks4`` are the global totals of 3-node and 4-node walks.
     Returns float64 scores; a zero joint count yields ``SCORE_SENTINEL`` and a
     joint count equal to the global total yields +1 by convention.
     """
-    c1, c2, c3, c4s = np.broadcast_arrays(*(np.asarray(c, dtype=np.int64) for c in (c1, c2, c3, c4s)))
-    base = multiplicity(indptr, dst, c1, c2) * multiplicity(indptr, dst, c2, c3)
-    seq = base * multiplicity(indptr, dst, c3, c4s)
+    seq = prefix * hop
     with np.errstate(divide="ignore", invalid="ignore"):
         joint = seq / walks4
-        p_prefix = base / walks3
+        p_prefix = prefix / walks3
         p_hop = nbh_counts[c4s] / node_count
         pmi = np.log(joint / (p_hop * p_prefix))
         scores = pmi / (-np.log(joint))
@@ -132,7 +121,7 @@ def association_scores(indptr, dst, nbh_counts, c1, c2, c3, c4s, walks3, walks4,
 
 
 def expand_candidates(parents, ancestors, indptr, dst, rel, allowed, scores, limit):
-    """Per-parent deduplicated neighbor concepts with their minimal relation id.
+    """Per-parent deduplicated neighbors with their minimal relation and edge count.
 
     ``ancestors`` is (len(parents), depth) int32, padded with -1; candidates
     appearing there are excluded, as are concepts where ``allowed`` is False
@@ -141,8 +130,9 @@ def expand_candidates(parents, ancestors, indptr, dst, rel, allowed, scores, lim
     its first ``limit`` entries before the ancestors are dropped, so a
     parent gets at most ``limit`` candidates, and the copies to parents
     take memory in the output's size, not the rows'.
-    Returns (flat candidates, flat min relation ids, offsets of len parents+1);
-    each parent's slice is sorted by (score desc, concept asc).
+    Returns (flat candidates, (flat min relation ids, flat edge counts),
+    offsets of len parents+1), a self-loop counting two edges; each
+    parent's slice is sorted by (score desc, concept asc).
     """
     # a concept recurs as parent under many branches: expand each once
     concepts, inverse = np.unique(np.asarray(parents, dtype=np.int64), return_inverse=True)
@@ -154,8 +144,12 @@ def expand_candidates(parents, ancestors, indptr, dst, rel, allowed, scores, lim
     nbr, rel = dst[pos], rel[pos]
 
     # rows are sorted by (neighbor, relation): the first entry of each
-    # (concept, neighbor) run carries the minimal relation
-    first = _run_starts(seg, nbr)
+    # (concept, neighbor) run carries the minimal relation, and its length
+    # is the pair's edge count (``allowed`` keeps or drops whole runs)
+    first = _run_starts(seg, nbr).nonzero()[0]
+    mult = np.empty(first.size, dtype=np.int32)
+    np.subtract(first[1:], first[:-1], out=mult[:-1])
+    mult[-1:] = seg.size - first[-1:]
     seg, nbr, rel = seg[first], nbr[first], rel[first]
     # rank each expanded concept's list once: a stable sort by (list,
     # score desc) leaves equal scores in neighbor-id order
@@ -165,20 +159,20 @@ def expand_candidates(parents, ancestors, indptr, dst, rel, allowed, scores, lim
     # then keep each list's first ``limit`` entries
     sizes = np.bincount(seg, minlength=concepts.size)
     order = order[np.arange(order.size) - (sizes.cumsum() - sizes).repeat(sizes) < limit]
-    nbr, rel = nbr[order], rel[order]
+    nbr, rel, mult = nbr[order], rel[order], mult[order]
     concept_offsets = np.zeros(concepts.size + 1, dtype=np.int64)
     np.minimum(sizes, limit).cumsum(out=concept_offsets[1:])
 
     # copy each concept's list to its parents, then drop the parent's
     # ancestors; dropping keeps the rank order
     pos, seg = gather_rows(concept_offsets, inverse)
-    nbr, rel = nbr[pos], rel[pos]
+    nbr, rel, mult = nbr[pos], rel[pos], mult[pos]
     keep = np.ones(nbr.size, dtype=np.bool_)
     for column in ancestors.T:  # one column at a time bounds the temporaries
         keep &= column[seg] != nbr
     offsets = np.zeros(inverse.size + 1, dtype=np.int64)
     np.bincount(seg[keep], minlength=inverse.size).cumsum(out=offsets[1:])
-    return nbr[keep].astype(np.int32, copy=False), rel[keep].astype(np.int32, copy=False), offsets
+    return nbr[keep].astype(np.int32, copy=False), (rel[keep].astype(np.int32, copy=False), mult[keep]), offsets
 
 
 def context_lists(indptr, dst, rel, ctx, slot):

@@ -302,12 +302,6 @@ class KnowledgeGraph:
         right = lo + row.searchsorted(b, side="right")
         return list(dict.fromkeys(self.adj_rel[left:right].tolist()))
 
-    def pair_multiplicity(self, a: int, b: int) -> int:
-        """Stored edges between the pair in either orientation."""
-        self._check_concept(a)
-        self._check_concept(b)
-        return int(kernels.multiplicity(self.adj_indptr, self.adj_dst, np.array([a]), np.array([b]))[0])
-
     def walk_count(self, k: int) -> int:
         """Number of k-edge walks, counted with edge multiplicity.
 

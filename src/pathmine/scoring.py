@@ -3,9 +3,10 @@
 Grounded levels (2, 3, 5) score by context term frequency.  The
 unconstrained level-4 hop scores by normalized pointwise mutual
 information between the hop and its three-concept prefix, estimated from
-global walk counts.  Scores are then softmax-normalized within each
-sibling group and accumulated bottom-up, every node adding the mean of
-its two best children.
+walk counts: a path's count is the product of the edge counts expansion
+kept on its nodes (``PathTree.mults``).  Scores are then softmax-normalized
+within each sibling group and accumulated bottom-up, every node adding
+the mean of its two best children.
 
 Level 5 is scored from the tree's :class:`~pathmine.tree.Level5` summary,
 never child by child.  A level-5 raw score is a context count over the
@@ -53,34 +54,6 @@ class ScoredTree:
         return pos, raw, np.exp(raw - raw[0]) / self.sum5[idx - self.tree.first4]
 
 
-def npmi(
-    c1: int, c2: int, c3: int, c4: int, g: KnowledgeGraph, stats: WalkStats
-) -> float:
-    """Normalized PMI between a fourth hop and its three-concept prefix.
-
-    Joint and prefix probabilities are walk fractions (multiplicity products
-    over the global 4-concept and 3-concept walk totals); the hop prior is
-    its distinct-neighbor count over the node count.  Returns +1 when the
-    joint probability is 1 (the -log denominator vanishes) and the
-    most-negative float when it is 0, so such hops rank last.
-    """
-    for cid in (c1, c2, c3, c4):
-        g._check_concept(cid)
-    out = kernels.association_scores(
-        g.adj_indptr,
-        g.adj_dst,
-        g.neighbor_count,
-        [c1],
-        [c2],
-        [c3],
-        [c4],
-        stats.walks_len3,
-        stats.walks_len4,
-        stats.node_count,
-    )
-    return float(out[0])
-
-
 def score_raw(
     tree: PathTree, gp: GroundedPair, g: KnowledgeGraph, stats: WalkStats
 ) -> ScoredTree:
@@ -98,15 +71,10 @@ def score_raw(
     c4_idx = tree.level_indices(4)
     if c4_idx.size:  # most forests of a short context stop above level 4
         c3_idx = tree.parents[c4_idx]
-        c2_idx = tree.parents[c3_idx]
-        c1_idx = tree.parents[c2_idx]
         raw[c4_idx] = kernels.association_scores(
-            g.adj_indptr,
-            g.adj_dst,
             g.neighbor_count,
-            tree.concepts[c1_idx],
-            tree.concepts[c2_idx],
-            tree.concepts[c3_idx],
+            tree.mults[tree.parents[c3_idx]].astype(np.int64) * tree.mults[c3_idx],
+            tree.mults[c4_idx],
             tree.concepts[c4_idx],
             stats.walks_len3,
             stats.walks_len4,

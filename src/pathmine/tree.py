@@ -85,12 +85,14 @@ class Level5:
 class PathTree:
     """Candidate forest: levels 1-4 as parallel arrays in BFS order, its
     ``root_count`` level-1 nodes first, and the :class:`Level5` summary
-    of the level-4 nodes ``first4:``."""
+    of the level-4 nodes ``first4:``.  ``mults`` holds the number of
+    stored edges between each node and its parent (0 for a root)."""
 
-    def __init__(self, concepts, parents, rels, levels, level5: Level5 | None = None):
+    def __init__(self, concepts, parents, rels, mults, levels, level5: Level5 | None = None):
         self.concepts = np.asarray(concepts, dtype=np.int32)
         self.parents = np.asarray(parents, dtype=np.int64)
         self.rels = np.asarray(rels, dtype=np.int32)
+        self.mults = np.asarray(mults, dtype=np.int32)
         self.levels = np.asarray(levels, dtype=np.int8)
         n = self.concepts.size
         k = self.root_count = int(self.levels.searchsorted(2))
@@ -170,6 +172,7 @@ def build_tree(
     concepts = [frontier]
     parents = [np.full(k, -1, dtype=np.int64)]
     rels = [np.full(k, -1, dtype=np.int32)]
+    mults = [np.zeros(k, dtype=np.int32)]
     levels = [np.ones(k, dtype=np.int8)]
 
     # per-frontier-node ancestors padded to depth 4 with -1
@@ -186,7 +189,7 @@ def build_tree(
         # a parent drops at most the four concepts of its path from its
         # concept's ranked list, so its kept children are among the first
         # ``cap + 4``
-        cand, minrel, offsets = kernels.expand_candidates(
+        cand, (minrel, mult), offsets = kernels.expand_candidates(
             frontier, ancestors, g.adj_indptr, g.adj_dst, g.adj_rel, allowed, scores, cap + 4
         )
         sizes = np.diff(offsets)
@@ -195,13 +198,14 @@ def build_tree(
         # so the cap keeps its first positions
         if sizes.max() > cap:
             kept = np.arange(cand.size) - offsets[seg] < cap
-            cand, minrel, seg = cand[kept], minrel[kept], seg[kept]
+            cand, minrel, mult, seg = cand[kept], minrel[kept], mult[kept], seg[kept]
         if cand.size == 0:
             break
 
         concepts.append(cand)
         parents.append(frontier_idx[seg])
         rels.append(minrel)
+        mults.append(mult)
         levels.append(np.full(cand.size, level, dtype=np.int8))
 
         new_anc = np.full((cand.size, 4), -1, dtype=np.int32)
@@ -220,6 +224,7 @@ def build_tree(
         np.concatenate(concepts),
         np.concatenate(parents),
         np.concatenate(rels),
+        np.concatenate(mults),
         np.concatenate(levels),
         level5,
     )

@@ -137,7 +137,8 @@ def kept_triples(triples: list[tuple[str, str, str]]) -> list[tuple[str, str, st
 def regrown(tree: pathmine.PathTree, scored: pathmine.ScoredTree | None = None):
     """``tree`` with every kept level-5 child re-grown, through
     ``level5_children``, into the arrays: level 5 follows level 4 in parent
-    order, so the order stays breadth-first.  With ``scored``, also a
+    order, so the order stays breadth-first.  A level-5 node's edge
+    count is 0: the summary keeps none.  With ``scored``, also a
     ``ScoredTree`` of the same nodes' raw, normalized and cumulative
     scores (a level-5 leaf's cumulative score is its normalized one)."""
     idx4 = [int(i) for i in tree.level_indices(4)]
@@ -151,6 +152,7 @@ def regrown(tree: pathmine.PathTree, scored: pathmine.ScoredTree | None = None):
         np.concatenate([tree.concepts, tree.level5.concepts[pos]]),
         np.concatenate([tree.parents, np.repeat(np.asarray(idx4, dtype=np.int64), sizes)]),
         np.concatenate([tree.rels, tree.level5.rels[pos]]),
+        np.concatenate([tree.mults, np.zeros(pos.size, dtype=np.int32)]),
         np.concatenate([tree.levels, np.full(pos.size, 5, dtype=np.int8)]),
     )
     if scored is None:
@@ -162,6 +164,25 @@ def regrown(tree: pathmine.PathTree, scored: pathmine.ScoredTree | None = None):
         n_score=np.concatenate([scored.n_score, n5]),
         c_score=None if scored.c_score is None else np.concatenate([scored.c_score, n5]),
     )
+
+
+def random_path_tree(rng: np.random.Generator, g: KnowledgeGraph) -> pathmine.PathTree:
+    """Four levels of random concepts, so most fourth hops are not edges;
+    each node carries its edge count to its parent, read from the edge
+    table (0 for no edge)."""
+    concepts, parents, levels = [int(rng.integers(g.node_count))], [-1], [1]
+    frontier = [0]
+    for level in range(2, 5):
+        nxt = []
+        for parent in frontier:
+            for _ in range(int(rng.integers(0, 4))):
+                nxt.append(len(concepts))
+                concepts.append(int(rng.integers(g.node_count)))
+                parents.append(parent)
+                levels.append(level)
+        frontier = nxt
+    mults = [0] + [multiplicity_oracle(g, concepts[p], c) for c, p in zip(concepts[1:], parents[1:])]
+    return pathmine.PathTree(concepts, parents, [-1] + list(range(len(concepts) - 1)), mults, levels)
 
 
 def children(tree: pathmine.PathTree, idx: int) -> list[int]:

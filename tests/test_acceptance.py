@@ -12,9 +12,9 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from pathmine import (
+    BuildConfig,
     Config,
     ExtractionRequest,
     Extractor,
@@ -99,38 +99,33 @@ def test_criterion_2_cumulative_scoring_keeps_best_two():
 def test_criterion_3_oracle_equivalence_on_random_multigraphs():
     started = time.perf_counter()
     rng = np.random.default_rng(2024)
-    graphs = 0
+    graphs = hops = 0
     while graphs < 100:
         g = random_multigraph(rng, max_nodes=50, max_edges=200)
         stats = WalkStats.from_graph(g)
         for k in (1, 2, 3, 4):
             assert g.walk_count(k) == count_walks_oracle(g, k)
-        walks3 = count_walks_oracle(g, 2)
-        walks4 = count_walks_oracle(g, 3)
-        assert stats.walks_len3 == walks3
-        assert stats.walks_len4 == walks4
-        for _ in range(3):
-            c1, c2, c3, c4 = (int(v) for v in rng.integers(0, g.node_count, size=4))
-            joint = walks_through_oracle(g, [c1, c2, c3, c4]) / walks4
-            p_hop = partner_count_oracle(g, c4) / g.node_count
-            p_prefix = walks_through_oracle(g, [c1, c2, c3]) / walks3
-            got_joint = (
-                g.pair_multiplicity(c1, c2)
-                * g.pair_multiplicity(c2, c3)
-                * g.pair_multiplicity(c3, c4)
-                / stats.walks_len4
-            )
-            got_hop = int(g.neighbor_count[c4]) / g.node_count
-            got_prefix = (
-                g.pair_multiplicity(c1, c2) * g.pair_multiplicity(c2, c3) / stats.walks_len3
-            )
-            assert got_joint == pytest.approx(joint, rel=1e-9, abs=0)
-            assert got_hop == pytest.approx(p_hop, rel=1e-9, abs=0)
-            assert got_prefix == pytest.approx(p_prefix, rel=1e-9, abs=0)
+        assert stats.walks_len3 == count_walks_oracle(g, 2)
+        assert stats.walks_len4 == count_walks_oracle(g, 3)
+        # the counts scoring reads at each level-4 node of a built forest:
+        # the edge-count products along its path are the walks through it
+        names = [g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=30)]
+        pair = ground_pair(" ".join(names), " ".join(names[:3]), g)
+        tree = build_tree(pair.query_concepts, pair, g, BuildConfig(max_children_per_node=3))
+        for i4 in tree.level_indices(4).tolist():
+            i3 = int(tree.parents[i4])
+            i2 = int(tree.parents[i3])
+            path = [int(tree.concepts[i]) for i in (tree.parents[i2], i2, i3, i4)]
+            prefix = int(tree.mults[i2]) * int(tree.mults[i3])
+            assert prefix == walks_through_oracle(g, path[:3])
+            assert prefix * int(tree.mults[i4]) == walks_through_oracle(g, path)
+            assert int(g.neighbor_count[path[3]]) == partner_count_oracle(g, path[3])
+            hops += 1
         graphs += 1
+    assert hops > 1000
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0
-    _report(3, f"{graphs} graphs matched enumeration in {elapsed:.1f} s")
+    _report(3, f"{graphs} graphs and {hops} level-4 hops matched enumeration in {elapsed:.1f} s")
 
 
 def _tree_ensemble(min_trees: int):

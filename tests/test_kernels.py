@@ -5,9 +5,12 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathmine import PathmineError, WalkStats, graph_from_triples, kernels
 
@@ -27,8 +30,8 @@ def _graphs(seed: int, count: int):
 def expand_reference(g, parents, ancestors, allowed, scores, limit=None):
     """Per parent: neighbors() collapsed to the minimal relation, filtered,
     ranked by (score desc, concept asc) and cut to ``limit``, less its
-    ancestors."""
-    cand, minrel, offsets = [], [], [0]
+    ancestors; each with its edge count from the edge table."""
+    cand, minrel, mult, offsets = [], [], [], [0]
     for p, node in enumerate(parents):
         best: dict[int, int] = {}
         for rel, c in g.neighbors(int(node)):
@@ -38,8 +41,9 @@ def expand_reference(g, parents, ancestors, allowed, scores, limit=None):
             if c not in ancestors[p]:
                 cand.append(c)
                 minrel.append(best[c])
+                mult.append(multiplicity_oracle(g, int(node), c))
         offsets.append(len(cand))
-    return cand, minrel, offsets
+    return cand, (minrel, mult), offsets
 
 
 def _expand(g, parents, ancestors, allowed, scores=None, limit=2**62):
@@ -58,10 +62,10 @@ def _expand(g, parents, ancestors, allowed, scores=None, limit=2**62):
 def _assert_expand_matches(g, parents, ancestors, allowed, scores=None, limit=2**62):
     if scores is None:
         scores = np.zeros(g.node_count, dtype=np.int64)
-    cand, minrel, offsets = _expand(g, parents, ancestors, allowed, scores, limit)
+    cand, (minrel, mult), offsets = _expand(g, parents, ancestors, allowed, scores, limit)
     want = expand_reference(g, parents, ancestors.tolist(), allowed, scores, limit)
-    assert cand.dtype == np.int32 and minrel.dtype == np.int32 and offsets.dtype == np.int64
-    assert (cand.tolist(), minrel.tolist(), offsets.tolist()) == want
+    assert cand.dtype == minrel.dtype == mult.dtype == np.int32 and offsets.dtype == np.int64
+    assert (cand.tolist(), (minrel.tolist(), mult.tolist()), offsets.tolist()) == want
 
 
 class TestExpandCandidates:
@@ -111,11 +115,46 @@ class TestExpandCandidates:
         )
         a, b, c = (g.concept_id(s) for s in "abc")
         ancestors = np.array([[a, -1, -1, -1]], dtype=np.int32)
-        cand, minrel, offsets = _expand(g, [a], ancestors, None)
+        cand, (minrel, mult), offsets = _expand(g, [a], ancestors, None)
         rels_ab = [g.relation_names.index(r) for r in ("UsedFor", "IsA", "AtLocation")]
         assert cand.tolist() == sorted([b, c])
         assert minrel[cand.tolist().index(b)] == min(rels_ab)
+        assert mult[cand.tolist().index(b)] == 3 and mult[cand.tolist().index(c)] == 1
         assert offsets.tolist() == [0, 2]
+
+    def test_self_loop_counts_twice(self):
+        g = graph_from_triples([("a", "IsA", "a"), ("a", "IsA", "b"), ("b", "IsA", "a")])
+        a, b = g.concept_id("a"), g.concept_id("b")
+        # no ancestor, so the parent is its own candidate
+        cand, (_, mult), _ = _expand(g, [a], np.full((1, 4), -1, dtype=np.int32), None)
+        assert cand.tolist() == sorted([a, b])
+        assert mult.tolist() == [2, 2]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        masked=st.booleans(),
+        limit=st.integers(1, 6),
+        depth=st.integers(0, 4),
+    )
+    def test_edge_counts_match_oracle(self, seed, masked, limit, depth):
+        # small dense multigraphs: self-loops, parallel edges both ways
+        rng = np.random.default_rng(seed)
+        g = random_multigraph(rng, max_nodes=12, max_edges=60)
+        parents = rng.integers(0, g.node_count, size=int(rng.integers(1, 9))).astype(np.int32)
+        # ancestors drawn among each parent's neighbours and itself, so
+        # some candidates are dropped as ancestor hits
+        ancestors = np.full((parents.size, 4), -1, dtype=np.int32)
+        for i, p in enumerate(parents):
+            pool = [c for _, c in g.neighbors(int(p))] + [int(p)]
+            ancestors[i, :depth] = rng.choice(pool, size=depth)
+        allowed = rng.random(g.node_count) < 0.6 if masked else None
+        scores = rng.integers(0, 3, size=g.node_count)
+        cand, (_, mult), offsets = _expand(g, parents, ancestors, allowed, scores, limit)
+        for i, p in enumerate(parents.tolist()):
+            lo, hi = offsets[i], offsets[i + 1]
+            for c, m in zip(cand[lo:hi].tolist(), mult[lo:hi].tolist()):
+                assert m == multiplicity_oracle(g, p, c)
 
     def test_ancestor_hits_and_partial_mask(self):
         g = graph_from_triples([("a", "RelatedTo", n) for n in "bcde"] + [("b", "IsA", "a")])
@@ -132,15 +171,15 @@ class TestExpandCandidates:
         g = graph_from_triples([("a", "RelatedTo", "b")], extra_concepts=["lonely"])
         lonely, a = g.concept_id("lonely"), g.concept_id("a")
         ancestors = np.full((3, 4), -1, dtype=np.int32)
-        cand, minrel, offsets = _expand(g, [lonely, a, lonely], ancestors, None)
+        cand, _, offsets = _expand(g, [lonely, a, lonely], ancestors, None)
         assert cand.tolist() == [g.concept_id("b")]
         assert offsets.tolist() == [0, 0, 1, 1]
         _assert_expand_matches(g, [lonely, a, lonely], ancestors, None)
 
     def test_empty_frontier(self):
         g = graph_from_triples([("a", "RelatedTo", "b")])
-        cand, minrel, offsets = _expand(g, [], np.full((0, 4), -1, dtype=np.int32), None)
-        assert cand.size == 0 and minrel.size == 0
+        cand, (minrel, mult), offsets = _expand(g, [], np.full((0, 4), -1, dtype=np.int32), None)
+        assert cand.size == minrel.size == mult.size == 0
         assert offsets.tolist() == [0]
 
 
@@ -149,8 +188,8 @@ class TestExpandCandidates:
 
 
 def association_reference(g, stats, c1, c2, c3, c4):
-    base = g.pair_multiplicity(c1, c2) * g.pair_multiplicity(c2, c3)
-    seq = base * g.pair_multiplicity(c3, c4)
+    base = multiplicity_oracle(g, c1, c2) * multiplicity_oracle(g, c2, c3)
+    seq = base * multiplicity_oracle(g, c3, c4)
     if seq == 0:
         return kernels.SCORE_SENTINEL
     if seq == stats.walks_len4:
@@ -159,6 +198,18 @@ def association_reference(g, stats, c1, c2, c3, c4):
     p_prefix = base / stats.walks_len3
     p_hop = partner_count_oracle(g, c4) / g.node_count
     return math.log(joint / (p_hop * p_prefix)) / -math.log(joint)
+
+
+def _association(g, stats, prefix, hop, c4s):
+    return kernels.association_scores(
+        g.neighbor_count,
+        np.asarray(prefix, dtype=np.int64),
+        np.asarray(hop, dtype=np.int32),
+        np.asarray(c4s, dtype=np.int32),
+        stats.walks_len3,
+        stats.walks_len4,
+        stats.node_count,
+    )
 
 
 class TestAssociationScores:
@@ -173,27 +224,21 @@ class TestAssociationScores:
                     c2 = g.neighbors(c3)[0][1]
                     c1 = g.neighbors(c2)[-1][1]
                 c4s = rng.integers(0, g.node_count, size=24).astype(np.int32)
-                got = kernels.association_scores(
-                    g.adj_indptr,
-                    g.adj_dst,
-                    g.neighbor_count,
-                    c1,
-                    c2,
-                    c3,
-                    c4s,
-                    stats.walks_len3,
-                    stats.walks_len4,
-                    stats.node_count,
-                )
+                prefix = multiplicity_oracle(g, c1, c2) * multiplicity_oracle(g, c2, c3)
+                hop = [multiplicity_oracle(g, c3, int(c4)) for c4 in c4s]
+                got = _association(g, stats, [prefix] * c4s.size, hop, c4s)
                 want = [association_reference(g, stats, c1, c2, c3, int(c4)) for c4 in c4s]
                 assert np.allclose(got, want, rtol=1e-12, atol=0)
                 assert np.array_equal(got == kernels.SCORE_SENTINEL, np.asarray(want) == kernels.SCORE_SENTINEL)
 
-    def test_pair_multiplicity_matches_edge_table(self):
-        rng = np.random.default_rng(6)
-        for g in _graphs(6, 8):
-            for a, b in rng.integers(0, g.node_count, size=(20, 2)):
-                assert g.pair_multiplicity(int(a), int(b)) == multiplicity_oracle(g, int(a), int(b))
+    def test_zero_count_gets_sentinel_and_full_count_plus_one(self):
+        g = graph_from_triples([("a", "RelatedTo", "b"), ("b", "RelatedTo", "c"), ("c", "RelatedTo", "d")])
+        stats = WalkStats(walks_len3=4, walks_len4=6, node_count=g.node_count)
+        d = g.concept_id("d")
+        # no walk through the prefix or the hop; then the hop's joint count
+        # equals the global total, where the -log denominator vanishes
+        got = _association(g, stats, [0, 2, 2], [1, 0, 3], [d, d, d])
+        assert got.tolist() == [kernels.SCORE_SENTINEL, kernels.SCORE_SENTINEL, 1.0]
 
 
 class TestNeighborCounts:
@@ -207,6 +252,23 @@ class TestNeighborCounts:
         indptr = np.zeros(4, dtype=np.int64)
         dst = np.empty(0, dtype=np.int32)
         assert kernels.neighbor_counts(indptr, dst).tolist() == [0, 0, 0]
+
+    def test_peak_bytes_per_entry(self):
+        # the run starts and their running sum share one int32 array; int64
+        # temporaries would take 16 bytes an entry
+        rng = np.random.default_rng(5)
+        rows, per_row = 50, 8000
+        indptr = np.arange(rows + 1, dtype=np.int64) * per_row
+        dst = np.sort(rng.integers(0, 2000, size=(rows, per_row), dtype=np.int32), axis=1).ravel()
+        tracemalloc.start()
+        try:
+            got = kernels.neighbor_counts(indptr, dst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.dtype == np.int64
+        assert got.tolist() == [np.unique(row).size for row in dst.reshape(rows, per_row)]
+        assert peak / dst.size < 6
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,13 @@ from pathmine import (
     ExtractionRequest,
     Extractor,
     PathmineError,
-    PathTree,
     WalkStats,
     ground_pair,
     score_tree,
     select_paths,
 )
 
-from conftest import random_multigraph
+from conftest import random_multigraph, random_path_tree
 from reference import SENTINEL, Ambiguous, Reference
 
 
@@ -63,22 +62,6 @@ def test_extract_bytes_match_reference(cap):
     assert totals["capped"] > 500 and totals["tie"] > 200 and totals["draw"] > 500, totals
 
 
-def _random_path_tree(rng, node_count: int) -> PathTree:
-    """Four levels of random concepts, so most fourth hops are not edges."""
-    concepts, parents, levels = [int(rng.integers(node_count))], [-1], [1]
-    frontier = [0]
-    for level in range(2, 5):
-        nxt = []
-        for parent in frontier:
-            for _ in range(int(rng.integers(0, 4))):
-                nxt.append(len(concepts))
-                concepts.append(int(rng.integers(node_count)))
-                parents.append(parent)
-                levels.append(level)
-        frontier = nxt
-    return PathTree(concepts, parents, [-1] + list(range(len(concepts) - 1)), levels)
-
-
 def test_sentinel_hops_select_as_reference():
     # a fourth hop with no walk through it scores the sentinel and ranks last
     rng = np.random.default_rng(17)
@@ -90,7 +73,7 @@ def test_sentinel_hops_select_as_reference():
         except PathmineError:
             continue
         pair = ground_pair(_names(g, rng, 25), g.surfaces[0], g)
-        tree = _random_path_tree(rng, g.node_count)
+        tree = random_path_tree(rng, g)
         st = score_tree(tree, pair, g, stats)
         reference = Reference(g, cap=100)
         pairs = zip(tree.concepts.tolist(), tree.rels.tolist())

@@ -14,7 +14,6 @@ from pathmine import (
     cumulative_score,
     graph_from_triples,
     ground_pair,
-    npmi,
     score_tree,
     sibling_softmax,
 )
@@ -26,10 +25,12 @@ from conftest import (
     STORY_CONTEXT,
     STORY_QUERY,
     children,
+    multiplicity_oracle,
     npmi_oracle,
     path_to,
     probabilities_oracle,
     random_multigraph,
+    random_path_tree,
     regrown,
 )
 
@@ -52,6 +53,16 @@ def hand_graph():
         ],
         extra_concepts=["stone"],
     )
+
+
+def npmi(c1: int, c2: int, c3: int, c4: int, g, stats) -> float:
+    """The raw score ``score_raw`` gives the level-4 node of the one path
+    c1, c2, c3, c4, its edge counts read from the edge table."""
+    path = [c1, c2, c3, c4]
+    mults = [0] + [multiplicity_oracle(g, a, b) for a, b in zip(path, path[1:])]
+    tree = PathTree(path, [-1, 0, 1, 2], [-1, 0, 0, 0], mults, [1, 2, 3, 4])
+    pair = GroundedPair(ConceptMentionSet(mentions={c1: 1}, source_len=1), [c1])
+    return float(score_raw(tree, pair, g, stats).raw[3])
 
 
 class TestNpmi:
@@ -109,6 +120,7 @@ class TestNpmi:
             concepts=[0, 1, 2, 3],
             parents=[-1, 0, 0, 0],
             rels=[-1, 0, 0, 0],
+            mults=[0] * 4,
             levels=[1, 2, 2, 2],
         )
         st = sibling_softmax(ScoredTree(tree=tree, raw=np.array([0.0, 0.05, SCORE_SENTINEL, 0.02])))
@@ -153,7 +165,9 @@ class TestRawScore:
             if not pair.query_concepts:
                 continue
             built = build_tree([pair.query_concepts[0]], pair, g, BuildConfig(max_children_per_node=3))
-            for tree in (built, _random_path_tree(rng, g.node_count)):
+            # bit for bit against one-path trees, whose edge counts come
+            # from the edge table instead of expansion
+            for tree in (built, random_path_tree(rng, g)):
                 st = score_raw(tree, pair, g, stats)
                 for idx in tree.level_indices(4):
                     want = npmi(*path_to(tree, int(idx)), g, stats)
@@ -176,22 +190,6 @@ class TestRawScore:
             score_raw(tree, pair, story_graph, WalkStats.from_graph(story_graph))
 
 
-def _random_path_tree(rng, node_count: int) -> PathTree:
-    """Four levels of random concepts, so most fourth hops are not edges."""
-    concepts, parents, levels = [int(rng.integers(node_count))], [-1], [1]
-    frontier = [0]
-    for level in range(2, 5):
-        nxt = []
-        for parent in frontier:
-            for _ in range(int(rng.integers(0, 4))):
-                nxt.append(len(concepts))
-                concepts.append(int(rng.integers(node_count)))
-                parents.append(parent)
-                levels.append(level)
-        frontier = nxt
-    return PathTree(concepts, parents, [-1] + [0] * (len(concepts) - 1), levels)
-
-
 def _softmax_oracle(raw):
     # extended precision reference
     vals = [np.longdouble(x) for x in raw]
@@ -208,6 +206,7 @@ class TestSiblingSoftmax:
             concepts=list(range(n + 1)),
             parents=[-1] + [0] * n,
             rels=[-1] + [0] * n,
+            mults=[0] * (n + 1),
             levels=[1] + [2] * n,
         )
         return sibling_softmax(ScoredTree(tree=tree, raw=np.array([0.0, *raw])))
@@ -271,6 +270,7 @@ class TestCumulativeScore:
             concepts=[0, 1, 2, 3, 4],
             parents=[-1, 0, 1, 1, 1],
             rels=[-1, 0, 0, 0, 0],
+            mults=[0] * 5,
             levels=[1, 2, 3, 3, 3],
         )
         raw = np.array([0.0, 0.05, 0.06, 0.05, 0.001])
@@ -290,6 +290,7 @@ class TestCumulativeScore:
             concepts=list(range(10)),
             parents=[-1, 0, 0, 0, 1, 2, 2, 3, 3, 3],
             rels=[-1] + [0] * 9,
+            mults=[0] * 10,
             levels=[1, 2, 2, 2, 3, 3, 3, 3, 3, 3],
         )
         n_score = np.array([1.0, 0.4, 0.4, 0.2, 0.7, 0.25, 0.25, *third_block])
@@ -303,6 +304,7 @@ class TestCumulativeScore:
             concepts=[0, 1],
             parents=[-1, 0],
             rels=[-1, 0],
+            mults=[0, 0],
             levels=[1, 2],
         )
         st = cumulative_score(sibling_softmax(ScoredTree(tree=tree, raw=np.array([0.0, 0.3]))))

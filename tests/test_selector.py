@@ -91,6 +91,7 @@ class TestSelectPaths:
             concepts=concepts,
             parents=parents,
             rels=[-1] + [0] * (len(concepts) - 1),
+            mults=[0] * len(concepts),
             levels=levels,
         )
         raw = np.full(len(concepts), 0.25)
@@ -104,6 +105,7 @@ class TestSelectPaths:
             concepts=[0, 5, 3, 7],
             parents=[-1, 0, 0, 0],
             rels=[-1, 0, 0, 0],
+            mults=[0] * 4,
             levels=[1, 2, 2, 2],
         )
         # identical raws: equal c-scores, so ids 3 and 5 must win over 7
@@ -119,6 +121,7 @@ class TestSelectPaths:
             concepts=[0, 5, 3, 7, 9, 8],
             parents=[-1, 0, 0, 0, 2, 2],
             rels=[-1, 0, 0, 0, 0, 0],
+            mults=[0] * 6,
             levels=[1, 2, 2, 2, 3, 3],
         )
         raw = np.array([0.0, 0.1, 0.3, 0.2, 0.1, 0.4])
