@@ -38,10 +38,15 @@ class ConceptMentionSet:
         return self.mentions.get(cid, 0)
 
     def dense_counts(self, node_count: int) -> np.ndarray:
-        """Counts as an int64 array over all concept ids (cached)."""
+        """Counts as an int32 array over all concept ids (cached).
+
+        A count is at most the context's token count, far below 2**31 for
+        any context that fits in memory; int32 halves the array that every
+        request fills and that expansion and scoring gather from.
+        """
         arr = self._dense.get(node_count)
         if arr is None:
-            arr = np.zeros(node_count, dtype=np.int64)
+            arr = np.zeros(node_count, dtype=np.int32)
             for cid, c in self.mentions.items():
                 arr[cid] = c
             self._dense[node_count] = arr

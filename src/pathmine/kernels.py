@@ -58,21 +58,24 @@ def _row_sums(indptr, values):
 # walk counting: v <- B v with B = A + A^T, multiplicity-weighted
 
 
-def walk_totals(indptr, dst, degrees, k: int) -> int:
-    """Total number of k-edge walks, traversing stored edges in both directions.
+def walk_totals(indptr, dst, degrees, k: int) -> list[int]:
+    """Total numbers of 1- to k-edge walks, traversing stored edges in both
+    directions, from one pass of ``k`` steps.
 
     ``degrees`` is ``np.diff(indptr)``.  Exact for any graph: once a step's
     total could leave int64 the walk vector is carried in Python integers.
     """
     degrees_f = degrees.astype(np.float64)
     v = np.ones(degrees.size, dtype=np.int64)
+    totals = []
     for _ in range(k):
         # the next vector sums to degrees . v, and every entry and running
         # sum of a step is at most that
         if v.dtype != object and float(degrees_f @ v) >= _INT64_SAFE:
             v = v.astype(object)
         v = _row_sums(indptr, v[dst])
-    return int(v.sum())
+        totals.append(int(v.sum()))
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +135,10 @@ def expand_candidates(parents, ancestors, indptr, dst, rel, allowed, scores, lim
     take memory in the output's size, not the rows'.
     Returns (flat candidates, (flat min relation ids, flat edge counts),
     offsets of len parents+1), a self-loop counting two edges; each
-    parent's slice is sorted by (score desc, concept asc).
+    parent's slice is sorted by (score desc, concept asc).  The first
+    three are int32 and the offsets int64, also when no row entry passes
+    the filter: then nothing is ranked or copied, and the offsets are
+    all zero.
     """
     # a concept recurs as parent under many branches: expand each once
     concepts, inverse = np.unique(np.asarray(parents, dtype=np.int64), return_inverse=True)
@@ -141,6 +147,10 @@ def expand_candidates(parents, ancestors, indptr, dst, rel, allowed, scores, lim
         # filter first: every later array is built over the kept rows only
         keep = allowed[dst[pos]].nonzero()[0]
         pos, seg = pos[keep], seg[keep]
+    if not pos.size:
+        # nothing to rank or copy: most short requests' roots end here
+        empty = np.zeros(0, dtype=np.int32)
+        return empty, (empty, empty), np.zeros(inverse.size + 1, dtype=np.int64)
     nbr, rel = dst[pos], rel[pos]
 
     # rows are sorted by (neighbor, relation): the first entry of each
@@ -149,12 +159,12 @@ def expand_candidates(parents, ancestors, indptr, dst, rel, allowed, scores, lim
     first = _run_starts(seg, nbr).nonzero()[0]
     mult = np.empty(first.size, dtype=np.int32)
     np.subtract(first[1:], first[:-1], out=mult[:-1])
-    mult[-1:] = seg.size - first[-1:]
+    mult[-1] = seg.size - first[-1]
     seg, nbr, rel = seg[first], nbr[first], rel[first]
     # rank each expanded concept's list once: a stable sort by (list,
     # score desc) leaves equal scores in neighbor-id order
     score = scores[nbr]
-    top = int(score.max()) if score.size else 0
+    top = int(score.max())
     order = np.argsort(seg * (top + 1) + (top - score), kind="stable")
     # then keep each list's first ``limit`` entries
     sizes = np.bincount(seg, minlength=concepts.size)

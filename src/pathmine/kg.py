@@ -309,6 +309,11 @@ class KnowledgeGraph:
         operator applied to the all-ones vector; no matrix power is ever
         materialized.
         """
+        return self.walk_counts(k)[-1]
+
+    def walk_counts(self, k: int) -> list[int]:
+        """Numbers of 1- to k-edge walks, as :meth:`walk_count` counts them,
+        from one pass of ``k`` steps."""
         if not 1 <= k <= 4:
             raise ValueError(f"walk length {k} out of range 1..4")
         return kernels.walk_totals(self.adj_indptr, self.adj_dst, self.degrees, k)
@@ -551,8 +556,7 @@ class WalkStats:
 
     @classmethod
     def from_graph(cls, g: KnowledgeGraph) -> "WalkStats":
-        w3 = g.walk_count(2)
-        w4 = g.walk_count(3)
+        _, w3, w4 = g.walk_counts(3)
         if w3 <= 0 or w4 <= 0:
             raise PathmineError("graph has no multi-step walks; cannot build statistics")
         if max(w3, w4) >= 1 << 63:

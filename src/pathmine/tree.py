@@ -192,6 +192,8 @@ def build_tree(
         cand, (minrel, mult), offsets = kernels.expand_candidates(
             frontier, ancestors, g.adj_indptr, g.adj_dst, g.adj_rel, allowed, scores, cap + 4
         )
+        if not cand.size:
+            break
         sizes = np.diff(offsets)
         seg = np.arange(sizes.size, dtype=np.int64).repeat(sizes)
         # each parent's slice arrives ranked by (score desc, concept asc),
@@ -199,8 +201,6 @@ def build_tree(
         if sizes.max() > cap:
             kept = np.arange(cand.size) - offsets[seg] < cap
             cand, minrel, mult, seg = cand[kept], minrel[kept], mult[kept], seg[kept]
-        if cand.size == 0:
-            break
 
         concepts.append(cand)
         parents.append(frontier_idx[seg])

@@ -176,6 +176,29 @@ class TestExpandCandidates:
         assert offsets.tolist() == [0, 0, 1, 1]
         _assert_expand_matches(g, [lonely, a, lonely], ancestors, None)
 
+    @pytest.mark.parametrize("case", ["every neighbour disallowed", "isolated concept", "some parents"])
+    def test_nothing_left_to_rank(self, case):
+        g = graph_from_triples(
+            [("a", "RelatedTo", n) for n in "bcd"] + [("e", "IsA", "f")], extra_concepts=["lonely"]
+        )
+        a, e, f, lonely = (g.concept_id(s) for s in ("a", "e", "f", "lonely"))
+        # int32 context counts, the filter and the rank score build_tree passes
+        counts = np.zeros(g.node_count, dtype=np.int32)
+        counts[[a, e]] = 2  # the parents are context concepts, none of their neighbours is
+        if case == "every neighbour disallowed":
+            parents, allowed, want = [a, e, a], counts, []
+        elif case == "isolated concept":
+            parents, allowed, want = [lonely, lonely], None, []
+        else:
+            counts[f] = 1  # e's neighbour f is a context concept, a's are not
+            parents, allowed, want = [a, e, lonely, e], counts, [f, f]
+        ancestors = np.full((len(parents), 4), -1, dtype=np.int32)
+        ancestors[:, 0] = parents
+        cand, _, offsets = _expand(g, parents, ancestors, allowed, counts)
+        assert cand.tolist() == want
+        assert offsets.size == len(parents) + 1
+        _assert_expand_matches(g, parents, ancestors, allowed, counts)
+
     def test_empty_frontier(self):
         g = graph_from_triples([("a", "RelatedTo", "b")])
         cand, (minrel, mult), offsets = _expand(g, [], np.full((0, 4), -1, dtype=np.int32), None)
@@ -286,8 +309,7 @@ class TestWalkTotals:
     @pytest.mark.parametrize("parallel", [46_341, 65_536])
     def test_exact_beyond_int64(self, parallel):
         csr = _two_node_csr(parallel)
-        for k in (1, 2, 3, 4):
-            assert kernels.walk_totals(*csr, k) == 2 * parallel**k
+        assert kernels.walk_totals(*csr, 4) == [2 * parallel**k for k in (1, 2, 3, 4)]
 
     def test_stats_beyond_index_fields_rejected(self):
         class Huge:
@@ -295,6 +317,9 @@ class TestWalkTotals:
 
             def walk_count(self, k):
                 return 1 << (62 + k)
+
+            def walk_counts(self, k):
+                return [self.walk_count(j) for j in range(1, k + 1)]
 
         with pytest.raises(PathmineError):
             WalkStats.from_graph(Huge())

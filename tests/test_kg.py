@@ -246,6 +246,7 @@ class TestWalkCount:
             g = random_multigraph(rng, max_nodes=30, max_edges=80)
             for k in (2, 3, 4):
                 assert g.walk_count(k) == count_walks_oracle(g, k)
+            assert g.walk_counts(4) == [count_walks_oracle(g, k) for k in (1, 2, 3, 4)]
 
     def test_out_of_range(self, story_graph):
         for k in (0, 5, -1):

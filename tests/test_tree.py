@@ -301,6 +301,25 @@ class TestForest:
         with pytest.raises(ValueError, match="at least one root"):
             build_tree([], pair, story_graph)
 
+    def test_short_forest_memory_per_graph_concept(self):
+        # a forest that stops at level 2 still reads the context counts of
+        # every graph concept: int32 counts take 4 bytes a concept, int64 8
+        g = graph_from_triples(
+            [("q", "RelatedTo", "h")], extra_concepts=[f"x{i}" for i in range(100_000)]
+        )
+        stats = WalkStats(walks_len3=2, walks_len4=2, node_count=g.node_count)
+        pair = ground_pair("h x5 x7 x7", "q", g)
+        tracemalloc.start()
+        try:
+            forest = build_tree(pair.query_concepts, pair, g)
+            scored = score_tree(forest, pair, g, stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forest.levels.tolist() == [1, 2]
+        assert scored.raw.tolist() == [0.0, 0.25]
+        assert peak / g.node_count < 6
+
     def test_shared_wide_concept_expands_in_bounded_memory(self):
         # 50 roots reach one context concept through 2 context hubs: 100
         # level-3 nodes share its 20 k-neighbour row, which the cap of 2
