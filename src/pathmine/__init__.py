@@ -1,21 +1,16 @@
-"""pathmine: grounded multi-hop concept path mining over knowledge graphs."""
+"""pathmine: grounded multi-hop concept path mining over knowledge graphs.
 
-from .grounding import (
-    ConceptMentionSet,
-    GroundedPair,
-    TokenizedText,
-    extract_concepts,
-    ground_pair,
-    load_stopwords,
-    tokenize,
-)
+The package root exports what the README documents; each stage's helpers
+stay in their modules (``pathmine.grounding``, ``pathmine.scoring``,
+``pathmine.selector``, ``pathmine.tree``).
+"""
+
 from .kg import (
     IndexChecksumError,
     IndexFormatError,
     IndexTruncatedError,
     IndexVersionError,
     IngestError,
-    IngestReport,
     KnowledgeGraph,
     PathmineError,
     WalkStats,
@@ -24,67 +19,39 @@ from .kg import (
     load_index,
     save_index,
 )
-from .pipeline import Config, ExtractionRequest, ExtractionResult, Extractor, run_batch
-from .scoring import (
-    SCORE_SENTINEL,
-    ScoredTree,
-    cumulative_score,
-    score_tree,
-    sibling_softmax,
-)
-from .selector import (
-    MAX_FULL_PATHS,
-    PathSelection,
-    SelectedPath,
-    expand_subpaths,
-    realize_selection,
-    realize_tokens,
-    select_paths,
-)
-from .tree import BuildConfig, Level5, PathTree, build_tree
+from .pipeline import Config, ExtractionRequest, ExtractionResult, Extractor, ground_pair, run_batch
+from .scoring import SCORE_SENTINEL, ScoredTree, score_tree
+from .selector import PathSelection, realize_selection, select_paths
+from .tree import BuildConfig, PathTree, build_tree
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BuildConfig",
-    "ConceptMentionSet",
     "Config",
     "ExtractionRequest",
     "ExtractionResult",
     "Extractor",
-    "GroundedPair",
     "IndexChecksumError",
     "IndexFormatError",
     "IndexTruncatedError",
     "IndexVersionError",
     "IngestError",
-    "IngestReport",
     "KnowledgeGraph",
-    "Level5",
-    "MAX_FULL_PATHS",
     "PathSelection",
     "PathTree",
     "PathmineError",
     "SCORE_SENTINEL",
     "ScoredTree",
-    "SelectedPath",
-    "TokenizedText",
     "WalkStats",
     "build_tree",
-    "cumulative_score",
-    "expand_subpaths",
-    "extract_concepts",
     "graph_from_triples",
     "ground_pair",
     "ingest_csv",
     "load_index",
-    "load_stopwords",
     "realize_selection",
-    "realize_tokens",
     "run_batch",
     "save_index",
     "score_tree",
     "select_paths",
-    "sibling_softmax",
-    "tokenize",
 ]

@@ -12,7 +12,7 @@ from typing import IO, Iterator
 import click
 
 from .kg import PathmineError, WalkStats, ingest_csv, load_index, save_index
-from .pipeline import Config, Extractor, run_batch
+from .pipeline import Config, ExtractionRequest, Extractor, run_batch
 from .scoring import SCORE_SENTINEL
 from .selector import top_children, top_leaves
 
@@ -125,6 +125,10 @@ def explain_cmd(
     graph_path: str, context: str, query: str, config_path: str | None, seed: int | None
 ) -> None:
     """Print every scored tree with per-node scores and keep/drop decisions."""
+    try:
+        ExtractionRequest(context=context, query=query)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
     config = _config_from_options(config_path, seed=seed)
     graph, stats = load_index(graph_path)
     extractor = Extractor(graph, stats, config)
@@ -133,11 +137,14 @@ def explain_cmd(
 
 def render_explanation(extractor: Extractor, context: str, query: str) -> str:
     graph = extractor.graph
-    analyses = extractor.analyze(context, query)
-    if not analyses:
+    result = extractor.analyze(context, query)
+    if result is None:
+        pair = extractor.ground(context, query)
+        if pair.context_mentions.source_len == 0:
+            return "context has no tokens; no paths"
         return "no query concepts grounded; no paths"
-    # every analysis shares the request's forest
-    tree, scored = analyses[0].tree, analyses[0].scored
+    scored, selections = result
+    tree = scored.tree
     sizes = tree.sizes()
 
     def fmt(value: float) -> str:
@@ -150,13 +157,13 @@ def render_explanation(extractor: Extractor, context: str, query: str) -> str:
         )
 
     lines: list[str] = []
-    for analysis in analyses:
-        root_surface = graph.surfaces[analysis.root_concept]
-        lines.append(f"tree rooted at {root_surface!r} ({sizes[analysis.root]} nodes)")
+    for root, selection in enumerate(selections):
+        root_surface = graph.surfaces[tree.concepts[root]]
+        lines.append(f"tree rooted at {root_surface!r} ({sizes[root]} nodes)")
         lines.append(f"{root_surface} (root)")
         # depth-first with an explicit stack: a recursive closure would form a
         # reference cycle holding the tree until the next full collection
-        stack = [(analysis.root, 0, True)]
+        stack = [(root, 0, True)]
         while stack:
             idx, depth, kept = stack.pop()
             if depth:
@@ -169,9 +176,9 @@ def render_explanation(extractor: Extractor, context: str, query: str) -> str:
             kept_set = set(top_children(scored, idx)) if kept else set()
             for child in range(tree.child_end[idx] - 1, tree.child_start[idx] - 1, -1):
                 stack.append((child, depth + 1, child in kept_set))  # the first child pops first
-        if analysis.selection.full_paths:
+        if selection.full_paths:
             lines.append("selected paths:")
-            for tokens in analysis.selection.realized:
+            for tokens in selection.realized:
                 lines.append("  " + " ".join(tokens))
         else:
             lines.append("no paths")

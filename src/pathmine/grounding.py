@@ -1,4 +1,7 @@
-"""Text-to-graph grounding: tokenization, concept mentions, term frequency."""
+"""Text-to-graph grounding: tokenization and concept mentions.
+
+``pipeline.ground_pair`` grounds one context/query pair with them.
+"""
 
 from __future__ import annotations
 
@@ -33,9 +36,6 @@ class ConceptMentionSet:
     mentions: dict[int, int]
     source_len: int
     _dense: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
-
-    def count(self, cid: int) -> int:
-        return self.mentions.get(cid, 0)
 
     def dense_counts(self, node_count: int) -> np.ndarray:
         """Counts as an int32 array over all concept ids (cached).
@@ -123,20 +123,4 @@ def extract_concepts(
             mentions[cid] = mentions.get(cid, 0) + 1
         i += n
     return ConceptMentionSet(mentions=mentions, source_len=n_tokens)
-
-
-def ground_pair(
-    context: str,
-    query: str,
-    g: KnowledgeGraph,
-    max_ngram: int = DEFAULT_MAX_NGRAM,
-    stopwords: frozenset[str] | None = None,
-) -> GroundedPair:
-    """Ground a context/query pair; query concepts keep first-occurrence order."""
-    if stopwords is None:
-        stopwords = load_stopwords()
-    ctx = extract_concepts(tokenize(context), g, max_ngram, stopwords)
-    query_mentions = extract_concepts(tokenize(query), g, max_ngram, stopwords)
-    # dict preserves first-mention order; counts are irrelevant for the query
-    return GroundedPair(context_mentions=ctx, query_concepts=list(query_mentions.mentions))
 

@@ -270,27 +270,11 @@ class KnowledgeGraph:
     def concept_id(self, surface: str) -> int | None:
         return self.surface_to_id.get(surface)
 
-    def degree(self, cid: int) -> int:
-        """Stored edges incident to the concept, parallel edges counted."""
-        self._check_concept(cid)
-        return int(self.degrees[cid])
-
     def _check_concept(self, cid: int) -> None:
         if not 0 <= cid < self.node_count:
             raise ValueError(f"unknown concept id {cid}")
 
     # -- queries -----------------------------------------------------------
-
-    def neighbors(self, cid: int) -> list[tuple[int, int]]:
-        """(relation id, concept id) pairs adjacent to ``cid``.
-
-        Deduplicated on (relation, concept) and sorted by concept id then
-        relation id.
-        """
-        self._check_concept(cid)
-        lo, hi = self.adj_indptr[cid], self.adj_indptr[cid + 1]
-        pairs = zip(self.adj_dst[lo:hi].tolist(), self.adj_rel[lo:hi].tolist())
-        return [(r, c) for c, r in dict.fromkeys(pairs)]
 
     def edges_between(self, a: int, b: int) -> list[int]:
         """Relation ids usable for a hop between ``a`` and ``b`` (sorted)."""
@@ -302,34 +286,14 @@ class KnowledgeGraph:
         right = lo + row.searchsorted(b, side="right")
         return list(dict.fromkeys(self.adj_rel[left:right].tolist()))
 
-    def walk_count(self, k: int) -> int:
-        """Number of k-edge walks, counted with edge multiplicity.
-
-        Computed as the grand sum of the k-fold direction-agnostic adjacency
-        operator applied to the all-ones vector; no matrix power is ever
-        materialized.
-        """
-        return self.walk_counts(k)[-1]
-
     def walk_counts(self, k: int) -> list[int]:
-        """Numbers of 1- to k-edge walks, as :meth:`walk_count` counts them,
-        from one pass of ``k`` steps."""
+        """Numbers of 1- to k-edge walks, counted with edge multiplicity
+        (parallel edges each count, in either direction; a self-loop twice),
+        from one pass of the direction-agnostic adjacency operator over the
+        all-ones vector: no matrix power is materialized."""
         if not 1 <= k <= 4:
             raise ValueError(f"walk length {k} out of range 1..4")
         return kernels.walk_totals(self.adj_indptr, self.adj_dst, self.degrees, k)
-
-    # -- equality (used by ingestion-idempotence tests) ---------------------
-
-    def same_tables(self, other: "KnowledgeGraph") -> bool:
-        return (
-            self.lang == other.lang
-            and self.surfaces == other.surfaces
-            and self.relation_names == other.relation_names
-            and all(
-                np.array_equal(getattr(self, name), getattr(other, name))
-                for name in ("adj_indptr", "adj_dst", "adj_rel", "adj_incoming")
-            )
-        )
 
 
 # ---------------------------------------------------------------------------

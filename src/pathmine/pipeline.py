@@ -10,23 +10,41 @@ for any worker count.
 from __future__ import annotations
 
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, get_type_hints
 
 import numpy as np
 
+# ground_pair calls tokenize and extract_concepts through this module's
+# names, which is where perfbench/tracer.py hooks them
 from .grounding import (
+    DEFAULT_MAX_NGRAM,
+    GroundedPair,
     extract_concepts,
     load_stopwords,
     tokenize,
 )
-from .grounding import GroundedPair
 from .kg import KnowledgeGraph, WalkStats
 from .scoring import ScoredTree, score_tree
 from .selector import PathSelection, realize_selection
-from .tree import BuildConfig, PathTree, build_tree
+from .tree import BuildConfig, build_tree
+
+
+def ground_pair(
+    context: str,
+    query: str,
+    g: KnowledgeGraph,
+    max_ngram: int = DEFAULT_MAX_NGRAM,
+    stopwords: frozenset[str] | None = None,
+) -> GroundedPair:
+    """Ground a context/query pair; query concepts keep first-occurrence order."""
+    if stopwords is None:
+        stopwords = load_stopwords()
+    ctx = extract_concepts(tokenize(context), g, max_ngram, stopwords)
+    query_mentions = extract_concepts(tokenize(query), g, max_ngram, stopwords)
+    # dict preserves first-mention order; counts are irrelevant for the query
+    return GroundedPair(context_mentions=ctx, query_concepts=list(query_mentions.mentions))
 
 
 def _json(text: str):
@@ -93,28 +111,11 @@ class ExtractionRequest:
 
 
 @dataclass
-class TreeAnalysis:
-    """One query concept's tree: its root's index in the request's forest,
-    the scored forest it shares with its siblings, and its selection;
-    explain/debug view."""
-
-    root: int
-    tree: PathTree
-    scored: ScoredTree
-    selection: PathSelection
-
-    @property
-    def root_concept(self) -> int:
-        return int(self.tree.concepts[self.root])
-
-
-@dataclass
 class ExtractionResult:
     id: str | None
     paths: list[list[str]]
     error: str | None = None
     stats: dict = field(default_factory=dict)
-    elapsed: float = 0.0  # kept out of serialized output; wall time varies
 
     def to_json(self) -> str:
         return json.dumps(
@@ -133,61 +134,56 @@ class Extractor:
         self.config = config or Config()
 
     def ground(self, context: str, query: str) -> GroundedPair:
-        ctx = extract_concepts(
-            tokenize(context), self.graph, self.config.max_ngram, self.config.stopwords
-        )
-        query_mentions = extract_concepts(
-            tokenize(query), self.graph, self.config.max_ngram, self.config.stopwords
-        )
-        return GroundedPair(context_mentions=ctx, query_concepts=list(query_mentions.mentions))
+        return ground_pair(context, query, self.graph, self.config.max_ngram, self.config.stopwords)
 
-    def analyze(self, context: str, query: str, request_index: int = 0) -> list[TreeAnalysis]:
+    def analyze(
+        self, context: str, query: str, request_index: int = 0
+    ) -> tuple[ScoredTree, list[PathSelection]] | None:
         """Build and score one forest over every grounded query concept, then
-        select each tree's paths."""
+        select each root's paths: the scored forest and one selection per
+        root in root order, or None when the context has no token or no
+        query concept grounds."""
         pair = self.ground(context, query)
         if pair.context_mentions.source_len == 0 or not pair.query_concepts:
-            return []
+            return None
         forest = build_tree(pair.query_concepts, pair, self.graph, self.config.build)
         scored = score_tree(forest, pair, self.graph, self.stats)
-        analyses: list[TreeAnalysis] = []
+        selections: list[PathSelection] = []
         for root in range(forest.root_count):
             if forest.child_start[root] == forest.child_end[root]:
                 # a bare root has no path: skip seeding a generator never drawn from
-                selection = PathSelection(full_paths=[], truncations=[], realized=[])
+                selections.append(PathSelection(full_paths=[], truncations=[], realized=[]))
             else:
                 rng = np.random.default_rng([self.config.seed, request_index, root])
-                selection = realize_selection(scored, self.graph, rng, root)
-            analyses.append(TreeAnalysis(root=root, tree=forest, scored=scored, selection=selection))
-        return analyses
+                selections.append(realize_selection(scored, self.graph, rng, root))
+        return scored, selections
 
     def extract(self, request: ExtractionRequest, request_index: int = 0) -> ExtractionResult:
-        started = time.perf_counter()
         try:
-            analyses = self.analyze(request.context, request.query, request_index)
+            result = self.analyze(request.context, request.query, request_index)
         except Exception as exc:  # per-request failures never abort a batch
             return ExtractionResult(
                 id=request.id,
                 paths=[],
                 error=f"{type(exc).__name__}: {exc}",
-                elapsed=time.perf_counter() - started,
             )
+        scored, selections = result or (None, [])
         paths: list[list[str]] = []
-        for analysis in analyses:
-            paths.extend(analysis.selection.realized)
+        for selection in selections:
+            paths.extend(selection.realized)
         if self.config.max_total_paths is not None:
             paths = paths[: self.config.max_total_paths]
-        forest = analyses[0].tree if analyses else None
+        forest = scored.tree if scored is not None else None
         stats = {
-            "trees": len(analyses),
+            "trees": len(selections),
             "tree_nodes": forest.node_count + int(forest.level5.count.sum()) if forest else 0,
-            "full_paths": sum(len(a.selection.full_paths) for a in analyses),
-            "truncations": sum(len(a.selection.truncations) for a in analyses),
+            "full_paths": sum(len(s.full_paths) for s in selections),
+            "truncations": sum(len(s.truncations) for s in selections),
         }
         return ExtractionResult(
             id=request.id,
             paths=paths,
             stats=stats,
-            elapsed=time.perf_counter() - started,
         )
 
 

@@ -288,14 +288,22 @@ def probabilities_oracle(g: KnowledgeGraph, c1: int, c2: int, c3: int, c4: int):
     )
 
 
-def neighbors_oracle(g: KnowledgeGraph, c: int) -> list[tuple[int, int]]:
-    pairs = set()
+def neighbor_lists(g: KnowledgeGraph) -> dict[int, list[tuple[int, int]]]:
+    """Each concept's distinct (relation, neighbour) pairs, either edge
+    direction, sorted by (neighbour, relation); no entry for a concept
+    without edges."""
+    pairs: dict[int, set[tuple[int, int]]] = defaultdict(set)
     for s, r, e in edge_table(g):
-        if s == c:
-            pairs.add((r, e))
-        if e == c:
-            pairs.add((r, s))
-    return sorted(pairs, key=lambda p: (p[1], p[0]))
+        pairs[s].add((r, e))
+        pairs[e].add((r, s))
+    return {c: sorted(p, key=lambda p: (p[1], p[0])) for c, p in pairs.items()}
+
+
+def assert_same_tables(a: KnowledgeGraph, b: KnowledgeGraph) -> None:
+    """Same language, names and relations, and the same four CSR arrays."""
+    assert (a.lang, a.surfaces, a.relation_names) == (b.lang, b.surfaces, b.relation_names)
+    for name in ("adj_indptr", "adj_dst", "adj_rel", "adj_incoming"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 SYMMETRIC = {

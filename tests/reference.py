@@ -1,9 +1,9 @@
 """A plain-Python extractor written from the README's definition.
 
 It shares no code with ``pathmine``'s pipeline: the graph is read only
-through ``neighbors()`` and ``edges_between()``, walk counts and
-multiplicities come from the edge table as ``conftest``'s oracles count
-them, and every tree is a nest of dicts grown one node at a time.
+through its edge table and ``edges_between()``; neighbours, walk counts
+and multiplicities come from the edge table as ``conftest``'s oracles
+count them, and every tree is a nest of dicts grown one node at a time.
 
 * Grounding: lowercased word runs and apostrophe clitics, then greedy
   longest match (``conftest.grounding_oracle``).
@@ -35,7 +35,7 @@ from collections import Counter
 
 import numpy as np
 
-from conftest import adjacency_with_multiplicity, count_walks_oracle, grounding_oracle
+from conftest import adjacency_with_multiplicity, count_walks_oracle, grounding_oracle, neighbor_lists
 
 SENTINEL = float(np.finfo(np.float64).min)
 NEAR_TIE = 1e-9
@@ -70,6 +70,7 @@ class Reference:
         self.g, self.cap, self.seed = g, cap, seed
         self.max_ngram, self.stopwords = max_ngram, stopwords
         self.mult = adjacency_with_multiplicity(g)
+        self.neighbors = neighbor_lists(g)
         self.walks3 = count_walks_oracle(g, 2)
         self.walks4 = count_walks_oracle(g, 3)
         # what the requests so far exercised: capped child lists, exact
@@ -103,7 +104,7 @@ class Reference:
             nxt = []
             for node, path in frontier:
                 lowest: dict[int, int] = {}
-                for rel, c in self.g.neighbors(path[-1]):
+                for rel, c in self.neighbors.get(path[-1], []):
                     lowest[c] = min(rel, lowest.get(c, rel))
                 if level == 4:
                     rank = lambda c: (-sum(self.mult[c].values()), c)  # noqa: E731

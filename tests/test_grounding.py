@@ -6,14 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathmine import (
-    extract_concepts,
-    graph_from_triples,
-    ground_pair,
-    load_stopwords,
-    tokenize,
-)
-from pathmine.grounding import TokenizedText
+from pathmine import graph_from_triples, ground_pair
+from pathmine.grounding import TokenizedText, extract_concepts, load_stopwords, tokenize
 
 from conftest import grounding_oracle, reference_token_count, random_multigraph
 
@@ -78,7 +72,7 @@ class TestExtractConcepts:
     def test_counting(self, story_graph):
         text = " ".join(["daughter"] * 5) + " " + " ".join(["filler"] * 95)
         mentions = extract_concepts(tokenize(text), story_graph, 4, STOPWORDS)
-        assert mentions.count(story_graph.concept_id("daughter")) == 5
+        assert mentions.mentions.get(story_graph.concept_id("daughter"), 0) == 5
         assert mentions.source_len == 100
 
     def test_greedy_longest_match(self):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from pathmine import IngestError, graph_from_triples, ingest_csv, kg
 
-from conftest import ingest_oracle
+from conftest import assert_same_tables, ingest_oracle
 
 
 
@@ -114,7 +114,7 @@ def test_matches_line_at_a_time_reference(dump, kind, block_bytes, lang):
             return
         g, got = ingest_csv(_source(dump, kind), lang)
     assert vars(got) == report
-    assert g.same_tables(expected)
+    assert_same_tables(g, expected)
 
 
 def test_line_longer_than_many_blocks():
@@ -126,7 +126,7 @@ def test_line_longer_than_many_blocks():
     assert blocks == [dump[:first], dump[first:]]
     expected, report = ingest_oracle(dump, "en")
     assert vars(got) == report
-    assert g.same_tables(expected)
+    assert_same_tables(g, expected)
     assert g.edge_count == 2
 
 

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 
 from pathmine import PathmineError, WalkStats, graph_from_triples, kernels
 
-from conftest import multiplicity_oracle, partner_count_oracle, random_multigraph, story_dump_bytes
+from conftest import (
+    multiplicity_oracle,
+    neighbor_lists,
+    partner_count_oracle,
+    random_multigraph,
+    story_dump_bytes,
+)
 
 
 def _graphs(seed: int, count: int):
@@ -28,13 +34,15 @@ def _graphs(seed: int, count: int):
 
 
 def expand_reference(g, parents, ancestors, allowed, scores, limit=None):
-    """Per parent: neighbors() collapsed to the minimal relation, filtered,
-    ranked by (score desc, concept asc) and cut to ``limit``, less its
-    ancestors; each with its edge count from the edge table."""
+    """Per parent: its edge-table neighbours collapsed to the minimal
+    relation, filtered, ranked by (score desc, concept asc) and cut to
+    ``limit``, less its ancestors; each with its edge count from the edge
+    table."""
+    nbrs = neighbor_lists(g)
     cand, minrel, mult, offsets = [], [], [], [0]
     for p, node in enumerate(parents):
         best: dict[int, int] = {}
-        for rel, c in g.neighbors(int(node)):
+        for rel, c in nbrs.get(int(node), []):
             best[c] = min(rel, best.get(c, rel))
         ranked = sorted((c for c in best if allowed is None or allowed[c]), key=lambda c: (-int(scores[c]), c))
         for c in ranked[:limit]:
@@ -92,8 +100,9 @@ class TestExpandCandidates:
             ancestors[:, 0] = parents
             # ancestors drawn among the parents' neighbours, so they fall
             # both inside and outside the cut
+            lists = neighbor_lists(g)
             for i, p in enumerate(parents):
-                nbrs = [c for _, c in g.neighbors(int(p))] or [int(p)]
+                nbrs = [c for _, c in lists.get(int(p), [])] or [int(p)]
                 ancestors[i, 1:depth] = rng.choice(nbrs, size=depth - 1)
             allowed = rng.random(g.node_count) < 0.7 if rng.random() < 0.5 else None
             scores = rng.integers(0, 4, size=g.node_count)
@@ -145,8 +154,9 @@ class TestExpandCandidates:
         # ancestors drawn among each parent's neighbours and itself, so
         # some candidates are dropped as ancestor hits
         ancestors = np.full((parents.size, 4), -1, dtype=np.int32)
+        lists = neighbor_lists(g)
         for i, p in enumerate(parents):
-            pool = [c for _, c in g.neighbors(int(p))] + [int(p)]
+            pool = [c for _, c in lists.get(int(p), [])] + [int(p)]
             ancestors[i, :depth] = rng.choice(pool, size=depth)
         allowed = rng.random(g.node_count) < 0.6 if masked else None
         scores = rng.integers(0, 3, size=g.node_count)
@@ -240,12 +250,13 @@ class TestAssociationScores:
         rng = np.random.default_rng(3)
         for g in _graphs(3, 12):
             stats = WalkStats.from_graph(g)
+            nbrs = neighbor_lists(g)
             for _ in range(4):
                 c1, c2, c3 = (int(v) for v in rng.integers(0, g.node_count, size=3))
-                if rng.random() < 0.5 and g.neighbors(c3):
+                if rng.random() < 0.5 and c3 in nbrs:
                     # make the prefix a real walk so the PMI branch is exercised
-                    c2 = g.neighbors(c3)[0][1]
-                    c1 = g.neighbors(c2)[-1][1]
+                    c2 = nbrs[c3][0][1]
+                    c1 = nbrs[c2][-1][1]
                 c4s = rng.integers(0, g.node_count, size=24).astype(np.int32)
                 prefix = multiplicity_oracle(g, c1, c2) * multiplicity_oracle(g, c2, c3)
                 hop = [multiplicity_oracle(g, c3, int(c4)) for c4 in c4s]
@@ -267,7 +278,8 @@ class TestAssociationScores:
 class TestNeighborCounts:
     def test_distinct_neighbors(self):
         for g in _graphs(2, 12):
-            want = [len({c for _, c in g.neighbors(u)}) for u in range(g.node_count)]
+            nbrs = neighbor_lists(g)
+            want = [len({c for _, c in nbrs.get(u, [])}) for u in range(g.node_count)]
             got = kernels.neighbor_counts(g.adj_indptr, g.adj_dst)
             assert got.tolist() == want
 
@@ -315,11 +327,8 @@ class TestWalkTotals:
         class Huge:
             node_count = 2
 
-            def walk_count(self, k):
-                return 1 << (62 + k)
-
             def walk_counts(self, k):
-                return [self.walk_count(j) for j in range(1, k + 1)]
+                return [1 << (62 + j) for j in range(1, k + 1)]
 
         with pytest.raises(PathmineError):
             WalkStats.from_graph(Huge())

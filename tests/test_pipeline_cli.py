@@ -28,7 +28,7 @@ from pathmine import (
     run_batch,
     save_index,
 )
-from pathmine import cli
+from pathmine import cli, pipeline
 from pathmine.cli import main, render_explanation
 
 from conftest import (
@@ -95,6 +95,27 @@ class TestExtractor:
             ExtractionRequest(context="", query="lady")
         with pytest.raises(ValueError):
             ExtractionRequest(context="something", query="  ")
+
+    def test_grounding_calls_pipeline_names(self, story_extractor, monkeypatch):
+        # perfbench/tracer.py times grounding by wrapping these two names in
+        # pathmine.pipeline; a call that bypasses them escapes the trace
+        calls = {"tokenize": 0, "extract_concepts": 0}
+
+        def counting(name):
+            wrapped = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return wrapped(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pipeline, name, counting(name))
+        pairs = [(STORY_CONTEXT, STORY_QUERY), ("unrelated text", "lady"), ("...", "lady")]
+        for i, (context, query) in enumerate(pairs):
+            story_extractor.extract(ExtractionRequest(context=context, query=query), request_index=i)
+            assert calls == {"tokenize": 2 * (i + 1), "extract_concepts": 2 * (i + 1)}
 
     def test_batch_error_line_continues(self, story_extractor):
         lines = [
@@ -272,7 +293,7 @@ class TestCli:
 
         graph, stats = load_index(index)
         assert stats is not None
-        assert graph.neighbors(graph.concept_id("lady"))
+        assert graph.degrees[graph.concept_id("lady")]
 
         requests = tmp_path / "requests.jsonl"
         requests.write_text(
@@ -488,11 +509,30 @@ class TestExplain:
         assert code == 0
         assert "no paths" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("blank", ["context", "query"])
+    def test_blank_field_is_usage_error(self, story_index, capsys, blank):
+        fields = {"context": STORY_CONTEXT, "query": "lady", blank: "   "}
+        code = main(["explain", "--graph", story_index, "--context", fields["context"],
+                     "--query", fields["query"]])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: context and query must be non-empty\n"
+
+    def test_context_without_tokens_is_named(self, story_index, capsys):
+        code = main(["explain", "--graph", story_index, "--context", "...", "--query", "lady"])
+        assert code == 0
+        assert capsys.readouterr().out == "context has no tokens; no paths\n"
+
+    def test_query_without_concepts_is_named(self, story_index, capsys):
+        code = main(["explain", "--graph", story_index, "--context", STORY_CONTEXT, "--query", "zwrk"])
+        assert code == 0
+        assert capsys.readouterr().out == "no query concepts grounded; no paths\n"
+
     def test_explain_scores_match_extractor(self, story_extractor):
         text = render_explanation(story_extractor, STORY_CONTEXT, STORY_QUERY)
-        analyses = story_extractor.analyze(STORY_CONTEXT, STORY_QUERY)
-        tree = analyses[0].tree
-        scored = analyses[0].scored
+        scored, _ = story_extractor.analyze(STORY_CONTEXT, STORY_QUERY)
+        tree = scored.tree
         g = story_extractor.graph
         for node_idx in tree.level_indices(2):
             expected = f"n={scored.n_score[node_idx]:.6f}"
@@ -523,14 +563,14 @@ class TestExplain:
                 if line.endswith(("[kept]", "[dropped]"))
             ]
             expected = []
-            analyses = extractor.analyze(context, query)
-            forests += len(analyses) > 1
-            for analysis in analyses:
+            scored, selections = extractor.analyze(context, query) or (None, [])
+            forests += len(selections) > 1
+            for root, selection in enumerate(selections):
                 # level 5 re-grown as nodes, with the scores its summary gives them
-                tree, scored = regrown(analysis.tree, analysis.scored)
-                c_score, root = scored.c_score, analysis.root
+                tree, regrown_scored = regrown(scored.tree, scored)
+                c_score = regrown_scored.c_score
                 on_paths = set()
-                for path in analysis.selection.full_paths:
+                for path in selection.full_paths:
                     idx = root
                     for concept in path.concepts[1:]:
                         children = range(tree.child_start[idx], tree.child_end[idx])
@@ -560,9 +600,9 @@ class TestExplain:
         analyze = story_extractor.analyze
 
         def spy(context, query):
-            analyses = analyze(context, query)
-            trees.extend(weakref.ref(analysis.tree) for analysis in analyses)
-            return analyses
+            result = analyze(context, query)
+            trees.append(weakref.ref(result[0].tree))
+            return result
 
         monkeypatch.setattr(story_extractor, "analyze", spy)
         gc.disable()

@@ -11,14 +11,12 @@ from pathmine import (
     SCORE_SENTINEL,
     WalkStats,
     build_tree,
-    cumulative_score,
     graph_from_triples,
     ground_pair,
     score_tree,
-    sibling_softmax,
 )
 from pathmine.grounding import ConceptMentionSet, GroundedPair
-from pathmine.scoring import ScoredTree, score_raw
+from pathmine.scoring import ScoredTree, cumulative_score, score_raw, sibling_softmax
 from pathmine.tree import PathTree, BuildConfig
 
 from conftest import (
@@ -80,7 +78,7 @@ class TestNpmi:
         c1, c2, c3, c4 = _ids(g, "sun", "sky", "cloud", "rain")
         joint, _, _ = probabilities_oracle(g, c1, c2, c3, c4)
         # sky-cloud hop has two labels: joint walk count is 1 * 2 * 1
-        assert joint == pytest.approx(2 / g.walk_count(3), rel=1e-12)
+        assert joint == pytest.approx(2 / g.walk_counts(3)[-1], rel=1e-12)
         assert npmi(c1, c2, c3, c4, g, stats) == pytest.approx(
             npmi_oracle(g, c1, c2, c3, c4), rel=1e-9
         )
@@ -139,7 +137,7 @@ class TestRawScore:
         grounded = [i for i in range(1, tree.node_count) if tree.levels[i] != 4]
         assert {int(tree.levels[i]) for i in grounded} == {2, 3, 5}
         for i in grounded:
-            expected = pair.context_mentions.count(int(tree.concepts[i])) / pair.context_mentions.source_len
+            expected = pair.context_mentions.mentions.get(int(tree.concepts[i]), 0) / pair.context_mentions.source_len
             assert st.raw[i] == pytest.approx(expected)
 
     def test_level_four_uses_association_score(self, story_graph):

@@ -9,19 +9,16 @@ import numpy as np
 import pytest
 
 from pathmine import (
-    MAX_FULL_PATHS,
     WalkStats,
     build_tree,
-    expand_subpaths,
     graph_from_triples,
     ground_pair,
     realize_selection,
-    realize_tokens,
     score_tree,
     select_paths,
 )
 from pathmine.scoring import ScoredTree, sibling_softmax, cumulative_score
-from pathmine.selector import SelectedPath
+from pathmine.selector import MAX_FULL_PATHS, SelectedPath, expand_subpaths, realize_tokens
 from pathmine.tree import PathTree
 
 from conftest import STORY_CONTEXT, STORY_QUERY, children, random_multigraph, regrown

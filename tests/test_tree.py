@@ -19,7 +19,17 @@ from pathmine import (
     select_paths,
 )
 
-from conftest import STORY_CONTEXT, STORY_QUERY, children, path_to, random_multigraph, random_triples, regrown
+from conftest import (
+    STORY_CONTEXT,
+    STORY_QUERY,
+    adjacency_with_multiplicity,
+    children,
+    neighbor_lists,
+    path_to,
+    random_multigraph,
+    random_triples,
+    regrown,
+)
 
 
 def _surfaces(g, tree, nodes):
@@ -62,7 +72,7 @@ class TestStoryTree:
         for level in (2, 3, 5):
             assert full.level_indices(level).size
             for i in full.level_indices(level):
-                assert pair.context_mentions.count(int(full.concepts[i])) > 0
+                assert pair.context_mentions.mentions.get(int(full.concepts[i]), 0) > 0
 
     def test_level_four_is_graph_neighbor_of_parent(self, story_tree):
         g, _, tree = story_tree
@@ -138,23 +148,25 @@ class TestEnumerateLevels:
 
 
 def build_reference(g, pair, root: int, cap: int):
-    """Plain-Python growth: per node, neighbors() collapsed to the minimal
-    relation, the path's concepts dropped, context concepts only at grounded
-    levels, then the first ``cap`` by (score desc, concept asc) where the
-    score is the context count, or the degree at level 4.
+    """Plain-Python growth: per node, its edge-table neighbours collapsed to
+    the minimal relation, the path's concepts dropped, context concepts only
+    at grounded levels, then the first ``cap`` by (score desc, concept asc)
+    where the score is the context count, or the degree at level 4.
 
     Returns the tree's concept, parent, relation and level lists, and the
     number of nodes the cap cut short."""
-    count = pair.context_mentions.count
+    nbrs, mult = neighbor_lists(g), adjacency_with_multiplicity(g)
+    count = lambda c: pair.context_mentions.mentions.get(c, 0)  # noqa: E731
+    degree = lambda c: sum(mult[c].values())  # noqa: E731
     concepts, parents, rels, levels = [root], [-1], [-1], [1]
     capped = 0
     frontier = [(0, [root])]
     for level in range(2, 6):
-        score = g.degree if level == 4 else count
+        score = degree if level == 4 else count
         nxt = []
         for idx, path in frontier:
             best: dict[int, int] = {}
-            for rel, c in g.neighbors(path[-1]):
+            for rel, c in nbrs.get(path[-1], []):
                 best[c] = min(rel, best.get(c, rel))
             kept = [c for c in best if c not in path and (level == 4 or count(c) > 0)]
             capped += len(kept) > cap
