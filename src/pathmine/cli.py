@@ -6,7 +6,9 @@ Exit codes are a stable contract: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import gzip
+import os
 import sys
+from contextlib import nullcontext
 from typing import IO, Iterator
 
 import click
@@ -14,7 +16,7 @@ import click
 from .kg import PathmineError, WalkStats, ingest_csv, load_index, save_index
 from .pipeline import Config, ExtractionRequest, Extractor, run_batch
 from .scoring import SCORE_SENTINEL
-from .selector import top_children, top_leaves
+from .selector import TOP_CHILDREN, top_children
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -84,20 +86,18 @@ def extract_cmd(
     graph, stats = load_index(graph_path)
     extractor = Extractor(graph, stats, config)
 
-    if input_path == "-":
-        lines = list(_request_lines(sys.stdin.buffer))
-    else:
-        with open(input_path, "rb") as fh:
-            lines = list(_request_lines(fh))
-
-    out = sys.stdout if output_path == "-" else open(output_path, "w", encoding="utf-8")
-    try:
-        for result in run_batch(extractor, lines, workers=workers):
-            out.write(result.to_json())
-            out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    # the input opens first, so a missing one never truncates the output
+    with nullcontext(sys.stdin.buffer) if input_path == "-" else open(input_path, "rb") as fh:
+        if input_path != "-" and os.path.exists(output_path) and os.path.samefile(input_path, output_path):
+            raise click.UsageError("--output is the --input file, which streaming would truncate")
+        out = sys.stdout if output_path == "-" else open(output_path, "w", encoding="utf-8")
+        try:
+            for result in run_batch(extractor, _request_lines(fh), workers=workers):
+                out.write(result.to_json())
+                out.write("\n")
+        finally:
+            if out is not sys.stdout:
+                out.close()
 
 
 def _request_lines(fh: IO[bytes]) -> Iterator[str | bytes]:
@@ -170,8 +170,9 @@ def render_explanation(extractor: Extractor, context: str, query: str) -> str:
                 lines.append(line(depth, tree.concepts[idx], tree.rels[idx], scored.raw[idx],
                                   scored.n_score[idx], scored.c_score[idx], kept))
             # level-5 children are leaves, re-grown for this node alone
-            best, l5 = top_leaves(scored, idx) if kept else (), tree.level5
-            for p, r, v in zip(*scored.level5_scores(idx)):
+            l5, (pos, raw5, n5) = tree.level5, scored.level5_scores(idx)
+            best = pos[:TOP_CHILDREN] if kept else ()
+            for p, r, v in zip(pos, raw5, n5):
                 lines.append(line(depth + 1, l5.concepts[p], l5.rels[p], r, v, v, p in best))
             kept_set = set(top_children(scored, idx)) if kept else set()
             for child in range(tree.child_end[idx] - 1, tree.child_start[idx] - 1, -1):

@@ -17,7 +17,7 @@ descending.  Its two best children are the first two it keeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,16 +37,15 @@ class ScoredTree:
 
     tree: PathTree
     raw: np.ndarray
-    raw5: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    n_score: np.ndarray | None = None
-    c_score: np.ndarray | None = None
-    sum5: np.ndarray | None = None
+    raw5: np.ndarray
+    n_score: np.ndarray
+    c_score: np.ndarray
+    sum5: np.ndarray
 
     def level5_scores(self, idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Positions, raw and normalized scores of node ``idx``'s kept
         level-5 children, best first; a leaf's cumulative score is its
         normalized one."""
-        assert self.sum5 is not None, "sibling_softmax must run first"
         pos = self.tree.level5_children(idx)
         raw = self.raw5[pos]
         if not pos.size:
@@ -56,8 +55,9 @@ class ScoredTree:
 
 def score_raw(
     tree: PathTree, gp: GroundedPair, g: KnowledgeGraph, stats: WalkStats
-) -> ScoredTree:
-    """Fill raw scores for every node of the forest (roots kept at 0)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw scores of every node of the forest (roots kept at 0) and of
+    every entry of its level-5 lists."""
     raw = np.zeros(tree.node_count, dtype=np.float64)
     m = gp.context_mentions
     if m.source_len <= 0:
@@ -80,12 +80,15 @@ def score_raw(
             stats.walks_len4,
             stats.node_count,
         )
-    return ScoredTree(tree=tree, raw=raw, raw5=raw5)
+    return raw, raw5
 
 
-def sibling_softmax(st: ScoredTree) -> ScoredTree:
-    """Normalize raw scores against siblings; each group sums to 1."""
-    tree = st.tree
+def sibling_softmax(
+    tree: PathTree, raw: np.ndarray, raw5: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalize raw scores against siblings; each group sums to 1.  Also
+    each level-4 node's level-5 denominator ``sum5`` and ``top5``, the mean
+    of its two best level-5 normalized scores (0 without a level-5 child)."""
     n, k = tree.node_count, tree.root_count
     n_score = np.zeros(n, dtype=np.float64)
     n_score[:k] = 1.0
@@ -94,7 +97,7 @@ def sibling_softmax(st: ScoredTree) -> ScoredTree:
         starts = tree.child_start[has_children]
         sizes = (tree.child_end - tree.child_start)[has_children]
         # non-root nodes form contiguous sibling blocks in BFS order
-        child_raw = st.raw[k:]
+        child_raw = raw[k:]
         group_max = np.maximum.reduceat(child_raw, starts - k)
         with np.errstate(over="ignore"):  # sentinel raws underflow to exp(-inf)=0
             shifted = np.exp(child_raw - np.repeat(group_max, sizes))
@@ -102,32 +105,28 @@ def sibling_softmax(st: ScoredTree) -> ScoredTree:
         n_score[k:] = shifted / np.repeat(group_sum, sizes)
     # level 5 by value: a node's runs hold its distinct raws, the largest first
     l5 = tree.level5
-    sum5 = np.zeros(l5.count.size)
+    sum5, top5 = np.zeros(l5.count.size), np.zeros(l5.count.size)
     if l5.run_pos.size:  # most forests of a short context stop above level 4
         has = np.flatnonzero(l5.count)
         first, runs = l5.run_bounds[has], np.diff(l5.run_bounds)[has]
-        run_raw = st.raw5[l5.run_pos]
+        run_raw = raw5[l5.run_pos]
         terms = l5.run_size * np.exp(run_raw - np.repeat(run_raw[first], runs))
-        sum5[has] = np.add.reduceat(terms, first)
-    return replace(st, n_score=n_score, sum5=sum5)
-
-
-def cumulative_score(st: ScoredTree) -> ScoredTree:
-    """Bottom-up cumulative scores: leaves keep their normalized score,
-    inner nodes add the mean of their top-two children."""
-    assert st.n_score is not None, "sibling_softmax must run first"
-    tree, l5 = st.tree, st.tree.level5
-    c_score = st.n_score.copy()
-    # a level-4 node's best child scores 1 / sum5; its second shares the
-    # first run's raw if that run holds two children, else has the next run's
-    if l5.run_pos.size:
-        has = np.flatnonzero(l5.count)
-        first, total = l5.run_bounds[has], st.sum5[has]
-        run_raw = st.raw5[l5.run_pos]
+        total = sum5[has] = np.add.reduceat(terms, first)
+        # the best child scores 1 / sum5; the second shares the first run's
+        # raw if that run holds two children, else has the next run's
         second = np.where(l5.run_size[first] >= 2, first, np.minimum(first + 1, run_raw.size - 1))
         top1 = 1.0 / total
         top2 = np.where(l5.count[has] >= 2, np.exp(run_raw[second] - run_raw[first]) / total, top1)
-        c_score[tree.first4 + has] += (top1 + top2) / 2.0
+        top5[has] = (top1 + top2) / 2.0
+    return n_score, sum5, top5
+
+
+def cumulative_score(tree: PathTree, n_score: np.ndarray, top5: np.ndarray) -> np.ndarray:
+    """Bottom-up cumulative scores: leaves keep their normalized score,
+    inner nodes add the mean of their top-two children; a level-4 node's
+    mean over its level-5 children is ``top5``."""
+    c_score = n_score.copy()
+    c_score[tree.first4 :] += top5
     # BFS order groups the inner nodes by level, and each level above the
     # deepest inner one has inner nodes; accumulate bottom-up
     inner = np.flatnonzero(tree.child_start < tree.child_end)
@@ -146,7 +145,7 @@ def cumulative_score(st: ScoredTree) -> ScoredTree:
         rest[hits[hits.searchsorted(blocks)]] = -np.inf
         second = np.where(sizes >= 2, np.maximum.reduceat(rest, blocks), top1)
         c_score[part] += (top1 + second) / 2.0
-    return replace(st, c_score=c_score)
+    return c_score
 
 
 def score_tree(
@@ -154,4 +153,6 @@ def score_tree(
 ) -> ScoredTree:
     """Raw scores, sibling softmax, and cumulative pass in one call; every
     level-1 node of the forest is a root."""
-    return cumulative_score(sibling_softmax(score_raw(tree, gp, g, stats)))
+    raw, raw5 = score_raw(tree, gp, g, stats)
+    n_score, sum5, top5 = sibling_softmax(tree, raw, raw5)
+    return ScoredTree(tree, raw, raw5, n_score, cumulative_score(tree, n_score, top5), sum5)

@@ -1,4 +1,4 @@
-"""Path selection: top-2 descent, prefix expansion, and token realization."""
+"""Path selection: top-2 descent, token realization, and prefix truncations."""
 
 from __future__ import annotations
 
@@ -20,7 +20,6 @@ class SelectedPath:
 
     concepts: tuple[int, ...]
     relations: tuple[int, ...]
-    is_truncation: bool = False
 
     def __post_init__(self):
         if len(self.relations) != len(self.concepts) - 1:
@@ -37,24 +36,17 @@ class PathSelection:
 def top_children(st: ScoredTree, idx: int) -> list[int]:
     """The node's (at most) two children of levels 2-4 with the highest
     cumulative scores, best first, ties to the lower concept id."""
-    assert st.c_score is not None, "cumulative scores required"
     tree, c_score = st.tree, st.c_score
     lo, hi = int(tree.child_start[idx]), int(tree.child_end[idx])
     return sorted(range(lo, hi), key=lambda i: (-c_score[i], tree.concepts[i]))[:TOP_CHILDREN]
 
 
-def top_leaves(st: ScoredTree, idx: int) -> np.ndarray:
-    """Positions in ``level5`` of a level-4 node's (at most) two best
-    children: the first two it keeps, which rank by context count."""
-    return st.tree.level5_children(idx)[:TOP_CHILDREN]
-
-
 def select_paths(st: ScoredTree, root: int = 0) -> list[SelectedPath]:
     """Root-to-leaf paths of the kept subtree below the forest node ``root``.
 
-    Descending from the root, each node keeps its :func:`top_children`
-    (:func:`top_leaves` at level 4), bounding the result at 16 full paths
-    per tree.
+    Descending from the root, each node keeps its :func:`top_children`; a
+    level-4 node keeps its first two level-5 children, which rank by
+    context count.  That bounds the result at 16 full paths per tree.
     """
     tree, l5 = st.tree, st.tree.level5
     paths: list[SelectedPath] = []
@@ -65,7 +57,8 @@ def select_paths(st: ScoredTree, root: int = 0) -> list[SelectedPath]:
         idx, concepts, relations = stack.pop()
         kept = top_children(st, idx)
         if not kept:
-            leaves = top_leaves(st, idx)  # a level-4 node's children are not in the arrays
+            # a level-4 node's children are not in the arrays
+            leaves = tree.level5_children(idx)[:TOP_CHILDREN]
             if leaves.size:
                 for c, r in zip(l5.concepts[leaves].tolist(), l5.rels[leaves].tolist()):
                     paths.append(SelectedPath(tuple(concepts + [c]), tuple(relations + [r])))
@@ -77,20 +70,6 @@ def select_paths(st: ScoredTree, root: int = 0) -> list[SelectedPath]:
                 (child, concepts + [int(tree.concepts[child])], relations + [int(tree.rels[child])])
             )
     return paths
-
-
-def expand_subpaths(paths: list[SelectedPath]) -> list[SelectedPath]:
-    """Proper prefixes (>= 2 concepts) of the full paths, deduplicated."""
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    out: list[SelectedPath] = []
-    for path in paths:
-        for length in range(2, len(path.concepts)):
-            key = (path.concepts[:length], path.relations[: length - 1])
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(SelectedPath(key[0], key[1], is_truncation=True))
-    return out
 
 
 def realize_tokens(
@@ -118,23 +97,26 @@ def realize_tokens(
 def realize_selection(
     st: ScoredTree, g: KnowledgeGraph, rng: np.random.Generator, root: int = 0
 ) -> PathSelection:
-    """Select, expand, and realize the paths of the tree rooted at the
-    forest node ``root``; ``rng`` is that tree's own generator.
+    """Select and realize the paths of the tree rooted at the forest node
+    ``root``, then their truncations; ``rng`` is that tree's own generator.
 
-    Each truncation is realized as a token prefix of the first full path
-    it prefixes, so it inherits that path's relation draws.
+    The truncations are the proper prefixes (>= 2 concepts) of the full
+    paths, each once, in the order the full paths first reach them.  Each
+    is realized as a token prefix of that first full path, so it inherits
+    the path's relation draws.
     """
     full = select_paths(st, root)
     realized: list[list[str]] = []
-    prefix_tokens: dict[tuple[tuple[int, ...], tuple[int, ...]], list[str]] = {}
+    # insertion-ordered: a prefix's first full path gives its place and tokens
+    prefixes: dict[tuple[tuple[int, ...], tuple[int, ...]], list[str]] = {}
     for path in full:
         tokens = realize_tokens(path, g, rng)
         realized.append(tokens)
-        end = len(tokens)
-        for n in range(len(path.concepts) - 1, 1, -1):
-            # drop concept n's words and the relation token before them
-            end -= 1 + len(g.surfaces[path.concepts[n]].split("_"))
-            prefix_tokens.setdefault((path.concepts[:n], path.relations[: n - 1]), tokens[:end])
-    truncations = expand_subpaths(full)
-    realized += [prefix_tokens[t.concepts, t.relations] for t in truncations]
+        end = len(g.surfaces[path.concepts[0]].split("_"))
+        for n in range(2, len(path.concepts)):
+            # the relation token and the words of concept n - 1
+            end += 1 + len(g.surfaces[path.concepts[n - 1]].split("_"))
+            prefixes.setdefault((path.concepts[:n], path.relations[: n - 1]), tokens[:end])
+    realized += prefixes.values()
+    truncations = [SelectedPath(*key) for key in prefixes]
     return PathSelection(full_paths=full, truncations=truncations, realized=realized)

@@ -20,6 +20,7 @@ import pytest
 import pathmine
 from pathmine import KnowledgeGraph, graph_from_triples
 from pathmine import kernels
+from pathmine.scoring import cumulative_score, sibling_softmax
 
 STORY_TRIPLES = [
     ("lady", "AtLocation", "church"),
@@ -161,9 +162,19 @@ def regrown(tree: pathmine.PathTree, scored: pathmine.ScoredTree | None = None):
     return full, pathmine.ScoredTree(
         tree=full,
         raw=np.concatenate([scored.raw, raw5]),
+        raw5=np.zeros(0),
         n_score=np.concatenate([scored.n_score, n5]),
-        c_score=None if scored.c_score is None else np.concatenate([scored.c_score, n5]),
+        c_score=np.concatenate([scored.c_score, n5]),
+        sum5=np.zeros(full.level5.count.size),
     )
+
+
+def scored_from_raw(tree: pathmine.PathTree, raw) -> pathmine.ScoredTree:
+    """The scored tree of a hand-built forest without level-5 lists, whose
+    nodes have the raw scores ``raw``."""
+    raw, raw5 = np.asarray(raw, dtype=np.float64), np.zeros(0)
+    n_score, sum5, top5 = sibling_softmax(tree, raw, raw5)
+    return pathmine.ScoredTree(tree, raw, raw5, n_score, cumulative_score(tree, n_score, top5), sum5)
 
 
 def random_path_tree(rng: np.random.Generator, g: KnowledgeGraph) -> pathmine.PathTree:

@@ -25,12 +25,13 @@ from pathmine import (
     ground_pair,
     ingest_csv,
     load_index,
+    realize_selection,
     run_batch,
     score_tree,
     select_paths,
 )
 from pathmine.cli import main
-from pathmine.selector import MAX_FULL_PATHS, expand_subpaths
+from pathmine.selector import MAX_FULL_PATHS
 
 from conftest import (
     STORY_CONTEXT,
@@ -178,21 +179,21 @@ def test_criterion_5_cap_invariants_over_generated_trees():
     trees = 0
     for g, tree, st in _tree_ensemble(400):
         trees += 1
-        paths = select_paths(st)
-        assert len(paths) <= MAX_FULL_PATHS
+        selection = realize_selection(st, g, np.random.default_rng(trees))
+        paths = selection.full_paths
+        assert paths == select_paths(st) and len(paths) <= MAX_FULL_PATHS
         kept_children: dict[tuple[int, ...], set[int]] = {}
         for p in paths:
             for i in range(len(p.concepts) - 1):
                 kept_children.setdefault(p.concepts[: i + 1], set()).add(p.concepts[i + 1])
         assert all(len(k) <= 2 for k in kept_children.values())
-        truncs = expand_subpaths(paths)
-        expected = {
+        # each proper prefix once, in the order the full paths reach it
+        expected = dict.fromkeys(
             (p.concepts[:length], p.relations[: length - 1])
             for p in paths
             for length in range(2, len(p.concepts))
-        }
-        assert {(t.concepts, t.relations) for t in truncs} == expected
-        assert all(t.is_truncation for t in truncs)
+        )
+        assert [(t.concepts, t.relations) for t in selection.truncations] == list(expected)
     _report(5, f"path caps and truncation sets held across {trees} trees")
 
 

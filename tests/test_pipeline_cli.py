@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import weakref
 from contextlib import redirect_stderr
+from importlib import resources
 from unittest import mock
 
 import numpy as np
@@ -37,6 +42,7 @@ from conftest import (
     STORY_QUERY,
     STORY_TRUNCATION,
     random_multigraph,
+    random_triples,
     regrown,
     story_dump_bytes,
     write_defective_index,
@@ -176,6 +182,46 @@ class TestExtractor:
         threaded = "\n".join(r.to_json() for r in run_batch(story_extractor, lines, workers=8))
         assert serial == threaded
 
+    def test_pool_never_outnumbers_cpus(self, story_extractor, monkeypatch):
+        # each pool submit starts a thread while none is idle: uncapped,
+        # eight held requests would run on eight threads
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        threads = set()
+        extract = story_extractor.extract
+
+        def held(request, request_index=0):
+            threads.add(threading.get_ident())
+            time.sleep(0.02)
+            return extract(request, request_index)
+
+        monkeypatch.setattr(story_extractor, "extract", held)
+        line = json.dumps({"context": STORY_CONTEXT, "query": STORY_QUERY})
+        results = list(run_batch(story_extractor, [line] * 8, workers=8))
+        assert len(results) == 8 and all(r.paths for r in results)
+        assert 1 <= len(threads) <= 2
+
+    def test_one_worker_streams_its_input(self, story_extractor):
+        read = []
+
+        def lines():
+            for i in range(3):
+                read.append(i)
+                yield json.dumps({"id": str(i), "context": STORY_CONTEXT, "query": STORY_QUERY})
+
+        results = run_batch(story_extractor, lines(), workers=1)
+        assert next(results).id == "0" and read == [0]
+        assert [r.id for r in results] == ["1", "2"] and read == [0, 1, 2]
+
+    def test_packaged_stopwords_read_once(self, story_extractor, monkeypatch):
+        files, reads = resources.files, []
+        monkeypatch.setattr(resources, "files", lambda package: reads.append(package) or files(package))
+        g = story_extractor.graph
+        for _ in range(2):
+            pair = pipeline.ground_pair("the lady and the church", "the lady", g)
+            assert pair.query_concepts == [g.concept_id("lady")]  # "the" is a stopword
+        assert len(reads) <= 1  # none once an earlier call has read it
+
 
 class TestConfig:
     def test_file_plus_overrides(self, tmp_path):
@@ -309,6 +355,23 @@ class TestCli:
         assert record["error"] is None
         assert STORY_FULL_PATH in record["paths"]
         assert STORY_TRUNCATION in record["paths"]
+
+    def test_missing_input_leaves_output_untouched(self, story_index, tmp_path, capsys):
+        out = tmp_path / "out.jsonl"
+        out.write_text("earlier results\n")
+        missing = str(tmp_path / "missing.jsonl")
+        code = main(["extract", "--graph", story_index, "--input", missing, "--output", str(out)])
+        assert code == 2 and "missing.jsonl" in capsys.readouterr().err
+        assert out.read_text() == "earlier results\n"
+
+    def test_output_over_its_own_input_is_usage_error(self, story_index, tmp_path, capsys):
+        # requests stream from the input, so writing over it would lose them
+        requests = tmp_path / "requests.jsonl"
+        text = json.dumps({"context": STORY_CONTEXT, "query": STORY_QUERY}) + "\n"
+        requests.write_text(text)
+        code = main(["extract", "--graph", story_index, "--input", str(requests), "--output", str(requests)])
+        assert code == 1 and "--input file" in capsys.readouterr().err
+        assert requests.read_text() == text
 
     def test_empty_dump_is_data_error(self, tmp_path, capsys):
         dump = tmp_path / "empty.tsv"
@@ -590,6 +653,33 @@ class TestExplain:
             assert marks == expected
         assert trees > 20 and boundary_ties > 0 and forests > 5
 
+    def test_random_forest_text_is_pinned(self):
+        # the JSONL holds no scores: this digest pins every printed raw,
+        # normalized and cumulative score and every keep/drop mark on
+        # seeded forests of two query concepts under binding caps
+        rng = np.random.default_rng(2020)
+        digest = hashlib.sha256()
+        level5_lines = capped = 0
+        for _ in range(100):
+            g = random_multigraph(rng, max_nodes=15, max_edges=60)
+            try:
+                stats = WalkStats.from_graph(g)
+            except PathmineError:
+                continue
+            cap = int(rng.integers(2, 6))
+            context = " ".join(g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=30))
+            query = " ".join(g.surfaces[int(i)] for i in rng.choice(g.node_count, size=2, replace=False))
+            extractor = Extractor(g, stats, Config(max_children_per_node=cap))
+            text = render_explanation(extractor, context, query)
+            digest.update(text.encode("utf-8") + b"\0")
+            level5_lines += sum(ln[:8] == " " * 8 and ln[8] != " " for ln in text.splitlines())
+            uncapped = Extractor(g, stats, Config(max_children_per_node=2**62))
+            trees = [ex.analyze(context, query) for ex in (extractor, uncapped)]
+            if trees[0] is not None:
+                capped += int(trees[0][0].tree.sizes().sum()) < int(trees[1][0].tree.sizes().sum())
+        assert level5_lines > 5000 and capped > 30, (level5_lines, capped)
+        assert digest.hexdigest() == RANDOM_FOREST_EXPLANATION_SHA256
+
     def test_story_pair_text(self, story_extractor):
         assert render_explanation(story_extractor, STORY_CONTEXT, STORY_QUERY) == STORY_EXPLANATION
 
@@ -612,6 +702,9 @@ class TestExplain:
         finally:
             gc.enable()
 
+
+# sha256 of the texts of ``test_random_forest_text_is_pinned``, each ended by a NUL
+RANDOM_FOREST_EXPLANATION_SHA256 = "033568cf453c73d6c649349a47c14dc019e98365384bbd0df055da829891b21d"
 
 STORY_EXPLANATION = "\n".join(
     [
@@ -642,6 +735,59 @@ STORY_EXPLANATION = "\n".join(
         "  lady RelatedTo mother RelatedTo daughter RelatedTo child",
     ]
 )
+
+
+# build-index and extract at one and two workers on each dump in tmp dir argv[1]
+HASH_SEED_RUN = """
+import sys
+from pathmine.cli import main
+root, seed = sys.argv[1:]
+for name in ("story", "multiword"):
+    index = f"{root}/{name}.{seed}.idx"
+    assert main(["build-index", f"{root}/{name}.tsv", "-o", index]) == 0
+    for workers in ("1", "2"):
+        out = f"{root}/{name}.{seed}.w{workers}.jsonl"
+        argv = ["--input", f"{root}/{name}.jsonl", "--output", out, "--workers", workers]
+        assert main(["extract", "--graph", index, *argv]) == 0
+"""
+
+
+class TestHashSeed:
+    def test_index_and_output_bytes_ignore_the_hash_seed(self, tmp_path):
+        # every run draws a fresh PYTHONHASHSEED: bytes that followed the
+        # order of a set or dict of strings would differ only sometimes
+        rng = np.random.default_rng(808)
+        plain, triples = random_triples(rng, max_nodes=30, max_edges=160)
+        words = ["red", "apple", "pie", "big", "tree", "old", "house"]
+        drawn = ("_".join(rng.choice(words, size=size)) for size in rng.integers(1, 5, size=400))
+        label = dict(zip(plain, dict.fromkeys(drawn)))
+        assert len(set(label.values())) == len(plain) and any("_" in s for s in label.values())
+        dump = "".join(
+            f"/a/[{i}]\t/r/{r}\t/c/en/{label[s]}\t/c/en/{label[e]}\t{{}}\n" for i, (s, r, e) in enumerate(triples)
+        )
+        requests = []
+        for i in range(6):
+            context = " ".join(label[plain[int(c)]].replace("_", " ") for c in rng.integers(0, len(plain), 40))
+            query = " ".join(label[plain[int(c)]].replace("_", " ") for c in rng.integers(0, len(plain), 3))
+            requests.append(json.dumps({"id": f"m{i}", "context": context, "query": query}))
+        (tmp_path / "story.tsv").write_bytes(story_dump_bytes())
+        (tmp_path / "story.jsonl").write_text(
+            json.dumps({"context": STORY_CONTEXT, "query": STORY_QUERY}) + "\n"
+            + json.dumps({"context": STORY_CONTEXT, "query": "the mother and the church"}) + "\n"
+        )
+        (tmp_path / "multiword.tsv").write_text(dump)
+        (tmp_path / "multiword.jsonl").write_text("\n".join(requests) + "\n")
+        for seed in ("0", "1"):
+            subprocess.run(
+                [sys.executable, "-c", HASH_SEED_RUN, str(tmp_path), seed],
+                env={**os.environ, "PYTHONHASHSEED": seed}, check=True, capture_output=True,
+            )
+        for name in ("story", "multiword"):
+            index = {(tmp_path / f"{name}.{seed}.idx").read_bytes() for seed in "01"}
+            outputs = {(tmp_path / f"{name}.{seed}.w{w}.jsonl").read_bytes() for seed in "01" for w in "12"}
+            assert len(index) == 1 and len(outputs) == 1, name
+            results = [json.loads(line) for line in outputs.pop().splitlines()]
+            assert sum(r["stats"]["full_paths"] for r in results) > 0, name
 
 
 class TestModuleEntry:

@@ -16,7 +16,7 @@ from pathmine import (
     score_tree,
 )
 from pathmine.grounding import ConceptMentionSet, GroundedPair
-from pathmine.scoring import ScoredTree, cumulative_score, score_raw, sibling_softmax
+from pathmine.scoring import cumulative_score, score_raw, sibling_softmax
 from pathmine.tree import PathTree, BuildConfig
 
 from conftest import (
@@ -30,6 +30,7 @@ from conftest import (
     random_multigraph,
     random_path_tree,
     regrown,
+    scored_from_raw,
 )
 
 
@@ -60,7 +61,7 @@ def npmi(c1: int, c2: int, c3: int, c4: int, g, stats) -> float:
     mults = [0] + [multiplicity_oracle(g, a, b) for a, b in zip(path, path[1:])]
     tree = PathTree(path, [-1, 0, 1, 2], [-1, 0, 0, 0], mults, [1, 2, 3, 4])
     pair = GroundedPair(ConceptMentionSet(mentions={c1: 1}, source_len=1), [c1])
-    return float(score_raw(tree, pair, g, stats).raw[3])
+    return float(score_raw(tree, pair, g, stats)[0][3])
 
 
 class TestNpmi:
@@ -121,8 +122,8 @@ class TestNpmi:
             mults=[0] * 4,
             levels=[1, 2, 2, 2],
         )
-        st = sibling_softmax(ScoredTree(tree=tree, raw=np.array([0.0, 0.05, SCORE_SENTINEL, 0.02])))
-        scores = st.n_score[1:]
+        n_score, _, _ = sibling_softmax(tree, np.array([0.0, 0.05, SCORE_SENTINEL, 0.02]), np.zeros(0))
+        scores = n_score[1:]
         assert scores[1] == 0.0
         assert scores[1] < scores[2] < scores[0]
         assert scores.sum() == pytest.approx(1.0, abs=1e-9)
@@ -133,7 +134,7 @@ class TestRawScore:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
         stats = WalkStats.from_graph(story_graph)
-        tree, st = regrown(tree, sibling_softmax(score_raw(tree, pair, story_graph, stats)))
+        tree, st = regrown(tree, score_tree(tree, pair, story_graph, stats))
         grounded = [i for i in range(1, tree.node_count) if tree.levels[i] != 4]
         assert {int(tree.levels[i]) for i in grounded} == {2, 3, 5}
         for i in grounded:
@@ -144,10 +145,10 @@ class TestRawScore:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
         stats = WalkStats.from_graph(story_graph)
-        st = score_raw(tree, pair, story_graph, stats)
+        raw, _ = score_raw(tree, pair, story_graph, stats)
         for node in tree.level_indices(4):
             path = path_to(tree, int(node))
-            assert st.raw[int(node)] == pytest.approx(
+            assert raw[int(node)] == pytest.approx(
                 npmi_oracle(story_graph, *path), rel=1e-9
             )
 
@@ -166,10 +167,10 @@ class TestRawScore:
             # bit for bit against one-path trees, whose edge counts come
             # from the edge table instead of expansion
             for tree in (built, random_path_tree(rng, g)):
-                st = score_raw(tree, pair, g, stats)
+                raw, _ = score_raw(tree, pair, g, stats)
                 for idx in tree.level_indices(4):
                     want = npmi(*path_to(tree, int(idx)), g, stats)
-                    assert st.raw[idx] == want
+                    assert raw[idx] == want
                     sentinels += want == SCORE_SENTINEL
                     scored += 1
         assert sentinels > 0 and scored - sentinels > 0
@@ -178,7 +179,7 @@ class TestRawScore:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
         stats = WalkStats.from_graph(story_graph)
-        assert score_raw(tree, pair, story_graph, stats).raw[0] == 0.0
+        assert score_raw(tree, pair, story_graph, stats)[0][0] == 0.0
 
     def test_empty_context_raises(self, story_graph):
         lady = story_graph.concept_id("lady")
@@ -207,29 +208,29 @@ class TestSiblingSoftmax:
             mults=[0] * (n + 1),
             levels=[1] + [2] * n,
         )
-        return sibling_softmax(ScoredTree(tree=tree, raw=np.array([0.0, *raw])))
+        return sibling_softmax(tree, np.array([0.0, *raw]), np.zeros(0))[0]
 
     def test_singleton_gets_one(self):
-        st = self._single_group_tree([0.37])
-        assert st.n_score[1] == 1.0
+        n_score = self._single_group_tree([0.37])
+        assert n_score[1] == 1.0
 
     def test_equal_raws_split_evenly(self):
-        st = self._single_group_tree([0.05, 0.05])
-        assert list(st.n_score[1:]) == [pytest.approx(0.5), pytest.approx(0.5)]
+        n_score = self._single_group_tree([0.05, 0.05])
+        assert list(n_score[1:]) == [pytest.approx(0.5), pytest.approx(0.5)]
 
     def test_matches_extended_precision_reference(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
             raw = rng.normal(size=int(rng.integers(1, 8))).tolist()
-            st = self._single_group_tree(raw)
-            for got, want in zip(st.n_score[1:], _softmax_oracle(raw)):
+            n_score = self._single_group_tree(raw)
+            for got, want in zip(n_score[1:], _softmax_oracle(raw)):
                 assert got == pytest.approx(want, abs=1e-12)
 
     def test_groups_sum_to_one(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         stats = WalkStats.from_graph(story_graph)
         tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
-        tree, st = regrown(tree, sibling_softmax(score_raw(tree, pair, story_graph, stats)))
+        tree, st = regrown(tree, score_tree(tree, pair, story_graph, stats))
         assert tree.level_indices(5).size
         for idx in range(tree.node_count):
             if children(tree, idx):
@@ -237,12 +238,38 @@ class TestSiblingSoftmax:
                 assert total == pytest.approx(1.0, abs=1e-9)
 
 
-def _cumulative_oracle(st: ScoredTree):
+    def test_level5_mean_is_top_two_of_regrown_children(self):
+        # sibling_softmax's third result, against the normalized scores
+        # ScoredTree.level5_scores re-grows child by child
+        rng = np.random.default_rng(67)
+        means = empties = 0
+        for _ in range(30):
+            g = random_multigraph(rng, max_nodes=20, max_edges=60)
+            names = [g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=25)]
+            pair = ground_pair(" ".join(names), names[0], g)
+            if not pair.query_concepts:
+                continue
+            cfg = BuildConfig(max_children_per_node=int(rng.integers(2, 5)))
+            tree = build_tree([pair.query_concepts[0]], pair, g, cfg)
+            st = score_tree(tree, pair, g, WalkStats.from_graph(g))
+            _, _, top5 = sibling_softmax(tree, st.raw, st.raw5)
+            assert top5.size == tree.node_count - tree.first4
+            for i, idx in enumerate(range(tree.first4, tree.node_count)):
+                n5 = st.level5_scores(idx)[2]
+                if n5.size:
+                    assert top5[i] == pytest.approx(n5[:2].mean(), abs=1e-12)
+                    means += 1
+                else:
+                    assert top5[i] == 0.0
+                    empties += 1
+        assert means > 50 and empties > 0, (means, empties)
+
+
+def _cumulative_oracle(tree: PathTree, n_score: np.ndarray):
     """Plain recursive recomputation over each node's children."""
-    tree = st.tree
 
     def c_of(idx: int) -> float:
-        n = float(st.n_score[idx])
+        n = float(n_score[idx])
         kids = children(tree, idx)
         if not kids:
             return n
@@ -272,7 +299,7 @@ class TestCumulativeScore:
             levels=[1, 2, 3, 3, 3],
         )
         raw = np.array([0.0, 0.05, 0.06, 0.05, 0.001])
-        st = cumulative_score(sibling_softmax(ScoredTree(tree=tree, raw=raw)))
+        st = scored_from_raw(tree, raw)
         kids = sorted(st.n_score[2:5], reverse=True)
         assert st.c_score[1] == pytest.approx(st.n_score[1] + (kids[0] + kids[1]) / 2)
         with_weakest = st.n_score[1] + (kids[0] + kids[2]) / 2
@@ -292,10 +319,10 @@ class TestCumulativeScore:
             levels=[1, 2, 2, 2, 3, 3, 3, 3, 3, 3],
         )
         n_score = np.array([1.0, 0.4, 0.4, 0.2, 0.7, 0.25, 0.25, *third_block])
-        st = cumulative_score(ScoredTree(tree=tree, raw=np.zeros(10), n_score=n_score))
-        oracle = _cumulative_oracle(st)
+        c_score = cumulative_score(tree, n_score, np.zeros(0))
+        oracle = _cumulative_oracle(tree, n_score)
         for idx in range(tree.node_count):
-            assert st.c_score[idx] == oracle(idx)
+            assert c_score[idx] == oracle(idx)
 
     def test_single_child_average_is_the_child(self):
         tree = PathTree(
@@ -305,7 +332,7 @@ class TestCumulativeScore:
             mults=[0, 0],
             levels=[1, 2],
         )
-        st = cumulative_score(sibling_softmax(ScoredTree(tree=tree, raw=np.array([0.0, 0.3]))))
+        st = scored_from_raw(tree, [0.0, 0.3])
         assert st.c_score[0] == pytest.approx(st.n_score[0] + st.c_score[1])
 
     def test_story_tree_matches_recursive_recomputation(self, story_graph):
@@ -313,7 +340,7 @@ class TestCumulativeScore:
         stats = WalkStats.from_graph(story_graph)
         tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
         tree, st = regrown(tree, score_tree(tree, pair, story_graph, stats))
-        oracle = _cumulative_oracle(st)
+        oracle = _cumulative_oracle(tree, st.n_score)
         for idx in range(tree.node_count):
             assert st.c_score[idx] == pytest.approx(oracle(idx), abs=1e-9)
 
@@ -344,7 +371,7 @@ class TestCumulativeScore:
             stats = WalkStats.from_graph(g)
             tree = build_tree([pair.query_concepts[0]], pair, g)
             tree, st = regrown(tree, score_tree(tree, pair, g, stats))
-            oracle = _cumulative_oracle(st)
+            oracle = _cumulative_oracle(tree, st.n_score)
             for idx in range(tree.node_count):
                 assert st.c_score[idx] == pytest.approx(oracle(idx), abs=1e-9)
             done += 1
@@ -365,8 +392,8 @@ class TestRankMonotonicity:
         def rank_of(context: str, surface: str) -> int:
             pair = ground_pair(context, STORY_QUERY, story_graph)
             tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
-            st = sibling_softmax(score_raw(tree, pair, story_graph, stats))
-            siblings = sorted(children(tree, 0), key=lambda i: (-st.n_score[i], tree.concepts[i]))
+            n_score, _, _ = sibling_softmax(tree, *score_raw(tree, pair, story_graph, stats))
+            siblings = sorted(children(tree, 0), key=lambda i: (-n_score[i], tree.concepts[i]))
             return [story_graph.surfaces[tree.concepts[i]] for i in siblings].index(surface)
 
         for surface in ("church", "person"):

@@ -1,4 +1,4 @@
-"""Path selection, prefix expansion, and token realization."""
+"""Path selection, token realization, and prefix truncations."""
 
 from __future__ import annotations
 
@@ -17,11 +17,10 @@ from pathmine import (
     score_tree,
     select_paths,
 )
-from pathmine.scoring import ScoredTree, sibling_softmax, cumulative_score
-from pathmine.selector import MAX_FULL_PATHS, SelectedPath, expand_subpaths, realize_tokens
+from pathmine.selector import MAX_FULL_PATHS, SelectedPath, realize_tokens
 from pathmine.tree import PathTree
 
-from conftest import STORY_CONTEXT, STORY_QUERY, children, random_multigraph, regrown
+from conftest import STORY_CONTEXT, STORY_QUERY, children, random_multigraph, regrown, scored_from_raw
 
 
 @pytest.fixture()
@@ -92,8 +91,7 @@ class TestSelectPaths:
             levels=levels,
         )
         raw = np.full(len(concepts), 0.25)
-        st = cumulative_score(sibling_softmax(ScoredTree(tree=tree, raw=raw)))
-        paths = select_paths(st)
+        paths = select_paths(scored_from_raw(tree, raw))
         assert len(paths) == MAX_FULL_PATHS == 16
         assert all(len(p.concepts) == 5 for p in paths)
 
@@ -106,10 +104,7 @@ class TestSelectPaths:
             levels=[1, 2, 2, 2],
         )
         # identical raws: equal c-scores, so ids 3 and 5 must win over 7
-        st = cumulative_score(
-            sibling_softmax(ScoredTree(tree=tree, raw=np.array([0.0, 0.2, 0.2, 0.2])))
-        )
-        paths = select_paths(st)
+        paths = select_paths(scored_from_raw(tree, [0.0, 0.2, 0.2, 0.2]))
         assert sorted(p.concepts[-1] for p in paths) == [3, 5]
 
     def test_paths_listed_best_first(self):
@@ -122,7 +117,7 @@ class TestSelectPaths:
             levels=[1, 2, 2, 2, 3, 3],
         )
         raw = np.array([0.0, 0.1, 0.3, 0.2, 0.1, 0.4])
-        st = cumulative_score(sibling_softmax(ScoredTree(tree=tree, raw=raw)))
+        st = scored_from_raw(tree, raw)
         assert [p.concepts for p in select_paths(st)] == [(0, 3, 8), (0, 3, 9), (0, 7)]
 
     def test_never_more_than_two_kept_per_node(self, story_scored):
@@ -174,34 +169,51 @@ class TestSelectPaths:
             gc.enable()
 
 
+def _chain_selection(triples, context: str, root: str):
+    """Graph and selection of a hand-built chain whose concepts all ground."""
+    g = graph_from_triples(triples)
+    pair = ground_pair(context, root, g)
+    st = score_tree(build_tree([g.concept_id(root)], pair, g), pair, g, WalkStats.from_graph(g))
+    return g, realize_selection(st, g, np.random.default_rng(0))
+
+
 class TestExpandSubpaths:
+    """Prefix expansion: the truncations ``realize_selection`` emits."""
+
     def test_prefixes_of_story_path(self, story_scored):
         g, st = story_scored
-        paths = select_paths(st)
-        truncs = expand_subpaths(paths)
-        surfaces = [tuple(g.surfaces[c] for c in t.concepts) for t in truncs]
+        selection = realize_selection(st, g, np.random.default_rng(0))
+        surfaces = [tuple(g.surfaces[c] for c in t.concepts) for t in selection.truncations]
         assert ("lady", "church", "house", "child") in surfaces
-        assert all(t.is_truncation for t in truncs)
 
     def test_two_concept_path_has_no_truncations(self):
-        p = SelectedPath(concepts=(1, 2), relations=(0,))
-        assert expand_subpaths([p]) == []
+        g, selection = _chain_selection([("up", "RelatedTo", "down")], "down", "up")
+        assert [p.concepts for p in selection.full_paths] == [(g.concept_id("up"), g.concept_id("down"))]
+        assert selection.truncations == []
+        assert selection.realized == [["up", "RelatedTo", "down"]]
 
     def test_shared_prefixes_emitted_once(self):
-        a = SelectedPath(concepts=(1, 2, 3, 4), relations=(0, 0, 0))
-        b = SelectedPath(concepts=(1, 2, 3, 5), relations=(0, 0, 1))
-        truncs = expand_subpaths([a, b])
-        assert [t.concepts for t in truncs] == [(1, 2), (1, 2, 3)]
+        # sun -> sky -> cloud -> {rain, snow}: both full paths hold the
+        # prefixes (sun, sky) and (sun, sky, cloud)
+        triples = [("sun", "RelatedTo", "sky"), ("sky", "RelatedTo", "cloud"),
+                   ("cloud", "RelatedTo", "rain"), ("cloud", "IsA", "snow")]
+        g, selection = _chain_selection(triples, "sky and cloud", "sun")
+        names = lambda paths: [" ".join(g.surfaces[c] for c in p.concepts) for p in paths]  # noqa: E731
+        assert sorted(names(selection.full_paths)) == ["sun sky cloud rain", "sun sky cloud snow"]
+        assert names(selection.truncations) == ["sun sky", "sun sky cloud"]
+        assert selection.realized[2:] == [["sun", "RelatedTo", "sky"],
+                                          ["sun", "RelatedTo", "sky", "RelatedTo", "cloud"]]
 
     def test_truncations_are_exactly_proper_prefixes(self, story_scored):
-        _, st = story_scored
-        paths = select_paths(st)
-        truncs = expand_subpaths(paths)
-        expected = set()
-        for p in paths:
+        g, st = story_scored
+        selection = realize_selection(st, g, np.random.default_rng(0))
+        expected = []
+        for p in selection.full_paths:
             for length in range(2, len(p.concepts)):
-                expected.add((p.concepts[:length], p.relations[: length - 1]))
-        assert {(t.concepts, t.relations) for t in truncs} == expected
+                key = (p.concepts[:length], p.relations[: length - 1])
+                if key not in expected:
+                    expected.append(key)
+        assert [(t.concepts, t.relations) for t in selection.truncations] == expected
 
 
 class TestRealizeTokens:
