@@ -137,9 +137,9 @@ def explain_cmd(
 
 def render_explanation(extractor: Extractor, context: str, query: str) -> str:
     graph = extractor.graph
-    result = extractor.analyze(context, query)
+    pair = extractor.ground(context, query)
+    result = extractor.analyze(pair)
     if result is None:
-        pair = extractor.ground(context, query)
         if pair.context_mentions.source_len == 0:
             return "context has no tokens; no paths"
         return "no query concepts grounded; no paths"

@@ -66,6 +66,7 @@ import io
 import mmap
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
@@ -267,9 +268,6 @@ class KnowledgeGraph:
     def edge_count(self) -> int:
         return self.adj_dst.size // 2
 
-    def concept_id(self, surface: str) -> int | None:
-        return self.surface_to_id.get(surface)
-
     def _check_concept(self, cid: int) -> None:
         if not 0 <= cid < self.node_count:
             raise ValueError(f"unknown concept id {cid}")
@@ -285,15 +283,6 @@ class KnowledgeGraph:
         left = lo + row.searchsorted(b, side="left")
         right = lo + row.searchsorted(b, side="right")
         return list(dict.fromkeys(self.adj_rel[left:right].tolist()))
-
-    def walk_counts(self, k: int) -> list[int]:
-        """Numbers of 1- to k-edge walks, counted with edge multiplicity
-        (parallel edges each count, in either direction; a self-loop twice),
-        from one pass of the direction-agnostic adjacency operator over the
-        all-ones vector: no matrix power is materialized."""
-        if not 1 <= k <= 4:
-            raise ValueError(f"walk length {k} out of range 1..4")
-        return kernels.walk_totals(self.adj_indptr, self.adj_dst, self.degrees, k)
 
 
 # ---------------------------------------------------------------------------
@@ -400,11 +389,11 @@ def _assemble(
         np.concatenate([np.array(extra, dtype=np.int64), walk]), len(surfaces)
     )
     relations = _first_appearance(rel, len(relation_names))
-    concept_id = np.empty(len(surfaces), dtype=np.int64)
-    concept_id[concepts] = np.arange(concepts.size)
-    relation_id = np.empty(len(relation_names), dtype=np.int64)
-    relation_id[relations] = np.arange(relations.size)
-    start, rel, end = concept_id[start], relation_id[rel], concept_id[end]
+    new_concept = np.empty(len(surfaces), dtype=np.int64)
+    new_concept[concepts] = np.arange(concepts.size)
+    new_relation = np.empty(len(relation_names), dtype=np.int64)
+    new_relation[relations] = np.arange(relations.size)
+    start, rel, end = new_concept[start], new_relation[rel], new_concept[end]
     names = [relation_names[r] for r in relations.tolist()]
 
     # deduplicate exact triples, symmetric relations also folding mirror
@@ -430,8 +419,8 @@ def ingest_csv(source: BinaryIO, lang: str) -> tuple[KnowledgeGraph, IngestRepor
 
     ``source`` is a binary file object, plain or gzip, read in blocks.
     Malformed lines are skipped and counted in the returned report; the
-    metadata field is not read.  A dump yielding zero edges raises
-    :class:`IngestError`.
+    metadata field is not read.  A dump yielding zero edges, or one that
+    fails to decompress or ends early, raises :class:`IngestError`.
     """
     if not lang:
         raise ValueError("language tag must be non-empty")
@@ -455,20 +444,23 @@ def ingest_csv(source: BinaryIO, lang: str) -> tuple[KnowledgeGraph, IngestRepor
         return relation_names.setdefault(uri[3:], len(relation_names))
 
     parts: list[tuple[np.ndarray, ...]] = []
-    for block in _blocks(source):
-        n_lines, fields = _split_block(block)
-        rel = _codes(fields[1::5], relation_codes, relation_code)
-        k = rel.size
-        endpoints = _codes(fields[2::5] + fields[3::5], concept_codes, concept_code)
-        start, end = endpoints[:k], endpoints[k:]
-        malformed = (rel < 0) | (start == _MALFORMED) | (end == _MALFORMED)
-        keep = ~malformed & (start >= 0) & (end >= 0)
-        n_malformed = n_lines - k + int(np.count_nonzero(malformed))
-        n_kept = int(np.count_nonzero(keep))
-        report.lines_total += n_lines
-        report.skipped_malformed += n_malformed
-        report.skipped_language += n_lines - n_malformed - n_kept
-        parts.append((start[keep], rel[keep], end[keep]))
+    try:
+        for block in _blocks(source):
+            n_lines, fields = _split_block(block)
+            rel = _codes(fields[1::5], relation_codes, relation_code)
+            k = rel.size
+            endpoints = _codes(fields[2::5] + fields[3::5], concept_codes, concept_code)
+            start, end = endpoints[:k], endpoints[k:]
+            malformed = (rel < 0) | (start == _MALFORMED) | (end == _MALFORMED)
+            keep = ~malformed & (start >= 0) & (end >= 0)
+            n_malformed = n_lines - k + int(np.count_nonzero(malformed))
+            n_kept = int(np.count_nonzero(keep))
+            report.lines_total += n_lines
+            report.skipped_malformed += n_malformed
+            report.skipped_language += n_lines - n_malformed - n_kept
+            parts.append((start[keep], rel[keep], end[keep]))
+    except (EOFError, zlib.error) as exc:  # a truncated or corrupt compressed dump
+        raise IngestError(f"dump unreadable after {report.lines_total} lines: {exc}") from None
     if not any(part[0].size for part in parts):
         raise IngestError("no edges")
     start, rel, end = map(np.concatenate, zip(*parts))
@@ -511,7 +503,7 @@ class WalkStats:
     """Global walk totals reused by every association score.
 
     ``walks_len3``/``walks_len4`` count walks of 3 and 4 concepts (2 and 3
-    edges); both must be positive.
+    edges, each edge in either direction); both must be positive.
     """
 
     walks_len3: int
@@ -520,7 +512,7 @@ class WalkStats:
 
     @classmethod
     def from_graph(cls, g: KnowledgeGraph) -> "WalkStats":
-        _, w3, w4 = g.walk_counts(3)
+        _, w3, w4 = kernels.walk_totals(g.adj_indptr, g.adj_dst, g.degrees, 3)
         if w3 <= 0 or w4 <= 0:
             raise PathmineError("graph has no multi-step walks; cannot build statistics")
         if max(w3, w4) >= 1 << 63:
@@ -543,7 +535,7 @@ def _name_table(names: list[str], what: str) -> bytes:
     return "\n".join(names).encode("utf-8")
 
 
-def save_index(g: KnowledgeGraph, sink: BinaryIO | str, stats: WalkStats) -> None:
+def save_index(g: KnowledgeGraph, sink: BinaryIO | str | os.PathLike, stats: WalkStats) -> None:
     """Write the graph and its walk statistics as a versioned index.
 
     A path is written through a new file in its directory that then
@@ -569,7 +561,7 @@ def save_index(g: KnowledgeGraph, sink: BinaryIO | str, stats: WalkStats) -> Non
         body.write(struct.pack("<Q", len(payload)))
         body.write(payload)
     payload = body.getvalue()
-    if not isinstance(sink, str):
+    if not isinstance(sink, (str, os.PathLike)):
         _write_sealed(sink, payload)
         return
     target = os.path.realpath(sink)
@@ -621,7 +613,7 @@ def _text(section: memoryview, what: str) -> str:
         raise IndexFormatError(f"index {what} is not UTF-8: {exc.reason}") from None
 
 
-def load_index(source: BinaryIO | str) -> tuple[KnowledgeGraph, WalkStats]:
+def load_index(source: BinaryIO | str | os.PathLike) -> tuple[KnowledgeGraph, WalkStats]:
     """Read an index produced by :func:`save_index`.
 
     Raises :class:`IndexVersionError`, :class:`IndexTruncatedError`, or
@@ -640,12 +632,12 @@ def load_index(source: BinaryIO | str) -> tuple[KnowledgeGraph, WalkStats]:
     return g, WalkStats(walks_len3=w3, walks_len4=w4, node_count=nc)
 
 
-def _read_index(source: BinaryIO | str):
+def _read_index(source: BinaryIO | str | os.PathLike):
     """The checked contents of an index: its language, name tables, oriented
     edge columns (decoded out of the file's bytes) and walk statistics.
     The bytes sit in an anonymous map, not on the heap, so they are handed
     back whole when it returns, before the CSR is built."""
-    own = isinstance(source, str)
+    own = isinstance(source, (str, os.PathLike))
     fh: BinaryIO = open(source, "rb") if own else source  # type: ignore[assignment]
     try:
         start = fh.tell()

@@ -1,10 +1,10 @@
 """Batch extraction pipeline: requests in, realized path sequences out.
 
-Requests are processed by a bounded thread pool over the shared immutable
-graph; results are emitted in input order no matter how many workers run.
-Every per-path random draw comes from a generator seeded by
-(config seed, request index, tree index), so output bytes are identical
-for any worker count.
+Requests stream through a bounded thread pool over the shared immutable
+graph, at most two per worker read ahead; results come in input order.
+Every per-path random draw comes from a generator seeded by (config seed,
+request index, tree index), so output bytes are identical for any worker
+count.
 
 Threads pay only where numpy releases the interpreter lock (on 2 CPUs,
 two workers ran long contexts 1.3-1.45x as fast as one, short requests
@@ -16,8 +16,10 @@ from __future__ import annotations
 import functools
 import json
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterable, Iterator, get_type_hints
 
 import numpy as np
@@ -67,8 +69,8 @@ def _json(text: str):
 @dataclass(frozen=True)
 class Config:
     lang: str = "en"
-    max_ngram: int = 4
-    max_children_per_node: int = 100
+    max_ngram: int = DEFAULT_MAX_NGRAM
+    max_children_per_node: int = BuildConfig.max_children_per_node
     max_total_paths: int | None = None
     seed: int = 0
     stopword_path: str | None = None
@@ -90,7 +92,8 @@ class Config:
         # BuildConfig checks the cap; the one instance serves every tree
         object.__setattr__(self, "build", BuildConfig(self.max_children_per_node))
         try:
-            stopwords = load_stopwords(self.stopword_path)
+            path = self.stopword_path
+            stopwords = _packaged_stopwords() if path is None else load_stopwords(path)
         except (OSError, ValueError) as exc:  # missing, unreadable or not UTF-8
             raise ValueError(f"stopword_path {self.stopword_path!r}: {exc}") from None
         object.__setattr__(self, "stopwords", stopwords)
@@ -146,13 +149,12 @@ class Extractor:
         return ground_pair(context, query, self.graph, self.config.max_ngram, self.config.stopwords)
 
     def analyze(
-        self, context: str, query: str, request_index: int = 0
+        self, pair: GroundedPair, request_index: int = 0
     ) -> tuple[ScoredTree, list[PathSelection]] | None:
-        """Build and score one forest over every grounded query concept, then
+        """Build and score one forest over the pair's query concepts, then
         select each root's paths: the scored forest and one selection per
         root in root order, or None when the context has no token or no
         query concept grounds."""
-        pair = self.ground(context, query)
         if pair.context_mentions.source_len == 0 or not pair.query_concepts:
             return None
         forest = build_tree(pair.query_concepts, pair, self.graph, self.config.build)
@@ -169,7 +171,7 @@ class Extractor:
 
     def extract(self, request: ExtractionRequest, request_index: int = 0) -> ExtractionResult:
         try:
-            result = self.analyze(request.context, request.query, request_index)
+            result = self.analyze(self.ground(request.context, request.query), request_index)
         except Exception as exc:  # per-request failures never abort a batch
             return ExtractionResult(
                 id=request.id,
@@ -223,8 +225,9 @@ def run_batch(
     A ``bytes`` line is decoded as UTF-8 on its own; one that does not
     decode is a bad request, as is a line that is not a JSON request.
 
-    ``workers`` is capped at the CPUs this process may use.  One worker
-    reads ``lines`` a line per result; a pool reads them all at once.
+    ``workers`` is capped at the CPUs this process may use.  ``lines``
+    streams: one worker reads a line per result, a pool at most
+    ``2 * workers`` lines ahead of the result it yields.
     """
 
     def process(item: tuple[int, str | bytes]) -> ExtractionResult:
@@ -242,4 +245,9 @@ def run_batch(
         yield from map(process, enumerate(lines))
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(process, enumerate(lines))
+        # a window of futures in input order, refilled one per result
+        items = enumerate(lines)
+        pending = deque(pool.submit(process, item) for item in islice(items, 2 * workers))
+        while pending:
+            yield pending.popleft().result()
+            pending.extend(pool.submit(process, item) for item in islice(items, 1))

@@ -10,7 +10,6 @@ from .kg import KnowledgeGraph
 from .scoring import ScoredTree
 
 TOP_CHILDREN = 2
-MAX_FULL_PATHS = TOP_CHILDREN**4  # four branching levels below the root
 
 
 @dataclass(frozen=True)

@@ -145,7 +145,7 @@ class PathTree:
 
 
 def build_tree(
-    roots: Sequence[int], gp: GroundedPair, g: KnowledgeGraph, cfg: BuildConfig | None = None
+    roots: Sequence[int], gp: GroundedPair, g: KnowledgeGraph, cfg: BuildConfig = BuildConfig()
 ) -> PathTree:
     """Grow the candidate forest of the given query concepts, one tree each
     in the order given.
@@ -154,8 +154,6 @@ def build_tree(
     context term-frequency rank (graph degree at the unconstrained level),
     ties broken toward lower concept ids.
     """
-    if cfg is None:
-        cfg = BuildConfig()
     roots = [int(c) for c in roots]
     if not roots:
         raise ValueError("a forest needs at least one root concept")

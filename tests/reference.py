@@ -190,7 +190,7 @@ class Reference:
     def ground(self, text: str) -> tuple[dict[int, int], int]:
         tokens = tokens_of(text)
         found = grounding_oracle(tokens, set(self.g.surfaces), self.max_ngram, self.stopwords)
-        return {self.g.concept_id(s): n for s, n in found.items()}, len(tokens)
+        return {self.g.surface_to_id.get(s): n for s, n in found.items()}, len(tokens)
 
     def extract(self, request_id, context: str, query: str, request_index: int = 0,
                 max_total_paths: int | None = None) -> str:

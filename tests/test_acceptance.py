@@ -24,6 +24,7 @@ from pathmine import (
     graph_from_triples,
     ground_pair,
     ingest_csv,
+    kernels,
     load_index,
     realize_selection,
     run_batch,
@@ -31,7 +32,7 @@ from pathmine import (
     select_paths,
 )
 from pathmine.cli import main
-from pathmine.selector import MAX_FULL_PATHS
+from pathmine.selector import TOP_CHILDREN
 
 from conftest import (
     STORY_CONTEXT,
@@ -79,7 +80,7 @@ def test_criterion_2_cumulative_scoring_keeps_best_two():
     )
     pair = ground_pair(context, "the lady", g)
     stats = WalkStats.from_graph(g)
-    tree = build_tree([g.concept_id("lady")], pair, g)
+    tree = build_tree([g.surface_to_id.get("lady")], pair, g)
     st = score_tree(tree, pair, g, stats)
 
     mother = int(tree.child_start[0])
@@ -104,7 +105,8 @@ def test_criterion_3_oracle_equivalence_on_random_multigraphs():
         g = random_multigraph(rng, max_nodes=50, max_edges=200)
         stats = WalkStats.from_graph(g)
         for k in (1, 2, 3, 4):
-            assert g.walk_counts(k)[-1] == count_walks_oracle(g, k)
+            walks = kernels.walk_totals(g.adj_indptr, g.adj_dst, g.degrees, k)
+            assert walks[-1] == count_walks_oracle(g, k)
         assert stats.walks_len3 == count_walks_oracle(g, 2)
         assert stats.walks_len4 == count_walks_oracle(g, 3)
         # the counts scoring reads at each level-4 node of a built forest:
@@ -181,7 +183,7 @@ def test_criterion_5_cap_invariants_over_generated_trees():
         trees += 1
         selection = realize_selection(st, g, np.random.default_rng(trees))
         paths = selection.full_paths
-        assert paths == select_paths(st) and len(paths) <= MAX_FULL_PATHS
+        assert paths == select_paths(st) and len(paths) <= TOP_CHILDREN**4
         kept_children: dict[tuple[int, ...], set[int]] = {}
         for p in paths:
             for i in range(len(p.concepts) - 1):

@@ -72,7 +72,7 @@ class TestExtractConcepts:
     def test_counting(self, story_graph):
         text = " ".join(["daughter"] * 5) + " " + " ".join(["filler"] * 95)
         mentions = extract_concepts(tokenize(text), story_graph, 4, STOPWORDS)
-        assert mentions.mentions.get(story_graph.concept_id("daughter"), 0) == 5
+        assert mentions.mentions.get(story_graph.surface_to_id.get("daughter"), 0) == 5
         assert mentions.source_len == 100
 
     def test_greedy_longest_match(self):
@@ -102,7 +102,7 @@ class TestExtractConcepts:
             for i in range(tokens.token_count)
             for n in range(1, 4)
             if i + n <= tokens.token_count
-            and g.concept_id("_".join(tokens.tokens[i : i + n])) is not None
+            and g.surface_to_id.get("_".join(tokens.tokens[i : i + n])) is not None
         }
         # reconstruct greedy spans independently
         spans = []
@@ -117,7 +117,7 @@ class TestExtractConcepts:
         from collections import Counter
 
         expected = Counter(
-            g.concept_id("_".join(tokens.tokens[i : i + n])) for i, n in spans
+            g.surface_to_id.get("_".join(tokens.tokens[i : i + n])) for i, n in spans
         )
         assert mentions.mentions == dict(expected)
         assert all(a + n <= b for (a, n), (b, _) in zip(spans, spans[1:]))

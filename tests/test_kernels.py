@@ -122,7 +122,7 @@ class TestExpandCandidates:
         g = graph_from_triples(
             [("a", "UsedFor", "b"), ("b", "IsA", "a"), ("a", "AtLocation", "b"), ("c", "PartOf", "a")]
         )
-        a, b, c = (g.concept_id(s) for s in "abc")
+        a, b, c = (g.surface_to_id.get(s) for s in "abc")
         ancestors = np.array([[a, -1, -1, -1]], dtype=np.int32)
         cand, (minrel, mult), offsets = _expand(g, [a], ancestors, None)
         rels_ab = [g.relation_names.index(r) for r in ("UsedFor", "IsA", "AtLocation")]
@@ -133,7 +133,7 @@ class TestExpandCandidates:
 
     def test_self_loop_counts_twice(self):
         g = graph_from_triples([("a", "IsA", "a"), ("a", "IsA", "b"), ("b", "IsA", "a")])
-        a, b = g.concept_id("a"), g.concept_id("b")
+        a, b = g.surface_to_id.get("a"), g.surface_to_id.get("b")
         # no ancestor, so the parent is its own candidate
         cand, (_, mult), _ = _expand(g, [a], np.full((1, 4), -1, dtype=np.int32), None)
         assert cand.tolist() == sorted([a, b])
@@ -168,7 +168,7 @@ class TestExpandCandidates:
 
     def test_ancestor_hits_and_partial_mask(self):
         g = graph_from_triples([("a", "RelatedTo", n) for n in "bcde"] + [("b", "IsA", "a")])
-        a, b, c, d, e = (g.concept_id(s) for s in "abcde")
+        a, b, c, d, e = (g.surface_to_id.get(s) for s in "abcde")
         ancestors = np.array([[b, a, -1, -1]], dtype=np.int32)
         allowed = np.ones(g.node_count, dtype=np.bool_)
         allowed[d] = False
@@ -179,10 +179,10 @@ class TestExpandCandidates:
 
     def test_parent_without_neighbors(self):
         g = graph_from_triples([("a", "RelatedTo", "b")], extra_concepts=["lonely"])
-        lonely, a = g.concept_id("lonely"), g.concept_id("a")
+        lonely, a = g.surface_to_id.get("lonely"), g.surface_to_id.get("a")
         ancestors = np.full((3, 4), -1, dtype=np.int32)
         cand, _, offsets = _expand(g, [lonely, a, lonely], ancestors, None)
-        assert cand.tolist() == [g.concept_id("b")]
+        assert cand.tolist() == [g.surface_to_id.get("b")]
         assert offsets.tolist() == [0, 0, 1, 1]
         _assert_expand_matches(g, [lonely, a, lonely], ancestors, None)
 
@@ -191,7 +191,7 @@ class TestExpandCandidates:
         g = graph_from_triples(
             [("a", "RelatedTo", n) for n in "bcd"] + [("e", "IsA", "f")], extra_concepts=["lonely"]
         )
-        a, e, f, lonely = (g.concept_id(s) for s in ("a", "e", "f", "lonely"))
+        a, e, f, lonely = (g.surface_to_id.get(s) for s in ("a", "e", "f", "lonely"))
         # int32 context counts, the filter and the rank score build_tree passes
         counts = np.zeros(g.node_count, dtype=np.int32)
         counts[[a, e]] = 2  # the parents are context concepts, none of their neighbours is
@@ -268,7 +268,7 @@ class TestAssociationScores:
     def test_zero_count_gets_sentinel_and_full_count_plus_one(self):
         g = graph_from_triples([("a", "RelatedTo", "b"), ("b", "RelatedTo", "c"), ("c", "RelatedTo", "d")])
         stats = WalkStats(walks_len3=4, walks_len4=6, node_count=g.node_count)
-        d = g.concept_id("d")
+        d = g.surface_to_id.get("d")
         # no walk through the prefix or the hop; then the hop's joint count
         # equals the global total, where the -log denominator vanishes
         got = _association(g, stats, [0, 2, 2], [1, 0, 3], [d, d, d])
@@ -323,15 +323,13 @@ class TestWalkTotals:
         csr = _two_node_csr(parallel)
         assert kernels.walk_totals(*csr, 4) == [2 * parallel**k for k in (1, 2, 3, 4)]
 
-    def test_stats_beyond_index_fields_rejected(self):
-        class Huge:
-            node_count = 2
+    def test_stats_beyond_index_fields_rejected(self, monkeypatch):
+        def huge(indptr, dst, degrees, k):
+            return [1 << (62 + j) for j in range(1, k + 1)]
 
-            def walk_counts(self, k):
-                return [1 << (62 + j) for j in range(1, k + 1)]
-
-        with pytest.raises(PathmineError):
-            WalkStats.from_graph(Huge())
+        monkeypatch.setattr(kernels, "walk_totals", huge)
+        with pytest.raises(PathmineError, match="64-bit"):
+            WalkStats.from_graph(graph_from_triples([("a", "RelatedTo", "b")]))
 
 
 def test_story_extraction_in_fresh_interpreter(tmp_path):

@@ -23,6 +23,7 @@ from pathmine import (
     PathmineError,
     graph_from_triples,
     ingest_csv,
+    kernels,
     kg,
     load_index,
     save_index,
@@ -69,7 +70,7 @@ class TestIngest:
         assert g.node_count == 4
         assert g.edge_count == 3
         assert report.edges_kept == 3
-        assert g.concept_id("lady") == 0
+        assert g.surface_to_id.get("lady") == 0
 
     def test_empty_stream_is_an_error(self):
         with pytest.raises(IngestError, match="no edges"):
@@ -91,7 +92,7 @@ class TestIngest:
         )
         assert g.edge_count == expected == 2
         assert report.skipped_language == 2
-        assert g.concept_id("dame") is None
+        assert g.surface_to_id.get("dame") is None
 
     def test_malformed_lines_are_counted_not_fatal(self):
         lines = [
@@ -152,7 +153,7 @@ class TestIngest:
         )
         assert report.skipped_malformed == 0
         assert g.edge_count == report.edges_kept == 2
-        assert g.edges_between(g.concept_id("a"), g.concept_id("b")) == [g.relation_names.index("RelatedTo")]
+        assert g.edges_between(g.surface_to_id.get("a"), g.surface_to_id.get("b")) == [g.relation_names.index("RelatedTo")]
 
     def test_ingestion_is_idempotent(self):
         g1, r1 = ingest_csv(io.BytesIO(story_dump_bytes()), "en")
@@ -167,7 +168,7 @@ class TestIngest:
         g, _ = ingest_csv(
             _dump(["/a/x\t/r/IsA\t/c/en/Ice_Cream/n/wn\t/c/en/food\t{}"]), "en"
         )
-        assert g.concept_id("ice_cream") == 0
+        assert g.surface_to_id.get("ice_cream") == 0
 
 
 def _row_pairs(g, c: int) -> list[tuple[int, int]]:
@@ -180,13 +181,13 @@ def _row_pairs(g, c: int) -> list[tuple[int, int]]:
 class TestNeighbors:
     def test_story_graph_lady(self, story_graph):
         g = story_graph
-        lady = g.concept_id("lady")
+        lady = g.surface_to_id.get("lady")
         got = {(g.relation_names[r], g.surfaces[c]) for r, c in _row_pairs(g, lady)}
         assert {("AtLocation", "church"), ("RelatedTo", "mother"), ("RelatedTo", "person")} <= got
 
     def test_isolated_concept(self):
         g = graph_from_triples([("a", "RelatedTo", "b")], extra_concepts=["lonely"])
-        assert _row_pairs(g, g.concept_id("lonely")) == []
+        assert _row_pairs(g, g.surface_to_id.get("lonely")) == []
 
     def test_matches_bruteforce_scan_on_random_graphs(self):
         # each CSR row's distinct pairs, in row order, against the edge table
@@ -201,29 +202,29 @@ class TestNeighbors:
 class TestEdgesBetween:
     def test_story_lady_church(self, story_graph):
         g = story_graph
-        rels = g.edges_between(g.concept_id("lady"), g.concept_id("church"))
+        rels = g.edges_between(g.surface_to_id.get("lady"), g.surface_to_id.get("church"))
         assert [g.relation_names[r] for r in rels] == ["AtLocation"]
 
     def test_no_self_loop(self, story_graph):
         g = story_graph
-        assert g.edges_between(g.concept_id("lady"), g.concept_id("lady")) == []
+        assert g.edges_between(g.surface_to_id.get("lady"), g.surface_to_id.get("lady")) == []
 
     def test_parallel_relations_both_returned(self):
         g = graph_from_triples(
             [("up", "RelatedTo", "down"), ("up", "Antonym", "down"), ("up", "RelatedTo", "north")]
         )
-        rels = g.edges_between(g.concept_id("up"), g.concept_id("down"))
+        rels = g.edges_between(g.surface_to_id.get("up"), g.surface_to_id.get("down"))
         assert {g.relation_names[r] for r in rels} == {"RelatedTo", "Antonym"}
 
     def test_reverse_orientation_included(self, story_graph):
         g = story_graph
         # stored as church->house; queried from house
-        rels = g.edges_between(g.concept_id("house"), g.concept_id("church"))
+        rels = g.edges_between(g.surface_to_id.get("house"), g.surface_to_id.get("church"))
         assert [g.relation_names[r] for r in rels] == ["RelatedTo"]
 
     def test_unconnected_pair_empty(self, story_graph):
         g = story_graph
-        assert g.edges_between(g.concept_id("lover"), g.concept_id("their")) == []
+        assert g.edges_between(g.surface_to_id.get("lover"), g.surface_to_id.get("their")) == []
 
     def test_invalid_id_raises(self, story_graph):
         for a, b in [(10_000, 0), (0, 10_000), (-1, 0)]:
@@ -236,29 +237,25 @@ class TestWalkCount:
         g = graph_from_triples([("a", "RelatedTo", "b"), ("b", "RelatedTo", "c")])
         expected = count_walks_oracle(g, 2)
         assert expected == 6  # frozen from the enumeration oracle
-        assert g.walk_counts(2)[-1] == expected
+        assert kernels.walk_totals(g.adj_indptr, g.adj_dst, g.degrees, 2)[-1] == expected
 
     def test_edgeless_graph(self):
         g = graph_from_triples([], extra_concepts=["a", "b", "c"])
-        assert g.walk_counts(4) == [0, 0, 0, 0]
+        assert kernels.walk_totals(g.adj_indptr, g.adj_dst, g.degrees, 4) == [0, 0, 0, 0]
 
     def test_random_multigraphs_match_enumeration(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
             g = random_multigraph(rng, max_nodes=30, max_edges=80)
+            csr = (g.adj_indptr, g.adj_dst, g.degrees)
             for k in (2, 3, 4):
-                assert g.walk_counts(k)[-1] == count_walks_oracle(g, k)
-            assert g.walk_counts(4) == [count_walks_oracle(g, k) for k in (1, 2, 3, 4)]
-
-    def test_out_of_range(self, story_graph):
-        for k in (0, 5, -1):
-            with pytest.raises(ValueError):
-                story_graph.walk_counts(k)
+                assert kernels.walk_totals(*csr, k)[-1] == count_walks_oracle(g, k)
+            assert kernels.walk_totals(*csr, 4) == [count_walks_oracle(g, k) for k in (1, 2, 3, 4)]
 
     def test_parallel_edges_count_with_multiplicity(self):
         g = graph_from_triples([("a", "RelatedTo", "b"), ("a", "Antonym", "b")])
         # each step offers 2 parallel choices in either direction
-        assert g.walk_counts(2) == [4, 8]
+        assert kernels.walk_totals(g.adj_indptr, g.adj_dst, g.degrees, 2) == [4, 8]
         assert count_walks_oracle(g, 2) == 8
 
 
@@ -270,7 +267,7 @@ class TestIndexInvariants:
         g = graph_from_triples(triples, extra_concepts=names)
         rows = np.repeat(np.arange(g.node_count), np.diff(g.adj_indptr))
         got = sorted(zip(rows.tolist(), g.adj_rel.tolist(), g.adj_dst.tolist(), g.adj_incoming.tolist()))
-        ids = [(g.concept_id(s), g.relation_names.index(r), g.concept_id(e)) for s, r, e in kept_triples(triples)]
+        ids = [(g.surface_to_id.get(s), g.relation_names.index(r), g.surface_to_id.get(e)) for s, r, e in kept_triples(triples)]
         want = sorted([(s, r, e, False) for s, r, e in ids] + [(e, r, s, True) for s, r, e in ids])
         assert any(s == e for s, _, e in ids)
         assert got == want
@@ -324,6 +321,13 @@ class TestPersistence:
         save_index(story_graph, path, stats)
         loaded, loaded_stats = load_index(path)
         assert loaded_stats == stats
+        assert_same_tables(loaded, story_graph)
+
+    def test_round_trip_through_path_object(self, story_blob, story_graph, tmp_path):
+        path = tmp_path / "story.idx"
+        save_index(story_graph, path, WalkStats.from_graph(story_graph))
+        assert path.read_bytes() == story_blob
+        loaded, _ = load_index(path)
         assert_same_tables(loaded, story_graph)
 
     def test_truncated_file_fails_checksum(self, story_blob, tmp_path):

@@ -201,6 +201,20 @@ class TestExtractor:
         assert len(results) == 8 and all(r.paths for r in results)
         assert 1 <= len(threads) <= 2
 
+    def test_pool_streams_its_input(self, story_extractor, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        read = []
+
+        def lines():
+            for i in range(50):
+                read.append(i)
+                yield json.dumps({"id": str(i), "context": STORY_CONTEXT, "query": STORY_QUERY})
+
+        results = run_batch(story_extractor, lines(), workers=2)
+        assert next(results).id == "0" and len(read) <= 4  # two a worker
+        assert [r.id for r in results] == [str(i) for i in range(1, 50)] and len(read) == 50
+
     def test_one_worker_streams_its_input(self, story_extractor):
         read = []
 
@@ -218,8 +232,9 @@ class TestExtractor:
         monkeypatch.setattr(resources, "files", lambda package: reads.append(package) or files(package))
         g = story_extractor.graph
         for _ in range(2):
+            Config()
             pair = pipeline.ground_pair("the lady and the church", "the lady", g)
-            assert pair.query_concepts == [g.concept_id("lady")]  # "the" is a stopword
+            assert pair.query_concepts == [g.surface_to_id.get("lady")]  # "the" is a stopword
         assert len(reads) <= 1  # none once an earlier call has read it
 
 
@@ -339,7 +354,7 @@ class TestCli:
 
         graph, stats = load_index(index)
         assert stats is not None
-        assert graph.degrees[graph.concept_id("lady")]
+        assert graph.degrees[graph.surface_to_id.get("lady")]
 
         requests = tmp_path / "requests.jsonl"
         requests.write_text(
@@ -388,7 +403,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert "kept=10 malformed=0" in err and "Traceback" not in err
         g, _ = load_index(str(tmp_path / "g.idx"))
-        rels = g.edges_between(g.concept_id("lady"), g.concept_id("person"))
+        rels = g.edges_between(g.surface_to_id.get("lady"), g.surface_to_id.get("person"))
         assert "IsA" in [g.relation_names[r] for r in rels]
 
     def test_rebuild_is_byte_identical(self, tmp_path):
@@ -594,7 +609,7 @@ class TestExplain:
 
     def test_explain_scores_match_extractor(self, story_extractor):
         text = render_explanation(story_extractor, STORY_CONTEXT, STORY_QUERY)
-        scored, _ = story_extractor.analyze(STORY_CONTEXT, STORY_QUERY)
+        scored, _ = story_extractor.analyze(story_extractor.ground(STORY_CONTEXT, STORY_QUERY))
         tree = scored.tree
         g = story_extractor.graph
         for node_idx in tree.level_indices(2):
@@ -626,7 +641,7 @@ class TestExplain:
                 if line.endswith(("[kept]", "[dropped]"))
             ]
             expected = []
-            scored, selections = extractor.analyze(context, query) or (None, [])
+            scored, selections = extractor.analyze(extractor.ground(context, query)) or (None, [])
             forests += len(selections) > 1
             for root, selection in enumerate(selections):
                 # level 5 re-grown as nodes, with the scores its summary gives them
@@ -674,7 +689,7 @@ class TestExplain:
             digest.update(text.encode("utf-8") + b"\0")
             level5_lines += sum(ln[:8] == " " * 8 and ln[8] != " " for ln in text.splitlines())
             uncapped = Extractor(g, stats, Config(max_children_per_node=2**62))
-            trees = [ex.analyze(context, query) for ex in (extractor, uncapped)]
+            trees = [ex.analyze(ex.ground(context, query)) for ex in (extractor, uncapped)]
             if trees[0] is not None:
                 capped += int(trees[0][0].tree.sizes().sum()) < int(trees[1][0].tree.sizes().sum())
         assert level5_lines > 5000 and capped > 30, (level5_lines, capped)
@@ -683,14 +698,27 @@ class TestExplain:
     def test_story_pair_text(self, story_extractor):
         assert render_explanation(story_extractor, STORY_CONTEXT, STORY_QUERY) == STORY_EXPLANATION
 
+    @pytest.mark.parametrize("query", [STORY_QUERY, "zwrk"], ids=["grounds", "grounds_nothing"])
+    def test_pair_grounded_once(self, story_extractor, monkeypatch, query):
+        calls = []
+        ground = story_extractor.ground
+
+        def counting(context, query):
+            calls.append(query)
+            return ground(context, query)
+
+        monkeypatch.setattr(story_extractor, "ground", counting)
+        render_explanation(story_extractor, STORY_CONTEXT, query)
+        assert calls == [query]
+
     def test_tree_freed_without_cycle_collection(self, story_extractor, monkeypatch):
         # rendering must not park the tree in a reference cycle: with the
         # cycle collector off, the tree is freed when the call returns
         trees = []
         analyze = story_extractor.analyze
 
-        def spy(context, query):
-            result = analyze(context, query)
+        def spy(pair):
+            result = analyze(pair)
             trees.append(weakref.ref(result[0].tree))
             return result
 
@@ -812,6 +840,30 @@ class TestInputVariants:
         assert main(["build-index", str(dump), "-o", index]) == 0
         graph, _ = load_index(index)
         assert graph.edge_count == 9
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped"])
+    def test_damaged_gzipped_dump_is_data_error(self, tmp_path, capsys, damage):
+        import gzip
+
+        dump = b"".join(
+            b"/a/%d\t/r/RelatedTo\t/c/en/w%d\t/c/en/w%d\t{}\n" % (i, i % 300, (i * 7 + 1) % 300)
+            for i in range(5000)
+        )
+        blob = bytearray(gzip.compress(dump, mtime=0))
+        if damage == "truncated":
+            del blob[len(blob) // 2 :]
+        else:
+            blob[12] ^= 0xFF  # inside the first compressed block's header
+        path = tmp_path / "dump.tsv.gz"
+        path.write_bytes(blob)
+        index = tmp_path / "g.idx"
+        index.write_bytes(b"previous index")
+        code = main(["build-index", str(path), "-o", str(index)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("error: dump unreadable after 0 lines") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        assert index.read_bytes() == b"previous index"
 
     def test_stopword_path_override(self, tmp_path):
         g, _ = ingest_csv(io.BytesIO(story_dump_bytes()), "en")

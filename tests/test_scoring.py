@@ -35,7 +35,7 @@ from conftest import (
 
 
 def _ids(g, *surfaces):
-    return [g.concept_id(s) for s in surfaces]
+    return [g.surface_to_id.get(s) for s in surfaces]
 
 
 @pytest.fixture()
@@ -79,7 +79,7 @@ class TestNpmi:
         c1, c2, c3, c4 = _ids(g, "sun", "sky", "cloud", "rain")
         joint, _, _ = probabilities_oracle(g, c1, c2, c3, c4)
         # sky-cloud hop has two labels: joint walk count is 1 * 2 * 1
-        assert joint == pytest.approx(2 / g.walk_counts(3)[-1], rel=1e-12)
+        assert joint == pytest.approx(2 / stats.walks_len4, rel=1e-12)
         assert npmi(c1, c2, c3, c4, g, stats) == pytest.approx(
             npmi_oracle(g, c1, c2, c3, c4), rel=1e-9
         )
@@ -88,7 +88,7 @@ class TestNpmi:
         g = hand_graph
         stats = WalkStats.from_graph(g)
         c1, c2, c3 = _ids(g, "sun", "sky", "cloud")
-        stone = g.concept_id("stone")
+        stone = g.surface_to_id.get("stone")
         assert npmi(c1, c2, c3, stone, g, stats) == SCORE_SENTINEL
 
     def test_joint_probability_one_returns_plus_one(self, hand_graph):
@@ -132,7 +132,7 @@ class TestNpmi:
 class TestRawScore:
     def test_term_frequency_levels(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
-        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
+        tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
         stats = WalkStats.from_graph(story_graph)
         tree, st = regrown(tree, score_tree(tree, pair, story_graph, stats))
         grounded = [i for i in range(1, tree.node_count) if tree.levels[i] != 4]
@@ -143,7 +143,7 @@ class TestRawScore:
 
     def test_level_four_uses_association_score(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
-        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
+        tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
         stats = WalkStats.from_graph(story_graph)
         raw, _ = score_raw(tree, pair, story_graph, stats)
         for node in tree.level_indices(4):
@@ -177,12 +177,12 @@ class TestRawScore:
 
     def test_root_is_not_scored(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
-        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
+        tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
         stats = WalkStats.from_graph(story_graph)
         assert score_raw(tree, pair, story_graph, stats)[0][0] == 0.0
 
     def test_empty_context_raises(self, story_graph):
-        lady = story_graph.concept_id("lady")
+        lady = story_graph.surface_to_id.get("lady")
         pair = GroundedPair(ConceptMentionSet(mentions={}, source_len=0), [lady])
         tree = build_tree([lady], pair, story_graph)
         with pytest.raises(ValueError, match="context is empty"):
@@ -229,7 +229,7 @@ class TestSiblingSoftmax:
     def test_groups_sum_to_one(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         stats = WalkStats.from_graph(story_graph)
-        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
+        tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
         tree, st = regrown(tree, score_tree(tree, pair, story_graph, stats))
         assert tree.level_indices(5).size
         for idx in range(tree.node_count):
@@ -283,7 +283,7 @@ class TestCumulativeScore:
     def test_leaves_keep_normalized_score(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         stats = WalkStats.from_graph(story_graph)
-        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
+        tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
         tree, st = regrown(tree, score_tree(tree, pair, story_graph, stats))
         for idx in range(tree.node_count):
             if not children(tree, idx):
@@ -338,7 +338,7 @@ class TestCumulativeScore:
     def test_story_tree_matches_recursive_recomputation(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         stats = WalkStats.from_graph(story_graph)
-        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
+        tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
         tree, st = regrown(tree, score_tree(tree, pair, story_graph, stats))
         oracle = _cumulative_oracle(tree, st.n_score)
         for idx in range(tree.node_count):
@@ -349,7 +349,7 @@ class TestCumulativeScore:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         assert pair.context_mentions.source_len == 35
         stats = WalkStats.from_graph(story_graph)
-        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
+        tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
         st = score_tree(tree, pair, story_graph, stats)
         by_surface = {story_graph.surfaces[tree.concepts[i]]: i for i in children(tree, 0)}
         # softmax over raw TFs (2/35, 2/35, 1/35), recomputed with plain math
@@ -379,7 +379,7 @@ class TestCumulativeScore:
     def test_internal_nodes_strictly_exceed_normalized_score(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         stats = WalkStats.from_graph(story_graph)
-        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
+        tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
         tree, st = regrown(tree, score_tree(tree, pair, story_graph, stats))
         internal = tree.child_start < tree.child_end
         assert np.all(st.c_score[internal] > st.n_score[internal])
@@ -391,7 +391,7 @@ class TestRankMonotonicity:
 
         def rank_of(context: str, surface: str) -> int:
             pair = ground_pair(context, STORY_QUERY, story_graph)
-            tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
+            tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
             n_score, _, _ = sibling_softmax(tree, *score_raw(tree, pair, story_graph, stats))
             siblings = sorted(children(tree, 0), key=lambda i: (-n_score[i], tree.concepts[i]))
             return [story_graph.surfaces[tree.concepts[i]] for i in siblings].index(surface)

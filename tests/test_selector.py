@@ -17,7 +17,7 @@ from pathmine import (
     score_tree,
     select_paths,
 )
-from pathmine.selector import MAX_FULL_PATHS, SelectedPath, realize_tokens
+from pathmine.selector import TOP_CHILDREN, SelectedPath, realize_tokens
 from pathmine.tree import PathTree
 
 from conftest import STORY_CONTEXT, STORY_QUERY, children, random_multigraph, regrown, scored_from_raw
@@ -27,7 +27,7 @@ from conftest import STORY_CONTEXT, STORY_QUERY, children, random_multigraph, re
 def story_scored(story_graph):
     pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
     stats = WalkStats.from_graph(story_graph)
-    tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
+    tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
     return story_graph, score_tree(tree, pair, story_graph, stats)
 
 
@@ -48,7 +48,7 @@ def triple_child_scored():
     )
     pair = ground_pair(context, "the lady", g)
     stats = WalkStats.from_graph(g)
-    tree = build_tree([g.concept_id("lady")], pair, g)
+    tree = build_tree([g.surface_to_id.get("lady")], pair, g)
     return g, score_tree(tree, pair, g, stats)
 
 
@@ -63,7 +63,7 @@ class TestSelectPaths:
     def test_root_only_tree_selects_nothing(self, story_graph):
         pair = ground_pair("irrelevant words only", "lady", story_graph)
         stats = WalkStats.from_graph(story_graph)
-        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
+        tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
         st = score_tree(tree, pair, story_graph, stats)
         assert select_paths(st) == []
 
@@ -92,7 +92,7 @@ class TestSelectPaths:
         )
         raw = np.full(len(concepts), 0.25)
         paths = select_paths(scored_from_raw(tree, raw))
-        assert len(paths) == MAX_FULL_PATHS == 16
+        assert len(paths) == TOP_CHILDREN**4 == 16
         assert all(len(p.concepts) == 5 for p in paths)
 
     def test_exact_tie_prefers_lower_concept_id(self):
@@ -157,7 +157,7 @@ class TestSelectPaths:
         stats = WalkStats.from_graph(story_graph)
         gc.disable()
         try:
-            tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
+            tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
             alive = weakref.ref(tree)
             scored = score_tree(tree, pair, story_graph, stats)
             del tree
@@ -173,7 +173,7 @@ def _chain_selection(triples, context: str, root: str):
     """Graph and selection of a hand-built chain whose concepts all ground."""
     g = graph_from_triples(triples)
     pair = ground_pair(context, root, g)
-    st = score_tree(build_tree([g.concept_id(root)], pair, g), pair, g, WalkStats.from_graph(g))
+    st = score_tree(build_tree([g.surface_to_id.get(root)], pair, g), pair, g, WalkStats.from_graph(g))
     return g, realize_selection(st, g, np.random.default_rng(0))
 
 
@@ -188,7 +188,7 @@ class TestExpandSubpaths:
 
     def test_two_concept_path_has_no_truncations(self):
         g, selection = _chain_selection([("up", "RelatedTo", "down")], "down", "up")
-        assert [p.concepts for p in selection.full_paths] == [(g.concept_id("up"), g.concept_id("down"))]
+        assert [p.concepts for p in selection.full_paths] == [(g.surface_to_id.get("up"), g.surface_to_id.get("down"))]
         assert selection.truncations == []
         assert selection.realized == [["up", "RelatedTo", "down"]]
 
@@ -237,7 +237,7 @@ class TestRealizeTokens:
         )
         pair = ground_pair("down and south again down", "up", g)
         stats = WalkStats.from_graph(g)
-        st = score_tree(build_tree([g.concept_id("up")], pair, g), pair, g, stats)
+        st = score_tree(build_tree([g.surface_to_id.get("up")], pair, g), pair, g, stats)
         a = realize_selection(st, g, np.random.default_rng(5)).realized
         b = realize_selection(st, g, np.random.default_rng(5)).realized
         assert a == b
@@ -245,14 +245,14 @@ class TestRealizeTokens:
     def test_multiword_concepts_split(self):
         g = graph_from_triples([("ice_cream", "AtLocation", "freezer")])
         p = SelectedPath(
-            concepts=(g.concept_id("ice_cream"), g.concept_id("freezer")), relations=(0,)
+            concepts=(g.surface_to_id.get("ice_cream"), g.surface_to_id.get("freezer")), relations=(0,)
         )
         tokens = realize_tokens(p, g, np.random.default_rng(0))
         assert tokens == ["ice", "cream", "AtLocation", "freezer"]
 
     def test_parallel_relation_draw_is_roughly_uniform(self):
         g = graph_from_triples([("up", "RelatedTo", "down"), ("up", "Antonym", "down")])
-        p = SelectedPath(concepts=(g.concept_id("up"), g.concept_id("down")), relations=(0,))
+        p = SelectedPath(concepts=(g.surface_to_id.get("up"), g.surface_to_id.get("down")), relations=(0,))
         rng = np.random.default_rng(12345)
         names = [realize_tokens(p, g, rng)[1] for _ in range(10_000)]
         share = names.count("RelatedTo") / len(names)
@@ -260,7 +260,7 @@ class TestRealizeTokens:
 
     def test_corrupt_path_raises(self, story_graph):
         p = SelectedPath(
-            concepts=(story_graph.concept_id("lady"), story_graph.concept_id("their")),
+            concepts=(story_graph.surface_to_id.get("lady"), story_graph.surface_to_id.get("their")),
             relations=(0,),
         )
         with pytest.raises(ValueError):
@@ -290,7 +290,7 @@ class TestRealizeTokens:
             "the mother and daughter and child and their story", "lady", g
         )
         stats = WalkStats.from_graph(g)
-        tree = build_tree([g.concept_id("lady")], pair, g)
+        tree = build_tree([g.surface_to_id.get("lady")], pair, g)
         st = score_tree(tree, pair, g, stats)
         for seed in range(20):
             selection = realize_selection(st, g, np.random.default_rng(seed))
@@ -314,7 +314,7 @@ class TestCapsOnRandomInputs:
             for c1 in pair.query_concepts:
                 st = score_tree(build_tree([c1], pair, g), pair, g, stats)
                 paths = select_paths(st)
-                assert len(paths) <= MAX_FULL_PATHS
+                assert len(paths) <= TOP_CHILDREN**4
                 for p in paths:
                     assert 2 <= len(p.concepts) <= 5
                     assert len(set(p.concepts)) == len(p.concepts)

@@ -39,7 +39,7 @@ def _surfaces(g, tree, nodes):
 @pytest.fixture()
 def story_tree(story_graph):
     pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
-    tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
+    tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
     return story_graph, pair, tree
 
 
@@ -90,7 +90,7 @@ class TestStoryTree:
 class TestDegenerateTrees:
     def test_query_concept_with_no_context_link(self, story_graph):
         pair = ground_pair("nothing relevant here", "lady", story_graph)
-        tree = build_tree([story_graph.concept_id("lady")], pair, story_graph)
+        tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
         assert tree.node_count == 1 and tree.sizes().tolist() == [1]
         assert children(tree, 0) == []
 
@@ -104,7 +104,7 @@ class TestDegenerateTrees:
             ]
         )
         pair = ground_pair("mother daughter story", "the lady", g)
-        tree = build_tree([g.concept_id("lady")], pair, g)
+        tree = build_tree([g.surface_to_id.get("lady")], pair, g)
         level4 = tree.level_indices(4)
         assert _surfaces(g, tree, level4) == ["child"]
         assert tree.level5_children(int(level4[0])).size == 0
@@ -119,7 +119,7 @@ class TestDegenerateTrees:
     def test_root_must_be_query_concept(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         with pytest.raises(ValueError):
-            build_tree([story_graph.concept_id("church")], pair, story_graph)
+            build_tree([story_graph.surface_to_id.get("church")], pair, story_graph)
 
 
 class TestEnumerateLevels:
@@ -204,8 +204,8 @@ class TestCapOracle:
 class TestDeterminismAndMonotonicity:
     def test_rebuild_identical(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
-        t1 = regrown(build_tree([story_graph.concept_id("lady")], pair, story_graph))
-        t2 = regrown(build_tree([story_graph.concept_id("lady")], pair, story_graph))
+        t1 = regrown(build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph))
+        t2 = regrown(build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph))
         assert np.array_equal(t1.concepts, t2.concepts)
         assert np.array_equal(t1.parents, t2.parents)
         assert np.array_equal(t1.rels, t2.rels)
@@ -231,7 +231,7 @@ class TestDeterminismAndMonotonicity:
             gone = triples[int(rng.integers(len(triples)))]
             g2 = graph_from_triples([t for t in triples if t != gone], extra_concepts=surfaces)
             pair2 = ground_pair(context, root_surface, g2)
-            tree2 = regrown(build_tree([g2.concept_id(root_surface)], pair2, g2, cfg))
+            tree2 = regrown(build_tree([g2.surface_to_id.get(root_surface)], pair2, g2, cfg))
             nodes_after = {
                 (int(lvl), g2.surfaces[int(c)]) for c, lvl in zip(tree2.concepts, tree2.levels)
             }
@@ -242,7 +242,7 @@ class TestDeterminismAndMonotonicity:
         cfg = BuildConfig(max_children_per_node=2)
         # church and mother appear twice in context, person once: cap at 2 drops person
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, g)
-        tree = build_tree([g.concept_id("lady")], pair, g, cfg)
+        tree = build_tree([g.surface_to_id.get("lady")], pair, g, cfg)
         assert _surfaces(g, tree, children(tree, 0)) == ["church", "mother"]
 
     def test_config_validation(self):
