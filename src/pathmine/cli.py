@@ -146,6 +146,8 @@ def render_explanation(extractor: Extractor, context: str, query: str) -> str:
     scored, selections = result
     tree = scored.tree
     sizes = tree.sizes()
+    # every level-5 child, re-grown in one call
+    c5, r5, raw5, n5, offsets = (a.tolist() for a in scored.regrow5(range(tree.node_count)))
 
     def fmt(value: float) -> str:
         return "-inf" if value == SCORE_SENTINEL else f"{value:.6f}"
@@ -169,11 +171,10 @@ def render_explanation(extractor: Extractor, context: str, query: str) -> str:
             if depth:
                 lines.append(line(depth, tree.concepts[idx], tree.rels[idx], scored.raw[idx],
                                   scored.n_score[idx], scored.c_score[idx], kept))
-            # level-5 children are leaves, re-grown for this node alone
-            l5, (pos, raw5, n5) = tree.level5, scored.level5_scores(idx)
-            best = pos[:TOP_CHILDREN] if kept else ()
-            for p, r, v in zip(pos, raw5, n5):
-                lines.append(line(depth + 1, l5.concepts[p], l5.rels[p], r, v, v, p in best))
+            # level-5 children are leaves: a leaf's cumulative score is its normalized one
+            for j in range(offsets[idx], offsets[idx + 1]):
+                best = kept and j < offsets[idx] + TOP_CHILDREN
+                lines.append(line(depth + 1, c5[j], r5[j], raw5[j], n5[j], n5[j], best))
             kept_set = set(top_children(scored, idx)) if kept else set()
             for child in range(tree.child_end[idx] - 1, tree.child_start[idx] - 1, -1):
                 stack.append((child, depth + 1, child in kept_set))  # the first child pops first

@@ -69,7 +69,7 @@ def tokenize(text: str) -> TokenizedText:
 def load_stopwords(path: str | None = None) -> frozenset[str]:
     """One token per line, UTF-8; blank lines and '#' comments ignored."""
     if path is None:
-        text = resources.files("pathmine").joinpath("data/stopwords_en.txt").read_text("utf-8")
+        text = resources.files(__package__).joinpath("data/stopwords_en.txt").read_text("utf-8")
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()

@@ -11,11 +11,10 @@ stored edge incident to ``u`` (a self-loop twice), sorted by
 
 Expansion ranks each parent's candidates by (score desc, concept asc),
 so a cap keeps a prefix, and gives each its edge count to the parent (the
-length of its (concept, neighbor) run), the only count scoring needs;
-the level-5 lists are ranked the same way, from the context side.  Each
-distinct concept's ranked list is cut to a limit before it is copied to
-its parents, so the copies number at most ``parents * limit`` however
-long the rows are.
+length of its (concept, neighbor) run), the only count scoring needs.
+Each distinct concept's list is ranked by one sort of a packed key and
+cut to a limit before it is copied to its parents, so the copies number
+at most ``parents * limit`` however long the rows are.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ def gather_rows(indptr, rows):
     return pos, np.arange(rows.size, dtype=np.int64).repeat(counts)
 
 
-def _run_starts(a, b):
+def run_starts(a, b):
     """Mask of the sorted entries that differ from their predecessor in either key."""
     first = np.ones(a.size, dtype=np.bool_)
     first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
@@ -145,7 +144,7 @@ def expand_candidates(parents, ancestors, indptr, dst, rel, allowed, scores, lim
     pos, seg = gather_rows(indptr, concepts)
     if allowed is not None:
         # filter first: every later array is built over the kept rows only
-        keep = allowed[dst[pos]].nonzero()[0]
+        keep = (allowed[dst[pos]] != 0).nonzero()[0]  # a bool array's nonzero is the fast one
         pos, seg = pos[keep], seg[keep]
     if not pos.size:
         # nothing to rank or copy: most short requests' roots end here
@@ -156,16 +155,21 @@ def expand_candidates(parents, ancestors, indptr, dst, rel, allowed, scores, lim
     # rows are sorted by (neighbor, relation): the first entry of each
     # (concept, neighbor) run carries the minimal relation, and its length
     # is the pair's edge count (``allowed`` keeps or drops whole runs)
-    first = _run_starts(seg, nbr).nonzero()[0]
+    first = run_starts(seg, nbr).nonzero()[0]
     mult = np.empty(first.size, dtype=np.int32)
     np.subtract(first[1:], first[:-1], out=mult[:-1])
     mult[-1] = seg.size - first[-1]
     seg, nbr, rel = seg[first], nbr[first], rel[first]
-    # rank each expanded concept's list once: a stable sort by (list,
-    # score desc) leaves equal scores in neighbor-id order
+    # rank each expanded concept's list once by (list, score desc,
+    # position): positions follow neighbor ids within a list, so the key
+    # is unique and one unstable sort of it leaves ties in id order
     score = scores[nbr]
-    top = int(score.max())
-    order = np.argsort(seg * (top + 1) + (top - score), kind="stable")
+    top, bits = int(score.max()), first.size.bit_length()
+    if first.size > 256 and (concepts.size * (top + 1)) << bits <= 1 << 63:
+        rank = (seg * (top + 1) + (top - score)) << bits | np.arange(first.size)
+        order = np.sort(rank) & ((1 << bits) - 1)
+    else:  # too few to gain from packing, or too wide: a stable sort of the keys
+        order = np.lexsort((top - score, seg))
     # then keep each list's first ``limit`` entries
     sizes = np.bincount(seg, minlength=concepts.size)
     order = order[np.arange(order.size) - (sizes.cumsum() - sizes).repeat(sizes) < limit]
@@ -184,28 +188,3 @@ def expand_candidates(parents, ancestors, indptr, dst, rel, allowed, scores, lim
     np.bincount(seg[keep], minlength=inverse.size).cumsum(out=offsets[1:])
     return nbr[keep].astype(np.int32, copy=False), (rel[keep].astype(np.int32, copy=False), mult[keep]), offsets
 
-
-def context_lists(indptr, dst, rel, ctx, slot):
-    """Every target concept's neighbours among ``ctx``, in ``ctx``'s order.
-
-    ``ctx`` holds distinct concepts in rank order; ``slot`` maps each
-    concept to its target index, or -1.  The rows read are those of
-    ``ctx``, not of the targets: the CSR is undirected, so ``p`` is in row
-    ``c`` exactly when ``c`` is in row ``p``, with the same relations.
-    Returns the sorted keys ``target * len(ctx) + rank``, one per
-    (target, neighbour) pair, and each pair's minimal relation id.
-    """
-    pos, rank = gather_rows(indptr, np.asarray(ctx, dtype=np.int64))
-    target = slot[dst[pos]]
-    keep = (target >= 0).nonzero()[0]
-    pos, rank, target = pos[keep], rank[keep], target[keep]
-    # a row lists a neighbour's parallel edges together, lowest relation first
-    first = _run_starts(rank, target)
-    rel = rel[pos[first]].astype(np.int64)
-    # sort one packed (target, rank, relation) key; it fits in 64 bits
-    # wherever the CSR's own (row, neighbor, relation) key does
-    n_rel = int(rel.max()) + 1 if rel.size else 1
-    key = (target[first].astype(np.int64) * len(ctx) + rank[first]) * n_rel + rel
-    key.sort()
-    key, rel = np.divmod(key, n_rel)
-    return key, rel.astype(np.int32)

@@ -10,9 +10,10 @@ the mean of its two best children.
 
 Level 5 is scored from the tree's :class:`~pathmine.tree.Level5` summary,
 never child by child.  A level-5 raw score is a context count over the
-context length, so a level-4 node's softmax denominator is summed by
-value: ``count * exp(value - max)`` for each distinct value, values
-descending.  Its two best children are the first two it keeps.
+context length, so ``raw5`` holds one score per distinct count, and a
+level-4 node's softmax denominator is summed by value: ``size * exp(value
+- max)`` for each value it keeps children of, values descending.  Its two
+best children are the first two it keeps.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ SCORE_SENTINEL = kernels.SCORE_SENTINEL
 @dataclass
 class ScoredTree:
     """A path tree with per-node raw / sibling-normalized / cumulative
-    scores; ``raw5`` scores each entry of the level-5 lists, and ``sum5``
-    is each level-4 node's level-5 softmax denominator."""
+    scores; ``raw5`` scores each value of ``tree.level5.values``, and
+    ``sum5`` is each level-4 node's level-5 softmax denominator."""
 
     tree: PathTree
     raw: np.ndarray
@@ -42,22 +43,27 @@ class ScoredTree:
     c_score: np.ndarray
     sum5: np.ndarray
 
-    def level5_scores(self, idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Positions, raw and normalized scores of node ``idx``'s kept
-        level-5 children, best first; a leaf's cumulative score is its
-        normalized one."""
-        pos = self.tree.level5_children(idx)
-        raw = self.raw5[pos]
-        if not pos.size:
-            return pos, raw, raw
-        return pos, raw, np.exp(raw - raw[0]) / self.sum5[idx - self.tree.first4]
+    def level5_scores(self, idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Concepts, relation ids, raw and normalized scores of node
+        ``idx``'s kept level-5 children, best first; a leaf's cumulative
+        score is its normalized one."""
+        return self.regrow5([idx])[:4]
+
+    def regrow5(self, nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`PathTree.regrow5`, with each child's raw and normalized
+        scores in place of its value index."""
+        concepts, rels, value, offsets = self.tree.regrow5(nodes)
+        seg = np.arange(offsets.size - 1).repeat(np.diff(offsets))
+        raw = self.raw5[value]
+        best, total = raw[offsets[seg]], self.sum5[np.asarray(nodes, dtype=np.int64)[seg] - self.tree.first4]
+        return concepts, rels, raw, np.exp(raw - best) / total, offsets
 
 
 def score_raw(
     tree: PathTree, gp: GroundedPair, g: KnowledgeGraph, stats: WalkStats
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw scores of every node of the forest (roots kept at 0) and of
-    every entry of its level-5 lists."""
+    every distinct context count of its level-5 summary."""
     raw = np.zeros(tree.node_count, dtype=np.float64)
     m = gp.context_mentions
     if m.source_len <= 0:
@@ -67,7 +73,7 @@ def score_raw(
     # term frequency below the roots, then NPMI over every level-4 hop in one call
     k = tree.root_count
     raw[k:] = ctx_counts[tree.concepts[k:]] / m.source_len
-    raw5 = ctx_counts[tree.level5.concepts] / m.source_len
+    raw5 = tree.level5.values / m.source_len
     c4_idx = tree.level_indices(4)
     if c4_idx.size:  # most forests of a short context stop above level 4
         c3_idx = tree.parents[c4_idx]
@@ -103,21 +109,34 @@ def sibling_softmax(
             shifted = np.exp(child_raw - np.repeat(group_max, sizes))
         group_sum = np.add.reduceat(shifted, starts - k)
         n_score[k:] = shifted / np.repeat(group_sum, sizes)
-    # level 5 by value: a node's runs hold its distinct raws, the largest first
-    l5 = tree.level5
+    # level 5 by value, in blocks of 2**16 node-values: each node's list
+    # sizes less its path concepts, cut to its count where the cap may cut
+    # (whole values first), then its non-empty values, the largest first
+    l5, n_val = tree.level5, raw5.size
     sum5, top5 = np.zeros(l5.count.size), np.zeros(l5.count.size)
-    if l5.run_pos.size:  # most forests of a short context stop above level 4
-        has = np.flatnonzero(l5.count)
-        first, runs = l5.run_bounds[has], np.diff(l5.run_bounds)[has]
-        run_raw = raw5[l5.run_pos]
-        terms = l5.run_size * np.exp(run_raw - np.repeat(run_raw[first], runs))
-        total = sum5[has] = np.add.reduceat(terms, first)
-        # the best child scores 1 / sum5; the second shares the first run's
-        # raw if that run holds two children, else has the next run's
-        second = np.where(l5.run_size[first] >= 2, first, np.minimum(first + 1, run_raw.size - 1))
-        top1 = 1.0 / total
-        top2 = np.where(l5.count[has] >= 2, np.exp(run_raw[second] - run_raw[first]) / total, top1)
-        top5[has] = (top1 + top2) / 2.0
+    step = (1 << 16) // max(n_val, 1)
+    for lo in range(0, l5.count.size if n_val else 0, step):
+        count, size = l5.count[lo : lo + step], np.take(l5.sizes, l5.lists[lo : lo + step], axis=0)
+        flat, base = size.reshape(-1), np.arange(0, size.size, n_val)
+        for hit in l5.hits[:, lo : lo + step]:  # a row at a time: two hits may share a value
+            on = (hit < n_val).nonzero()[0]
+            flat[base[on] + hit[on]] -= 1
+        full = (count == l5.cap).nonzero()[0]
+        part = size[full]
+        size[full] = np.minimum(part, np.maximum(count[full, None] - part.cumsum(axis=1) + part, 0))
+        pos = (flat > 0).nonzero()[0]  # a bool array's nonzero is the fast one
+        node, value = np.divmod(pos, n_val)
+        size, run_raw = flat[pos], raw5[value]
+        first = (np.diff(node, prepend=-1) > 0).nonzero()[0]
+        best = np.zeros(count.size)
+        best[node[first]] = run_raw[first]
+        total = np.add.reduceat(size * np.exp(run_raw - best[node]), first)
+        # the best child scores 1 / sum5; the second shares the first
+        # value if that holds two children, else has the next value
+        second = np.where(size[first] >= 2, first, np.minimum(first + 1, node.size - 1))
+        top1, at = 1.0 / total, lo + node[first]
+        top2 = np.where(l5.count[at] >= 2, np.exp(run_raw[second] - run_raw[first]) / total, top1)
+        sum5[at], top5[at] = total, (top1 + top2) / 2.0
     return n_score, sum5, top5
 
 
@@ -154,5 +173,7 @@ def score_tree(
     """Raw scores, sibling softmax, and cumulative pass in one call; every
     level-1 node of the forest is a root."""
     raw, raw5 = score_raw(tree, gp, g, stats)
+    if tree.node_count == tree.root_count:  # bare roots: each scores 1, and nothing else
+        return ScoredTree(tree, raw, raw5, np.ones(tree.root_count), np.ones(tree.root_count), np.zeros(0))
     n_score, sum5, top5 = sibling_softmax(tree, raw, raw5)
     return ScoredTree(tree, raw, raw5, n_score, cumulative_score(tree, n_score, top5), sum5)

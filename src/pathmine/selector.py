@@ -47,8 +47,7 @@ def select_paths(st: ScoredTree, root: int = 0) -> list[SelectedPath]:
     level-4 node keeps its first two level-5 children, which rank by
     context count.  That bounds the result at 16 full paths per tree.
     """
-    tree, l5 = st.tree, st.tree.level5
-    paths: list[SelectedPath] = []
+    tree, leaves = st.tree, []
     # depth-first with an explicit stack: a recursive closure would form a
     # reference cycle holding the tree until the next full collection
     stack = [(root, [int(tree.concepts[root])], [])]
@@ -56,18 +55,21 @@ def select_paths(st: ScoredTree, root: int = 0) -> list[SelectedPath]:
         idx, concepts, relations = stack.pop()
         kept = top_children(st, idx)
         if not kept:
-            # a level-4 node's children are not in the arrays
-            leaves = tree.level5_children(idx)[:TOP_CHILDREN]
-            if leaves.size:
-                for c, r in zip(l5.concepts[leaves].tolist(), l5.rels[leaves].tolist()):
-                    paths.append(SelectedPath(tuple(concepts + [c]), tuple(relations + [r])))
-            elif len(concepts) >= 2:
-                paths.append(SelectedPath(tuple(concepts), tuple(relations)))
+            leaves.append((idx, concepts, relations))
             continue
         for child in reversed(kept):  # reversed, so the best child pops first
             stack.append(
                 (child, concepts + [int(tree.concepts[child])], relations + [int(tree.rels[child])])
             )
+    c5, r5, offsets = [], [], [0] * (len(leaves) + 1)
+    if any(idx >= tree.first4 for idx, _, _ in leaves):  # level-4 leaves: re-grow their children at once
+        c5, r5, _, offsets = (a.tolist() for a in tree.regrow5([idx for idx, _, _ in leaves]))
+    paths: list[SelectedPath] = []
+    for (_, concepts, relations), lo, hi in zip(leaves, offsets, offsets[1:]):
+        for c, r in zip(c5[lo : min(hi, lo + TOP_CHILDREN)], r5[lo : min(hi, lo + TOP_CHILDREN)]):
+            paths.append(SelectedPath(tuple(concepts + [c]), tuple(relations + [r])))
+        if lo == hi and len(concepts) >= 2:
+            paths.append(SelectedPath(tuple(concepts), tuple(relations)))
     return paths
 
 

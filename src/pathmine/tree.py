@@ -15,11 +15,11 @@ exactly the single tree.
 Levels 1-4 live in flat numpy arrays in breadth-first order (children of
 one parent are contiguous, and each level holds the trees' nodes in root
 order), which keeps scoring vectorizable.  Level 5 is never built node by
-node: :class:`Level5` ranks each distinct level-4 concept's context
-neighbours once, and keeps per level-4 node only what scoring and
-selection read (its child count and its children's context counts, with
-how many children have each).  :meth:`PathTree.level5_children` re-grows
-the children of one node from the same lists.
+node: :class:`Level5` counts each distinct level-4 concept's context
+neighbours per distinct context count, and keeps per level-4 node only
+its list, its child count and the values of its path concepts on that
+list, which is all scoring reads.  :meth:`PathTree.regrow5` re-grows the
+children of the nodes whose children are read, from their graph rows.
 """
 
 from __future__ import annotations
@@ -50,36 +50,36 @@ class BuildConfig:
 
 @dataclass(frozen=True)
 class Level5:
-    """The level-5 children of a forest's level-4 nodes, summarized.
+    """The level-5 children of a forest's level-4 nodes, summarized by
+    context count.
 
-    ``concepts``/``rels`` hold each distinct level-4 concept's context
-    neighbours with their minimal relation, ranked by (context count desc,
-    concept asc).  Level-4 node ``i`` (the ``i``-th of its level) keeps the
-    first ``count[i]`` entries from ``start[i]`` on that are not on its
-    root-first path ``paths[i]``.  Their context counts, descending, form
-    runs: ``run_pos`` is the flat position of a run's first entry and
-    ``run_size`` its number of kept children; node ``i``'s runs are
-    ``run_bounds[i]:run_bounds[i + 1]``.
+    ``values`` holds the context's distinct counts, descending.  Each
+    distinct level-4 concept has a list: its context neighbours, ranked by
+    (count desc, concept asc); row ``r`` of ``sizes`` counts list ``r``'s
+    entries with each value.  Level-4 node ``i`` (the ``i``-th of its
+    level) reads list ``lists[i]`` less ``hits[:, i]``, the value indices
+    of its path concepts on that list (c3 first, ``len(values)`` for one
+    that is not), and keeps the first ``count[i]`` entries left, at most
+    ``cap``, so whole values first.  ``tf``, the context counts of every
+    concept, and ``graph`` are what re-growth reads.
     """
 
-    concepts: np.ndarray
-    rels: np.ndarray
-    paths: np.ndarray
-    start: np.ndarray
+    values: np.ndarray
+    sizes: np.ndarray
+    lists: np.ndarray
     count: np.ndarray
-    run_pos: np.ndarray
-    run_size: np.ndarray
-    run_bounds: np.ndarray
+    hits: np.ndarray
+    cap: int = 0
+    tf: np.ndarray | None = None
+    graph: KnowledgeGraph | None = None
 
     @classmethod
     @functools.lru_cache(maxsize=8)  # most forests have no level 4: share one
     def none(cls, n4: int) -> "Level5":
         """No level-5 child under any of ``n4`` level-4 nodes."""
-        zeros, empty = np.zeros(n4, dtype=np.int64), np.zeros(0, dtype=np.int64)
-        paths, bounds = np.zeros((n4, 4), dtype=np.int32), np.zeros(n4 + 1, dtype=np.int64)
-        for shared in (zeros, empty, paths, bounds):
-            shared.flags.writeable = False
-        return cls(empty, empty, paths, zeros, zeros, empty, empty, bounds)
+        zeros = np.zeros((5, n4), dtype=np.int32)
+        zeros.flags.writeable = False  # and so are its views
+        return cls(zeros[0, :0], zeros[:0, :0], zeros[0], zeros[0], zeros[1:])
 
 
 class PathTree:
@@ -132,16 +132,43 @@ class PathTree:
             raise ValueError(f"level {level} out of range 1..{MAX_LEVEL}")
         return np.flatnonzero(self.levels == level)
 
-    def level5_children(self, idx: int) -> np.ndarray:
-        """Positions in ``level5.concepts``/``rels`` of node ``idx``'s kept
-        level-5 children, best first; none unless ``idx`` is at level 4."""
-        l5, i = self.level5, idx - self.first4
-        if self.levels[idx] != 4:
-            return np.zeros(0, dtype=np.int64)
-        # the kept children lie among the first ``count`` + 4 entries: at
-        # most the four path concepts are skipped
-        pos = np.arange(l5.start[i], min(l5.start[i] + l5.count[i] + 4, l5.concepts.size))
-        return pos[(l5.concepts[pos, None] != l5.paths[i]).all(axis=1)][: l5.count[i]]
+    def level5_children(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
+        """Concepts and relation ids of node ``idx``'s kept level-5
+        children, best first; none unless ``idx`` is at level 4."""
+        return self.regrow5([idx])[:2]
+
+    def regrow5(self, nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The kept level-5 children of ``nodes``, re-grown in one call:
+        concepts, relation ids and value indices (into ``level5.values``),
+        each node's best first, and the offsets of each node's slice.  A
+        node's children are its concept's context neighbours off its path,
+        with their lowest relation (rows sort by neighbour, then relation),
+        ranked by (value, concept) and cut to its count."""
+        l5, nodes = self.level5, np.asarray(nodes, dtype=np.int64)
+        count = np.concatenate([np.zeros(self.first4, dtype=np.int32), l5.count])[nodes]
+        offsets, live = np.concatenate(([0], count.cumsum())), (count > 0).nonzero()[0]
+        grown = [(np.zeros(0, dtype=np.int32),) * 2 + (np.zeros(0, dtype=np.int64),)]
+        i4, count = nodes[live], count[live]
+        i3 = self.parents[i4]
+        paths = self.concepts[np.array([self.parents[self.parents[i3]], self.parents[i3], i3, i4])]
+        g, tf = l5.graph, l5.tf
+        # blocks of nodes whose rows hold at most about 2**20 entries
+        step = (1 << 20) // int(g.degrees[paths[3]].max()) + 1 if live.size else 1
+        for lo in range(0, live.size, step):
+            part = paths[:, lo : lo + step]  # root first, a column a node
+            pos, seg = kernels.gather_rows(g.adj_indptr, part[3].astype(np.int64))
+            nbr = g.adj_dst.take(pos)
+            keep = (kernels.run_starts(seg, nbr) & (tf.take(nbr) > 0)).nonzero()[0]
+            pos, seg, nbr = pos[keep], seg[keep], nbr[keep]
+            keep = (part[:, seg] != nbr).all(axis=0).nonzero()[0]
+            pos, seg, nbr = pos[keep], seg[keep], nbr[keep]
+            value = np.searchsorted(-l5.values, -tf.take(nbr))
+            order = np.argsort(seg * l5.values.size + value, kind="stable")
+            size = np.bincount(seg, minlength=part.shape[1])
+            # the sort keeps ``seg`` in place: it is the first key
+            kept = order[np.arange(order.size) - (size.cumsum() - size)[seg] < count[lo + seg]]
+            grown.append((nbr[kept], g.adj_rel[pos[kept]].astype(np.int32), value[kept]))
+        return (*(np.concatenate(part) for part in zip(*grown)), offsets)
 
 
 def build_tree(
@@ -207,7 +234,7 @@ def build_tree(
         levels.append(np.full(cand.size, level, dtype=np.int8))
 
         new_anc = np.full((cand.size, 4), -1, dtype=np.int32)
-        new_anc[:, : level - 1] = ancestors[seg, : level - 1]
+        new_anc[:, : level - 1] = np.take(ancestors, seg, axis=0)[:, : level - 1]  # fast whole rows
         new_anc[:, level - 1] = cand
         ancestors = new_anc
         frontier = cand
@@ -217,7 +244,7 @@ def build_tree(
     level5 = None
     if len(concepts) == 4:  # the frontier is level 4, and ``ancestors`` its paths
         upper = np.concatenate(concepts[:2])
-        level5 = _level5(ancestors, upper, gp.context_mentions.mentions, g, cap)
+        level5 = _level5(ancestors, upper, gp.context_mentions.mentions, ctx_counts, g, cap)
     return PathTree(
         np.concatenate(concepts),
         np.concatenate(parents),
@@ -228,78 +255,48 @@ def build_tree(
     )
 
 
-def _level5(paths, upper, mentions: dict[int, int], g: KnowledgeGraph, cap: int) -> Level5:
+def _level5(paths, upper, mentions: dict[int, int], tf, g: KnowledgeGraph, cap: int) -> Level5:
     """Summarize the level-5 children of the level-4 nodes whose root-first
     paths are the rows of ``paths``; ``upper`` holds the level-1 and
-    level-2 concepts."""
+    level-2 concepts, and ``tf`` the context count of every concept."""
     ctx = np.fromiter(mentions, dtype=np.int64, count=len(mentions))
-    tf = np.fromiter(mentions.values(), dtype=np.int64, count=len(mentions))
-    order = np.lexsort((ctx, -tf))  # rank: (context count desc, concept asc)
-    ctx, tf, n_ctx = ctx[order], tf[order], len(order)
+    values, value = np.unique(-np.fromiter(mentions.values(), np.int64, ctx.size), return_inverse=True)
+    values, n_val = -values, values.size  # descending
 
+    # distinct level-4 concepts without a table scan: each holds one of its nodes
+    c4, node = paths[:, 3], np.arange(len(paths), dtype=np.int32)
     slot = np.full(g.node_count, -1, dtype=np.int32)
-    slot[paths[:, 3]] = 0
-    targets = np.flatnonzero(slot == 0)
+    slot[c4] = node
+    targets = c4[slot[c4] == node]
     slot[targets] = np.arange(targets.size, dtype=np.int32)
-    key, rels = kernels.context_lists(g.adj_indptr, g.adj_dst, g.adj_rel, ctx, slot)
-    owner, rank = np.divmod(key, n_ctx)
-    bounds = np.zeros(targets.size + 1, dtype=np.int64)
-    np.bincount(owner, minlength=targets.size).cumsum(out=bounds[1:])
-    lists = slot[paths[:, 3]]
-    start, length = bounds[lists], bounds[lists + 1] - bounds[lists]
+    lists = slot[c4]
 
-    # the ranks of each node's ancestors that are on its list (n_ctx
-    # elsewhere): c3 always, as c4 is in its row; c1, c2 and c4 only among
-    # the entries that are a level-1 or level-2 concept or the list's own
-    # (a self-loop), which a node scans instead of searching its list
-    ranks = slot  # the lookup table, cleared, now maps context concepts
-    ranks[targets] = -1
-    ranks[ctx] = np.arange(n_ctx, dtype=np.int32)
-    anc = ranks[paths]
-    few = np.zeros(n_ctx + 1, dtype=np.bool_)
-    few[ranks[upper]] = True
-    few = np.flatnonzero(few[rank] | (ctx[rank] == targets[owner]))
-    few_bounds = np.zeros(targets.size + 1, dtype=np.int64)
-    np.bincount(owner[few], minlength=targets.size).cumsum(out=few_bounds[1:])
-    pos, seg = kernels.gather_rows(few_bounds, lists)
-    found = rank[few[pos]]
-    hits = np.full(anc.shape, n_ctx, dtype=np.int32)
-    hits[:, 2] = anc[:, 2]
-    drop = np.ones(len(paths), dtype=np.int64)
-    for j in (0, 1, 3):
-        on = seg[found == anc[seg, j]]
-        hits[on, j] = anc[on, j]
-        drop[on] += 1
-    count = np.minimum(cap, length - drop)
+    # each (context concept, list) pair once, from the context side: the
+    # CSR is undirected, so ``p`` is in row ``c`` exactly when ``c`` is in
+    # row ``p``, and a row lists a neighbour's parallel edges together
+    pos, row = kernels.gather_rows(g.adj_indptr, ctx)
+    target = slot.take(g.adj_dst.take(pos))
+    keep = (target >= 0).nonzero()[0]
+    row, target = row[keep], target[keep]
+    first = kernels.run_starts(row, target).nonzero()[0]
+    row, target = row[first], target[first].astype(np.int64)
+    sizes = np.bincount(target * n_val + value[row], minlength=targets.size * n_val).astype(np.int32)
 
-    # a capped node keeps the first ``count`` entries off its path: walk
-    # its hits in rank order, each one inside the window widening it by one
-    window = length.copy()
-    capped = np.flatnonzero(count < length - drop)
-    if capped.size:
-        part, w, size = np.sort(hits[capped], axis=1), count[capped], length[capped]
-        for j in range(4):
-            at = rank[np.minimum(start[capped] + w, rank.size - 1)]
-            part[(w < size) & (at <= part[:, j]), j] = n_ctx
-            w += part[:, j] < n_ctx
-        window[capped], hits[capped] = w, part
-
-    # each node's runs of equal context count within its window, less the
-    # hits inside it; a run past the window ends up empty
-    values = tf[rank]
-    new = np.ones(rank.size, dtype=np.bool_)
-    new[1:] = values[1:] != values[:-1]
-    new[bounds[:-1]] = True
-    run_start = np.flatnonzero(new)
-    run_bounds = np.zeros(targets.size + 1, dtype=np.int64)
-    np.bincount(owner[run_start], minlength=targets.size).cumsum(out=run_bounds[1:])
-    pos, seg = kernels.gather_rows(run_bounds, lists)
-    first = run_start[pos]
-    size = np.minimum(np.append(run_start[1:], rank.size)[pos], (start + window)[seg]) - first
-    run_tf, hit_tf = values[first], np.append(tf, 0)[hits]  # a context count is never 0
-    for j in range(4):
-        size -= hit_tf[seg, j] == run_tf
-    kept = size > 0
-    run_bounds = np.zeros(len(paths) + 1, dtype=np.int64)
-    np.bincount(seg[kept], minlength=len(paths)).cumsum(out=run_bounds[1:])
-    return Level5(ctx[rank].astype(np.int32), rels, paths, start, count, first[kept], size[kept], run_bounds)
+    # each node's path concepts on its list: c3 always, as c4 is in its
+    # row; c1 and c2 where a pair of an upper concept holds them, and c4
+    # where a self-loop does
+    concept = ctx[row]
+    slot[upper] = -2  # the lookup table now marks the upper concepts: no pair reads it again
+    few = ((slot.take(concept) == -2) | (concept == targets[target])).nonzero()[0]
+    near = np.isin(lists, target[few]).nonzero()[0]  # the nodes whose list holds such a pair
+    few = np.sort(target[few] * g.node_count + concept[few])
+    slot[ctx] = value  # and then maps each context concept to its value index
+    ends = paths[near][:, [0, 1, 3]]
+    key = lists[near, None].astype(np.int64) * g.node_count + ends
+    on = few[np.minimum(few.searchsorted(key), few.size - 1)] == key
+    hits = np.full((4, len(paths)), n_val, dtype=np.int32)
+    hits[0] = slot[paths[:, 2]]
+    hits[np.ix_([1, 2, 3], near)] = np.where(on, slot[ends], n_val).T
+    hits = hits[(hits < n_val).any(axis=1)]  # c3's row, and the others' where any list holds them
+    count = np.minimum(cap, np.bincount(target, minlength=targets.size)[lists] - (hits < n_val).sum(axis=0))
+    return Level5(values, sizes.reshape(-1, n_val), lists, count.astype(np.int32), hits, cap, tf, g)

@@ -137,28 +137,24 @@ def kept_triples(triples: list[tuple[str, str, str]]) -> list[tuple[str, str, st
 
 def regrown(tree: pathmine.PathTree, scored: pathmine.ScoredTree | None = None):
     """``tree`` with every kept level-5 child re-grown, through
-    ``level5_children``, into the arrays: level 5 follows level 4 in parent
+    ``regrow5``, into the arrays: level 5 follows level 4 in parent
     order, so the order stays breadth-first.  A level-5 node's edge
     count is 0: the summary keeps none.  With ``scored``, also a
     ``ScoredTree`` of the same nodes' raw, normalized and cumulative
     scores (a level-5 leaf's cumulative score is its normalized one)."""
-    idx4 = [int(i) for i in tree.level_indices(4)]
-    if scored is None:
-        parts = [(tree.level5_children(i),) for i in idx4]
-    else:
-        parts = [scored.level5_scores(i) for i in idx4]
-    pos = np.concatenate([np.zeros(0, dtype=np.int64)] + [p[0] for p in parts])
-    sizes = [len(p[0]) for p in parts]
+    idx4 = tree.level_indices(4)
+    grown = tree.regrow5(idx4) if scored is None else scored.regrow5(idx4)
+    c5, r5, offsets = grown[0], grown[1], grown[-1]
     full = pathmine.PathTree(
-        np.concatenate([tree.concepts, tree.level5.concepts[pos]]),
-        np.concatenate([tree.parents, np.repeat(np.asarray(idx4, dtype=np.int64), sizes)]),
-        np.concatenate([tree.rels, tree.level5.rels[pos]]),
-        np.concatenate([tree.mults, np.zeros(pos.size, dtype=np.int32)]),
-        np.concatenate([tree.levels, np.full(pos.size, 5, dtype=np.int8)]),
+        np.concatenate([tree.concepts, c5]),
+        np.concatenate([tree.parents, np.repeat(idx4, np.diff(offsets))]),
+        np.concatenate([tree.rels, r5]),
+        np.concatenate([tree.mults, np.zeros(c5.size, dtype=np.int32)]),
+        np.concatenate([tree.levels, np.full(c5.size, 5, dtype=np.int8)]),
     )
     if scored is None:
         return full
-    raw5, n5 = (np.concatenate([np.zeros(0)] + [p[k] for p in parts]) for k in (1, 2))
+    raw5, n5 = grown[2], grown[3]
     return full, pathmine.ScoredTree(
         tree=full,
         raw=np.concatenate([scored.raw, raw5]),

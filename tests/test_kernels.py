@@ -90,6 +90,41 @@ class TestExpandCandidates:
             scores = rng.integers(0, 4, size=g.node_count)
             _assert_expand_matches(g, parents, ancestors, allowed, scores)
 
+    def test_long_lists_rank_by_one_packed_sort(self, monkeypatch):
+        # more than 256 candidates rank by one sort of packed (list, score,
+        # position) keys; ties in score keep neighbour-id order
+        sorted_sizes = []
+        sort = np.sort
+        monkeypatch.setattr(np, "sort", lambda a, **kw: sorted_sizes.append(a.size) or sort(a, **kw))
+        rng = np.random.default_rng(37)
+        for _ in range(4):
+            names = [f"n{i}" for i in range(500)]
+            triples = [("n0", "RelatedTo", names[int(i)]) for i in rng.integers(1, 500, size=700)]
+            triples += [(names[int(a)], "IsA", names[int(b)]) for a, b in rng.integers(0, 500, size=(400, 2))]
+            g = graph_from_triples(triples)
+            parents = np.append(0, rng.integers(0, g.node_count, size=7)).astype(np.int32)
+            ancestors = np.full((parents.size, 4), -1, dtype=np.int32)
+            ancestors[:, 0] = parents
+            ancestors[:, 1] = rng.integers(0, g.node_count, size=parents.size)
+            scores = rng.integers(0, 4, size=g.node_count)
+            _assert_expand_matches(g, parents, ancestors, None, scores, int(rng.choice([3, 2**62])))
+        assert sorted_sizes and max(sorted_sizes) > 256
+
+    def test_wide_scores_rank_by_a_stable_sort(self, monkeypatch):
+        # scores near 2**55 leave no room to pack a list position beside the
+        # rank in 63 bits: the same order then comes from np.lexsort
+        lexsorts = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: lexsorts.append(1) or lexsort(keys))
+        rng = np.random.default_rng(29)
+        for g in _graphs(29, 20):
+            parents = rng.integers(0, g.node_count, size=12).astype(np.int32)
+            ancestors = np.full((parents.size, 4), -1, dtype=np.int32)
+            ancestors[:, 0] = parents
+            scores = (1 << 55) + rng.integers(0, 4, size=g.node_count)
+            _assert_expand_matches(g, parents, ancestors, None, scores, int(rng.integers(1, 6)))
+        assert len(lexsorts) > 10
+
     def test_limit_cuts_each_list_before_ancestors_drop(self):
         rng = np.random.default_rng(13)
         cut = inside = outside = 0

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathmine import (
     SCORE_SENTINEL,
@@ -255,7 +257,7 @@ class TestSiblingSoftmax:
             _, _, top5 = sibling_softmax(tree, st.raw, st.raw5)
             assert top5.size == tree.node_count - tree.first4
             for i, idx in enumerate(range(tree.first4, tree.node_count)):
-                n5 = st.level5_scores(idx)[2]
+                n5 = st.level5_scores(idx)[3]
                 if n5.size:
                     assert top5[i] == pytest.approx(n5[:2].mean(), abs=1e-12)
                     means += 1
@@ -263,6 +265,94 @@ class TestSiblingSoftmax:
                     assert top5[i] == 0.0
                     empties += 1
         assert means > 50 and empties > 0, (means, empties)
+
+
+def _level5_against_brute_force(g, pair, cap: int) -> int:
+    """Check every level-4 node's ``count``, ``sum5`` and ``top5`` against
+    its children found by scanning the graph, summed as ``np.add.reduceat``
+    sums one node's terms in value order; return the most non-empty values
+    any node has."""
+    tree = build_tree(pair.query_concepts, pair, g, BuildConfig(max_children_per_node=cap))
+    scored = score_tree(tree, pair, g, WalkStats.from_graph(g))
+    _, _, top5 = sibling_softmax(tree, scored.raw, scored.raw5)
+    tf, n = pair.context_mentions.mentions, pair.context_mentions.source_len
+    most = 0
+    for i, idx in enumerate(range(tree.first4, tree.node_count)):
+        path, c4 = path_to(tree, idx), int(tree.concepts[idx])
+        kids = sorted(
+            (c for c in tf if c not in path and g.edges_between(c4, c)), key=lambda c: (-tf[c], c)
+        )[:cap]
+        concepts, rels = tree.level5_children(idx)
+        assert concepts.tolist() == kids
+        assert rels.tolist() == [g.edges_between(c4, c)[0] for c in kids]
+        assert tree.level5.count[i] == len(kids)
+        if not kids:
+            assert scored.sum5[i] == top5[i] == 0.0
+            continue
+        values, sizes = np.unique([-tf[c] for c in kids], return_counts=True)
+        raws = -values / n
+        total = np.add.reduceat(sizes * np.exp(raws - raws[0]), [0])[0]
+        top1 = 1.0 / total
+        top2 = np.exp(tf[kids[1]] / n - raws[0]) / total if len(kids) >= 2 else top1
+        assert scored.sum5[i] == total and top5[i] == (top1 + top2) / 2.0
+        most = max(most, values.size)
+    return most
+
+
+def _counted_context(rng, g) -> str:
+    """A context naming 10 or more of ``g``'s concepts, each a distinct
+    number of times."""
+    k = int(rng.integers(10, g.node_count + 1))
+    words = []
+    for name, times in zip(rng.permutation(g.surfaces)[:k], rng.permutation(k) + 1):
+        words += [str(name)] * int(times)
+    return " ".join(rng.permutation(words))
+
+
+def _dense_multigraph(rng):
+    while True:
+        g = random_multigraph(rng, max_nodes=24, max_edges=220)
+        if g.node_count >= 12:
+            return g
+
+
+class TestLevel5Summary:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), cap=st.integers(2, 5))
+    def test_capped_counts_and_sums_match_children(self, seed, cap):
+        rng = np.random.default_rng(seed)
+        g = _dense_multigraph(rng)
+        names = rng.choice(g.surfaces, size=2, replace=False)
+        _level5_against_brute_force(g, ground_pair(_counted_context(rng, g), " ".join(names), g), cap)
+
+    def test_reduceat_pairwise_order_on_many_values(self):
+        # a node with 9 or more non-empty values has 8 or more terms after
+        # its first, which np.add.reduceat sums pairwise, not in sequence
+        rng = np.random.default_rng(71)
+        most = []
+        for _ in range(12):
+            g = _dense_multigraph(rng)
+            names = rng.choice(g.surfaces, size=2, replace=False)
+            pair = ground_pair(_counted_context(rng, g), " ".join(names), g)
+            most.append(_level5_against_brute_force(g, pair, 100))
+        assert max(most) >= 9 and sum(m >= 9 for m in most) >= 3, most
+
+
+class TestBareForest:
+    def test_skipped_passes_give_the_same_fields(self, story_graph):
+        stats = WalkStats.from_graph(story_graph)
+        for query in ("lady", "lady church", "church lady mother"):
+            pair = ground_pair("nothing relevant here", query, story_graph)
+            tree = build_tree(pair.query_concepts, pair, story_graph)
+            assert tree.node_count == tree.root_count == len(query.split())
+            raw, raw5 = score_raw(tree, pair, story_graph, stats)
+            n_score, sum5, top5 = sibling_softmax(tree, raw, raw5)
+            full = (raw, raw5, n_score, cumulative_score(tree, n_score, top5), sum5)
+            scored = score_tree(tree, pair, story_graph, stats)
+            got = (scored.raw, scored.raw5, scored.n_score, scored.c_score, scored.sum5)
+            for name, a, b in zip(("raw", "raw5", "n_score", "c_score", "sum5"), got, full):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tolist() == b.tolist(), name
+            assert scored.n_score is not scored.c_score
 
 
 def _cumulative_oracle(tree: PathTree, n_score: np.ndarray):

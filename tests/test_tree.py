@@ -107,7 +107,7 @@ class TestDegenerateTrees:
         tree = build_tree([g.surface_to_id.get("lady")], pair, g)
         level4 = tree.level_indices(4)
         assert _surfaces(g, tree, level4) == ["child"]
-        assert tree.level5_children(int(level4[0])).size == 0
+        assert tree.level5_children(int(level4[0]))[0].size == 0
         assert tree.level5.count.tolist() == [0]
         assert regrown(tree).level_indices(5).size == 0
 
@@ -332,6 +332,29 @@ class TestForest:
         assert scored.raw.tolist() == [0.0, 0.25]
         assert peak / g.node_count < 6
 
+    def test_level5_memory_per_level4_node(self):
+        # 30 linked context concepts, each mentioned a distinct number of
+        # times: 24,360 level-4 nodes, each with 27 level-5 children of 27
+        # distinct counts.  Building and scoring keep a few counts per node
+        # and a table per distinct level-4 concept, not the children
+        names = [f"c{i}" for i in range(30)]
+        triples = [(a, "RelatedTo", b) for i, a in enumerate(names) for b in names[i + 1 :]]
+        g = graph_from_triples(triples + [("q", "RelatedTo", a) for a in names])
+        stats = WalkStats.from_graph(g)
+        pair = ground_pair(" ".join(" ".join([n] * (i + 1)) for i, n in enumerate(names)), "q", g)
+        pair.context_mentions.dense_counts(g.node_count)  # the request's, cached
+        tracemalloc.start()
+        try:
+            forest = build_tree(pair.query_concepts, pair, g)
+            scored = score_tree(forest, pair, g, stats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n4 = forest.level_indices(4).size
+        assert n4 == 30 * 29 * 28 and forest.level5.count.tolist() == [27] * n4
+        assert scored.sum5.size == n4
+        assert peak / n4 < 500
+
     def test_shared_wide_concept_expands_in_bounded_memory(self):
         # 50 roots reach one context concept through 2 context hubs: 100
         # level-3 nodes share its 20 k-neighbour row, which the cap of 2
@@ -354,3 +377,38 @@ class TestForest:
         # degree ranks the other hub first, then the lowest-id leaf
         assert set(g.surfaces[int(c)] for c in level4) == {"hub0", "hub1", "n0"}
         assert peak < 8 << 20
+
+
+class TestLevel5Regrowth:
+    def test_one_call_equals_per_node_regrowth(self):
+        # explain re-grows every node's level-5 children in one call
+        rng = np.random.default_rng(83)
+        grown = 0
+        for _ in range(40):
+            g = random_multigraph(rng, max_nodes=20, max_edges=80)
+            try:
+                stats = WalkStats.from_graph(g)
+            except PathmineError:
+                continue
+            names = [g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=30)]
+            query = " ".join(g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=2))
+            pair = ground_pair(" ".join(names), query, g)
+            if not pair.query_concepts:
+                continue
+            cfg = BuildConfig(max_children_per_node=int(rng.choice([2, 3, 4, 100])))
+            forest = build_tree(pair.query_concepts, pair, g, cfg)
+            scored = score_tree(forest, pair, g, stats)
+            nodes = rng.permutation(forest.node_count)
+            concepts, rels, values, offsets = forest.regrow5(nodes)
+            scores = scored.regrow5(nodes)
+            assert scores[0].tolist() == concepts.tolist() and scores[1].tolist() == rels.tolist()
+            assert scores[4].tolist() == offsets.tolist()
+            for k, idx in enumerate(nodes.tolist()):
+                part = slice(offsets[k], offsets[k + 1])
+                one = scored.level5_scores(idx)
+                assert [a.tolist() for a in forest.level5_children(idx)] == [a.tolist() for a in one[:2]]
+                assert [a[part].tolist() for a in scores[:4]] == [a.tolist() for a in one]
+                tf = [pair.context_mentions.mentions[c] for c in concepts[part].tolist()]
+                assert forest.level5.values[values[part]].tolist() == tf
+            grown += int(offsets[-1])
+        assert grown > 300, grown
