@@ -32,6 +32,12 @@ def _config_from_options(config_path: str | None, **overrides) -> Config:
         raise click.UsageError(f"invalid config: {exc}") from exc
 
 
+def _refuse_overwrite(path: str, output: str, message: str) -> None:
+    """A usage error, before anything is written, when ``output`` names ``path``."""
+    if os.path.exists(output) and os.path.samefile(path, output):
+        raise click.UsageError(message)
+
+
 def _open_dump(path: str) -> IO[bytes]:
     if path.endswith(".gz"):
         return gzip.open(path, "rb")
@@ -50,6 +56,7 @@ def cli() -> None:
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
 def build_index_cmd(dump: str, output: str, lang: str | None, config_path: str | None) -> None:
     """Ingest an assertion dump and write a versioned binary index."""
+    _refuse_overwrite(dump, output, "--output is the DUMP file, which the index would replace")
     config = _config_from_options(config_path, lang=lang)
     with _open_dump(dump) as fh:
         graph, report = ingest_csv(fh, config.lang)
@@ -82,6 +89,8 @@ def extract_cmd(
     """Extract path token sequences for each context/query request."""
     if workers < 1:
         raise click.BadParameter("workers must be >= 1")
+    if output_path != "-":  # stdout
+        _refuse_overwrite(graph_path, output_path, "--output is the --graph file, which it would replace")
     config = _config_from_options(config_path, seed=seed, max_total_paths=max_total_paths)
     graph, stats = load_index(graph_path)
     extractor = Extractor(graph, stats, config)

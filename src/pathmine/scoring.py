@@ -43,18 +43,13 @@ class ScoredTree:
     c_score: np.ndarray
     sum5: np.ndarray
 
-    def level5_scores(self, idx: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Concepts, relation ids, raw and normalized scores of node
-        ``idx``'s kept level-5 children, best first; a leaf's cumulative
-        score is its normalized one."""
-        return self.regrow5([idx])[:4]
-
     def regrow5(self, nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`PathTree.regrow5`, with each child's raw and normalized
-        scores in place of its value index."""
-        concepts, rels, value, offsets = self.tree.regrow5(nodes)
-        seg = np.arange(offsets.size - 1).repeat(np.diff(offsets))
-        raw = self.raw5[value]
+        scores before the offsets."""
+        concepts, rels, offsets = self.tree.regrow5(nodes)
+        l5, seg = self.tree.level5, np.arange(offsets.size - 1).repeat(np.diff(offsets))
+        # a child's raw score is that of its context count among the values
+        raw = self.raw5[np.searchsorted(-l5.values, -l5.tf[concepts] if concepts.size else concepts)]
         best, total = raw[offsets[seg]], self.sum5[np.asarray(nodes, dtype=np.int64)[seg] - self.tree.first4]
         return concepts, rels, raw, np.exp(raw - best) / total, offsets
 

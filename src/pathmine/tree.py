@@ -19,7 +19,8 @@ node: :class:`Level5` counts each distinct level-4 concept's context
 neighbours per distinct context count, and keeps per level-4 node only
 its list, its child count and the values of its path concepts on that
 list, which is all scoring reads.  :meth:`PathTree.regrow5` re-grows the
-children of the nodes whose children are read, from their graph rows.
+children of the nodes whose children are read, with the expansion step
+that grows levels 2-4.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .grounding import GroundedPair
 from .kg import KnowledgeGraph
 
 MAX_LEVEL = 5
+
+_REGROW_BLOCK = 1 << 20  # about the most graph row entries one block of re-growth gathers
 
 
 @dataclass(frozen=True)
@@ -132,43 +135,26 @@ class PathTree:
             raise ValueError(f"level {level} out of range 1..{MAX_LEVEL}")
         return np.flatnonzero(self.levels == level)
 
-    def level5_children(self, idx: int) -> tuple[np.ndarray, np.ndarray]:
-        """Concepts and relation ids of node ``idx``'s kept level-5
-        children, best first; none unless ``idx`` is at level 4."""
-        return self.regrow5([idx])[:2]
-
-    def regrow5(self, nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def regrow5(self, nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The kept level-5 children of ``nodes``, re-grown in one call:
-        concepts, relation ids and value indices (into ``level5.values``),
-        each node's best first, and the offsets of each node's slice.  A
-        node's children are its concept's context neighbours off its path,
-        with their lowest relation (rows sort by neighbour, then relation),
-        ranked by (value, concept) and cut to its count."""
+        concepts and relation ids, each node's best first, and the offsets
+        of each node's slice; none under a node that is not at level 4.
+        They are grown as levels 2-3 are, with the node's root-first path
+        as its ancestors and the context counts as filter and rank."""
         l5, nodes = self.level5, np.asarray(nodes, dtype=np.int64)
         count = np.concatenate([np.zeros(self.first4, dtype=np.int32), l5.count])[nodes]
-        offsets, live = np.concatenate(([0], count.cumsum())), (count > 0).nonzero()[0]
-        grown = [(np.zeros(0, dtype=np.int32),) * 2 + (np.zeros(0, dtype=np.int64),)]
-        i4, count = nodes[live], count[live]
-        i3 = self.parents[i4]
-        paths = self.concepts[np.array([self.parents[self.parents[i3]], self.parents[i3], i3, i4])]
-        g, tf = l5.graph, l5.tf
-        # blocks of nodes whose rows hold at most about 2**20 entries
-        step = (1 << 20) // int(g.degrees[paths[3]].max()) + 1 if live.size else 1
+        live, size = (count > 0).nonzero()[0], np.zeros(nodes.size, dtype=np.int64)
+        grown = [(np.zeros(0, dtype=np.int32),) * 2]
+        i3 = self.parents[nodes[live]]
+        paths = self.concepts[np.array([self.parents[self.parents[i3]], self.parents[i3], i3, nodes[live]]).T]
+        # blocks of nodes whose rows hold at most about ``_REGROW_BLOCK`` entries
+        step = _REGROW_BLOCK // int(l5.graph.degrees[paths[:, 3]].max()) + 1 if live.size else 1
         for lo in range(0, live.size, step):
-            part = paths[:, lo : lo + step]  # root first, a column a node
-            pos, seg = kernels.gather_rows(g.adj_indptr, part[3].astype(np.int64))
-            nbr = g.adj_dst.take(pos)
-            keep = (kernels.run_starts(seg, nbr) & (tf.take(nbr) > 0)).nonzero()[0]
-            pos, seg, nbr = pos[keep], seg[keep], nbr[keep]
-            keep = (part[:, seg] != nbr).all(axis=0).nonzero()[0]
-            pos, seg, nbr = pos[keep], seg[keep], nbr[keep]
-            value = np.searchsorted(-l5.values, -tf.take(nbr))
-            order = np.argsort(seg * l5.values.size + value, kind="stable")
-            size = np.bincount(seg, minlength=part.shape[1])
-            # the sort keeps ``seg`` in place: it is the first key
-            kept = order[np.arange(order.size) - (size.cumsum() - size)[seg] < count[lo + seg]]
-            grown.append((nbr[kept], g.adj_rel[pos[kept]].astype(np.int32), value[kept]))
-        return (*(np.concatenate(part) for part in zip(*grown)), offsets)
+            part = paths[lo : lo + step]
+            cand, rel, _, seg = _children(part[:, 3], part, l5.graph, l5.tf, l5.tf, l5.cap)
+            size[live[lo : lo + step]] = np.bincount(seg, minlength=len(part))
+            grown.append((cand, rel))
+        return (*(np.concatenate(part) for part in zip(*grown)), np.concatenate(([0], size.cumsum())))
 
 
 def build_tree(
@@ -211,22 +197,9 @@ def build_tree(
         # context concepts (a nonzero count); level 4 ranks by degree and
         # keeps every concept
         allowed, scores = (ctx_counts, ctx_counts) if level != 4 else (None, g.degrees)
-        # a parent drops at most the four concepts of its path from its
-        # concept's ranked list, so its kept children are among the first
-        # ``cap + 4``
-        cand, (minrel, mult), offsets = kernels.expand_candidates(
-            frontier, ancestors, g.adj_indptr, g.adj_dst, g.adj_rel, allowed, scores, cap + 4
-        )
+        cand, minrel, mult, seg = _children(frontier, ancestors, g, allowed, scores, cap)
         if not cand.size:
             break
-        sizes = np.diff(offsets)
-        seg = np.arange(sizes.size, dtype=np.int64).repeat(sizes)
-        # each parent's slice arrives ranked by (score desc, concept asc),
-        # so the cap keeps its first positions
-        if sizes.max() > cap:
-            kept = np.arange(cand.size) - offsets[seg] < cap
-            cand, minrel, mult, seg = cand[kept], minrel[kept], mult[kept], seg[kept]
-
         concepts.append(cand)
         parents.append(frontier_idx[seg])
         rels.append(minrel)
@@ -253,6 +226,27 @@ def build_tree(
         np.concatenate(levels),
         level5,
     )
+
+
+def _children(parents, ancestors, g: KnowledgeGraph, allowed, scores, cap: int):
+    """The children of ``parents``: :func:`kernels.expand_candidates` cut
+    to ``cap`` a parent.  Returns their concepts, relation ids and edge
+    counts, and the position in ``parents`` of each one's parent."""
+    # a parent drops at most the four concepts of its path from its
+    # concept's ranked list, so its kept children are among the first ``cap + 4``
+    cand, (minrel, mult), offsets = kernels.expand_candidates(
+        parents, ancestors, g.adj_indptr, g.adj_dst, g.adj_rel, allowed, scores, cap + 4
+    )
+    if not cand.size:  # most short requests' roots end here
+        return cand, minrel, mult, offsets[:0]
+    sizes = np.diff(offsets)
+    seg = np.arange(sizes.size, dtype=np.int64).repeat(sizes)
+    # each parent's slice arrives ranked by (score desc, concept asc),
+    # so the cap keeps its first positions
+    if sizes.max() > cap:
+        kept = np.arange(cand.size) - offsets[seg] < cap
+        cand, minrel, mult, seg = cand[kept], minrel[kept], mult[kept], seg[kept]
+    return cand, minrel, mult, seg
 
 
 def _level5(paths, upper, mentions: dict[int, int], tf, g: KnowledgeGraph, cap: int) -> Level5:

@@ -15,6 +15,7 @@ import tracemalloc
 import weakref
 from contextlib import redirect_stderr
 from importlib import resources
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -387,6 +388,22 @@ class TestCli:
         code = main(["extract", "--graph", story_index, "--input", str(requests), "--output", str(requests)])
         assert code == 1 and "--input file" in capsys.readouterr().err
         assert requests.read_text() == text
+
+    def test_output_over_the_graph_is_usage_error(self, story_index, tmp_path, capsys):
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(json.dumps({"context": STORY_CONTEXT, "query": STORY_QUERY}) + "\n")
+        index = Path(story_index).read_bytes()
+        code = main(["extract", "--graph", story_index, "--input", str(requests), "--output", story_index])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("usage error: ") and err.count("\n") == 1 and "--graph" in err
+        assert Path(story_index).read_bytes() == index
+
+    def test_build_index_over_its_dump_is_usage_error(self, tmp_path, capsys):
+        dump = _write_story_dump(tmp_path)
+        code = main(["build-index", dump, "-o", dump])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("usage error: ") and err.count("\n") == 1 and "DUMP" in err
+        assert Path(dump).read_bytes() == story_dump_bytes()
 
     def test_empty_dump_is_data_error(self, tmp_path, capsys):
         dump = tmp_path / "empty.tsv"

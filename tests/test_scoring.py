@@ -242,7 +242,7 @@ class TestSiblingSoftmax:
 
     def test_level5_mean_is_top_two_of_regrown_children(self):
         # sibling_softmax's third result, against the normalized scores
-        # ScoredTree.level5_scores re-grows child by child
+        # ScoredTree.regrow5 re-grows node by node
         rng = np.random.default_rng(67)
         means = empties = 0
         for _ in range(30):
@@ -257,7 +257,7 @@ class TestSiblingSoftmax:
             _, _, top5 = sibling_softmax(tree, st.raw, st.raw5)
             assert top5.size == tree.node_count - tree.first4
             for i, idx in enumerate(range(tree.first4, tree.node_count)):
-                n5 = st.level5_scores(idx)[3]
+                n5 = st.regrow5([idx])[3]
                 if n5.size:
                     assert top5[i] == pytest.approx(n5[:2].mean(), abs=1e-12)
                     means += 1
@@ -282,7 +282,7 @@ def _level5_against_brute_force(g, pair, cap: int) -> int:
         kids = sorted(
             (c for c in tf if c not in path and g.edges_between(c4, c)), key=lambda c: (-tf[c], c)
         )[:cap]
-        concepts, rels = tree.level5_children(idx)
+        concepts, rels, _ = tree.regrow5([idx])
         assert concepts.tolist() == kids
         assert rels.tolist() == [g.edges_between(c4, c)[0] for c in kids]
         assert tree.level5.count[i] == len(kids)

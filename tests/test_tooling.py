@@ -60,3 +60,42 @@ def test_failing_property_test_is_reported_under_repo_ini(tmp_path):
     assert "INTERNALERROR" not in out
     assert proc.returncode == 1, out[-2000:]
     assert "1 failed" in out
+
+
+# public names that nothing in the package calls, and why each stays
+UNREFERENCED_BY_DESIGN = {
+    "build_index_cmd": "a click command callback: click calls it",
+    "extract_cmd": "a click command callback: click calls it",
+    "explain_cmd": "a click command callback: click calls it",
+    "token_count": "perfbench/ reads it for grounding.tokens until it reads a metrics recorder",
+    "edge_start": "perfbench/ checks the index through this view until it reads the CSR",
+    "edge_rel": "perfbench/ checks the index through this view until it reads the CSR",
+    "edge_end": "perfbench/ checks the index through this view until it reads the CSR",
+}
+
+
+def test_every_public_definition_is_used_or_exported():
+    # a public function, method or class that the package never names and
+    # does not export is code the pipeline does not run
+    import pathmine
+
+    defined, referenced = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            for item in [node, *members]:
+                if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and not item.name.startswith("_"):
+                    defined.setdefault(item.name, f"{path.name}:{item.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert set(UNREFERENCED_BY_DESIGN) <= set(defined)
+    unused = {
+        name: where
+        for name, where in defined.items()
+        if name not in referenced and name not in pathmine.__all__ and name not in UNREFERENCED_BY_DESIGN
+    }
+    assert not unused, unused

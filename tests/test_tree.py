@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pathmine.kernels
+import pathmine.tree
 from pathmine import (
     BuildConfig,
     PathmineError,
@@ -107,7 +109,7 @@ class TestDegenerateTrees:
         tree = build_tree([g.surface_to_id.get("lady")], pair, g)
         level4 = tree.level_indices(4)
         assert _surfaces(g, tree, level4) == ["child"]
-        assert tree.level5_children(int(level4[0]))[0].size == 0
+        assert tree.regrow5([int(level4[0])])[0].size == 0
         assert tree.level5.count.tolist() == [0]
         assert regrown(tree).level_indices(5).size == 0
 
@@ -399,16 +401,68 @@ class TestLevel5Regrowth:
             forest = build_tree(pair.query_concepts, pair, g, cfg)
             scored = score_tree(forest, pair, g, stats)
             nodes = rng.permutation(forest.node_count)
-            concepts, rels, values, offsets = forest.regrow5(nodes)
+            concepts, rels, offsets = forest.regrow5(nodes)
             scores = scored.regrow5(nodes)
             assert scores[0].tolist() == concepts.tolist() and scores[1].tolist() == rels.tolist()
             assert scores[4].tolist() == offsets.tolist()
             for k, idx in enumerate(nodes.tolist()):
                 part = slice(offsets[k], offsets[k + 1])
-                one = scored.level5_scores(idx)
-                assert [a.tolist() for a in forest.level5_children(idx)] == [a.tolist() for a in one[:2]]
-                assert [a[part].tolist() for a in scores[:4]] == [a.tolist() for a in one]
+                one = scored.regrow5([idx])
+                assert [a.tolist() for a in forest.regrow5([idx])[:2]] == [a.tolist() for a in one[:2]]
+                assert [a[part].tolist() for a in scores[:4]] == [a.tolist() for a in one[:4]]
                 tf = [pair.context_mentions.mentions[c] for c in concepts[part].tolist()]
-                assert forest.level5.values[values[part]].tolist() == tf
+                assert scores[2][part].tolist() == [t / pair.context_mentions.source_len for t in tf]
             grown += int(offsets[-1])
+        assert grown > 300, grown
+
+    def test_selection_regrows_a_roots_level4_leaves_in_one_level5_expansion(self, story_graph, monkeypatch):
+        # re-growth is a level-5 expansion through the kernel that grows
+        # levels 2-4: the parents are the leaves, the ancestors their paths
+        pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
+        forest = build_tree(pair.query_concepts, pair, story_graph)
+        scored = score_tree(forest, pair, story_graph, WalkStats.from_graph(story_graph))
+        calls, expand = [], pathmine.kernels.expand_candidates
+
+        def counting(parents, ancestors, *rest):
+            calls.append((np.asarray(parents).tolist(), np.asarray(ancestors).copy()))
+            return expand(parents, ancestors, *rest)
+
+        monkeypatch.setattr(pathmine.kernels, "expand_candidates", counting)
+        paths = select_paths(scored)
+        assert len(calls) == 1
+        parents, ancestors = calls[0]
+        assert ancestors.shape[1] == 4 and (ancestors >= 0).all()
+        leaves = list(dict.fromkeys(p.concepts[:4] for p in paths if len(p.concepts) == 5))
+        assert leaves and [tuple(row) for row in ancestors.tolist()] == leaves
+        assert parents == [leaf[3] for leaf in leaves]
+
+    def test_regrowth_in_small_blocks_equals_one_block(self, monkeypatch):
+        # a block this small holds one node: every live node is its own call
+        rng = np.random.default_rng(89)
+        calls, expand = [], pathmine.kernels.expand_candidates
+
+        def counting(*args):
+            calls.append(None)
+            return expand(*args)
+
+        monkeypatch.setattr(pathmine.kernels, "expand_candidates", counting)
+        grown = 0
+        for _ in range(30):
+            g = random_multigraph(rng, max_nodes=20, max_edges=80)
+            names = [g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=30)]
+            query = " ".join(g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=2))
+            pair = ground_pair(" ".join(names), query, g)
+            if not pair.query_concepts:
+                continue
+            cfg = BuildConfig(max_children_per_node=int(rng.choice([2, 3, 100])))
+            forest = build_tree(pair.query_concepts, pair, g, cfg)
+            nodes = rng.permutation(forest.node_count)
+            monkeypatch.setattr(pathmine.tree, "_REGROW_BLOCK", 1 << 20)
+            whole = forest.regrow5(nodes)
+            monkeypatch.setattr(pathmine.tree, "_REGROW_BLOCK", 3)
+            calls.clear()
+            blocks = forest.regrow5(nodes)
+            assert [a.tolist() for a in blocks] == [a.tolist() for a in whole]
+            assert len(calls) == int((forest.level5.count > 0).sum())
+            grown += int(whole[-1][-1])
         assert grown > 300, grown
