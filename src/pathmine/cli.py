@@ -32,10 +32,13 @@ def _config_from_options(config_path: str | None, **overrides) -> Config:
         raise click.UsageError(f"invalid config: {exc}") from exc
 
 
-def _refuse_overwrite(path: str, output: str, message: str) -> None:
-    """A usage error, before anything is written, when ``output`` names ``path``."""
-    if os.path.exists(output) and os.path.samefile(path, output):
-        raise click.UsageError(message)
+def _refuse_overwrite(output: str, inputs: dict[str, str | None]) -> None:
+    """A usage error, before anything is written, when ``output`` names one
+    of the ``inputs`` files (by option; an input without a file is skipped)."""
+    if os.path.exists(output):
+        for name, path in inputs.items():
+            if path and os.path.exists(path) and os.path.samefile(path, output):
+                raise click.UsageError(f"--output is the {name} file, which it would replace")
 
 
 def _open_dump(path: str) -> IO[bytes]:
@@ -56,8 +59,8 @@ def cli() -> None:
 @click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False))
 def build_index_cmd(dump: str, output: str, lang: str | None, config_path: str | None) -> None:
     """Ingest an assertion dump and write a versioned binary index."""
-    _refuse_overwrite(dump, output, "--output is the DUMP file, which the index would replace")
     config = _config_from_options(config_path, lang=lang)
+    _refuse_overwrite(output, {"DUMP": dump, "--config": config_path, "stopword_path": config.stopword_path})
     with _open_dump(dump) as fh:
         graph, report = ingest_csv(fh, config.lang)
     stats = WalkStats.from_graph(graph)
@@ -89,16 +92,17 @@ def extract_cmd(
     """Extract path token sequences for each context/query request."""
     if workers < 1:
         raise click.BadParameter("workers must be >= 1")
-    if output_path != "-":  # stdout
-        _refuse_overwrite(graph_path, output_path, "--output is the --graph file, which it would replace")
     config = _config_from_options(config_path, seed=seed, max_total_paths=max_total_paths)
+    if output_path != "-":  # stdout
+        _refuse_overwrite(output_path, {
+            "--graph": graph_path, "--input": None if input_path == "-" else input_path,
+            "--config": config_path, "stopword_path": config.stopword_path,
+        })
     graph, stats = load_index(graph_path)
     extractor = Extractor(graph, stats, config)
 
     # the input opens first, so a missing one never truncates the output
     with nullcontext(sys.stdin.buffer) if input_path == "-" else open(input_path, "rb") as fh:
-        if input_path != "-" and os.path.exists(output_path) and os.path.samefile(input_path, output_path):
-            raise click.UsageError("--output is the --input file, which streaming would truncate")
         out = sys.stdout if output_path == "-" else open(output_path, "w", encoding="utf-8")
         try:
             for result in run_batch(extractor, _request_lines(fh), workers=workers):
@@ -156,7 +160,7 @@ def render_explanation(extractor: Extractor, context: str, query: str) -> str:
     tree = scored.tree
     sizes = tree.sizes()
     # every level-5 child, re-grown in one call
-    c5, r5, raw5, n5, offsets = (a.tolist() for a in scored.regrow5(range(tree.node_count)))
+    c5, r5, raw5, n5, offsets = (a.tolist() for a in tree.regrow5(range(tree.node_count)))
 
     def fmt(value: float) -> str:
         return "-inf" if value == SCORE_SENTINEL else f"{value:.6f}"

@@ -1,12 +1,14 @@
 """Text-to-graph grounding: tokenization and concept mentions.
 
-``pipeline.ground_pair`` grounds one context/query pair with them.
+``pipeline.ground_pair`` grounds one context/query pair with them, and
+builds the pair's context counts: one int32 array over the graph's
+concepts, which tree growth, scoring and level-5 re-growth all read.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -35,30 +37,18 @@ class ConceptMentionSet:
 
     mentions: dict[int, int]
     source_len: int
-    _dense: dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
-
-    def dense_counts(self, node_count: int) -> np.ndarray:
-        """Counts as an int32 array over all concept ids (cached).
-
-        A count is at most the context's token count, far below 2**31 for
-        any context that fits in memory; int32 halves the array that every
-        request fills and that expansion and scoring gather from.
-        """
-        arr = self._dense.get(node_count)
-        if arr is None:
-            arr = np.zeros(node_count, dtype=np.int32)
-            for cid, c in self.mentions.items():
-                arr[cid] = c
-            self._dense[node_count] = arr
-        return arr
 
 
 @dataclass
 class GroundedPair:
-    """Context mentions plus the grounded query concepts, in query order."""
+    """Context mentions plus the grounded query concepts, in query order,
+    and ``context_counts``, the mention counts as an int32 array over all
+    concept ids.  A count is at most the context's token count, far below
+    2**31 for any context that fits in memory."""
 
     context_mentions: ConceptMentionSet
     query_concepts: list[int]
+    context_counts: np.ndarray
 
 
 def tokenize(text: str) -> TokenizedText:

@@ -54,8 +54,10 @@ def ground_pair(
         stopwords = _packaged_stopwords()
     ctx = extract_concepts(tokenize(context), g, max_ngram, stopwords)
     query_mentions = extract_concepts(tokenize(query), g, max_ngram, stopwords)
+    counts = np.zeros(g.node_count, dtype=np.int32)
+    counts[list(ctx.mentions)] = list(ctx.mentions.values())
     # dict preserves first-mention order; counts are irrelevant for the query
-    return GroundedPair(context_mentions=ctx, query_concepts=list(query_mentions.mentions))
+    return GroundedPair(ctx, list(query_mentions.mentions), counts)
 
 
 def _json(text: str):

@@ -63,7 +63,7 @@ def select_paths(st: ScoredTree, root: int = 0) -> list[SelectedPath]:
             )
     c5, r5, offsets = [], [], [0] * (len(leaves) + 1)
     if any(idx >= tree.first4 for idx, _, _ in leaves):  # level-4 leaves: re-grow their children at once
-        c5, r5, offsets = (a.tolist() for a in tree.regrow5([idx for idx, _, _ in leaves]))
+        c5, r5, _, _, offsets = (a.tolist() for a in tree.regrow5([idx for idx, _, _ in leaves]))
     paths: list[SelectedPath] = []
     for (_, concepts, relations), lo, hi in zip(leaves, offsets, offsets[1:]):
         for c, r in zip(c5[lo : min(hi, lo + TOP_CHILDREN)], r5[lo : min(hi, lo + TOP_CHILDREN)]):

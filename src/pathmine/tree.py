@@ -15,12 +15,16 @@ exactly the single tree.
 Levels 1-4 live in flat numpy arrays in breadth-first order (children of
 one parent are contiguous, and each level holds the trees' nodes in root
 order), which keeps scoring vectorizable.  Level 5 is never built node by
-node: :class:`Level5` counts each distinct level-4 concept's context
-neighbours per distinct context count, and keeps per level-4 node only
-its list, its child count and the values of its path concepts on that
-list, which is all scoring reads.  :meth:`PathTree.regrow5` re-grows the
-children of the nodes whose children are read, with the expansion step
-that grows levels 2-4.
+node.  ``_level5`` counts each distinct level-4 concept's context
+neighbours per distinct context count, takes away each node's own path
+concepts and cuts to the cap, whole counts first; a level-5 raw score is
+a context count over the context length, so each node's softmax
+denominator is summed by count.  :class:`Level5` keeps the three numbers
+per level-4 node that scoring and selection read: how many children it
+keeps, that denominator and the mean of its two best normalized scores.
+:meth:`PathTree.regrow5` re-grows, with their scores, the children of the
+nodes whose children are read, by the expansion step that grows levels
+2-4.
 """
 
 from __future__ import annotations
@@ -53,36 +57,29 @@ class BuildConfig:
 
 @dataclass(frozen=True)
 class Level5:
-    """The level-5 children of a forest's level-4 nodes, summarized by
-    context count.
-
-    ``values`` holds the context's distinct counts, descending.  Each
-    distinct level-4 concept has a list: its context neighbours, ranked by
-    (count desc, concept asc); row ``r`` of ``sizes`` counts list ``r``'s
-    entries with each value.  Level-4 node ``i`` (the ``i``-th of its
-    level) reads list ``lists[i]`` less ``hits[:, i]``, the value indices
-    of its path concepts on that list (c3 first, ``len(values)`` for one
-    that is not), and keeps the first ``count[i]`` entries left, at most
-    ``cap``, so whole values first.  ``tf``, the context counts of every
-    concept, and ``graph`` are what re-growth reads.
+    """The level-5 children of a forest's level-4 nodes: level-4 node
+    ``i`` (the ``i``-th of its level) keeps ``count[i]`` children, whose
+    softmax denominator is ``sum5[i]`` and whose two best normalized
+    scores have the mean ``top5[i]`` (0 without a child).  ``cap``, ``tf``
+    (the context count of every concept), ``context_len`` and ``graph``
+    are what re-growth reads.
     """
 
-    values: np.ndarray
-    sizes: np.ndarray
-    lists: np.ndarray
     count: np.ndarray
-    hits: np.ndarray
+    sum5: np.ndarray
+    top5: np.ndarray
     cap: int = 0
     tf: np.ndarray | None = None
+    context_len: int = 0
     graph: KnowledgeGraph | None = None
 
     @classmethod
     @functools.lru_cache(maxsize=8)  # most forests have no level 4: share one
     def none(cls, n4: int) -> "Level5":
         """No level-5 child under any of ``n4`` level-4 nodes."""
-        zeros = np.zeros((5, n4), dtype=np.int32)
-        zeros.flags.writeable = False  # and so are its views
-        return cls(zeros[0, :0], zeros[:0, :0], zeros[0], zeros[0], zeros[1:])
+        count, zeros = np.zeros(n4, dtype=np.int32), np.zeros(n4)
+        count.flags.writeable = zeros.flags.writeable = False  # and so are their views
+        return cls(count, zeros, zeros, tf=count[:0])
 
 
 class PathTree:
@@ -135,12 +132,14 @@ class PathTree:
             raise ValueError(f"level {level} out of range 1..{MAX_LEVEL}")
         return np.flatnonzero(self.levels == level)
 
-    def regrow5(self, nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def regrow5(self, nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The kept level-5 children of ``nodes``, re-grown in one call:
-        concepts and relation ids, each node's best first, and the offsets
-        of each node's slice; none under a node that is not at level 4.
-        They are grown as levels 2-3 are, with the node's root-first path
-        as its ancestors and the context counts as filter and rank."""
+        concepts, relation ids, raw and normalized scores, each node's best
+        first, and the offsets of each node's slice; none under a node that
+        is not at level 4.  They are grown as levels 2-3 are, with the
+        node's root-first path as its ancestors and the context counts as
+        filter and rank, and a child's raw score is its context count over
+        the context length."""
         l5, nodes = self.level5, np.asarray(nodes, dtype=np.int64)
         count = np.concatenate([np.zeros(self.first4, dtype=np.int32), l5.count])[nodes]
         live, size = (count > 0).nonzero()[0], np.zeros(nodes.size, dtype=np.int64)
@@ -154,7 +153,11 @@ class PathTree:
             cand, rel, _, seg = _children(part[:, 3], part, l5.graph, l5.tf, l5.tf, l5.cap)
             size[live[lo : lo + step]] = np.bincount(seg, minlength=len(part))
             grown.append((cand, rel))
-        return (*(np.concatenate(part) for part in zip(*grown)), np.concatenate(([0], size.cumsum())))
+        concepts, rels = (np.concatenate(part) for part in zip(*grown))
+        offsets, seg = np.concatenate(([0], size.cumsum())), np.arange(nodes.size).repeat(size)
+        raw = l5.tf[concepts] / l5.context_len
+        best, total = raw[offsets[seg]], l5.sum5[nodes[seg] - self.first4]
+        return concepts, rels, raw, np.exp(raw - best) / total, offsets
 
 
 def build_tree(
@@ -175,7 +178,7 @@ def build_tree(
         if c1 not in gp.query_concepts:
             raise ValueError("root concept is not one of the query concepts")
 
-    ctx_counts = gp.context_mentions.dense_counts(g.node_count)
+    ctx_counts = gp.context_counts
 
     k = len(roots)
     frontier = np.asarray(roots, dtype=np.int32)
@@ -217,7 +220,7 @@ def build_tree(
     level5 = None
     if len(concepts) == 4:  # the frontier is level 4, and ``ancestors`` its paths
         upper = np.concatenate(concepts[:2])
-        level5 = _level5(ancestors, upper, gp.context_mentions.mentions, ctx_counts, g, cap)
+        level5 = _level5(ancestors, upper, gp, g, cap)
     return PathTree(
         np.concatenate(concepts),
         np.concatenate(parents),
@@ -249,10 +252,20 @@ def _children(parents, ancestors, g: KnowledgeGraph, allowed, scores, cap: int):
     return cand, minrel, mult, seg
 
 
-def _level5(paths, upper, mentions: dict[int, int], tf, g: KnowledgeGraph, cap: int) -> Level5:
+def _level5(paths, upper, gp: GroundedPair, g: KnowledgeGraph, cap: int) -> Level5:
     """Summarize the level-5 children of the level-4 nodes whose root-first
     paths are the rows of ``paths``; ``upper`` holds the level-1 and
-    level-2 concepts, and ``tf`` the context count of every concept."""
+    level-2 concepts.
+
+    ``values`` holds the context's distinct counts, descending.  Each
+    distinct level-4 concept has a list: its context neighbours, ranked by
+    (count desc, concept asc); row ``r`` of ``sizes`` counts list ``r``'s
+    entries with each value.  Level-4 node ``i`` reads list ``lists[i]``
+    less ``hits[:, i]``, the value indices of its path concepts on that
+    list (c3 first, ``len(values)`` for one that is not), and keeps the
+    first ``count[i]`` entries left, at most ``cap``, so whole values first.
+    """
+    mentions, context_len = gp.context_mentions.mentions, gp.context_mentions.source_len
     ctx = np.fromiter(mentions, dtype=np.int64, count=len(mentions))
     values, value = np.unique(-np.fromiter(mentions.values(), np.int64, ctx.size), return_inverse=True)
     values, n_val = -values, values.size  # descending
@@ -293,4 +306,34 @@ def _level5(paths, upper, mentions: dict[int, int], tf, g: KnowledgeGraph, cap: 
     hits[np.ix_([1, 2, 3], near)] = np.where(on, slot[ends], n_val).T
     hits = hits[(hits < n_val).any(axis=1)]  # c3's row, and the others' where any list holds them
     count = np.minimum(cap, np.bincount(target, minlength=targets.size)[lists] - (hits < n_val).sum(axis=0))
-    return Level5(values, sizes.reshape(-1, n_val), lists, count.astype(np.int32), hits, cap, tf, g)
+    count, sizes, raw5 = count.astype(np.int32), sizes.reshape(-1, n_val), values / context_len
+    del node, slot, pos, keep, row, target, first, concept, few, near, ends, key, on  # before the blocks run
+
+    # by value, in blocks of 2**16 node-values: each node's list sizes less
+    # its path concepts, cut to its count where the cap may cut (whole
+    # values first), then its non-empty values, the largest first
+    sum5, top5 = np.zeros(count.size), np.zeros(count.size)
+    step = max((1 << 16) // n_val, 1)
+    for lo in range(0, count.size, step):
+        part_count, size = count[lo : lo + step], np.take(sizes, lists[lo : lo + step], axis=0)
+        flat, base = size.reshape(-1), np.arange(0, size.size, n_val)
+        for hit in hits[:, lo : lo + step]:  # a row at a time: two hits may share a value
+            on = (hit < n_val).nonzero()[0]
+            flat[base[on] + hit[on]] -= 1
+        full = (part_count == cap).nonzero()[0]
+        part = size[full]
+        size[full] = np.minimum(part, np.maximum(part_count[full, None] - part.cumsum(axis=1) + part, 0))
+        pos = (flat > 0).nonzero()[0]  # a bool array's nonzero is the fast one
+        node, value = np.divmod(pos, n_val)
+        size, run_raw = flat[pos], raw5[value]
+        first = (np.diff(node, prepend=-1) > 0).nonzero()[0]
+        best = np.zeros(part_count.size)
+        best[node[first]] = run_raw[first]
+        total = np.add.reduceat(size * np.exp(run_raw - best[node]), first)
+        # the best child scores 1 / sum5; the second shares the first
+        # value if that holds two children, else has the next value
+        second = np.where(size[first] >= 2, first, np.minimum(first + 1, node.size - 1))
+        top1, at = 1.0 / total, lo + node[first]
+        top2 = np.where(count[at] >= 2, np.exp(run_raw[second] - run_raw[first]) / total, top1)
+        sum5[at], top5[at] = total, (top1 + top2) / 2.0
+    return Level5(count, sum5, top5, cap, gp.context_counts, context_len, g)

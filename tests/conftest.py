@@ -143,8 +143,7 @@ def regrown(tree: pathmine.PathTree, scored: pathmine.ScoredTree | None = None):
     ``ScoredTree`` of the same nodes' raw, normalized and cumulative
     scores (a level-5 leaf's cumulative score is its normalized one)."""
     idx4 = tree.level_indices(4)
-    grown = tree.regrow5(idx4) if scored is None else scored.regrow5(idx4)
-    c5, r5, offsets = grown[0], grown[1], grown[-1]
+    c5, r5, raw5, n5, offsets = tree.regrow5(idx4)
     full = pathmine.PathTree(
         np.concatenate([tree.concepts, c5]),
         np.concatenate([tree.parents, np.repeat(idx4, np.diff(offsets))]),
@@ -154,23 +153,20 @@ def regrown(tree: pathmine.PathTree, scored: pathmine.ScoredTree | None = None):
     )
     if scored is None:
         return full
-    raw5, n5 = grown[2], grown[3]
     return full, pathmine.ScoredTree(
         tree=full,
         raw=np.concatenate([scored.raw, raw5]),
-        raw5=np.zeros(0),
         n_score=np.concatenate([scored.n_score, n5]),
         c_score=np.concatenate([scored.c_score, n5]),
-        sum5=np.zeros(full.level5.count.size),
     )
 
 
 def scored_from_raw(tree: pathmine.PathTree, raw) -> pathmine.ScoredTree:
     """The scored tree of a hand-built forest without level-5 lists, whose
     nodes have the raw scores ``raw``."""
-    raw, raw5 = np.asarray(raw, dtype=np.float64), np.zeros(0)
-    n_score, sum5, top5 = sibling_softmax(tree, raw, raw5)
-    return pathmine.ScoredTree(tree, raw, raw5, n_score, cumulative_score(tree, n_score, top5), sum5)
+    raw = np.asarray(raw, dtype=np.float64)
+    n_score = sibling_softmax(tree, raw)
+    return pathmine.ScoredTree(tree, raw, n_score, cumulative_score(tree, n_score))
 
 
 def random_path_tree(rng: np.random.Generator, g: KnowledgeGraph) -> pathmine.PathTree:

@@ -7,6 +7,7 @@ runs offline.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import time
@@ -243,6 +244,13 @@ def test_criterion_7_scale_smoke(tmp_path):
     assert main(["build-index", str(dump), "-o", index]) == 0
     build_elapsed = time.perf_counter() - started
     assert build_elapsed < 600.0
+    # the index and the result hold no float, so their digests pin bytes
+    # on any platform: the index and the 1000-token result are the same
+    # bytes however the code that builds and serves them is arranged
+    with open(index, "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == (
+            "89f76da1a824617ea152a49573a10f5d3d4e21490ea58a3d22a09d62688aca74"
+        )
 
     graph, stats = load_index(index)
     assert stats is not None
@@ -261,6 +269,9 @@ def test_criterion_7_scale_smoke(tmp_path):
     assert result.error is None
     assert result.paths, "scale extraction should surface at least one path"
     assert extract_elapsed < 5.0
+    assert hashlib.sha256(result.to_json().encode()).hexdigest() == (
+        "a18affb7f3af02999e3de9eada6ab76d4528597d95f6ea259fc826acc31eb23a"
+    )
     _report(
         7,
         f"{graph.edge_count} edges indexed in {build_elapsed:.1f} s, "

@@ -136,6 +136,26 @@ class TestExtractor:
         assert all(r.error.startswith("bad request: ") for r in results[1:3])
         assert results[0].error is None and results[3].error is None
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_request_gets_an_error_line(self, story_extractor, monkeypatch, workers):
+        # a request whose tree cannot be built answers with an error line,
+        # and every other line keeps the bytes of a run without the failure
+        queries = ("lady", "mother", "church", "person", "house")
+        lines = [json.dumps({"id": q, "context": STORY_CONTEXT, "query": q}) for q in queries]
+        want = [r.to_json() for r in run_batch(story_extractor, lines, workers=workers)]
+        church, build_tree = story_extractor.graph.surface_to_id.get("church"), pipeline.build_tree
+
+        def failing(roots, *args):
+            if list(roots) == [church]:
+                raise RuntimeError("no tree today")
+            return build_tree(roots, *args)
+
+        monkeypatch.setattr(pipeline, "build_tree", failing)
+        got = [r.to_json() for r in run_batch(story_extractor, lines, workers=workers)]
+        assert got[2] == '{"id":"church","paths":[],"stats":{},"error":"RuntimeError: no tree today"}'
+        assert got[:2] + got[3:] == want[:2] + want[3:]
+        assert all(json.loads(line)["error"] is None for line in want) and '"paths":[]' not in want[0]
+
     @pytest.mark.parametrize(
         "fields",
         [
@@ -397,6 +417,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("usage error: ") and err.count("\n") == 1 and "--graph" in err
         assert Path(story_index).read_bytes() == index
+
+    @pytest.mark.parametrize("named", ["--config", "stopword_path"])
+    def test_extract_over_its_config_is_usage_error(self, story_index, tmp_path, capsys, named):
+        requests = tmp_path / "requests.jsonl"
+        requests.write_text(json.dumps({"context": STORY_CONTEXT, "query": STORY_QUERY}) + "\n")
+        stop, config = tmp_path / "stop.txt", tmp_path / "config.json"
+        stop.write_text("the\n")
+        config.write_text(json.dumps({"seed": 3, "stopword_path": str(stop)}))
+        target = config if named == "--config" else stop
+        before = target.read_bytes()
+        argv = ["extract", "--graph", story_index, "--input", str(requests), "--output", str(target)]
+        code = main(argv + ["--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("usage error: ") and err.count("\n") == 1 and named in err
+        assert target.read_bytes() == before
+
+    def test_build_index_over_its_config_is_usage_error(self, tmp_path, capsys):
+        dump, config = _write_story_dump(tmp_path), tmp_path / "config.json"
+        config.write_text('{"lang": "en"}')
+        code = main(["build-index", dump, "-o", str(config), "--config", str(config)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("usage error: ") and err.count("\n") == 1 and "--config" in err
+        assert config.read_text() == '{"lang": "en"}'
+
+    def test_zero_workers_is_usage_error(self, story_index, tmp_path, capsys):
+        requests, out = tmp_path / "requests.jsonl", tmp_path / "out.jsonl"
+        requests.write_text(json.dumps({"context": STORY_CONTEXT, "query": STORY_QUERY}) + "\n")
+        code = main(["extract", "--graph", story_index, "--input", str(requests), "--output", str(out),
+                     "--workers", "0"])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("usage error: ") and err.count("\n") == 1 and "workers" in err
+        assert not out.exists()
 
     def test_build_index_over_its_dump_is_usage_error(self, tmp_path, capsys):
         dump = _write_story_dump(tmp_path)

@@ -56,14 +56,20 @@ def hand_graph():
     )
 
 
+def _pair(g, mentions: dict[int, int], source_len: int, query: list[int]) -> GroundedPair:
+    """A hand-made grounded pair, its context counts scattered from ``mentions``."""
+    counts = np.zeros(g.node_count, dtype=np.int32)
+    counts[list(mentions)] = list(mentions.values())
+    return GroundedPair(ConceptMentionSet(mentions, source_len), query, counts)
+
+
 def npmi(c1: int, c2: int, c3: int, c4: int, g, stats) -> float:
     """The raw score ``score_raw`` gives the level-4 node of the one path
     c1, c2, c3, c4, its edge counts read from the edge table."""
     path = [c1, c2, c3, c4]
     mults = [0] + [multiplicity_oracle(g, a, b) for a, b in zip(path, path[1:])]
     tree = PathTree(path, [-1, 0, 1, 2], [-1, 0, 0, 0], mults, [1, 2, 3, 4])
-    pair = GroundedPair(ConceptMentionSet(mentions={c1: 1}, source_len=1), [c1])
-    return float(score_raw(tree, pair, g, stats)[0][3])
+    return float(score_raw(tree, _pair(g, {c1: 1}, 1, [c1]), g, stats)[3])
 
 
 class TestNpmi:
@@ -124,7 +130,7 @@ class TestNpmi:
             mults=[0] * 4,
             levels=[1, 2, 2, 2],
         )
-        n_score, _, _ = sibling_softmax(tree, np.array([0.0, 0.05, SCORE_SENTINEL, 0.02]), np.zeros(0))
+        n_score = sibling_softmax(tree, np.array([0.0, 0.05, SCORE_SENTINEL, 0.02]))
         scores = n_score[1:]
         assert scores[1] == 0.0
         assert scores[1] < scores[2] < scores[0]
@@ -147,7 +153,7 @@ class TestRawScore:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
         stats = WalkStats.from_graph(story_graph)
-        raw, _ = score_raw(tree, pair, story_graph, stats)
+        raw = score_raw(tree, pair, story_graph, stats)
         for node in tree.level_indices(4):
             path = path_to(tree, int(node))
             assert raw[int(node)] == pytest.approx(
@@ -169,7 +175,7 @@ class TestRawScore:
             # bit for bit against one-path trees, whose edge counts come
             # from the edge table instead of expansion
             for tree in (built, random_path_tree(rng, g)):
-                raw, _ = score_raw(tree, pair, g, stats)
+                raw = score_raw(tree, pair, g, stats)
                 for idx in tree.level_indices(4):
                     want = npmi(*path_to(tree, int(idx)), g, stats)
                     assert raw[idx] == want
@@ -181,11 +187,11 @@ class TestRawScore:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
         stats = WalkStats.from_graph(story_graph)
-        assert score_raw(tree, pair, story_graph, stats)[0][0] == 0.0
+        assert score_raw(tree, pair, story_graph, stats)[0] == 0.0
 
     def test_empty_context_raises(self, story_graph):
         lady = story_graph.surface_to_id.get("lady")
-        pair = GroundedPair(ConceptMentionSet(mentions={}, source_len=0), [lady])
+        pair = _pair(story_graph, {}, 0, [lady])
         tree = build_tree([lady], pair, story_graph)
         with pytest.raises(ValueError, match="context is empty"):
             score_raw(tree, pair, story_graph, WalkStats.from_graph(story_graph))
@@ -210,7 +216,7 @@ class TestSiblingSoftmax:
             mults=[0] * (n + 1),
             levels=[1] + [2] * n,
         )
-        return sibling_softmax(tree, np.array([0.0, *raw]), np.zeros(0))[0]
+        return sibling_softmax(tree, np.array([0.0, *raw]))
 
     def test_singleton_gets_one(self):
         n_score = self._single_group_tree([0.37])
@@ -241,8 +247,8 @@ class TestSiblingSoftmax:
 
 
     def test_level5_mean_is_top_two_of_regrown_children(self):
-        # sibling_softmax's third result, against the normalized scores
-        # ScoredTree.regrow5 re-grows node by node
+        # the level-5 summary's top5, against the normalized scores
+        # PathTree.regrow5 re-grows node by node
         rng = np.random.default_rng(67)
         means = empties = 0
         for _ in range(30):
@@ -253,11 +259,10 @@ class TestSiblingSoftmax:
                 continue
             cfg = BuildConfig(max_children_per_node=int(rng.integers(2, 5)))
             tree = build_tree([pair.query_concepts[0]], pair, g, cfg)
-            st = score_tree(tree, pair, g, WalkStats.from_graph(g))
-            _, _, top5 = sibling_softmax(tree, st.raw, st.raw5)
+            top5 = tree.level5.top5
             assert top5.size == tree.node_count - tree.first4
             for i, idx in enumerate(range(tree.first4, tree.node_count)):
-                n5 = st.regrow5([idx])[3]
+                n5 = tree.regrow5([idx])[3]
                 if n5.size:
                     assert top5[i] == pytest.approx(n5[:2].mean(), abs=1e-12)
                     means += 1
@@ -268,13 +273,12 @@ class TestSiblingSoftmax:
 
 
 def _level5_against_brute_force(g, pair, cap: int) -> int:
-    """Check every level-4 node's ``count``, ``sum5`` and ``top5`` against
-    its children found by scanning the graph, summed as ``np.add.reduceat``
-    sums one node's terms in value order; return the most non-empty values
-    any node has."""
+    """Check every level-4 node's ``count``, ``sum5`` and ``top5``, and its
+    re-grown children's raw scores, against its children found by scanning
+    the graph, summed as ``np.add.reduceat`` sums one node's terms in value
+    order; return the most non-empty values any node has."""
     tree = build_tree(pair.query_concepts, pair, g, BuildConfig(max_children_per_node=cap))
-    scored = score_tree(tree, pair, g, WalkStats.from_graph(g))
-    _, _, top5 = sibling_softmax(tree, scored.raw, scored.raw5)
+    sum5, top5 = tree.level5.sum5, tree.level5.top5
     tf, n = pair.context_mentions.mentions, pair.context_mentions.source_len
     most = 0
     for i, idx in enumerate(range(tree.first4, tree.node_count)):
@@ -282,19 +286,20 @@ def _level5_against_brute_force(g, pair, cap: int) -> int:
         kids = sorted(
             (c for c in tf if c not in path and g.edges_between(c4, c)), key=lambda c: (-tf[c], c)
         )[:cap]
-        concepts, rels, _ = tree.regrow5([idx])
+        concepts, rels, raw, _, _ = tree.regrow5([idx])
         assert concepts.tolist() == kids
         assert rels.tolist() == [g.edges_between(c4, c)[0] for c in kids]
+        assert raw.tolist() == [tf[c] / n for c in kids]
         assert tree.level5.count[i] == len(kids)
         if not kids:
-            assert scored.sum5[i] == top5[i] == 0.0
+            assert sum5[i] == top5[i] == 0.0
             continue
         values, sizes = np.unique([-tf[c] for c in kids], return_counts=True)
         raws = -values / n
         total = np.add.reduceat(sizes * np.exp(raws - raws[0]), [0])[0]
         top1 = 1.0 / total
         top2 = np.exp(tf[kids[1]] / n - raws[0]) / total if len(kids) >= 2 else top1
-        assert scored.sum5[i] == total and top5[i] == (top1 + top2) / 2.0
+        assert sum5[i] == total and top5[i] == (top1 + top2) / 2.0
         most = max(most, values.size)
     return most
 
@@ -345,12 +350,12 @@ class TestBareForest:
             pair = ground_pair("nothing relevant here", query, story_graph)
             tree = build_tree(pair.query_concepts, pair, story_graph)
             assert tree.node_count == tree.root_count == len(query.split())
-            raw, raw5 = score_raw(tree, pair, story_graph, stats)
-            n_score, sum5, top5 = sibling_softmax(tree, raw, raw5)
-            full = (raw, raw5, n_score, cumulative_score(tree, n_score, top5), sum5)
+            raw = score_raw(tree, pair, story_graph, stats)
+            n_score = sibling_softmax(tree, raw)
+            full = (raw, n_score, cumulative_score(tree, n_score))
             scored = score_tree(tree, pair, story_graph, stats)
-            got = (scored.raw, scored.raw5, scored.n_score, scored.c_score, scored.sum5)
-            for name, a, b in zip(("raw", "raw5", "n_score", "c_score", "sum5"), got, full):
+            got = (scored.raw, scored.n_score, scored.c_score)
+            for name, a, b in zip(("raw", "n_score", "c_score"), got, full):
                 assert a.dtype == b.dtype and a.shape == b.shape and a.tolist() == b.tolist(), name
             assert scored.n_score is not scored.c_score
 
@@ -409,7 +414,7 @@ class TestCumulativeScore:
             levels=[1, 2, 2, 2, 3, 3, 3, 3, 3, 3],
         )
         n_score = np.array([1.0, 0.4, 0.4, 0.2, 0.7, 0.25, 0.25, *third_block])
-        c_score = cumulative_score(tree, n_score, np.zeros(0))
+        c_score = cumulative_score(tree, n_score)
         oracle = _cumulative_oracle(tree, n_score)
         for idx in range(tree.node_count):
             assert c_score[idx] == oracle(idx)
@@ -482,7 +487,7 @@ class TestRankMonotonicity:
         def rank_of(context: str, surface: str) -> int:
             pair = ground_pair(context, STORY_QUERY, story_graph)
             tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
-            n_score, _, _ = sibling_softmax(tree, *score_raw(tree, pair, story_graph, stats))
+            n_score = sibling_softmax(tree, score_raw(tree, pair, story_graph, stats))
             siblings = sorted(children(tree, 0), key=lambda i: (-n_score[i], tree.concepts[i]))
             return [story_graph.surfaces[tree.concepts[i]] for i in siblings].index(surface)
 

@@ -76,10 +76,11 @@ UNREFERENCED_BY_DESIGN = {
 
 def test_every_public_definition_is_used_or_exported():
     # a public function, method or class that the package never names and
-    # does not export is code the pipeline does not run
+    # does not export, or a public dataclass field that it never reads, is
+    # code or state the pipeline does not use
     import pathmine
 
-    defined, referenced = {}, set()
+    defined, fields, referenced, read = {}, {}, set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in tree.body:
@@ -87,15 +88,22 @@ def test_every_public_definition_is_used_or_exported():
             for item in [node, *members]:
                 if isinstance(item, (ast.FunctionDef, ast.ClassDef)) and not item.name.startswith("_"):
                     defined.setdefault(item.name, f"{path.name}:{item.lineno}")
+            if members and any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                for item in members:
+                    if isinstance(item, ast.AnnAssign) and not item.target.id.startswith("_"):
+                        fields[f"{node.name}.{item.target.id}"] = f"{path.name}:{item.lineno}"
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
-    assert set(UNREFERENCED_BY_DESIGN) <= set(defined)
+                if isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    assert set(UNREFERENCED_BY_DESIGN) <= set(defined) and len(fields) > 20
     unused = {
         name: where
         for name, where in defined.items()
         if name not in referenced and name not in pathmine.__all__ and name not in UNREFERENCED_BY_DESIGN
     }
-    assert not unused, unused
+    unread = {name: where for name, where in fields.items() if name.split(".")[1] not in read}
+    assert not unused and not unread, (unused, unread)
