@@ -43,7 +43,8 @@ class ConceptMentionSet:
 class GroundedPair:
     """Context mentions plus the grounded query concepts, in query order,
     and ``context_counts``, the mention counts as an int32 array over all
-    concept ids.  A count is at most the context's token count, far below
+    concept ids, empty when no tree can grow (no context token or no query
+    concept).  A count is at most the context's token count, far below
     2**31 for any context that fits in memory."""
 
     context_mentions: ConceptMentionSet

@@ -17,8 +17,11 @@ concept URI is parsed once: URIs of the kept language stay in a table
 across blocks, the rest are forgotten after their block, so the table
 grows with the graph's concepts rather than with the dump.  Memory is
 one block's columns, the kept-language tables and the kept edges'
-codes.  Ids are then assigned by first appearance and duplicates dropped
-in one vectorized pass, shared with :func:`graph_from_triples`.
+codes.  The blocks' codes are then joined column by column, and ids are
+assigned by first appearance and duplicates dropped in one vectorized
+pass, shared with :func:`graph_from_triples`, that frees each code
+column once it is mapped to int32 ids and releases its own temporaries
+before it hands the graph its edges.
 
 The persisted index (format 4) is a little-endian binary file: magic
 ``PMKG``, a u32 format version, eight sections, and a trailing u64
@@ -45,9 +48,11 @@ So each edge is stored once, as the upper half of the undirected CSR
 below and in its order: 5 bytes and one bit an edge with up to 256
 relations.  Counts come from the sections themselves.  Loading decodes
 and splits each string table once and checks every length, id and count
-before it builds anything sized by them.  An index of another format
-version is refused; it is rebuilt from its dump with ``pathmine
-build-index``.
+before it builds anything sized by them.  It hands the stored upper half
+to the graph as it is, the neighbour and relation columns still views
+into the file's bytes, so those bytes are released as soon as the
+graph's builder has packed them.  An index of another format version is
+refused; it is rebuilt from its dump with ``pathmine build-index``.
 
 All traversal is direction-agnostic: a stored edge can be walked from
 either endpoint, and relation names are reported unmodified.  In memory
@@ -55,7 +60,11 @@ the edges form one undirected CSR (``adj_indptr``/``adj_dst``/``adj_rel``,
 with ``adj_incoming`` for orientation) that lists every edge in both
 endpoints' rows.  The graph is built by one sort, whether its edges come
 from a dump or from an index, so the CSR is symmetric by construction;
-the oriented edge columns are derived from it on demand.
+the oriented edge columns are derived from it on demand.  Its builder
+owns the edge columns it is handed and drops them before that sort, so
+the packed sort key (16 bytes an edge) is alive beside one other copy
+of the edges at a time: the columns while it is packed, the CSR (12
+bytes an edge with up to 256 relations) while it is decoded.
 """
 
 from __future__ import annotations
@@ -173,15 +182,12 @@ class KnowledgeGraph:
     number of concurrent readers and can be shared freely across threads.
     """
 
-    def __init__(
-        self,
-        lang: str,
-        surfaces: list[str],
-        relation_names: list[str],
-        edge_start: np.ndarray,
-        edge_rel: np.ndarray,
-        edge_end: np.ndarray,
-    ):
+    def __init__(self, lang: str, surfaces: list[str], relation_names: list[str], *edges):
+        """``edges`` are the oriented (start, relation, end) id columns, or
+        one list of the upper half's (lower, higher, relation, flip)
+        columns (see :meth:`_upper_half`), which the CSR builder empties as
+        it packs them: ingest and :func:`load_index` hand over theirs so,
+        and keep no copy of the edges while the CSR is built."""
         self.lang = lang
         self.surfaces = surfaces
         self.surface_to_id = dict(zip(surfaces, range(len(surfaces))))
@@ -194,39 +200,61 @@ class KnowledgeGraph:
             if self.multiword_spans.get(words[0], 0) < len(words):
                 self.multiword_spans[words[0]] = len(words)
         self.relation_names = relation_names
-        self._build_indices(
-            np.asarray(edge_start, dtype=np.int32),
-            np.asarray(edge_rel, dtype=np.int32),
-            np.asarray(edge_end, dtype=np.int32),
-        )
+        if len(edges) == 1:
+            (upper,) = edges
+        else:
+            start, rel, end = (np.asarray(column, dtype=np.int32) for column in edges)
+            upper = [np.minimum(start, end), np.maximum(start, end), rel, start > end]
+        self._build_indices(upper)
 
-    def _build_indices(self, start: np.ndarray, rel: np.ndarray, end: np.ndarray) -> None:
+    def _build_indices(self, upper: list[np.ndarray]) -> None:
         """One undirected CSR: each edge sits in both endpoints' rows (a
         self-loop twice in its own), rows sorted by (neighbor, relation,
         side).  ``adj_incoming`` marks the entries whose row is the edge's
-        end; of a self-loop's two entries, the second."""
+        end; of a self-loop's two entries, the second.
+
+        One packed (row, neighbor, relation, side) key is sorted and
+        decoded.  The upper half gives its two halves, (lower, higher,
+        relation, flip) and (higher, lower, relation, not flip): for an
+        edge, the entries (start, end, relation, 0) and (end, start,
+        relation, 1) in either order, so a self-loop's flip bit changes
+        nothing.  Both are written into one preallocated key in place, and
+        ``upper`` is emptied before the sort; each field is then decoded
+        straight into its final array, so no step makes a key-sized
+        temporary."""
         n = self.node_count
         r = max(len(self.relation_names), 1)
         node_bits, rel_bits = _key_bits(n, r)
-        # sort one packed (row, neighbor, relation, side) key, then decode it
-        key = np.concatenate([start, end]).astype(np.int64)
+        e = upper[0].size
+        key = np.empty(2 * e, dtype=np.int64)
+        up, down = key[:e], key[e:]
+        up[:] = upper[0]
+        down[:] = upper[1]
         key <<= node_bits
-        key |= np.concatenate([end, start])
+        up |= upper[1]
+        down |= upper[0]
+        del upper[:2]  # the endpoints; the relations and flips remain
         key <<= rel_bits
-        key |= np.concatenate([rel, rel])
+        up |= upper[0]
+        down |= upper[0]
         key <<= 1
-        key[start.size :] |= 1
+        up |= upper[1]
+        down |= np.logical_not(upper[1], out=upper[1])
+        upper.clear()
+        del up, down  # views, which would keep the key alive after its decode
         key.sort()
         row_bits = node_bits + rel_bits + 1
         self.adj_indptr = key.searchsorted(np.arange(n + 1, dtype=np.int64) << row_bits)
-        self.adj_incoming = (key & 1).astype(np.bool_)
+        self.adj_incoming = np.empty(key.size, dtype=np.bool_)
+        np.bitwise_and(key, 1, out=self.adj_incoming, casting="unsafe")
         key >>= 1
         # the smallest type that holds every relation id: one byte for any
         # real relation vocabulary, a quarter of the int32 column
-        self.adj_rel = (key & ((1 << rel_bits) - 1)).astype(np.min_scalar_type(r - 1))
+        self.adj_rel = np.empty(key.size, dtype=np.min_scalar_type(r - 1))
+        np.bitwise_and(key, (1 << rel_bits) - 1, out=self.adj_rel, casting="unsafe")
         key >>= rel_bits
-        key &= (1 << node_bits) - 1
-        self.adj_dst = key.astype(np.int32)
+        self.adj_dst = np.empty(key.size, dtype=np.int32)
+        np.bitwise_and(key, (1 << node_bits) - 1, out=self.adj_dst, casting="unsafe")
         del key  # before the distinct-neighbour count's own temporaries
         self.degrees = np.diff(self.adj_indptr)
         self.neighbor_count = kernels.neighbor_counts(self.adj_indptr, self.adj_dst)
@@ -373,45 +401,53 @@ def _assemble(
     lang: str,
     surfaces: list[str],
     relation_names: list[str],
-    start: np.ndarray,
-    rel: np.ndarray,
-    end: np.ndarray,
+    coded: list[np.ndarray],
     extra: Sequence[int] = (),
 ) -> KnowledgeGraph:
-    """The graph of coded edges: ``start``/``end`` index ``surfaces`` and
-    ``rel`` indexes ``relation_names``.
+    """The graph of the coded edges ``coded`` = [start, relation, end]:
+    ``start``/``end`` index ``surfaces`` and ``relation`` indexes
+    ``relation_names``.
 
     Ids follow first appearance: the ``extra`` concepts, then each edge's
-    start before its end.  Of duplicate edges the first is kept.
+    start before its end.  Of duplicate edges the first is kept.  The list
+    is emptied as its columns are mapped to the new int32 ids, and every
+    temporary of the mapping and the deduplication is released before the
+    graph's builder is handed the upper half.
     """
-    walk = np.stack([start, end], axis=1).ravel()
-    concepts = _first_appearance(
-        np.concatenate([np.array(extra, dtype=np.int64), walk]), len(surfaces)
-    )
-    relations = _first_appearance(rel, len(relation_names))
-    new_concept = np.empty(len(surfaces), dtype=np.int64)
-    new_concept[concepts] = np.arange(concepts.size)
-    new_relation = np.empty(len(relation_names), dtype=np.int64)
-    new_relation[relations] = np.arange(relations.size)
-    start, rel, end = new_concept[start], new_relation[rel], new_concept[end]
+    e = coded[0].size
+    walk = np.empty(len(extra) + 2 * e, dtype=np.int64)
+    walk[: len(extra)] = extra
+    walk[len(extra) :: 2] = coded[0]
+    walk[len(extra) + 1 :: 2] = coded[2]
+    concepts = _first_appearance(walk, len(surfaces))
+    del walk
+    relations = _first_appearance(coded[1], len(relation_names))
     names = [relation_names[r] for r in relations.tolist()]
+    n, r = int(concepts.size), max(len(names), 1)
+    _key_bits(n, r)  # a graph it admits has concept ids below 2**31
+    new_concept = np.empty(len(surfaces), dtype=np.int32)
+    new_concept[concepts] = np.arange(n, dtype=np.int32)
+    new_relation = np.empty(len(relation_names), dtype=np.int32)
+    new_relation[relations] = np.arange(relations.size, dtype=np.int32)
+    end = new_concept[coded.pop()]
+    rel = new_relation[coded.pop()]
+    start = new_concept[coded.pop()]
 
     # deduplicate exact triples, symmetric relations also folding mirror
     # images, by one packed (lo, relation, hi) key
-    n, r = int(concepts.size), max(len(names), 1)
-    _key_bits(n, r)
     symmetric = np.array([name in SYMMETRIC_RELATIONS for name in names], dtype=np.bool_)[rel]
-    lo = np.where(symmetric, np.minimum(start, end), start)
-    hi = np.where(symmetric, np.maximum(start, end), end)
-    _, keep = np.unique((lo * r + rel) * n + hi, return_index=True)
-    return KnowledgeGraph(
-        lang,
-        [surfaces[c] for c in concepts.tolist()],
-        names,
-        start[keep],
-        rel[keep],
-        end[keep],
-    )
+    key = np.where(symmetric, np.minimum(start, end), start).astype(np.int64)
+    key *= r
+    key += rel
+    key *= n
+    key += np.where(symmetric, np.maximum(start, end), end)
+    del symmetric
+    keep = np.unique(key, return_index=True)[1]
+    del key
+    start, end = start[keep], end[keep]
+    upper = [np.minimum(start, end), np.maximum(start, end), rel[keep], start > end]
+    del start, rel, end, keep
+    return KnowledgeGraph(lang, [surfaces[c] for c in concepts.tolist()], names, upper)
 
 
 def ingest_csv(source: BinaryIO, lang: str) -> tuple[KnowledgeGraph, IngestReport]:
@@ -443,7 +479,8 @@ def ingest_csv(source: BinaryIO, lang: str) -> tuple[KnowledgeGraph, IngestRepor
             return _MALFORMED
         return relation_names.setdefault(uri[3:], len(relation_names))
 
-    parts: list[tuple[np.ndarray, ...]] = []
+    # the kept edges' codes of each block, per column
+    parts: tuple[list[np.ndarray], ...] = ([], [], [])
     try:
         for block in _blocks(source):
             n_lines, fields = _split_block(block)
@@ -458,15 +495,22 @@ def ingest_csv(source: BinaryIO, lang: str) -> tuple[KnowledgeGraph, IngestRepor
             report.lines_total += n_lines
             report.skipped_malformed += n_malformed
             report.skipped_language += n_lines - n_malformed - n_kept
-            parts.append((start[keep], rel[keep], end[keep]))
+            for column, codes in zip(parts, (start, rel, end)):
+                column.append(codes[keep])
     except (EOFError, zlib.error) as exc:  # a truncated or corrupt compressed dump
         raise IngestError(f"dump unreadable after {report.lines_total} lines: {exc}") from None
-    if not any(part[0].size for part in parts):
+    kept = sum(codes.size for codes in parts[0])
+    if not kept:
         raise IngestError("no edges")
-    start, rel, end = map(np.concatenate, zip(*parts))
-    g = _assemble(lang, list(surfaces), list(relation_names), start, rel, end)
+    # the last block's text and codes, and the URI tables, before the join
+    del block, fields, rel, endpoints, start, end, keep, malformed, codes, concept_codes, relation_codes
+    coded = []
+    for column in parts:
+        coded.append(np.concatenate(column))
+        column.clear()
+    g = _assemble(lang, list(surfaces), list(relation_names), coded)
     report.edges_kept = g.edge_count
-    report.duplicates_removed = int(start.size) - g.edge_count
+    report.duplicates_removed = kept - g.edge_count
     return g, report
 
 
@@ -491,7 +535,7 @@ def graph_from_triples(
         [(concept(s), relation_names.setdefault(r, len(relation_names)), concept(e)) for s, r, e in triples],
         dtype=np.int64,
     ).reshape(-1, 3)
-    return _assemble(lang, list(surfaces), list(relation_names), *coded.T, extra)
+    return _assemble(lang, list(surfaces), list(relation_names), list(coded.T), extra)
 
 
 # ---------------------------------------------------------------------------
@@ -624,19 +668,20 @@ def load_index(source: BinaryIO | str | os.PathLike) -> tuple[KnowledgeGraph, Wa
     duplicate concept surfaces, or walk statistics that are malformed, not
     positive, or of another graph.
     """
-    lang, surfaces, relation_names, edges, (w3, w4, nc) = _read_index(source)
+    lang, surfaces, relation_names, upper, (w3, w4, nc) = _read_index(source)
     try:
-        g = KnowledgeGraph(lang, surfaces, relation_names, *edges)
+        g = KnowledgeGraph(lang, surfaces, relation_names, upper)
     except ValueError as exc:  # duplicate concept surfaces
         raise IndexFormatError(str(exc)) from None
     return g, WalkStats(walks_len3=w3, walks_len4=w4, node_count=nc)
 
 
 def _read_index(source: BinaryIO | str | os.PathLike):
-    """The checked contents of an index: its language, name tables, oriented
-    edge columns (decoded out of the file's bytes) and walk statistics.
-    The bytes sit in an anonymous map, not on the heap, so they are handed
-    back whole when it returns, before the CSR is built."""
+    """The checked contents of an index: its language, name tables, the
+    list of its upper-half edge columns (:func:`_edge_columns`) and its
+    walk statistics.  The bytes sit in an anonymous map, not on the heap;
+    the neighbour and relation columns are views into it, so it is handed
+    back whole once the CSR builder has packed them, before its sort."""
     own = isinstance(source, (str, os.PathLike))
     fh: BinaryIO = open(source, "rb") if own else source  # type: ignore[assignment]
     try:
@@ -669,7 +714,7 @@ def _read_index(source: BinaryIO | str | os.PathLike):
     lang = _text(sections[b"META"], "language tag")
     surfaces = _text(sections[b"CONC"], "concept table").split("\n")
     relation_names = _text(sections[b"RELS"], "relation table").split("\n")
-    edges = _edge_columns(sections, len(surfaces), len(relation_names))
+    upper = _edge_columns(sections, len(surfaces), len(relation_names))
 
     if len(sections[b"STAT"]) != 24:
         raise IndexFormatError("walk statistics section has wrong length")
@@ -678,15 +723,15 @@ def _read_index(source: BinaryIO | str | os.PathLike):
         raise IndexFormatError(f"walk statistics are for {nc} concepts, the graph has {len(surfaces)}")
     if not (0 < w3 < 1 << 63 and 0 < w4 < 1 << 63):
         raise IndexFormatError(f"walk statistics totals {w3}, {w4} outside [1, 2**63)")
-    return lang, surfaces, relation_names, edges, (w3, w4, nc)
+    return lang, surfaces, relation_names, upper, (w3, w4, nc)
 
 
-def _edge_columns(
-    sections: dict[bytes, memoryview], n: int, r: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The checked upper half of an index as (start, relation, end) columns
-    for ``n`` concepts and ``r`` relation names.  Every length and the
-    count sum are checked before anything sized by the counts is made."""
+def _edge_columns(sections: dict[bytes, memoryview], n: int, r: int) -> list[np.ndarray]:
+    """The checked upper half of an index for ``n`` concepts and ``r``
+    relation names, as the list [lower, higher, relation, flip] that
+    :class:`KnowledgeGraph` takes.  Every length and the count sum are
+    checked before anything sized by the counts is made.  ``higher`` and
+    ``relation`` are views into the sections, the others new arrays."""
     width = np.min_scalar_type(max(r, 1) - 1).itemsize  # as _build_indices narrows adj_rel
     rows, higher, rel, flip = (sections[tag] for tag in (b"ROWS", b"NBRS", b"EREL", b"FLIP"))
     if len(rows) != 4 * n:
@@ -713,5 +758,4 @@ def _edge_columns(
     if e and rel.max() >= r:
         raise IndexFormatError(f"relation id out of range [0, {r})")
     flip = np.unpackbits(np.frombuffer(flip, np.uint8), count=e, bitorder="little").view(np.bool_)
-    # every column is a copy, so no array holds on to the file's bytes
-    return np.where(flip, higher, lower), rel.astype(np.int32), np.where(flip, lower, higher)
+    return [lower, higher, rel, flip]

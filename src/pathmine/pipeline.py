@@ -49,15 +49,20 @@ def ground_pair(
     max_ngram: int = DEFAULT_MAX_NGRAM,
     stopwords: frozenset[str] | None = None,
 ) -> GroundedPair:
-    """Ground a context/query pair; query concepts keep first-occurrence order."""
+    """Ground a context/query pair; query concepts keep first-occurrence order.
+
+    The context counts span the graph only for a pair that can grow a tree:
+    with no context token or no query concept they are empty."""
     if stopwords is None:
         stopwords = _packaged_stopwords()
     ctx = extract_concepts(tokenize(context), g, max_ngram, stopwords)
-    query_mentions = extract_concepts(tokenize(query), g, max_ngram, stopwords)
-    counts = np.zeros(g.node_count, dtype=np.int32)
-    counts[list(ctx.mentions)] = list(ctx.mentions.values())
     # dict preserves first-mention order; counts are irrelevant for the query
-    return GroundedPair(ctx, list(query_mentions.mentions), counts)
+    query_concepts = list(extract_concepts(tokenize(query), g, max_ngram, stopwords).mentions)
+    counts = np.zeros(0, dtype=np.int32)
+    if ctx.source_len and query_concepts:
+        counts = np.zeros(g.node_count, dtype=np.int32)
+        counts[list(ctx.mentions)] = list(ctx.mentions.values())
+    return GroundedPair(ctx, query_concepts, counts)
 
 
 def _json(text: str):

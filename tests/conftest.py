@@ -11,6 +11,7 @@ import io
 import math
 import os
 import struct
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -376,6 +377,15 @@ def ingest_oracle(dump: bytes, lang: str) -> tuple[KnowledgeGraph | None, dict[s
     start, rel, end = zip(*edges)
     graph = KnowledgeGraph(lang, list(surfaces), list(relations), start, rel, end)
     return graph, report
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes ``tracemalloc`` traced during the call."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def index_sections(blob: bytes) -> dict[bytes, bytes]:

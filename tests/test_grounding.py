@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathmine import graph_from_triples, ground_pair
 from pathmine.grounding import TokenizedText, extract_concepts, load_stopwords, tokenize
 
-from conftest import grounding_oracle, reference_token_count, random_multigraph
+from conftest import grounding_oracle, reference_token_count, random_multigraph, traced_peak
 
 
 STOPWORDS = load_stopwords()
@@ -160,3 +161,13 @@ class TestGroundPair:
     def test_context_len_is_token_count(self, story_graph):
         pair = ground_pair("The lady went home.", "lady", story_graph)
         assert pair.context_mentions.source_len == 4
+
+    @pytest.mark.parametrize("context, query", [("... !!", "x5"), ("x5 x7 x7", "the of and")])
+    def test_pair_that_grows_no_tree_has_no_counts(self, context, query):
+        # with no context token or no query concept no tree grows, so no
+        # int32 count (4 bytes) is made for each of the graph's concepts
+        g = graph_from_triples([("q", "RelatedTo", "h")], extra_concepts=[f"x{i}" for i in range(100_000)])
+        pair, peak = traced_peak(ground_pair, context, query, g)
+        assert pair.context_mentions.source_len == 0 or not pair.query_concepts
+        assert peak < 4 * g.node_count
+        assert pair.context_counts.size == 0

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from conftest import (
     partner_count_oracle,
     random_multigraph,
     story_dump_bytes,
+    traced_peak,
 )
 
 
@@ -330,12 +330,7 @@ class TestNeighborCounts:
         rows, per_row = 50, 8000
         indptr = np.arange(rows + 1, dtype=np.int64) * per_row
         dst = np.sort(rng.integers(0, 2000, size=(rows, per_row), dtype=np.int32), axis=1).ravel()
-        tracemalloc.start()
-        try:
-            got = kernels.neighbor_counts(indptr, dst)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(kernels.neighbor_counts, indptr, dst)
         assert got.dtype == np.int64
         assert got.tolist() == [np.unique(row).size for row in dst.reshape(rows, per_row)]
         assert peak / dst.size < 6

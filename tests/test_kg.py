@@ -43,6 +43,7 @@ from conftest import (
     neighbor_lists,
     random_multigraph,
     random_triples,
+    traced_peak,
     write_defective_index,
 )
 
@@ -376,6 +377,23 @@ class TestPersistence:
         assert list(sections[b"EREL"]) == [0, 0, 2, 1, 1]
         assert sections[b"FLIP"] == bytes([0b00110])
 
+    def test_self_loop_flip_bit_changes_nothing(self):
+        # a self-loop's two CSR entries differ only in side, so its stored
+        # orientation bit, clear as saved or set, loads to the same arrays
+        g = graph_from_triples([("a", "IsA", "a"), ("a", "RelatedTo", "b"), ("b", "IsA", "b")])
+        buf = io.BytesIO()
+        save_index(g, buf, WalkStats.from_graph(g))
+        sections = index_sections(buf.getvalue())
+        # (a, a, IsA), (a, b, RelatedTo), (b, b, IsA): a 0, b 1, IsA 0
+        assert np.frombuffer(sections[b"NBRS"], "<i4").tolist() == [0, 1, 1]
+        assert list(sections[b"EREL"]) == [0, 1, 0]
+        assert sections[b"FLIP"] == bytes([0])
+        sections[b"FLIP"] = bytes([0b101])
+        loaded, _ = load_index(io.BytesIO(sealed_index(sections)))
+        for name in ("adj_indptr", "adj_dst", "adj_rel", "adj_incoming", "degrees", "neighbor_count"):
+            want, got = getattr(g, name), getattr(loaded, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
     def test_loaded_columns_hold_no_file_bytes(self, story_blob):
         # views into the read buffer would keep the whole file alive
         g, _ = load_index(io.BytesIO(story_blob))
@@ -536,3 +554,41 @@ class TestPersistence:
         second = io.BytesIO()
         save_index(loaded, second, loaded_stats)
         assert first.getvalue() == second.getvalue()
+
+
+class TestConstructionMemory:
+    """``tracemalloc`` peaks of building a graph of 2,000 concepts and
+    200,000 random edges, per edge."""
+
+    @pytest.fixture(scope="class")
+    def dump(self) -> bytes:
+        rng = np.random.default_rng(7)
+        rels = ["RelatedTo", "IsA", "AtLocation", "UsedFor", "Antonym"]
+        a, b = rng.integers(2000, size=(2, 200_000)).tolist()
+        r = rng.integers(len(rels), size=200_000).tolist()
+        return "".join(f"/a/e\t/r/{rels[k]}\t/c/en/w{x}\t/c/en/w{y}\t{{}}\n" for x, y, k in zip(a, b, r)).encode()
+
+    def test_assembly_peak_per_edge(self, dump, monkeypatch):
+        # above the coded columns it is handed: int32 ids, the dedup key
+        # and its sort, then the CSR's packed key (16 bytes an edge) and
+        # arrays (12 bytes an edge)
+        assemble, peaks = kg._assemble, []
+
+        def traced(*args):
+            g, peak = traced_peak(assemble, *args)
+            peaks.append(peak)
+            return g
+
+        monkeypatch.setattr(kg, "_assemble", traced)
+        g, report = ingest_csv(io.BytesIO(dump), "en")
+        assert report.lines_total == 200_000 and g.node_count == 2000
+        assert peaks[0] / report.lines_total <= 100
+
+    def test_load_peak_per_edge(self, dump):
+        # the packed key and the CSR arrays, not the index's columns too
+        g, _ = ingest_csv(io.BytesIO(dump), "en")
+        buf = io.BytesIO()
+        save_index(g, buf, WalkStats.from_graph(g))
+        (loaded, _), peak = traced_peak(load_index, io.BytesIO(buf.getvalue()))
+        assert loaded.edge_count == g.edge_count > 190_000
+        assert peak / loaded.edge_count <= 36

@@ -11,7 +11,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 import weakref
 from contextlib import redirect_stderr
 from importlib import resources
@@ -46,6 +45,7 @@ from conftest import (
     random_triples,
     regrown,
     story_dump_bytes,
+    traced_peak,
     write_defective_index,
 )
 
@@ -184,12 +184,7 @@ class TestExtractor:
         valid = json.dumps({"id": "big", "context": context, "query": STORY_QUERY})
         malformed = valid[:-1]  # the closing brace is missing
         assert len(valid) > 2_000_000
-        tracemalloc.start()
-        try:
-            good, bad = run_batch(story_extractor, [valid, malformed])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (good, bad), peak = traced_peak(lambda: list(run_batch(story_extractor, [valid, malformed])))
         assert good.error is None and good.paths and good.stats["full_paths"] > 0
         assert bad.error.startswith("bad request:") and not bad.paths
         assert peak < 10 * len(valid)

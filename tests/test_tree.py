@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -31,6 +29,7 @@ from conftest import (
     random_multigraph,
     random_triples,
     regrown,
+    traced_peak,
 )
 
 
@@ -254,6 +253,11 @@ class TestDeterminismAndMonotonicity:
             BuildConfig(max_children_per_node=2**62 + 1)
 
 
+def _build_and_score(pair, g, stats):
+    forest = build_tree(pair.query_concepts, pair, g)
+    return forest, score_tree(forest, pair, g, stats)
+
+
 class TestForest:
     def test_each_root_subtree_equals_its_single_tree(self):
         rng = np.random.default_rng(61)
@@ -323,13 +327,7 @@ class TestForest:
         )
         stats = WalkStats(walks_len3=2, walks_len4=2, node_count=g.node_count)
         pair = ground_pair("h x5 x7 x7", "q", g)
-        tracemalloc.start()
-        try:
-            forest = build_tree(pair.query_concepts, pair, g)
-            scored = score_tree(forest, pair, g, stats)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (forest, scored), peak = traced_peak(_build_and_score, pair, g, stats)
         assert forest.levels.tolist() == [1, 2]
         assert scored.raw.tolist() == [0.0, 0.25]
         assert peak / g.node_count < 6
@@ -344,13 +342,7 @@ class TestForest:
         g = graph_from_triples(triples + [("q", "RelatedTo", a) for a in names])
         stats = WalkStats.from_graph(g)
         pair = ground_pair(" ".join(" ".join([n] * (i + 1)) for i, n in enumerate(names)), "q", g)
-        tracemalloc.start()
-        try:
-            forest = build_tree(pair.query_concepts, pair, g)
-            scored = score_tree(forest, pair, g, stats)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (forest, scored), peak = traced_peak(_build_and_score, pair, g, stats)
         n4 = forest.level_indices(4).size
         assert n4 == 30 * 29 * 28 and forest.level5.count.tolist() == [27] * n4
         assert forest.level5.sum5.size == forest.level5.top5.size == scored.c_score.size - forest.first4 == n4
@@ -367,12 +359,7 @@ class TestForest:
         g = graph_from_triples(triples)
         pair = ground_pair("hub0 hub1 wide", " ".join(roots), g)
         assert len(pair.query_concepts) == 50
-        tracemalloc.start()
-        try:
-            forest = build_tree(pair.query_concepts, pair, g, BuildConfig(max_children_per_node=2))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        forest, peak = traced_peak(build_tree, pair.query_concepts, pair, g, BuildConfig(max_children_per_node=2))
         assert np.bincount(forest.levels).tolist() == [0, 50, 100, 100, 200]
         level4 = forest.concepts[forest.level_indices(4)]
         # degree ranks the other hub first, then the lowest-id leaf
