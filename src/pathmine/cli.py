@@ -158,7 +158,6 @@ def render_explanation(extractor: Extractor, context: str, query: str) -> str:
         return "no query concepts grounded; no paths"
     scored, selections = result
     tree = scored.tree
-    sizes = tree.sizes()
     # every level-5 child, re-grown in one call
     c5, r5, raw5, n5, offsets = (a.tolist() for a in tree.regrow5(range(tree.node_count)))
 
@@ -174,8 +173,8 @@ def render_explanation(extractor: Extractor, context: str, query: str) -> str:
     lines: list[str] = []
     for root, selection in enumerate(selections):
         root_surface = graph.surfaces[tree.concepts[root]]
-        lines.append(f"tree rooted at {root_surface!r} ({sizes[root]} nodes)")
-        lines.append(f"{root_surface} (root)")
+        header = len(lines)  # written after the walk, which prints one line a node
+        lines += ["", f"{root_surface} (root)"]
         # depth-first with an explicit stack: a recursive closure would form a
         # reference cycle holding the tree until the next full collection
         stack = [(root, 0, True)]
@@ -191,6 +190,7 @@ def render_explanation(extractor: Extractor, context: str, query: str) -> str:
             kept_set = set(top_children(scored, idx)) if kept else set()
             for child in range(tree.child_end[idx] - 1, tree.child_start[idx] - 1, -1):
                 stack.append((child, depth + 1, child in kept_set))  # the first child pops first
+        lines[header] = f"tree rooted at {root_surface!r} ({len(lines) - header - 1} nodes)"
         if selection.full_paths:
             lines.append("selected paths:")
             for tokens in selection.realized:

@@ -182,12 +182,13 @@ class KnowledgeGraph:
     number of concurrent readers and can be shared freely across threads.
     """
 
-    def __init__(self, lang: str, surfaces: list[str], relation_names: list[str], *edges):
-        """``edges`` are the oriented (start, relation, end) id columns, or
-        one list of the upper half's (lower, higher, relation, flip)
-        columns (see :meth:`_upper_half`), which the CSR builder empties as
-        it packs them: ingest and :func:`load_index` hand over theirs so,
-        and keep no copy of the edges while the CSR is built."""
+    def __init__(self, lang: str, surfaces: list[str], relation_names: list[str], upper: list[np.ndarray]):
+        """``upper`` holds the edges in their one form, a list of the upper
+        half's (lower, higher, relation, flip) id columns (see
+        :meth:`_upper_half`), ``flip`` set when an edge starts at its higher
+        endpoint; :func:`graph_from_triples`, :func:`ingest_csv` and
+        :func:`load_index` build it.  The CSR builder empties the list as
+        it packs the columns, so no copy of the edges outlives the build."""
         self.lang = lang
         self.surfaces = surfaces
         self.surface_to_id = dict(zip(surfaces, range(len(surfaces))))
@@ -200,11 +201,6 @@ class KnowledgeGraph:
             if self.multiword_spans.get(words[0], 0) < len(words):
                 self.multiword_spans[words[0]] = len(words)
         self.relation_names = relation_names
-        if len(edges) == 1:
-            (upper,) = edges
-        else:
-            start, rel, end = (np.asarray(column, dtype=np.int32) for column in edges)
-            upper = [np.minimum(start, end), np.maximum(start, end), rel, start > end]
         self._build_indices(upper)
 
     def _build_indices(self, upper: list[np.ndarray]) -> None:

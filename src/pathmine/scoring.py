@@ -49,7 +49,7 @@ def score_raw(tree: PathTree, gp: GroundedPair, g: KnowledgeGraph, stats: WalkSt
     # term frequency below the roots, then NPMI over every level-4 hop in one call
     k = tree.root_count
     raw[k:] = gp.context_counts[tree.concepts[k:]] / m.source_len
-    c4_idx = tree.level_indices(4)
+    c4_idx = np.flatnonzero(tree.levels == 4)
     if c4_idx.size:  # most forests of a short context stop above level 4
         c3_idx = tree.parents[c4_idx]
         raw[c4_idx] = kernels.association_scores(

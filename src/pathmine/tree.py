@@ -60,7 +60,8 @@ class Level5:
     """The level-5 children of a forest's level-4 nodes: level-4 node
     ``i`` (the ``i``-th of its level) keeps ``count[i]`` children, whose
     softmax denominator is ``sum5[i]`` and whose two best normalized
-    scores have the mean ``top5[i]`` (0 without a child).  ``cap``, ``tf``
+    scores have the mean ``top5[i]`` (0 without a child, exactly 1/2 with
+    two).  ``cap``, ``tf``
     (the context count of every concept), ``context_len`` and ``graph``
     are what re-growth reads.
     """
@@ -106,31 +107,10 @@ class PathTree:
             self.child_start[:] = ends - counts
             self.child_end[:] = ends
 
-    def root_of(self) -> np.ndarray:
-        """Index of the root above every node (a root's own index)."""
-        out = np.arange(self.node_count, dtype=np.int64)
-        # parents sit one level up, so resolving the levels in order
-        # needs one gather each
-        for level in range(2, MAX_LEVEL + 1):
-            idx = self.level_indices(level)
-            out[idx] = out[self.parents[idx]]
-        return out
-
-    def sizes(self) -> np.ndarray:
-        """Nodes of each root's tree, level 5 included."""
-        root = self.root_of()
-        k, kept = self.root_count, self.level5.count
-        return np.bincount(root, minlength=k) + np.bincount(root[self.first4 :], kept, k).astype(np.int64)
-
     @property
     def node_count(self) -> int:
         """Nodes of levels 1-4, the ones held in the arrays."""
         return int(self.concepts.size)
-
-    def level_indices(self, level: int) -> np.ndarray:
-        if not 1 <= level <= MAX_LEVEL:
-            raise ValueError(f"level {level} out of range 1..{MAX_LEVEL}")
-        return np.flatnonzero(self.levels == level)
 
     def regrow5(self, nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The kept level-5 children of ``nodes``, re-grown in one call:
@@ -209,10 +189,10 @@ def build_tree(
         mults.append(mult)
         levels.append(np.full(cand.size, level, dtype=np.int8))
 
-        new_anc = np.full((cand.size, 4), -1, dtype=np.int32)
-        new_anc[:, : level - 1] = np.take(ancestors, seg, axis=0)[:, : level - 1]  # fast whole rows
-        new_anc[:, level - 1] = cand
-        ancestors = new_anc
+        # a parent's row is -1 from column ``level - 1`` on, so its whole
+        # row (the fast take) needs only the child's own column written
+        ancestors = np.take(ancestors, seg, axis=0)
+        ancestors[:, level - 1] = cand
         frontier = cand
         frontier_idx = np.arange(next_index, next_index + cand.size, dtype=np.int64)
         next_index += cand.size
@@ -335,5 +315,7 @@ def _level5(paths, upper, gp: GroundedPair, g: KnowledgeGraph, cap: int) -> Leve
         second = np.where(size[first] >= 2, first, np.minimum(first + 1, node.size - 1))
         top1, at = 1.0 / total, lo + node[first]
         top2 = np.where(count[at] >= 2, np.exp(run_raw[second] - run_raw[first]) / total, top1)
-        sum5[at], top5[at] = total, (top1 + top2) / 2.0
+        # two children are their whole sibling group, so their mean is
+        # exactly 1/2, however the CPU's ``np.exp`` rounds
+        sum5[at], top5[at] = total, np.where(count[at] == 2, 0.5, (top1 + top2) / 2.0)
     return Level5(count, sum5, top5, cap, gp.context_counts, context_len, g)

@@ -124,6 +124,26 @@ def random_multigraph(rng: np.random.Generator, **shape) -> KnowledgeGraph:
     return graph_from_triples(triples, extra_concepts=names)
 
 
+# ten words for multiword surfaces: two stopwords, and few enough that
+# surfaces share first words
+WORD_POOL = ["the", "of", "red", "apple", "pie", "big", "tree", "old", "house", "door"]
+
+
+def random_multiword_graph(rng: np.random.Generator, **shape) -> KnowledgeGraph:
+    """The graph of :func:`random_triples` with concept ``n{i}`` renamed
+    to a distinct surface of 1-4 words drawn from ``WORD_POOL``; it keeps
+    id ``i``."""
+    names, triples = random_triples(rng, **shape)
+    label: dict[str, str] = {}
+    for name in names:
+        surface = None
+        while surface is None or surface in label.values():
+            surface = "_".join(rng.choice(WORD_POOL, size=int(rng.integers(1, 5))))
+        label[name] = surface
+    relabeled = [(label[s], r, label[e]) for s, r, e in triples]
+    return graph_from_triples(relabeled, extra_concepts=list(label.values()))
+
+
 def kept_triples(triples: list[tuple[str, str, str]]) -> list[tuple[str, str, str]]:
     """The triples a graph keeps, by a plain scan: the first of each
     repeat, a symmetric relation's mirror image counting as a repeat."""
@@ -143,7 +163,7 @@ def regrown(tree: pathmine.PathTree, scored: pathmine.ScoredTree | None = None):
     count is 0: the summary keeps none.  With ``scored``, also a
     ``ScoredTree`` of the same nodes' raw, normalized and cumulative
     scores (a level-5 leaf's cumulative score is its normalized one)."""
-    idx4 = tree.level_indices(4)
+    idx4 = level_indices(tree, 4)
     c5, r5, raw5, n5, offsets = tree.regrow5(idx4)
     full = pathmine.PathTree(
         np.concatenate([tree.concepts, c5]),
@@ -160,6 +180,22 @@ def regrown(tree: pathmine.PathTree, scored: pathmine.ScoredTree | None = None):
         n_score=np.concatenate([scored.n_score, n5]),
         c_score=np.concatenate([scored.c_score, n5]),
     )
+
+
+def level_indices(tree: pathmine.PathTree, level: int) -> np.ndarray:
+    """Array indices of the forest's nodes at ``level``, in order."""
+    return np.flatnonzero(tree.levels == level)
+
+
+def root_of(tree: pathmine.PathTree) -> np.ndarray:
+    """Index of the root above every node (a root's own index)."""
+    out = np.arange(tree.node_count, dtype=np.int64)
+    # parents sit one level up, so resolving the levels in order needs
+    # one gather each
+    for level in range(2, pathmine.tree.MAX_LEVEL + 1):
+        idx = level_indices(tree, level)
+        out[idx] = out[tree.parents[idx]]
+    return out
 
 
 def scored_from_raw(tree: pathmine.PathTree, raw) -> pathmine.ScoredTree:
@@ -374,9 +410,9 @@ def ingest_oracle(dump: bytes, lang: str) -> tuple[KnowledgeGraph | None, dict[s
     report["edges_kept"] = len(edges)
     if not edges:
         return None, report
-    start, rel, end = zip(*edges)
-    graph = KnowledgeGraph(lang, list(surfaces), list(relations), start, rel, end)
-    return graph, report
+    start, rel, end = np.array(edges, dtype=np.int32).T
+    upper = [np.minimum(start, end), np.maximum(start, end), rel, start > end]
+    return KnowledgeGraph(lang, list(surfaces), list(relations), upper), report
 
 
 def traced_peak(fn, *args):

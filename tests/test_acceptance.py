@@ -41,6 +41,7 @@ from conftest import (
     STORY_QUERY,
     STORY_TRUNCATION,
     count_walks_oracle,
+    level_indices,
     story_dump_bytes,
     partner_count_oracle,
     random_multigraph,
@@ -115,7 +116,7 @@ def test_criterion_3_oracle_equivalence_on_random_multigraphs():
         names = [g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=30)]
         pair = ground_pair(" ".join(names), " ".join(names[:3]), g)
         tree = build_tree(pair.query_concepts, pair, g, BuildConfig(max_children_per_node=3))
-        for i4 in tree.level_indices(4).tolist():
+        for i4 in level_indices(tree, 4).tolist():
             i3 = int(tree.parents[i4])
             i2 = int(tree.parents[i3])
             path = [int(tree.concepts[i]) for i in (tree.parents[i2], i2, i3, i4)]
@@ -155,7 +156,7 @@ def test_criterion_4_score_invariants_over_generated_trees():
         trees += 1
         # level 5 re-grown as nodes, with the scores its summary gives them
         full, st = regrown(tree, st)
-        assert tree.sizes().sum() == full.node_count
+        assert tree.node_count + tree.level5.count.sum() == full.node_count
         tree = full
         # sibling groups sum to one
         for idx in range(tree.node_count):
@@ -167,7 +168,7 @@ def test_criterion_4_score_invariants_over_generated_trees():
         leaves = tree.child_start == tree.child_end
         assert np.array_equal(st.c_score[leaves], st.n_score[leaves])
         # association scores stay in [-1, 1] away from the probability bounds
-        level4 = tree.level_indices(4)
+        level4 = level_indices(tree, 4)
         raw4 = st.raw[level4]
         non_boundary = (raw4 != SCORE_SENTINEL) & (raw4 != 1.0)
         assert np.all(raw4[non_boundary] >= -1.0 - 1e-12)

@@ -293,8 +293,10 @@ class TestIndexInvariants:
         class Huge(KnowledgeGraph):
             node_count = 1 << 31  # n * n * relations reaches 2**63
 
+        # one edge a -> b, as the upper half's (lower, higher, relation, flip)
+        upper = [np.array([0]), np.array([1]), np.array([0]), np.array([False])]
         with pytest.raises(PathmineError, match="too large"):
-            Huge("en", ["a", "b"], ["RelatedTo", "IsA"], [0], [0], [1])
+            Huge("en", ["a", "b"], ["RelatedTo", "IsA"], upper)
 
 
 def _random_dump_lines(rng: np.random.Generator, n_lines: int) -> list[str]:

@@ -41,6 +41,7 @@ from conftest import (
     STORY_FULL_PATH,
     STORY_QUERY,
     STORY_TRUNCATION,
+    level_indices,
     random_multigraph,
     random_triples,
     regrown,
@@ -676,7 +677,7 @@ class TestExplain:
         scored, _ = story_extractor.analyze(story_extractor.ground(STORY_CONTEXT, STORY_QUERY))
         tree = scored.tree
         g = story_extractor.graph
-        for node_idx in tree.level_indices(2):
+        for node_idx in level_indices(tree, 2):
             expected = f"n={scored.n_score[node_idx]:.6f}"
             line = next(
                 ln
@@ -736,26 +737,16 @@ class TestExplain:
         # the JSONL holds no scores: this digest pins every printed raw,
         # normalized and cumulative score and every keep/drop mark on
         # seeded forests of two query concepts under binding caps
-        rng = np.random.default_rng(2020)
         digest = hashlib.sha256()
         level5_lines = capped = 0
-        for _ in range(100):
-            g = random_multigraph(rng, max_nodes=15, max_edges=60)
-            try:
-                stats = WalkStats.from_graph(g)
-            except PathmineError:
-                continue
-            cap = int(rng.integers(2, 6))
-            context = " ".join(g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=30))
-            query = " ".join(g.surfaces[int(i)] for i in rng.choice(g.node_count, size=2, replace=False))
-            extractor = Extractor(g, stats, Config(max_children_per_node=cap))
+        for extractor, context, query in _random_forest_requests():
             text = render_explanation(extractor, context, query)
             digest.update(text.encode("utf-8") + b"\0")
             level5_lines += sum(ln[:8] == " " * 8 and ln[8] != " " for ln in text.splitlines())
-            uncapped = Extractor(g, stats, Config(max_children_per_node=2**62))
+            uncapped = Extractor(extractor.graph, extractor.stats, Config(max_children_per_node=2**62))
             trees = [ex.analyze(ex.ground(context, query)) for ex in (extractor, uncapped)]
             if trees[0] is not None:
-                capped += int(trees[0][0].tree.sizes().sum()) < int(trees[1][0].tree.sizes().sum())
+                capped += regrown(trees[0][0].tree).node_count < regrown(trees[1][0].tree).node_count
         assert level5_lines > 5000 and capped > 30, (level5_lines, capped)
         assert digest.hexdigest() == RANDOM_FOREST_EXPLANATION_SHA256
 
@@ -795,8 +786,44 @@ class TestExplain:
             gc.enable()
 
 
+def _random_forest_requests():
+    """Extractors, contexts and queries of seeded forests of two query
+    concepts, each extractor under a cap of 2 to 5."""
+    rng = np.random.default_rng(2020)
+    for _ in range(100):
+        g = random_multigraph(rng, max_nodes=15, max_edges=60)
+        try:
+            stats = WalkStats.from_graph(g)
+        except PathmineError:
+            continue
+        cap = int(rng.integers(2, 6))
+        context = " ".join(g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=30))
+        query = " ".join(g.surfaces[int(i)] for i in rng.choice(g.node_count, size=2, replace=False))
+        yield Extractor(g, stats, Config(max_children_per_node=cap)), context, query
+
+
+def dispatch_corpus() -> bytes:
+    """Output whose bytes must not depend on the CPU: the ``explain``
+    texts of :func:`_random_forest_requests`, then one ``run_batch`` JSONL
+    batch on a seeded graph."""
+    texts = [render_explanation(*request) for request in _random_forest_requests()]
+    rng = np.random.default_rng(2121)
+    g = random_multigraph(rng, max_nodes=40, max_edges=240, connected=True)
+    extractor = Extractor(g, WalkStats.from_graph(g), Config(max_children_per_node=3))
+    lines = [
+        json.dumps({
+            "id": f"r{i}",
+            "context": " ".join(g.surfaces[int(c)] for c in rng.integers(0, g.node_count, size=40)),
+            "query": " ".join(g.surfaces[int(c)] for c in rng.integers(0, g.node_count, size=2)),
+        })
+        for i in range(30)
+    ]
+    texts += [result.to_json() for result in run_batch(extractor, lines)]
+    return "\n".join(texts).encode("utf-8")
+
+
 # sha256 of the texts of ``test_random_forest_text_is_pinned``, each ended by a NUL
-RANDOM_FOREST_EXPLANATION_SHA256 = "033568cf453c73d6c649349a47c14dc019e98365384bbd0df055da829891b21d"
+RANDOM_FOREST_EXPLANATION_SHA256 = "5801ee33a44d24b9050a396d72a171c3a01725991f0d65048f7422c50c69bc58"
 
 STORY_EXPLANATION = "\n".join(
     [
@@ -880,6 +907,34 @@ class TestHashSeed:
             assert len(index) == 1 and len(outputs) == 1, name
             results = [json.loads(line) for line in outputs.pop().splitlines()]
             assert sum(r["stats"]["full_paths"] for r in results) > 0, name
+
+
+class TestCpuDispatch:
+    def test_output_bytes_ignore_the_dispatch_group(self):
+        # numpy picks the widest instruction group the CPU offers for each
+        # of its loops, and ``np.exp`` may round otherwise in another; a
+        # child with every available group but the narrowest turned off
+        # must write the same bytes (or, where this process runs with
+        # groups turned off already, a child with none turned off)
+        umath = np._core._multiarray_umath
+        groups = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+        env = dict(os.environ)
+        if len(groups) >= 2:
+            env["NPY_DISABLE_CPU_FEATURES"] = " ".join(groups[1:])
+        elif not env.pop("NPY_DISABLE_CPU_FEATURES", ""):
+            pytest.skip(f"one dispatch group available: {groups}")
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from test_pipeline_cli import dispatch_corpus\n"
+            "sys.stdout.buffer.write(dispatch_corpus())\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode()[-2000:]
+        here, there = dispatch_corpus().split(b"\n"), proc.stdout.split(b"\n")
+        assert len(here) == len(there) and len(here) > 5000
+        differ = [i for i, (a, b) in enumerate(zip(here, there)) if a != b]
+        assert not differ, (len(differ), here[differ[0]], there[differ[0]])
 
 
 class TestModuleEntry:

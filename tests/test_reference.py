@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,21 +18,23 @@ from pathmine import (
     select_paths,
 )
 
-from conftest import random_multigraph, random_path_tree
+from conftest import RELATION_POOL, random_multigraph, random_multiword_graph, random_path_tree
 from reference import SENTINEL, Ambiguous, Reference
 
 
 def _names(g, rng, size: int) -> str:
-    return " ".join(g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=size))
+    return " ".join(g.surfaces[int(i)].replace("_", " ") for i in rng.integers(0, g.node_count, size=size))
 
 
-@pytest.mark.parametrize("cap", [2, 3])
-def test_extract_bytes_match_reference(cap):
-    rng = np.random.default_rng(900 + cap)
-    seen = {"requests": 0, "forests": 0, "ambiguous": 0, "self_loops": 0}
+def _match_reference(rng, cap: int, draw_graph, **shape):
+    """Extract 150 requests on graphs from ``draw_graph(rng, **shape)``
+    with the pipeline and with the reference, asserting equal bytes.
+    Returns the counts of what the requests held, and the reference's
+    totals of what they exercised."""
+    seen = dict.fromkeys(["requests", "forests", "ambiguous", "self_loops", "multiword"], 0)
     totals: dict[str, int] = {}
     while seen["requests"] < 150:
-        g = random_multigraph(rng, max_nodes=20, max_edges=100)
+        g = draw_graph(rng, **shape)
         try:
             stats = WalkStats.from_graph(g)
         except PathmineError:  # no walks of length 3
@@ -42,7 +46,7 @@ def test_extract_bytes_match_reference(cap):
         for index in range(4):
             if index == 0:
                 # every concept mentioned once: grounded siblings tie exactly
-                context = " ".join(rng.permutation(g.surfaces))
+                context = " ".join(s.replace("_", " ") for s in rng.permutation(g.surfaces))
             else:
                 context = "the " + _names(g, rng, 30)
             query = _names(g, rng, int(rng.integers(1, 5)))
@@ -55,11 +59,33 @@ def test_extract_bytes_match_reference(cap):
             assert got == want
             seen["requests"] += 1
             seen["forests"] += len(ground_pair(context, query, g).query_concepts) > 1
+            # a path of k concepts has k - 1 relations: more words than
+            # k means a multiword concept
+            paths = json.loads(got)["paths"]
+            seen["multiword"] += any(2 * sum(t not in RELATION_POOL for t in p) > len(p) + 1 for p in paths)
         for key, value in reference.seen.items():
             totals[key] = totals.get(key, 0) + value
+    return seen, totals
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+def test_extract_bytes_match_reference(cap):
+    rng = np.random.default_rng(900 + cap)
+    seen, totals = _match_reference(rng, cap, random_multigraph, max_nodes=20, max_edges=100)
     assert seen["ambiguous"] <= 8, seen
     assert seen["forests"] > 50 and seen["self_loops"] > 10, seen
     assert totals["capped"] > 500 and totals["tie"] > 200 and totals["draw"] > 500, totals
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+def test_multiword_extract_bytes_match_reference(cap):
+    # surfaces of 1-4 words from a pool of ten: grounding's longest match
+    # across them, and realization's split of each into its words
+    rng = np.random.default_rng(950 + cap)
+    seen, totals = _match_reference(rng, cap, random_multiword_graph, max_nodes=15, max_edges=60)
+    assert seen["ambiguous"] <= 8, seen
+    assert seen["multiword"] > 100, seen
+    assert totals["capped"] > 500 and totals["tie"] > 200, totals
 
 
 def test_sentinel_hops_select_as_reference():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
+import inspect
 import os
 import shutil
 import subprocess
@@ -107,3 +109,29 @@ def test_every_public_definition_is_used_or_exported():
     }
     unread = {name: where for name, where in fields.items() if name.split(".")[1] not in read}
     assert not unused and not unread, (unused, unread)
+
+
+def test_tracer_hooks_install_and_restore(monkeypatch):
+    # perfbench's tracer wraps pipeline functions at the names their
+    # callers look them up by; a refactor that moves or renames one makes
+    # ``install`` raise HookMissing, which only a traced benchmark run
+    # would otherwise show
+    spec = importlib.util.spec_from_file_location("tracer", PYPROJECT.parent / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "tracer", tracer)  # its dataclasses look their module up
+    spec.loader.exec_module(tracer)
+    hooks = tracer.SERVE_HOOKS + tracer.BUILD_HOOKS
+    t = tracer.Tracer()
+    t.install(hooks)
+    try:
+        wrapped = [_function(inspect.getattr_static(hook.owner(), hook.attr)) for hook in hooks]
+    finally:
+        t.restore()
+    restored = [_function(inspect.getattr_static(hook.owner(), hook.attr)) for hook in hooks]
+    assert all(fn.__wrapped__ is raw for fn, raw in zip(wrapped, restored))
+
+
+def _function(attr):
+    """The function of a class or module attribute, unwrapped from its
+    classmethod or staticmethod."""
+    return attr.__func__ if isinstance(attr, (classmethod, staticmethod)) else attr

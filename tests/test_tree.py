@@ -24,11 +24,13 @@ from conftest import (
     STORY_QUERY,
     adjacency_with_multiplicity,
     children,
+    level_indices,
     neighbor_lists,
     path_to,
     random_multigraph,
     random_triples,
     regrown,
+    root_of,
     traced_peak,
 )
 
@@ -52,7 +54,7 @@ class TestStoryTree:
     def test_known_branches_present(self, story_tree):
         g, _, tree = story_tree
         full = regrown(tree)
-        by_surface = {g.surfaces[full.concepts[i]]: int(i) for i in full.level_indices(2)}
+        by_surface = {g.surfaces[full.concepts[i]]: int(i) for i in level_indices(full, 2)}
         assert _surfaces(g, full, children(full, by_surface["mother"])) == ["daughter"]
         house = children(full, by_surface["church"])[0]
         assert g.surfaces[full.concepts[house]] == "house"
@@ -71,13 +73,13 @@ class TestStoryTree:
         _, pair, tree = story_tree
         full = regrown(tree)
         for level in (2, 3, 5):
-            assert full.level_indices(level).size
-            for i in full.level_indices(level):
+            assert level_indices(full, level).size
+            for i in level_indices(full, level):
                 assert pair.context_mentions.mentions.get(int(full.concepts[i]), 0) > 0
 
     def test_level_four_is_graph_neighbor_of_parent(self, story_tree):
         g, _, tree = story_tree
-        for i in tree.level_indices(4):
+        for i in level_indices(tree, 4):
             assert g.edges_between(int(tree.concepts[tree.parents[i]]), int(tree.concepts[i]))
 
     def test_no_path_repeats_a_concept(self, story_tree):
@@ -92,7 +94,7 @@ class TestDegenerateTrees:
     def test_query_concept_with_no_context_link(self, story_graph):
         pair = ground_pair("nothing relevant here", "lady", story_graph)
         tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
-        assert tree.node_count == 1 and tree.sizes().tolist() == [1]
+        assert regrown(tree).node_count == 1
         assert children(tree, 0) == []
 
     def test_branch_truncated_at_level_four(self):
@@ -106,11 +108,11 @@ class TestDegenerateTrees:
         )
         pair = ground_pair("mother daughter story", "the lady", g)
         tree = build_tree([g.surface_to_id.get("lady")], pair, g)
-        level4 = tree.level_indices(4)
+        level4 = level_indices(tree, 4)
         assert _surfaces(g, tree, level4) == ["child"]
         assert tree.regrow5([int(level4[0])])[0].size == 0
         assert tree.level5.count.tolist() == [0]
-        assert regrown(tree).level_indices(5).size == 0
+        assert level_indices(regrown(tree), 5).size == 0
 
     def test_unknown_root_raises(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
@@ -126,13 +128,7 @@ class TestDegenerateTrees:
 class TestEnumerateLevels:
     def test_level_one_is_root(self, story_tree):
         _, _, tree = story_tree
-        assert tree.level_indices(1).tolist() == [0]
-
-    def test_out_of_range(self, story_tree):
-        _, _, tree = story_tree
-        for level in (0, 6):
-            with pytest.raises(ValueError):
-                tree.level_indices(level)
+        assert level_indices(tree, 1).tolist() == [0]
 
     def test_level_counts_bounded_by_branching(self):
         rng = np.random.default_rng(23)
@@ -145,7 +141,7 @@ class TestEnumerateLevels:
                 continue
             tree = regrown(build_tree([pair.query_concepts[0]], pair, g, cfg))
             for level in range(1, 6):
-                assert len(tree.level_indices(level)) <= 3 ** (level - 1)
+                assert len(level_indices(tree, level)) <= 3 ** (level - 1)
 
 
 def build_reference(g, pair, root: int, cap: int):
@@ -278,15 +274,13 @@ class TestForest:
             scored = score_tree(forest, pair, g, stats)
             assert forest.root_count == len(pair.query_concepts)
             full, full_scored = regrown(forest, scored)
-            root_of = full.root_of()
-            assert forest.sizes().tolist() == np.bincount(root_of).tolist()
+            owner = root_of(full)
             for r, c1 in enumerate(pair.query_concepts):
                 single = build_tree([c1], pair, g, cfg)
                 alone = score_tree(single, pair, g, stats)
-                assert single.sizes().tolist() == [forest.sizes()[r]]
                 select_want = select_paths(alone), realize_selection(alone, g, np.random.default_rng([7, r]))
                 single, alone = regrown(single, alone)
-                sub = np.flatnonzero(root_of == r)
+                sub = np.flatnonzero(owner == r)
                 # the subtree's nodes, in forest order, are the single tree's
                 assert full.concepts[sub].tolist() == single.concepts.tolist()
                 assert full.rels[sub].tolist() == single.rels.tolist()
@@ -304,8 +298,8 @@ class TestForest:
     def test_one_root_forest_is_the_single_tree(self, story_tree):
         g, pair, tree = story_tree
         assert tree.root_count == 1 and tree.levels[0] == 1
-        assert tree.root_of().tolist() == [0] * tree.node_count
-        assert tree.sizes().tolist() == [regrown(tree).node_count]
+        assert root_of(tree).tolist() == [0] * tree.node_count
+        assert tree.node_count + tree.level5.count.sum() == regrown(tree).node_count
 
     def test_roots_come_first_in_query_order(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, "church lady", story_graph)
@@ -343,7 +337,7 @@ class TestForest:
         stats = WalkStats.from_graph(g)
         pair = ground_pair(" ".join(" ".join([n] * (i + 1)) for i, n in enumerate(names)), "q", g)
         (forest, scored), peak = traced_peak(_build_and_score, pair, g, stats)
-        n4 = forest.level_indices(4).size
+        n4 = level_indices(forest, 4).size
         assert n4 == 30 * 29 * 28 and forest.level5.count.tolist() == [27] * n4
         assert forest.level5.sum5.size == forest.level5.top5.size == scored.c_score.size - forest.first4 == n4
         assert peak / n4 < 500
@@ -361,7 +355,7 @@ class TestForest:
         assert len(pair.query_concepts) == 50
         forest, peak = traced_peak(build_tree, pair.query_concepts, pair, g, BuildConfig(max_children_per_node=2))
         assert np.bincount(forest.levels).tolist() == [0, 50, 100, 100, 200]
-        level4 = forest.concepts[forest.level_indices(4)]
+        level4 = forest.concepts[level_indices(forest, 4)]
         # degree ranks the other hub first, then the lowest-id leaf
         assert set(g.surfaces[int(c)] for c in level4) == {"hub0", "hub1", "n0"}
         assert peak < 8 << 20
