@@ -16,7 +16,6 @@ import click
 from .kg import PathmineError, WalkStats, ingest_csv, load_index, save_index
 from .pipeline import Config, ExtractionRequest, Extractor, run_batch
 from .scoring import SCORE_SENTINEL
-from .selector import TOP_CHILDREN, top_children
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -175,21 +174,21 @@ def render_explanation(extractor: Extractor, context: str, query: str) -> str:
         root_surface = graph.surfaces[tree.concepts[root]]
         header = len(lines)  # written after the walk, which prints one line a node
         lines += ["", f"{root_surface} (root)"]
+        # kept: the selection holds its concept path (siblings never share a concept)
+        kept = {p.concepts for p in selection.full_paths + selection.truncations}
         # depth-first with an explicit stack: a recursive closure would form a
         # reference cycle holding the tree until the next full collection
-        stack = [(root, 0, True)]
+        stack = [(root, 0, (int(tree.concepts[root]),))]
         while stack:
-            idx, depth, kept = stack.pop()
+            idx, depth, path = stack.pop()
             if depth:
                 lines.append(line(depth, tree.concepts[idx], tree.rels[idx], scored.raw[idx],
-                                  scored.n_score[idx], scored.c_score[idx], kept))
+                                  scored.n_score[idx], scored.c_score[idx], path in kept))
             # level-5 children are leaves: a leaf's cumulative score is its normalized one
             for j in range(offsets[idx], offsets[idx + 1]):
-                best = kept and j < offsets[idx] + TOP_CHILDREN
-                lines.append(line(depth + 1, c5[j], r5[j], raw5[j], n5[j], n5[j], best))
-            kept_set = set(top_children(scored, idx)) if kept else set()
+                lines.append(line(depth + 1, c5[j], r5[j], raw5[j], n5[j], n5[j], path + (c5[j],) in kept))
             for child in range(tree.child_end[idx] - 1, tree.child_start[idx] - 1, -1):
-                stack.append((child, depth + 1, child in kept_set))  # the first child pops first
+                stack.append((child, depth + 1, path + (int(tree.concepts[child]),)))  # the first child pops first
         lines[header] = f"tree rooted at {root_surface!r} ({len(lines) - header - 1} nodes)"
         if selection.full_paths:
             lines.append("selected paths:")

@@ -35,7 +35,7 @@ from .grounding import (
 )
 from .kg import KnowledgeGraph, WalkStats
 from .scoring import ScoredTree, score_tree
-from .selector import PathSelection, realize_selection
+from .selector import PathSelection, realize_selection, select_paths
 from .tree import BuildConfig, build_tree
 
 # the packaged list, read on first use
@@ -167,13 +167,13 @@ class Extractor:
         forest = build_tree(pair.query_concepts, pair, self.graph, self.config.build)
         scored = score_tree(forest, pair, self.graph, self.stats)
         selections: list[PathSelection] = []
-        for root in range(forest.root_count):
-            if forest.child_start[root] == forest.child_end[root]:
+        for root, full in enumerate(select_paths(scored)):
+            if full:
+                rng = np.random.default_rng([self.config.seed, request_index, root])
+                selections.append(realize_selection(full, self.graph, rng))
+            else:
                 # a bare root has no path: skip seeding a generator never drawn from
                 selections.append(PathSelection(full_paths=[], truncations=[], realized=[]))
-            else:
-                rng = np.random.default_rng([self.config.seed, request_index, root])
-                selections.append(realize_selection(scored, self.graph, rng, root))
         return scored, selections
 
     def extract(self, request: ExtractionRequest, request_index: int = 0) -> ExtractionResult:

@@ -150,6 +150,8 @@ def build_tree(
     context term-frequency rank (graph degree at the unconstrained level),
     ties broken toward lower concept ids.
     """
+    if gp.context_mentions.source_len <= 0:
+        raise ValueError("context is empty")
     roots = [int(c) for c in roots]
     if not roots:
         raise ValueError("a forest needs at least one root concept")

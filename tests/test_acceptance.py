@@ -92,7 +92,7 @@ def test_criterion_2_cumulative_scoring_keeps_best_two():
     kept = {g.surfaces[tree.concepts[i]] for i in ranked[:2]}
     assert kept == {"daughter", "married"}
 
-    paths = select_paths(st)
+    paths = select_paths(st)[0]
     path_concepts = {g.surfaces[c] for p in paths for c in p.concepts}
     assert "book" not in path_concepts
     assert {"daughter", "married"} <= path_concepts
@@ -183,9 +183,9 @@ def test_criterion_5_cap_invariants_over_generated_trees():
     trees = 0
     for g, tree, st in _tree_ensemble(400):
         trees += 1
-        selection = realize_selection(st, g, np.random.default_rng(trees))
-        paths = selection.full_paths
-        assert paths == select_paths(st) and len(paths) <= TOP_CHILDREN**4
+        paths = select_paths(st)[0]
+        selection = realize_selection(paths, g, np.random.default_rng(trees))
+        assert len(paths) <= TOP_CHILDREN**4
         kept_children: dict[tuple[int, ...], set[int]] = {}
         for p in paths:
             for i in range(len(p.concepts) - 1):

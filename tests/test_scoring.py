@@ -193,7 +193,7 @@ class TestRawScore:
     def test_empty_context_raises(self, story_graph):
         lady = story_graph.surface_to_id.get("lady")
         pair = _pair(story_graph, {}, 0, [lady])
-        tree = build_tree([lady], pair, story_graph)
+        tree = PathTree([lady], [-1], [-1], [0], [1])  # build_tree refuses such a pair first
         with pytest.raises(ValueError, match="context is empty"):
             score_raw(tree, pair, story_graph, WalkStats.from_graph(story_graph))
 

@@ -17,7 +17,7 @@ from pathmine import (
     score_tree,
     select_paths,
 )
-from pathmine.selector import TOP_CHILDREN, SelectedPath, realize_tokens
+from pathmine.selector import TOP_CHILDREN, SelectedPath
 from pathmine.tree import PathTree
 
 from conftest import STORY_CONTEXT, STORY_QUERY, children, random_multigraph, regrown, scored_from_raw
@@ -55,7 +55,7 @@ def triple_child_scored():
 class TestSelectPaths:
     def test_keeps_two_best_children(self, triple_child_scored):
         g, st = triple_child_scored
-        paths = select_paths(st)
+        paths = select_paths(st)[0]
         tails = {g.surfaces[p.concepts[-1]] for p in paths}
         assert tails == {"daughter", "married"}
         assert not any(g.surfaces[c] == "book" for p in paths for c in p.concepts)
@@ -65,7 +65,7 @@ class TestSelectPaths:
         stats = WalkStats.from_graph(story_graph)
         tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
         st = score_tree(tree, pair, story_graph, stats)
-        assert select_paths(st) == []
+        assert select_paths(st)[0] == []
 
     def test_full_binary_tree_yields_sixteen(self):
         # every node of a synthetic 5-level tree has exactly two children
@@ -91,7 +91,7 @@ class TestSelectPaths:
             levels=levels,
         )
         raw = np.full(len(concepts), 0.25)
-        paths = select_paths(scored_from_raw(tree, raw))
+        paths = select_paths(scored_from_raw(tree, raw))[0]
         assert len(paths) == TOP_CHILDREN**4 == 16
         assert all(len(p.concepts) == 5 for p in paths)
 
@@ -104,7 +104,7 @@ class TestSelectPaths:
             levels=[1, 2, 2, 2],
         )
         # identical raws: equal c-scores, so ids 3 and 5 must win over 7
-        paths = select_paths(scored_from_raw(tree, [0.0, 0.2, 0.2, 0.2]))
+        paths = select_paths(scored_from_raw(tree, [0.0, 0.2, 0.2, 0.2]))[0]
         assert sorted(p.concepts[-1] for p in paths) == [3, 5]
 
     def test_paths_listed_best_first(self):
@@ -118,11 +118,11 @@ class TestSelectPaths:
         )
         raw = np.array([0.0, 0.1, 0.3, 0.2, 0.1, 0.4])
         st = scored_from_raw(tree, raw)
-        assert [p.concepts for p in select_paths(st)] == [(0, 3, 8), (0, 3, 9), (0, 7)]
+        assert [p.concepts for p in select_paths(st)[0]] == [(0, 3, 8), (0, 3, 9), (0, 7)]
 
     def test_never_more_than_two_kept_per_node(self, story_scored):
         _, st = story_scored
-        paths = select_paths(st)
+        paths = select_paths(st)[0]
         children_of: dict[tuple[int, ...], set[int]] = {}
         for p in paths:
             for i in range(len(p.concepts) - 1):
@@ -131,7 +131,7 @@ class TestSelectPaths:
 
     def test_kept_children_have_maximal_scores(self, story_scored):
         _, st = story_scored
-        paths = select_paths(st)
+        paths = select_paths(st)[0]
         # level 5 re-grown as nodes, with the scores its summary gives them
         tree, st = regrown(st.tree, st)
         kept_nodes = set()
@@ -161,7 +161,7 @@ class TestSelectPaths:
             alive = weakref.ref(tree)
             scored = score_tree(tree, pair, story_graph, stats)
             del tree
-            selection = realize_selection(scored, story_graph, np.random.default_rng(0))
+            selection = realize_selection(select_paths(scored)[0], story_graph, np.random.default_rng(0))
             assert selection.full_paths
             del selection, scored
             assert alive() is None
@@ -174,7 +174,7 @@ def _chain_selection(triples, context: str, root: str):
     g = graph_from_triples(triples)
     pair = ground_pair(context, root, g)
     st = score_tree(build_tree([g.surface_to_id.get(root)], pair, g), pair, g, WalkStats.from_graph(g))
-    return g, realize_selection(st, g, np.random.default_rng(0))
+    return g, realize_selection(select_paths(st)[0], g, np.random.default_rng(0))
 
 
 class TestExpandSubpaths:
@@ -182,7 +182,7 @@ class TestExpandSubpaths:
 
     def test_prefixes_of_story_path(self, story_scored):
         g, st = story_scored
-        selection = realize_selection(st, g, np.random.default_rng(0))
+        selection = realize_selection(select_paths(st)[0], g, np.random.default_rng(0))
         surfaces = [tuple(g.surfaces[c] for c in t.concepts) for t in selection.truncations]
         assert ("lady", "church", "house", "child") in surfaces
 
@@ -206,7 +206,7 @@ class TestExpandSubpaths:
 
     def test_truncations_are_exactly_proper_prefixes(self, story_scored):
         g, st = story_scored
-        selection = realize_selection(st, g, np.random.default_rng(0))
+        selection = realize_selection(select_paths(st)[0], g, np.random.default_rng(0))
         expected = []
         for p in selection.full_paths:
             for length in range(2, len(p.concepts)):
@@ -220,15 +220,15 @@ class TestRealizeTokens:
     def test_story_full_path_text(self, story_scored):
         g, st = story_scored
         rng = np.random.default_rng(0)
-        selection = realize_selection(st, g, rng)
+        selection = realize_selection(select_paths(st)[0], g, rng)
         texts = {" ".join(tokens) for tokens in selection.realized}
         assert "lady AtLocation church RelatedTo house RelatedTo child RelatedTo their" in texts
         assert "lady AtLocation church RelatedTo house RelatedTo child" in texts
 
     def test_single_relation_hops_ignore_seed(self, story_scored):
         g, st = story_scored
-        out1 = realize_selection(st, g, np.random.default_rng(1)).realized
-        out2 = realize_selection(st, g, np.random.default_rng(999)).realized
+        out1 = realize_selection(select_paths(st)[0], g, np.random.default_rng(1)).realized
+        out2 = realize_selection(select_paths(st)[0], g, np.random.default_rng(999)).realized
         assert out1 == out2
 
     def test_same_seed_reproduces_output_with_parallel_edges(self):
@@ -238,8 +238,8 @@ class TestRealizeTokens:
         pair = ground_pair("down and south again down", "up", g)
         stats = WalkStats.from_graph(g)
         st = score_tree(build_tree([g.surface_to_id.get("up")], pair, g), pair, g, stats)
-        a = realize_selection(st, g, np.random.default_rng(5)).realized
-        b = realize_selection(st, g, np.random.default_rng(5)).realized
+        a = realize_selection(select_paths(st)[0], g, np.random.default_rng(5)).realized
+        b = realize_selection(select_paths(st)[0], g, np.random.default_rng(5)).realized
         assert a == b
 
     def test_multiword_concepts_split(self):
@@ -247,14 +247,14 @@ class TestRealizeTokens:
         p = SelectedPath(
             concepts=(g.surface_to_id.get("ice_cream"), g.surface_to_id.get("freezer")), relations=(0,)
         )
-        tokens = realize_tokens(p, g, np.random.default_rng(0))
+        (tokens,) = realize_selection([p], g, np.random.default_rng(0)).realized
         assert tokens == ["ice", "cream", "AtLocation", "freezer"]
 
     def test_parallel_relation_draw_is_roughly_uniform(self):
         g = graph_from_triples([("up", "RelatedTo", "down"), ("up", "Antonym", "down")])
         p = SelectedPath(concepts=(g.surface_to_id.get("up"), g.surface_to_id.get("down")), relations=(0,))
         rng = np.random.default_rng(12345)
-        names = [realize_tokens(p, g, rng)[1] for _ in range(10_000)]
+        names = [realize_selection([p], g, rng).realized[0][1] for _ in range(10_000)]
         share = names.count("RelatedTo") / len(names)
         assert 0.48 <= share <= 0.52
 
@@ -264,11 +264,11 @@ class TestRealizeTokens:
             relations=(0,),
         )
         with pytest.raises(ValueError):
-            realize_tokens(p, story_graph, np.random.default_rng(0))
+            realize_selection([p], story_graph, np.random.default_rng(0))
 
     def test_realized_paths_validate_and_odd_length(self, story_scored):
         g, st = story_scored
-        selection = realize_selection(st, g, np.random.default_rng(7))
+        selection = realize_selection(select_paths(st)[0], g, np.random.default_rng(7))
         for path in selection.full_paths + selection.truncations:
             for a, b in zip(path.concepts, path.concepts[1:]):
                 assert g.edges_between(a, b)
@@ -293,7 +293,7 @@ class TestRealizeTokens:
         tree = build_tree([g.surface_to_id.get("lady")], pair, g)
         st = score_tree(tree, pair, g, stats)
         for seed in range(20):
-            selection = realize_selection(st, g, np.random.default_rng(seed))
+            selection = realize_selection(select_paths(st)[0], g, np.random.default_rng(seed))
             fulls = [" ".join(t) for t in selection.realized[: len(selection.full_paths)]]
             truncs = [" ".join(t) for t in selection.realized[len(selection.full_paths) :]]
             for trunc in truncs:
@@ -313,7 +313,7 @@ class TestCapsOnRandomInputs:
             stats = WalkStats.from_graph(g)
             for c1 in pair.query_concepts:
                 st = score_tree(build_tree([c1], pair, g), pair, g, stats)
-                paths = select_paths(st)
+                paths = select_paths(st)[0]
                 assert len(paths) <= TOP_CHILDREN**4
                 for p in paths:
                     assert 2 <= len(p.concepts) <= 5

@@ -9,6 +9,8 @@ import pathmine.kernels
 import pathmine.tree
 from pathmine import (
     BuildConfig,
+    Config,
+    Extractor,
     PathmineError,
     WalkStats,
     build_tree,
@@ -123,6 +125,14 @@ class TestDegenerateTrees:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         with pytest.raises(ValueError):
             build_tree([story_graph.surface_to_id.get("church")], pair, story_graph)
+
+    def test_context_without_token_raises(self):
+        # the context counts of such a pair are empty, so no level can grow
+        g = graph_from_triples([("dog", "RelatedTo", "cat")])
+        pair = ground_pair("...", "dog", g)
+        assert pair.query_concepts == [g.surface_to_id.get("dog")]
+        with pytest.raises(ValueError, match="context is empty"):
+            build_tree(pair.query_concepts, pair, g)
 
 
 class TestEnumerateLevels:
@@ -278,7 +288,8 @@ class TestForest:
             for r, c1 in enumerate(pair.query_concepts):
                 single = build_tree([c1], pair, g, cfg)
                 alone = score_tree(single, pair, g, stats)
-                select_want = select_paths(alone), realize_selection(alone, g, np.random.default_rng([7, r]))
+                want = select_paths(alone)[0]
+                realized_want = realize_selection(want, g, np.random.default_rng([7, r]))
                 single, alone = regrown(single, alone)
                 sub = np.flatnonzero(owner == r)
                 # the subtree's nodes, in forest order, are the single tree's
@@ -289,8 +300,8 @@ class TestForest:
                 assert parents.tolist() == single.parents.tolist()
                 for name in ("raw", "n_score", "c_score"):
                     assert getattr(full_scored, name)[sub].tolist() == getattr(alone, name).tolist(), name
-                assert select_paths(scored, r) == select_want[0]
-                assert realize_selection(scored, g, np.random.default_rng([7, r]), r) == select_want[1]
+                assert select_paths(scored)[r] == want
+                assert realize_selection(select_paths(scored)[r], g, np.random.default_rng([7, r])) == realized_want
                 deep += bool((single.levels == 5).any())
             forests += forest.root_count > 1
         assert deep > 10
@@ -400,13 +411,44 @@ class TestLevel5Regrowth:
             return expand(parents, ancestors, *rest)
 
         monkeypatch.setattr(pathmine.kernels, "expand_candidates", counting)
-        paths = select_paths(scored)
+        paths = [p for root_paths in select_paths(scored) for p in root_paths]
         assert len(calls) == 1
         parents, ancestors = calls[0]
         assert ancestors.shape[1] == 4 and (ancestors >= 0).all()
         leaves = list(dict.fromkeys(p.concepts[:4] for p in paths if len(p.concepts) == 5))
         assert leaves and [tuple(row) for row in ancestors.tolist()] == leaves
         assert parents == [leaf[3] for leaf in leaves]
+
+    def test_selection_regrows_level5_at_most_once_per_forest(self, monkeypatch):
+        # every level-4 leaf the selection keeps, in any tree of the
+        # forest, is re-grown by one call
+        rng = np.random.default_rng(61)
+        calls, regrow5 = [], pathmine.tree.PathTree.regrow5
+
+        def counting(tree, nodes):
+            calls.append(None)
+            return regrow5(tree, nodes)
+
+        monkeypatch.setattr(pathmine.tree.PathTree, "regrow5", counting)
+        forests = grown = 0
+        while forests < 100:
+            g = random_multigraph(rng, max_nodes=20, max_edges=100)
+            try:
+                stats = WalkStats.from_graph(g)
+            except PathmineError:
+                continue
+            names = [g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=30)]
+            query = " ".join(g.surfaces[int(i)] for i in rng.integers(0, g.node_count, size=4))
+            pair = ground_pair(" ".join(names), query, g)
+            if not pair.query_concepts:
+                continue
+            extractor = Extractor(g, stats, Config(max_children_per_node=3))
+            calls.clear()
+            _, selections = extractor.analyze(pair)
+            assert len(calls) <= 1
+            grown += len(calls) * (len(selections) > 1)
+            forests += 1
+        assert grown > 20, grown
 
     def test_regrowth_in_small_blocks_equals_one_block(self, monkeypatch):
         # a block this small holds one node: every live node is its own call
