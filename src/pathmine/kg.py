@@ -11,13 +11,22 @@ malformed when it does not hold exactly four tabs, is not UTF-8, or has
 a relation or concept URI of the wrong shape.
 
 Ingest reads the dump in blocks of whole lines (``_BLOCK_BYTES``, about
-4 MiB) and works on each block column by column; only a block that is
-not valid UTF-8 is decoded line by line.  Each distinct relation or
-concept URI is parsed once: URIs of the kept language stay in a table
-across blocks, the rest are forgotten after their block, so the table
-grows with the graph's concepts rather than with the dump.  Memory is
-one block's columns, the kept-language tables and the kept edges'
-codes.  The blocks' codes are then joined column by column, and ids are
+4 MiB) and codes each block's relation and concept URIs from its bytes,
+so no field becomes a Python object.  A block is split into the offset
+and length of each well-formed line's URI fields; only the lines that
+hold a non-ASCII byte are decoded, each on its own, to check that they
+are UTF-8.  Each field is read as 8-byte words and hashed, equal hashes
+are grouped by one sort, and every field is checked byte for byte
+against its group's first.  Each group is then looked up in a table
+that lasts across blocks (sorted hashes, codes and the fields' words),
+every hit again checked byte for byte, so a hash collision costs time,
+never a wrong code.  Only the groups the table lacks are decoded, in one
+batch per block, and parsed: each distinct URI of the kept language is
+parsed once; a rejected one (malformed, or of another language) is
+forgotten after its block, so the table grows with the graph's concepts
+rather than with the dump.  Memory is one block, its fields' words and
+offsets, the tables and the kept edges' int32 codes (12 bytes a line).
+The blocks' codes are then joined column by column, and ids are
 assigned by first appearance and duplicates dropped in one vectorized
 pass, shared with :func:`graph_from_triples`, that frees each code
 column once it is mapped to int32 ids and releases its own temporaries
@@ -77,8 +86,6 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -318,6 +325,8 @@ _BLOCK_BYTES = 1 << 22
 # codes of URIs that give no edge: malformed, or a concept of another language
 _MALFORMED = -1
 _OTHER_LANGUAGE = -2
+# the code of a field the table does not hold yet
+_UNKNOWN = -3
 
 
 def _blocks(source: BinaryIO) -> Iterator[bytes]:
@@ -339,49 +348,228 @@ def _blocks(source: BinaryIO) -> Iterator[bytes]:
         yield rest
 
 
-def _split_block(block: bytes) -> tuple[int, list[str]]:
-    """(line count, fields of the well-formed lines, five per line).
+def _split_block(block: bytes) -> tuple[int, np.ndarray, np.ndarray]:
+    """(line count, start, length) of fields 1-3 of the well-formed lines:
+    two int64 arrays of shape (3, lines kept), one row per field.
 
-    A line is well formed when it decodes as UTF-8 and holds exactly four
-    tabs.  Lines end at ``\\n`` only; a trailing ``\\r`` stays in the last
-    field, which is not read.
+    A line is well formed when it holds exactly four tabs and is UTF-8.
+    Lines end at ``\\n`` only; a trailing ``\\r`` stays in the last field,
+    which is not read.  Only the lines that hold a byte above 0x7f are
+    decoded, each on its own, to check them.
     """
     raw = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(raw == ord("\n"))
     if not block.endswith(b"\n"):
         ends = np.append(ends, raw.size)
     tabs = np.flatnonzero(raw == ord("\t"))
-    ok = np.diff(tabs.searchsorted(ends), prepend=0) == 4
-    try:
-        lines = block.decode("utf-8").split("\n")
-    except UnicodeDecodeError:
-        # a line is UTF-8 when it survives a decode with replacement unchanged
-        raws = block.split(b"\n")[: ends.size]
-        lines = [raw.decode("utf-8", "replace") for raw in raws]
-        ok &= [line.encode("utf-8") == raw for line, raw in zip(lines, raws)]
-    return ends.size, "\t".join(compress(lines, ok)).split("\t")
+    upto = tabs.searchsorted(ends)  # tabs before each line's end
+    first = np.concatenate(([0], upto[:-1]))  # each line's first tab
+    ok = upto - first == 4
+    if not block.isascii():
+        for line in np.unique(ends.searchsorted(np.flatnonzero(raw > 0x7F))).tolist():
+            if ok[line]:
+                try:
+                    block[ends[line - 1] + 1 if line else 0 : ends[line]].decode("utf-8")
+                except UnicodeDecodeError:
+                    ok[line] = False
+    bounds = tabs[first[ok] + np.arange(4)[:, None]]  # (4, k): the line's tabs
+    return ends.size, bounds[:3] + 1, np.diff(bounds, axis=0) - 1
 
 
-def _codes(column: list[str], table: dict[str, int], parse: Callable[[str], int]) -> np.ndarray:
-    """``parse`` of each value, called once per value not yet in ``table``.
+class _Fields:
+    """Byte strings as little-endian 8-byte words.
 
-    Non-negative codes stay in ``table`` for later blocks; negative ones
-    (rejected values) serve this call only, so the table grows with the
-    accepted values, not with the length of the dump.
+    String ``i`` holds ``lengths[i]`` bytes in ``words[first[i]:first[i] +
+    count[i]]``, at least one word, and the bytes of its last word past
+    its end are zero; so two strings are equal exactly when their lengths
+    and their words are.  ``hashes``, when set, holds :func:`_hash` of
+    each.
     """
-    rejected: dict[str, int] = {}
-    for value in set(column).difference(table):
-        code = parse(value)
-        if code >= 0:
-            table[value] = code
+
+    # the low k bytes of a word, for k = 0..8
+    _MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+
+    def __init__(self, words: np.ndarray, lengths: np.ndarray):
+        self.words = words
+        self.lengths = lengths
+        self.count = np.maximum((lengths + 7) >> 3, 1)
+        self.first = np.cumsum(self.count) - self.count
+        self.hashes: np.ndarray | None = None
+
+    @classmethod
+    def read(cls, block: bytes, starts: np.ndarray, lengths: np.ndarray) -> "_Fields":
+        """The fields of ``block`` at ``starts`` of ``lengths`` bytes, with
+        their hashes.
+
+        Every word is read in one gather from an unaligned view that starts
+        a word at each byte.  A read that would pass the block's end (a
+        word in its last seven bytes) starts earlier and is shifted down;
+        then each field's last word is cut to the field.
+        """
+        fields = cls(np.empty(0, dtype=np.uint64), lengths)
+        count, first = fields.count, fields.first
+        local = np.arange(count.sum()) - np.repeat(first, count)
+        at = np.repeat(starts, count) + 8 * local
+        if len(block) < 8:
+            block = block.ljust(8, b"\0")
+        last = len(block) - 8
+        view = np.ndarray((last + 1,), dtype="<u8", buffer=block, strides=(1,))
+        tail = first + count - 1
+        if lengths.size and (starts + 8 * (count - 1)).max() > last:
+            over = np.flatnonzero(at > last)
+            shift = (8 * (at[over] - last)).astype(np.uint64)
+            at[over] = last
+            fields.words = view[at]
+            fields.words[over] >>= shift
         else:
-            rejected[value] = code
-    table.update(rejected)
-    # one C-level lookup; itemgetter gives a bare value for a single key
-    codes = np.array(itemgetter(*column)(table) if column else (), dtype=np.int64).reshape(-1)
-    for value in rejected:
-        del table[value]
-    return codes
+            fields.words = view[at]
+        del at
+        fields.words[tail] &= cls._MASKS[lengths - 8 * (count - 1)]
+        fields.hashes = _hash(fields.words, local.view(np.uint64), first, lengths)
+        return fields
+
+    def select(self, index: np.ndarray) -> "_Fields":
+        """The strings at ``index`` as a new, compact set, without hashes."""
+        count = self.count[index]
+        total = int(count.sum())
+        word = np.repeat(self.first[index] - (np.cumsum(count) - count), count) + np.arange(total)
+        return _Fields(self.words[word], self.lengths[index])
+
+
+def _hash(words: np.ndarray, local: np.ndarray, first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """A 64-bit hash of each string of :class:`_Fields` ``words``, from
+    its words, their places ``local`` in it and its length."""
+    mixed = words ^ local  # the same words in another order hash apart
+    mixed *= np.uint64(0x9E3779B97F4A7C15)
+    mixed ^= mixed >> 29
+    mixed *= np.uint64(0xBF58476D1CE4E5B9)
+    mixed ^= mixed >> 32
+    sums = np.add.reduceat(mixed, first) if first.size else np.zeros(0, dtype=np.uint64)
+    sums ^= lengths.astype(np.uint64)
+    sums *= np.uint64(0x94D049BB133111EB)
+    return sums ^ (sums >> 31)
+
+
+def _same(a: _Fields, i: np.ndarray, b: _Fields, j: np.ndarray) -> np.ndarray:
+    """Whether string ``i[k]`` of ``a`` equals string ``j[k]`` of ``b``,
+    byte for byte, for each ``k``: a word at a time, each round over the
+    pairs that are still equal and have words left."""
+    same = a.lengths[i] == b.lengths[j]
+    k = np.flatnonzero(same)
+    left, wa, wb = a.count[i[k]], a.first[i[k]], b.first[j[k]]
+    while k.size:
+        differ = a.words[wa] != b.words[wb]
+        same[k[differ]] = False
+        go = ~differ & (left > 1)
+        k, left, wa, wb = k[go], left[go] - 1, wa[go] + 1, wb[go] + 1
+    return same
+
+
+def _groups(fields: _Fields) -> tuple[np.ndarray, np.ndarray]:
+    """(one string of each distinct value, roughly in hash order; the
+    index in it of each string's value).
+
+    Strings are grouped by hash in one sort of hash-and-position keys,
+    and each is checked against its group's first.  The strings that
+    differ from it (a hash collision) are grouped again among themselves,
+    so a collision costs a round, never a wrong group.
+    """
+    group = np.empty(fields.lengths.size, dtype=np.int64)
+    reps: list[np.ndarray] = []
+    found = 0
+    pending = np.arange(fields.lengths.size)
+    while pending.size:
+        # the hash's high bits above each string's place in ``pending``
+        bits = pending.size.bit_length()
+        key = fields.hashes[pending] >> bits << bits
+        key |= np.arange(pending.size, dtype=np.uint64)
+        key.sort()
+        member = pending[(key & ((1 << bits) - 1)).astype(np.intp)]
+        key >>= bits
+        head = np.empty(key.size, dtype=np.bool_)
+        head[:1] = True
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        del key
+        which = np.cumsum(head) - 1
+        rep = member[head]
+        same = member == rep[which]
+        other = np.flatnonzero(~same)
+        same[other] = _same(fields, member[other], fields, rep[which[other]])
+        group[member[same]] = found + which[same]
+        reps.append(rep)
+        found += rep.size
+        pending = member[~same]
+    return (np.concatenate(reps) if reps else pending), group
+
+
+class _Coder:
+    """Codes of one kind of dump field (relation or concept URIs) by their
+    bytes, ``parse`` called once for each field the table does not hold.
+
+    The table lasts across blocks and holds the fields given a
+    non-negative code: their hashes sorted, their codes, and their words
+    pooled in ``known``, so every hit is checked byte for byte.  A
+    negative code (a rejected field) serves its block only, so the table
+    grows with the accepted fields, not with the length of the dump.
+    """
+
+    def __init__(self, parse: Callable[[str], int]):
+        self.parse = parse
+        self.hashes = np.empty(0, dtype=np.uint64)
+        self.codes = np.empty(0, dtype=np.int32)
+        self.entry = np.empty(0, dtype=np.int64)  # each hash's string in ``known``
+        self.known = _Fields(np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.int64))
+
+    def __call__(self, block: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """The int32 code of each field of ``block`` at ``starts``."""
+        fields = _Fields.read(block, starts, lengths)
+        reps, group = _groups(fields)
+        codes = self._lookup(fields, reps)
+        miss = np.flatnonzero(codes == _UNKNOWN)
+        if miss.size:
+            codes[miss] = self._parse(block, starts[reps[miss]], lengths[reps[miss]])
+            self._remember(fields, reps[miss], codes[miss])
+        return codes[group]
+
+    def _lookup(self, fields: _Fields, reps: np.ndarray) -> np.ndarray:
+        """The table's code of each field at ``reps``, ``_UNKNOWN`` where
+        it holds none; the table's entries of an equal hash are tried in
+        turn."""
+        h = fields.hashes[reps]
+        codes = np.full(reps.size, _UNKNOWN, dtype=np.int32)
+        at = self.hashes.searchsorted(h)  # fast for keys in about sorted order
+        todo = np.arange(reps.size)
+        while todo.size:
+            todo = todo[at[todo] < self.hashes.size]
+            todo = todo[self.hashes[at[todo]] == h[todo]]
+            hit = _same(fields, reps[todo], self.known, self.entry[at[todo]])
+            codes[todo[hit]] = self.codes[at[todo[hit]]]
+            todo = todo[~hit]
+            at[todo] += 1
+        return codes
+
+    def _parse(self, block: bytes, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """``parse`` of each field, from one decode of the fields, each
+        with the tab that ends it."""
+        size = lengths + 1
+        at = np.repeat(starts - (np.cumsum(size) - size), size) + np.arange(size.sum())
+        text = np.frombuffer(block, dtype=np.uint8)[at].tobytes().decode("utf-8")
+        return np.array([self.parse(value) for value in text.split("\t")[:-1]], dtype=np.int32)
+
+    def _remember(self, fields: _Fields, index: np.ndarray, codes: np.ndarray) -> None:
+        """Add the fields at ``index`` whose code is non-negative."""
+        kept = codes >= 0
+        index, codes = index[kept], codes[kept]
+        h = fields.hashes[index]
+        order = np.argsort(h)
+        at = self.hashes.searchsorted(h[order])
+        self.hashes = np.insert(self.hashes, at, h[order])
+        self.codes = np.insert(self.codes, at, codes[order])
+        self.entry = np.insert(self.entry, at, self.known.lengths.size + order)
+        new = fields.select(index)
+        self.known = _Fields(
+            np.concatenate([self.known.words, new.words]), np.concatenate([self.known.lengths, new.lengths])
+        )
 
 
 def _first_appearance(codes: np.ndarray, size: int) -> np.ndarray:
@@ -459,8 +647,6 @@ def ingest_csv(source: BinaryIO, lang: str) -> tuple[KnowledgeGraph, IngestRepor
     report = IngestReport()
     surfaces: dict[str, int] = {}
     relation_names: dict[str, int] = {}
-    concept_codes: dict[str, int] = {}
-    relation_codes: dict[str, int] = {}
 
     def concept_code(uri: str) -> int:
         parsed = _parse_concept_uri(uri)
@@ -475,14 +661,15 @@ def ingest_csv(source: BinaryIO, lang: str) -> tuple[KnowledgeGraph, IngestRepor
             return _MALFORMED
         return relation_names.setdefault(uri[3:], len(relation_names))
 
+    relations, concepts = _Coder(relation_code), _Coder(concept_code)
     # the kept edges' codes of each block, per column
     parts: tuple[list[np.ndarray], ...] = ([], [], [])
     try:
         for block in _blocks(source):
-            n_lines, fields = _split_block(block)
-            rel = _codes(fields[1::5], relation_codes, relation_code)
+            n_lines, starts, lengths = _split_block(block)
+            rel = relations(block, starts[0], lengths[0])
             k = rel.size
-            endpoints = _codes(fields[2::5] + fields[3::5], concept_codes, concept_code)
+            endpoints = concepts(block, starts[1:].ravel(), lengths[1:].ravel())
             start, end = endpoints[:k], endpoints[k:]
             malformed = (rel < 0) | (start == _MALFORMED) | (end == _MALFORMED)
             keep = ~malformed & (start >= 0) & (end >= 0)
@@ -498,8 +685,8 @@ def ingest_csv(source: BinaryIO, lang: str) -> tuple[KnowledgeGraph, IngestRepor
     kept = sum(codes.size for codes in parts[0])
     if not kept:
         raise IngestError("no edges")
-    # the last block's text and codes, and the URI tables, before the join
-    del block, fields, rel, endpoints, start, end, keep, malformed, codes, concept_codes, relation_codes
+    # the last block and its codes, and the URI tables, before the join
+    del block, starts, lengths, rel, endpoints, start, end, keep, malformed, codes, relations, concepts
     coded = []
     for column in parts:
         coded.append(np.concatenate(column))

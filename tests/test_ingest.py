@@ -5,15 +5,17 @@ from __future__ import annotations
 import gzip
 import io
 import sys
+from collections import Counter
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathmine import IngestError, graph_from_triples, ingest_csv, kg
 
-from conftest import assert_same_tables, ingest_oracle
+from conftest import assert_same_tables, ingest_oracle, traced_peak
 
 
 
@@ -22,16 +24,27 @@ def mostly(good: list[str], bad: list[str]) -> st.SearchStrategy[str]:
     return st.sampled_from(good * 6 + bad)
 
 
-relation_uris = mostly(["/r/RelatedTo", "/r/IsA", "/r/Antonym", "/r/Synonym"], ["/r/", "r/IsA", ""])
+LONG_SURFACE = "a_very_long_surface_" * 4
+# fields are read as 8-byte words: these lengths fall on each side of 8
+# and 16 bytes, some differ only in their last byte, and one is longer
+# than 64 bytes
+relation_uris = mostly(
+    ["/r/RelatedTo", "/r/IsA", "/r/Antonym", "/r/Synonym", "/r/HasA", "/r/HasAB", "/r/HasAC", "/r/HasABC", "/r/HasAé"],
+    ["/r/", "r/IsA", ""],
+)
 # case and space variants, and sense suffixes, that map several URIs to one surface
 concept_uris = mostly(
     [
         f"/c/{lang}/{surface}{sense}"
-        for lang, surfaces in [("en", ["a", "A", " a", "b", "B ", "ice cream", "Ice_Cream", "café"]), ("fr", ["a", "b"])]
+        for lang, surfaces in [
+            ("en", ["a", "A", " a", "b", "B ", "ice cream", "Ice_Cream", "café", "ab", "ac", "abc", "abcdefghi",
+                    "abcdefghij", "abcdefghik", "abcdefghijk", LONG_SURFACE]),
+            ("fr", ["a", "b", "abcdefghij"]),
+        ]
         for surface in surfaces
         for sense in ["", "/n", "/n/wn/food"]
     ],
-    ["/c/en", "c/en/a", "/c/", "/d/en/a", "/c/en/", "/c//a", "/c/en/ ", "/c/en/a/"],
+    ["/c/en", "c/en/a", "/c/", "/d/en/a", "/c/en/", "/c//a", "/c/en/ ", "/c/en/a/", "/c/en/" + " " * 70],
 )
 # metadata is not read: a line with any of these is an edge
 metas = st.one_of(
@@ -86,8 +99,14 @@ def dumps(draw) -> bytes:
             lines[i] = lines[i][:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xe2\x82"])) + lines[i][at:]
     endings = [draw(st.sampled_from([b"\n", b"\n", b"\r\n", b"\r\r\n"])) for _ in lines]
     dump = b"".join(line + end for line, end in zip(lines, endings))
-    if dump and draw(st.booleans()):  # no final newline
+    ending = draw(st.sampled_from(["newline", "none", "bare"]))
+    if dump and ending == "none":  # no final newline
         dump = dump.rstrip(b"\r\n")
+    elif ending == "bare":
+        # a last line with empty metadata and no final newline: an 8-byte
+        # read of its end field's last word can pass the end of the dump
+        a, r, s, e, _ = draw(assertions)
+        dump += "\t".join([a, r, s, e, ""]).encode("utf-8")
     return dump
 
 
@@ -115,6 +134,98 @@ def test_matches_line_at_a_time_reference(dump, kind, block_bytes, lang):
         g, got = ingest_csv(_source(dump, kind), lang)
     assert vars(got) == report
     assert_same_tables(g, expected)
+
+
+COLLIDING = "".join(
+    f"/a/x\t/r/IsA\t/c/en/w{i:03d}\t/c/{'fr' if i % 7 == 0 else 'en'}/w{(i * 37) % 300:03d}\t{{}}\n"
+    for i in range(300)
+).encode("utf-8")
+
+
+@settings(max_examples=150, deadline=None)
+@given(dump=dumps(), block_bytes=st.sampled_from([1, 7, 64, 256]), lang=st.sampled_from(["en", "fr"]))
+@example(dump=COLLIDING, block_bytes=256, lang="en")
+def test_exact_when_every_uri_of_a_length_collides(dump, block_bytes, lang):
+    # the field hash is the field's length: every URI collides with each
+    # other URI of its length, in its block and in the table across blocks
+    expected, report = ingest_oracle(dump, lang)
+    parse = kg._parse_concept_uri
+    parsed: Counter[str] = Counter()
+
+    def counted_parse(uri):
+        parsed[uri] += 1
+        return parse(uri)
+
+    with (
+        mock.patch.object(kg, "_hash", lambda words, local, first, lengths: lengths.astype(np.uint64)),
+        mock.patch.object(kg, "_BLOCK_BYTES", block_bytes),
+        mock.patch.object(kg, "_parse_concept_uri", counted_parse),
+    ):
+        if expected is None:
+            with pytest.raises(IngestError, match="no edges"):
+                ingest_csv(io.BytesIO(dump), lang)
+            return
+        g, got = ingest_csv(io.BytesIO(dump), lang)
+    assert vars(got) == report
+    assert_same_tables(g, expected)
+    # a collision costs no second parse of a kept URI
+    assert all(n == 1 for uri, n in parsed.items() if (parse(uri) or ("",))[0] == lang)
+
+
+def test_each_uri_parsed_once():
+    # kept URIs recur in many blocks, rejected ones within and across blocks
+    rng = np.random.default_rng(3)
+    uris = [f"/c/en/w{i}" for i in range(60)] + [f"/c/fr/w{i}" for i in range(20)] + ["/c/en/", "/d/en/x", "/c//w"]
+    pairs = rng.integers(0, len(uris), size=(2000, 2)).tolist()
+    dump = "".join(f"/a/{i}\t/r/IsA\t{uris[a]}\t{uris[b]}\t{{}}\n" for i, (a, b) in enumerate(pairs)).encode()
+    parse, split = kg._parse_concept_uri, kg._split_block
+    calls: list[tuple[int, str]] = []  # (block, URI) of each parse
+    blocks = [0]
+
+    def counted_split(block):
+        blocks[0] += 1
+        return split(block)
+
+    def counted_parse(uri):
+        calls.append((blocks[0], uri))
+        return parse(uri)
+
+    with (
+        mock.patch.object(kg, "_BLOCK_BYTES", 1024),
+        mock.patch.object(kg, "_split_block", counted_split),
+        mock.patch.object(kg, "_parse_concept_uri", counted_parse),
+    ):
+        g, got = ingest_csv(io.BytesIO(dump), "en")
+    expected, report = ingest_oracle(dump, "en")
+    assert vars(got) == report
+    assert_same_tables(g, expected)
+    assert blocks[0] > 40
+    kept = {uri for uri in uris if (parse(uri) or ("",))[0] == "en"}
+    assert Counter(uri for _, uri in calls if uri in kept) == dict.fromkeys(kept, 1)
+    rejected = Counter(call for call in calls if call[1] not in kept)
+    assert {uri for _, uri in rejected} == set(uris) - kept
+    assert set(rejected.values()) == {1}
+
+
+def test_peak_memory_per_line():
+    # criterion-7's shape at a small scale, in many blocks: no field is a
+    # Python string, the URI table holds words, and the kept codes are
+    # int32 (12 bytes a line).  This traced 76 bytes a line; the coder
+    # that keyed str tables and kept int64 codes traced 126.
+    rng = np.random.default_rng(7)
+    lines, concepts, hubs = 30_000, 3_400, 70
+    relations = ["RelatedTo", "IsA", "AtLocation", "UsedFor", "Antonym", "PartOf"]
+    rel = rng.integers(0, len(relations), size=lines).tolist()
+    start = np.where(rng.random(lines) < 0.3, rng.integers(0, hubs, lines), rng.integers(0, concepts, lines)).tolist()
+    end = np.where(rng.random(lines) < 0.15, rng.integers(0, hubs, lines), rng.integers(0, concepts, lines)).tolist()
+    dump = "".join(
+        f'/a/e{i}\t/r/{relations[r]}\t/c/en/w{s}\t/c/en/w{e}\t{{"weight": 1.0}}\n'
+        for i, (r, s, e) in enumerate(zip(rel, start, end))
+    ).encode()
+    with mock.patch.object(kg, "_BLOCK_BYTES", 1 << 17):
+        (g, report), peak = traced_peak(ingest_csv, io.BytesIO(dump), "en")
+    assert report.lines_total == lines
+    assert peak / lines < 95
 
 
 def test_line_longer_than_many_blocks():
