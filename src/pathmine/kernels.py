@@ -25,9 +25,6 @@ import numpy as np
 # representable double so the node ranks last under any sibling softmax.
 SCORE_SENTINEL = float(np.finfo(np.float64).min)
 
-# walk vectors switch to exact Python integers above this total
-_INT64_SAFE = float(1 << 62)
-
 
 def gather_rows(indptr, rows):
     """Flat positions of every entry of ``rows``, and the row index of each."""
@@ -47,34 +44,53 @@ def run_starts(a, b):
 
 
 def _row_sums(indptr, values):
-    # row sums as differences of one running sum
-    run = np.zeros(values.size + 1, dtype=values.dtype)
-    np.cumsum(values, out=run[1:])
-    return run[indptr[1:]] - run[indptr[:-1]]
+    """Each row's sum of ``values``, in their dtype.  ``values`` becomes its
+    running sum in place; an unsigned one may wrap, but a row's sum is the
+    difference of two of its entries, so it is exact when it fits."""
+    np.cumsum(values, out=values)
+    ends = values[indptr[1:] - 1]
+    ends[indptr[1:] == 0] = 0  # the rows before the first entry
+    return np.diff(ends, prepend=ends.dtype.type(0))
 
 
 # ---------------------------------------------------------------------------
-# walk counting: v <- B v with B = A + A^T, multiplicity-weighted
+# walk counting: v_j = B^j 1 with B = A + A^T, multiplicity-weighted
 
 
 def walk_totals(indptr, dst, degrees, k: int) -> list[int]:
     """Total numbers of 1- to k-edge walks, traversing stored edges in both
-    directions, from one pass of ``k`` steps.
+    directions.
 
-    ``degrees`` is ``np.diff(indptr)``.  Exact for any graph: once a step's
-    total could leave int64 the walk vector is carried in Python integers.
+    With v_j = B^j 1, ``B`` symmetric, walks of 2m edges total v_m . v_m
+    and walks of 2m+1 edges v_m . v_(m+1).  v_1 is ``degrees``
+    (``np.diff(indptr)``), so k = 3 and 4 take one pass over the CSR.
+    Exact for any graph: a vector or a total that could leave int64 is
+    carried in Python integers.
     """
-    degrees_f = degrees.astype(np.float64)
-    v = np.ones(degrees.size, dtype=np.int64)
-    totals = []
-    for _ in range(k):
-        # the next vector sums to degrees . v, and every entry and running
-        # sum of a step is at most that
-        if v.dtype != object and float(degrees_f @ v) >= _INT64_SAFE:
-            v = v.astype(object)
-        v = _row_sums(indptr, v[dst])
-        totals.append(int(v.sum()))
-    return totals
+    vectors = [np.ones(degrees.size, dtype=np.int64), degrees]
+    top = int(degrees.max(initial=0))
+    while len(vectors) <= (k + 1) // 2:
+        vectors.append(_walk_step(indptr, dst, vectors[-1], top))
+    return [_dot(vectors[j // 2], vectors[(j + 1) // 2]) for j in range(1, k + 1)]
+
+
+def _walk_step(indptr, dst, v, top_degree):
+    """B v, from one gather of ``v`` at the narrowest width that holds
+    every row's sum (at most ``top_degree`` times the largest entry)."""
+    bound = top_degree * int(v.max(initial=0))
+    if not bound:
+        return np.zeros(v.size, dtype=np.int64)
+    if bound >= 1 << 63:
+        return _row_sums(indptr, v.astype(object)[dst])
+    return _row_sums(indptr, v.astype(np.min_scalar_type(bound))[dst]).astype(np.int64)
+
+
+def _dot(a, b) -> int:
+    """a . b of two non-negative vectors, in Python integers when it could
+    leave int64."""
+    if a.dtype == object or b.dtype == object or float(a.astype(np.float64) @ b.astype(np.float64)) >= 1 << 62:
+        return int(a.astype(object) @ b.astype(object))
+    return int(a @ b)
 
 
 # ---------------------------------------------------------------------------

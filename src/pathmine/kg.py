@@ -13,11 +13,12 @@ a relation or concept URI of the wrong shape.
 Ingest reads the dump in blocks of whole lines (``_BLOCK_BYTES``, about
 4 MiB) and codes each block's relation and concept URIs from its bytes,
 so no field becomes a Python object.  A block is split into the offset
-and length of each well-formed line's URI fields; only the lines that
-hold a non-ASCII byte are decoded, each on its own, to check that they
-are UTF-8.  Each field is read as 8-byte words and hashed, equal hashes
-are grouped by one sort, and every field is checked byte for byte
-against its group's first.  Each group is then looked up in a table
+and length of each well-formed line's URI fields (int32 in a block under
+1 GiB); only the lines that hold a non-ASCII byte are decoded, each on
+its own, to check that they are UTF-8.  Each field is read as 8-byte
+words and hashed, equal hashes are grouped by one sort, and every field
+is checked byte for byte against its group's first, a slice of fields at
+a time.  Each group is then looked up in a table
 that lasts across blocks (sorted hashes, codes and the fields' words),
 every hit again checked byte for byte, so a hash collision costs time,
 never a wrong code.  Only the groups the table lacks are decoded, in one
@@ -30,7 +31,11 @@ The blocks' codes are then joined column by column, and ids are
 assigned by first appearance and duplicates dropped in one vectorized
 pass, shared with :func:`graph_from_triples`, that frees each code
 column once it is mapped to int32 ids and releases its own temporaries
-before it hands the graph its edges.
+before it hands the graph its edges.  First appearances are found with
+positions at the narrowest width that holds them.  Duplicates are found
+by one sort of a copy of the packed (lo, relation, hi) keys, by value
+alone: the values that repeat are looked up in one pass over the keys,
+and of each the first line is kept, in its own orientation.
 
 The persisted index (format 4) is a little-endian binary file: magic
 ``PMKG``, a u32 format version, eight sections, and a trailing u64
@@ -327,6 +332,8 @@ _MALFORMED = -1
 _OTHER_LANGUAGE = -2
 # the code of a field the table does not hold yet
 _UNKNOWN = -3
+# pairs of fields compared byte for byte at a time
+_SLICE = 1 << 16
 
 
 def _blocks(source: BinaryIO) -> Iterator[bytes]:
@@ -336,21 +343,26 @@ def _blocks(source: BinaryIO) -> Iterator[bytes]:
     ends in one.
     """
     # only each new chunk is searched, so a line longer than a block
-    # costs time linear in its length
+    # costs time linear in its length; a block is copied once from its
+    # chunks, which are dropped before it is handed on
     pending: list[bytes] = []
     while chunk := source.read(_BLOCK_BYTES):
-        head, newline, tail = chunk.rpartition(b"\n")
-        if newline:
-            yield b"".join([*pending, head, newline])
-            pending = []
-        pending.append(tail)
+        cut = chunk.rfind(b"\n") + 1
+        if not cut:
+            pending.append(chunk)
+            continue
+        block = b"".join([*pending, memoryview(chunk)[:cut]])
+        pending = [chunk[cut:]]
+        del chunk
+        yield block
     if rest := b"".join(pending):
         yield rest
 
 
 def _split_block(block: bytes) -> tuple[int, np.ndarray, np.ndarray]:
     """(line count, start, length) of fields 1-3 of the well-formed lines:
-    two int64 arrays of shape (3, lines kept), one row per field.
+    two arrays of shape (3, lines kept), one row per field, int32 in a
+    block under 1 GiB (so its fields' words are counted in int32 too).
 
     A line is well formed when it holds exactly four tabs and is UTF-8.
     Lines end at ``\\n`` only; a trailing ``\\r`` stays in the last field,
@@ -361,7 +373,7 @@ def _split_block(block: bytes) -> tuple[int, np.ndarray, np.ndarray]:
     ends = np.flatnonzero(raw == ord("\n"))
     if not block.endswith(b"\n"):
         ends = np.append(ends, raw.size)
-    tabs = np.flatnonzero(raw == ord("\t"))
+    tabs = np.flatnonzero(raw == ord("\t")).astype(np.int32 if raw.size < 1 << 30 else np.int64)
     upto = tabs.searchsorted(ends)  # tabs before each line's end
     first = np.concatenate(([0], upto[:-1]))  # each line's first tab
     ok = upto - first == 4
@@ -393,7 +405,7 @@ class _Fields:
         self.words = words
         self.lengths = lengths
         self.count = np.maximum((lengths + 7) >> 3, 1)
-        self.first = np.cumsum(self.count) - self.count
+        self.first = np.cumsum(self.count, dtype=self.count.dtype) - self.count
         self.hashes: np.ndarray | None = None
 
     @classmethod
@@ -408,7 +420,7 @@ class _Fields:
         """
         fields = cls(np.empty(0, dtype=np.uint64), lengths)
         count, first = fields.count, fields.first
-        local = np.arange(count.sum()) - np.repeat(first, count)
+        local = np.arange(count.sum(), dtype=first.dtype) - np.repeat(first, count)
         at = np.repeat(starts, count) + 8 * local
         if len(block) < 8:
             block = block.ljust(8, b"\0")
@@ -425,7 +437,7 @@ class _Fields:
             fields.words = view[at]
         del at
         fields.words[tail] &= cls._MASKS[lengths - 8 * (count - 1)]
-        fields.hashes = _hash(fields.words, local.view(np.uint64), first, lengths)
+        fields.hashes = _hash(fields.words, local, first, lengths)
         return fields
 
     def select(self, index: np.ndarray) -> "_Fields":
@@ -439,7 +451,8 @@ class _Fields:
 def _hash(words: np.ndarray, local: np.ndarray, first: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """A 64-bit hash of each string of :class:`_Fields` ``words``, from
     its words, their places ``local`` in it and its length."""
-    mixed = words ^ local  # the same words in another order hash apart
+    mixed = local.astype(np.uint64)
+    mixed ^= words  # the same words in another order hash apart
     mixed *= np.uint64(0x9E3779B97F4A7C15)
     mixed ^= mixed >> 29
     mixed *= np.uint64(0xBF58476D1CE4E5B9)
@@ -453,15 +466,18 @@ def _hash(words: np.ndarray, local: np.ndarray, first: np.ndarray, lengths: np.n
 def _same(a: _Fields, i: np.ndarray, b: _Fields, j: np.ndarray) -> np.ndarray:
     """Whether string ``i[k]`` of ``a`` equals string ``j[k]`` of ``b``,
     byte for byte, for each ``k``: a word at a time, each round over the
-    pairs that are still equal and have words left."""
+    pairs that are still equal and have words left.  The pairs are checked
+    in slices, so the rounds' temporaries stay small however many there
+    are."""
     same = a.lengths[i] == b.lengths[j]
-    k = np.flatnonzero(same)
-    left, wa, wb = a.count[i[k]], a.first[i[k]], b.first[j[k]]
-    while k.size:
-        differ = a.words[wa] != b.words[wb]
-        same[k[differ]] = False
-        go = ~differ & (left > 1)
-        k, left, wa, wb = k[go], left[go] - 1, wa[go] + 1, wb[go] + 1
+    for lo in range(0, same.size, _SLICE):
+        k = lo + np.flatnonzero(same[lo : lo + _SLICE])
+        left, wa, wb = a.count[i[k]], a.first[i[k]], b.first[j[k]]
+        while k.size:
+            differ = a.words[wa] != b.words[wb]
+            same[k[differ]] = False
+            go = ~differ & (left > 1)
+            k, left, wa, wb = k[go], left[go] - 1, wa[go] + 1, wb[go] + 1
     return same
 
 
@@ -474,23 +490,23 @@ def _groups(fields: _Fields) -> tuple[np.ndarray, np.ndarray]:
     differ from it (a hash collision) are grouped again among themselves,
     so a collision costs a round, never a wrong group.
     """
-    group = np.empty(fields.lengths.size, dtype=np.int64)
+    group = np.empty(fields.lengths.size, dtype=fields.first.dtype)
     reps: list[np.ndarray] = []
     found = 0
-    pending = np.arange(fields.lengths.size)
+    pending = np.arange(fields.lengths.size, dtype=fields.first.dtype)
     while pending.size:
         # the hash's high bits above each string's place in ``pending``
         bits = pending.size.bit_length()
         key = fields.hashes[pending] >> bits << bits
         key |= np.arange(pending.size, dtype=np.uint64)
         key.sort()
-        member = pending[(key & ((1 << bits) - 1)).astype(np.intp)]
+        member = pending[(key & ((1 << bits) - 1)).astype(pending.dtype)]
         key >>= bits
         head = np.empty(key.size, dtype=np.bool_)
         head[:1] = True
         np.not_equal(key[1:], key[:-1], out=head[1:])
         del key
-        which = np.cumsum(head) - 1
+        which = np.cumsum(head, dtype=pending.dtype) - 1
         rep = member[head]
         same = member == rep[which]
         other = np.flatnonzero(~same)
@@ -574,11 +590,34 @@ class _Coder:
 
 def _first_appearance(codes: np.ndarray, size: int) -> np.ndarray:
     """The distinct codes (each in [0, size)), in the order of their first
-    position in ``codes``."""
-    first = np.full(size, codes.size)
-    np.minimum.at(first, codes, np.arange(codes.size))
+    position in ``codes``; positions are held at the narrowest width."""
+    width = np.min_scalar_type(codes.size)
+    first = np.full(size, codes.size, dtype=width)
+    np.minimum.at(first, codes, np.arange(codes.size, dtype=width))
     present = np.flatnonzero(first < codes.size)
     return present[np.argsort(first[present])]
+
+
+def _first_of_each(key: np.ndarray) -> np.ndarray:
+    """Mask of the entries of ``key`` whose value no earlier entry holds.
+
+    A sorted copy gives the values that repeat, and one pass over ``key``
+    finds their entries; of each value's entries the first is kept.  So
+    only values are sorted, never positions.
+    """
+    ordered = np.sort(key)
+    repeats = ordered[1:][ordered[1:] == ordered[:-1]]  # sorted; a value held m times is here m - 1 times
+    del ordered
+    if not repeats.size:
+        return np.ones(key.size, dtype=np.bool_)
+    # the least repeated value not below each key (the largest where none
+    # is), gathered in place: out and indices are one intp array
+    found = repeats.searchsorted(key)
+    held = np.take(repeats, found, out=found, mode="clip") == key
+    del found
+    at = np.flatnonzero(held)
+    held[at[np.unique(key[at], return_index=True)[1]]] = False
+    return np.logical_not(held, out=held)
 
 
 def _assemble(
@@ -599,7 +638,7 @@ def _assemble(
     graph's builder is handed the upper half.
     """
     e = coded[0].size
-    walk = np.empty(len(extra) + 2 * e, dtype=np.int64)
+    walk = np.empty(len(extra) + 2 * e, dtype=coded[0].dtype)
     walk[: len(extra)] = extra
     walk[len(extra) :: 2] = coded[0]
     walk[len(extra) + 1 :: 2] = coded[2]
@@ -611,8 +650,9 @@ def _assemble(
     _key_bits(n, r)  # a graph it admits has concept ids below 2**31
     new_concept = np.empty(len(surfaces), dtype=np.int32)
     new_concept[concepts] = np.arange(n, dtype=np.int32)
-    new_relation = np.empty(len(relation_names), dtype=np.int32)
-    new_relation[relations] = np.arange(relations.size, dtype=np.int32)
+    # relation ids at the width the graph's builder stores them
+    new_relation = np.empty(len(relation_names), dtype=np.min_scalar_type(r - 1))
+    new_relation[relations] = np.arange(relations.size)
     end = new_concept[coded.pop()]
     rel = new_relation[coded.pop()]
     start = new_concept[coded.pop()]
@@ -626,7 +666,7 @@ def _assemble(
     key *= n
     key += np.where(symmetric, np.maximum(start, end), end)
     del symmetric
-    keep = np.unique(key, return_index=True)[1]
+    keep = _first_of_each(key)
     del key
     start, end = start[keep], end[keep]
     upper = [np.minimum(start, end), np.maximum(start, end), rel[keep], start > end]
@@ -691,7 +731,9 @@ def ingest_csv(source: BinaryIO, lang: str) -> tuple[KnowledgeGraph, IngestRepor
     for column in parts:
         coded.append(np.concatenate(column))
         column.clear()
-    g = _assemble(lang, list(surfaces), list(relation_names), coded)
+    names = list(surfaces)
+    surfaces.clear()  # the graph builds its own table
+    g = _assemble(lang, names, list(relation_names), coded)
     report.edges_kept = g.edge_count
     report.duplicates_removed = kept - g.edge_count
     return g, report

@@ -210,8 +210,9 @@ def test_each_uri_parsed_once():
 def test_peak_memory_per_line():
     # criterion-7's shape at a small scale, in many blocks: no field is a
     # Python string, the URI table holds words, and the kept codes are
-    # int32 (12 bytes a line).  This traced 76 bytes a line; the coder
-    # that keyed str tables and kept int64 codes traced 126.
+    # int32 (12 bytes a line).  This traced 50 bytes a line; with int64
+    # field positions and three copies of each block it traced 76, and
+    # the coder that keyed str tables and kept int64 codes 126.
     rng = np.random.default_rng(7)
     lines, concepts, hubs = 30_000, 3_400, 70
     relations = ["RelatedTo", "IsA", "AtLocation", "UsedFor", "Antonym", "PartOf"]
@@ -225,7 +226,25 @@ def test_peak_memory_per_line():
     with mock.patch.object(kg, "_BLOCK_BYTES", 1 << 17):
         (g, report), peak = traced_peak(ingest_csv, io.BytesIO(dump), "en")
     assert report.lines_total == lines
-    assert peak / lines < 95
+    assert peak / lines < 58
+
+
+@pytest.mark.parametrize("line", [b"\t\t\t\t\n", b"a\tb\tc\td\t\n"])
+def test_peak_memory_of_short_fields(line):
+    # a block of tiny lines holds the most fields a byte, and every field
+    # repeats the first, so each is checked byte for byte against it.  The
+    # field positions are int32 and the checks run in slices: this traced
+    # 167 and 177 bytes a line, int64 positions and one check of them all
+    # 342 and 350
+    lines = (1 << 20) // len(line)
+    dump = line * lines
+
+    def ingest():
+        with pytest.raises(IngestError, match="no edges"):
+            ingest_csv(io.BytesIO(dump), "en")
+
+    _, peak = traced_peak(ingest)
+    assert peak / lines <= 256
 
 
 def test_line_longer_than_many_blocks():
@@ -261,6 +280,37 @@ def test_each_kind_of_line_counted():
         "skipped_language": 1,
         "duplicates_removed": 1,
     }
+
+
+def test_repeats_across_blocks_keep_the_first_line():
+    # one symmetric key six times over many blocks, as exact repeats and
+    # mirror images, first from the higher id to the lower; and one
+    # ordered key three times, whose mirror image is another edge
+    lines = [
+        ("a", "IsA", "b"),
+        ("b", "RelatedTo", "a"),
+        ("a", "RelatedTo", "b"),
+        ("a", "IsA", "b"),
+        ("b", "RelatedTo", "a"),
+        ("b", "IsA", "a"),
+        ("a", "RelatedTo", "b"),
+        ("a", "IsA", "b"),
+        ("b", "RelatedTo", "a"),
+        ("a", "RelatedTo", "b"),
+    ]
+    dump = "".join(f"/a/x\t/r/{r}\t/c/en/{s}\t/c/en/{e}\t{{}}\n" for s, r, e in lines).encode()
+    with mock.patch.object(kg, "_BLOCK_BYTES", 64):
+        assert len(list(kg._blocks(io.BytesIO(dump)))) > 5
+        g, got = ingest_csv(io.BytesIO(dump), "en")
+    expected, report = ingest_oracle(dump, "en")
+    assert vars(got) == report
+    assert got.duplicates_removed == 7
+    assert_same_tables(g, expected)
+    a, b = g.surface_to_id["a"], g.surface_to_id["b"]
+    isa, related = g.relation_names.index("IsA"), g.relation_names.index("RelatedTo")
+    edges = sorted(zip(g.edge_start.tolist(), g.edge_rel.tolist(), g.edge_end.tolist()))
+    assert (a, b) == (0, 1)
+    assert edges == sorted([(a, isa, b), (b, related, a), (b, isa, a)])
 
 
 def test_extra_concepts_take_the_first_ids():

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from pathmine import PathmineError, WalkStats, graph_from_triples, kernels
 
 from conftest import (
+    count_walks_oracle,
     multiplicity_oracle,
     neighbor_lists,
     partner_count_oracle,
@@ -352,6 +353,26 @@ class TestWalkTotals:
     def test_exact_beyond_int64(self, parallel):
         csr = _two_node_csr(parallel)
         assert kernels.walk_totals(*csr, 4) == [2 * parallel**k for k in (1, 2, 3, 4)]
+
+    @pytest.mark.parametrize(
+        "parallel, k",
+        [
+            (10_000, 5),  # every vector fits int64, v_2 . v_3 = 2 p**5 does not
+            (65_536, 9),  # v_4 = p**4 = 2**64 and v_5 leave int64 themselves
+        ],
+    )
+    def test_exact_when_a_product_or_a_vector_leaves_int64(self, parallel, k):
+        assert kernels.walk_totals(*_two_node_csr(parallel), k) == [2 * parallel**j for j in range(1, k + 1)]
+
+    def test_random_multigraphs_match_enumeration_up_to_six_edges(self):
+        # small rows gather at one and two bytes; one-byte running sums wrap
+        rng = np.random.default_rng(17)
+        for _ in range(6):
+            g = random_multigraph(rng, max_nodes=12, max_edges=30)
+            csr = (g.adj_indptr, g.adj_dst, g.degrees)
+            want = [count_walks_oracle(g, k) for k in range(1, 7)]
+            for k in range(1, 7):
+                assert kernels.walk_totals(*csr, k) == want[:k]
 
     def test_stats_beyond_index_fields_rejected(self, monkeypatch):
         def huge(indptr, dst, degrees, k):

@@ -572,8 +572,9 @@ class TestConstructionMemory:
 
     def test_assembly_peak_per_edge(self, dump, monkeypatch):
         # above the coded columns it is handed: int32 ids, the dedup key
-        # and its sort, then the CSR's packed key (16 bytes an edge) and
-        # arrays (12 bytes an edge)
+        # and its sorted copy, then the CSR's packed key (16 bytes an edge)
+        # and arrays (12 bytes an edge).  This traced 29 bytes an edge; a
+        # dedup by np.unique and int64 first-appearance positions traced 61
         assemble, peaks = kg._assemble, []
 
         def traced(*args):
@@ -584,7 +585,23 @@ class TestConstructionMemory:
         monkeypatch.setattr(kg, "_assemble", traced)
         g, report = ingest_csv(io.BytesIO(dump), "en")
         assert report.lines_total == 200_000 and g.node_count == 2000
-        assert peaks[0] / report.lines_total <= 100
+        assert peaks[0] / report.lines_total <= 33
+
+    def test_build_peak_per_line(self, dump, monkeypatch):
+        # ingest in 128-KiB blocks, walk statistics and save: each stage's
+        # temporaries are freed before the next.  This traced 34 bytes a
+        # line; walk totals of three gathers in int64 and a dedup by
+        # np.unique traced 62
+        monkeypatch.setattr(kg, "_BLOCK_BYTES", 1 << 17)
+
+        def build():
+            g, report = ingest_csv(io.BytesIO(dump), "en")
+            save_index(g, io.BytesIO(), WalkStats.from_graph(g))
+            return report
+
+        report, peak = traced_peak(build)
+        assert report.lines_total == 200_000
+        assert peak / report.lines_total <= 39
 
     def test_load_peak_per_edge(self, dump):
         # the packed key and the CSR arrays, not the index's columns too
