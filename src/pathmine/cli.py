@@ -15,7 +15,7 @@ import click
 
 from .kg import PathmineError, WalkStats, ingest_csv, load_index, save_index
 from .pipeline import Config, ExtractionRequest, Extractor, run_batch
-from .scoring import SCORE_SENTINEL
+from .scoring import SCORE_SENTINEL, level5_scores
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -158,7 +158,10 @@ def render_explanation(extractor: Extractor, context: str, query: str) -> str:
     scored, selections = result
     tree = scored.tree
     # every level-5 child, re-grown in one call
-    c5, r5, raw5, n5, offsets = (a.tolist() for a in tree.regrow5(range(tree.node_count)))
+    nodes = range(tree.node_count)
+    c5, r5, offsets = tree.regrow5(nodes, pair, graph, extractor.config.build)
+    raw5, n5 = level5_scores(tree, pair, nodes, c5, offsets)
+    c5, r5, raw5, n5, offsets = (a.tolist() for a in (c5, r5, raw5, n5, offsets))
 
     def fmt(value: float) -> str:
         return "-inf" if value == SCORE_SENTINEL else f"{value:.6f}"

@@ -1,8 +1,8 @@
-"""Text-to-graph grounding: tokenization and concept mentions.
+"""Text-to-graph grounding: tokenization and concept mentions, as arrays.
 
 ``pipeline.ground_pair`` grounds one context/query pair with them, and
-builds the pair's context counts: one int32 array over the graph's
-concepts, which tree growth, scoring and level-5 re-growth all read.
+scatters the context mentions into the pair's context counts (int32, one
+per graph concept), which tree growth, scoring and re-growth read.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ class TokenizedText:
 
 @dataclass
 class ConceptMentionSet:
-    """Concept id -> occurrence count over one source text."""
+    """A text's distinct concepts in first-mention order, their counts, and its token count."""
 
-    mentions: dict[int, int]
+    mentions: np.ndarray
+    counts: np.ndarray
     source_len: int
 
 
@@ -64,12 +65,8 @@ def load_stopwords(path: str | None = None) -> frozenset[str]:
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    words = set()
-    for line in text.splitlines():
-        token = line.strip().lower()
-        if token and not token.startswith("#"):
-            words.add(token)
-    return frozenset(words)
+    tokens = (line.strip().lower() for line in text.splitlines())
+    return frozenset(token for token in tokens if token and not token.startswith("#"))
 
 
 def extract_concepts(
@@ -113,5 +110,5 @@ def extract_concepts(
         if cid is not None:
             mentions[cid] = mentions.get(cid, 0) + 1
         i += n
-    return ConceptMentionSet(mentions=mentions, source_len=n_tokens)
+    return ConceptMentionSet(np.fromiter(mentions, np.int64), np.fromiter(mentions.values(), np.int64), n_tokens)
 

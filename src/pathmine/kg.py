@@ -27,7 +27,8 @@ parsed once; a rejected one (malformed, or of another language) is
 forgotten after its block, so the table grows with the graph's concepts
 rather than with the dump.  Memory is one block, its fields' words and
 offsets, the tables and the kept edges' int32 codes (12 bytes a line).
-The blocks' codes are then joined column by column, and ids are
+The blocks' codes are then joined column by column, the heap the block
+loop freed is handed back to the OS where glibc can, and ids are
 assigned by first appearance and duplicates dropped in one vectorized
 pass, shared with :func:`graph_from_triples`, that frees each code
 column once it is mapped to int32 ids and releases its own temporaries
@@ -84,6 +85,7 @@ bytes an edge with up to 256 relations) while it is decoded.
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import mmap
@@ -733,6 +735,8 @@ def ingest_csv(source: BinaryIO, lang: str) -> tuple[KnowledgeGraph, IngestRepor
         column.clear()
     names = list(surfaces)
     surfaces.clear()  # the graph builds its own table
+    with contextlib.suppress(AttributeError, OSError, TypeError):  # a C library without malloc_trim
+        ctypes.CDLL(None).malloc_trim(0)  # return the block loop's free heap to the OS
     g = _assemble(lang, names, list(relation_names), coded)
     report.edges_kept = g.edge_count
     report.duplicates_removed = kept - g.edge_count

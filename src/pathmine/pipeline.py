@@ -56,12 +56,12 @@ def ground_pair(
     if stopwords is None:
         stopwords = _packaged_stopwords()
     ctx = extract_concepts(tokenize(context), g, max_ngram, stopwords)
-    # dict preserves first-mention order; counts are irrelevant for the query
-    query_concepts = list(extract_concepts(tokenize(query), g, max_ngram, stopwords).mentions)
+    # mentions keep first-mention order; counts are irrelevant for the query
+    query_concepts = extract_concepts(tokenize(query), g, max_ngram, stopwords).mentions.tolist()
     counts = np.zeros(0, dtype=np.int32)
     if ctx.source_len and query_concepts:
         counts = np.zeros(g.node_count, dtype=np.int32)
-        counts[list(ctx.mentions)] = list(ctx.mentions.values())
+        counts[ctx.mentions] = ctx.counts
     return GroundedPair(ctx, query_concepts, counts)
 
 
@@ -167,7 +167,7 @@ class Extractor:
         forest = build_tree(pair.query_concepts, pair, self.graph, self.config.build)
         scored = score_tree(forest, pair, self.graph, self.stats)
         selections: list[PathSelection] = []
-        for root, full in enumerate(select_paths(scored)):
+        for root, full in enumerate(select_paths(scored, pair, self.graph, self.config.build)):
             if full:
                 rng = np.random.default_rng([self.config.seed, request_index, root])
                 selections.append(realize_selection(full, self.graph, rng))
@@ -180,15 +180,9 @@ class Extractor:
         try:
             result = self.analyze(self.ground(request.context, request.query), request_index)
         except Exception as exc:  # per-request failures never abort a batch
-            return ExtractionResult(
-                id=request.id,
-                paths=[],
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            return ExtractionResult(id=request.id, paths=[], error=f"{type(exc).__name__}: {exc}")
         scored, selections = result or (None, [])
-        paths: list[list[str]] = []
-        for selection in selections:
-            paths.extend(selection.realized)
+        paths = [tokens for selection in selections for tokens in selection.realized]
         if self.config.max_total_paths is not None:
             paths = paths[: self.config.max_total_paths]
         forest = scored.tree if scored is not None else None
@@ -198,11 +192,7 @@ class Extractor:
             "full_paths": sum(len(s.full_paths) for s in selections),
             "truncations": sum(len(s.truncations) for s in selections),
         }
-        return ExtractionResult(
-            id=request.id,
-            paths=paths,
-            stats=stats,
-        )
+        return ExtractionResult(id=request.id, paths=paths, stats=stats)
 
 
 def parse_request_line(line: str) -> ExtractionRequest:

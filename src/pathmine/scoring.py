@@ -10,8 +10,8 @@ the mean of its two best children.
 
 Level 5 is scored where the tree summarizes it, never child by child:
 the cumulative pass adds each level-4 node's ``top5`` from the tree's
-:class:`~pathmine.tree.Level5`, and :meth:`~pathmine.tree.PathTree.regrow5`
-gives the scores of the children it re-grows.
+:class:`~pathmine.tree.Level5`, and :func:`level5_scores` scores the
+children that :meth:`~pathmine.tree.PathTree.regrow5` re-grows.
 """
 
 from __future__ import annotations
@@ -121,3 +121,13 @@ def score_tree(
         return ScoredTree(tree, raw, np.ones(tree.root_count), np.ones(tree.root_count))
     n_score = sibling_softmax(tree, raw)
     return ScoredTree(tree, raw, n_score, cumulative_score(tree, n_score))
+
+
+def level5_scores(tree: PathTree, gp: GroundedPair, nodes, concepts, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """Raw and normalized scores of the children ``tree.regrow5(nodes, gp, ...)``
+    gave as ``concepts`` and ``offsets``: a context count over the context
+    length, and its softmax against its node's ``level5.sum5``."""
+    seg = np.arange(len(nodes)).repeat(np.diff(offsets))
+    raw = gp.context_counts[concepts] / gp.context_mentions.source_len
+    best, total = raw[offsets[seg]], tree.level5.sum5[np.asarray(nodes, dtype=np.int64)[seg] - tree.first4]
+    return raw, np.exp(raw - best) / total

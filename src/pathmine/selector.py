@@ -7,8 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grounding import GroundedPair
 from .kg import KnowledgeGraph
 from .scoring import ScoredTree
+from .tree import BuildConfig
 
 TOP_CHILDREN = 2
 
@@ -33,14 +35,16 @@ class PathSelection:
     realized: list[list[str]]
 
 
-def select_paths(st: ScoredTree) -> list[list[SelectedPath]]:
+def select_paths(
+    st: ScoredTree, gp: GroundedPair, g: KnowledgeGraph, cfg: BuildConfig
+) -> list[list[SelectedPath]]:
     """Each root's root-to-leaf paths of its kept subtree, in root order.
 
     Descending from a root, each node keeps its (at most) two children of
     levels 2-4 with the highest cumulative scores, ties to the lower
     concept id; a level-4 node keeps its first two level-5 children, which
-    rank by context count.  That bounds a root at 16 full paths, and a
-    bare root has none.
+    rank by context count, re-grown from the forest's ``gp``, ``g`` and
+    ``cfg``.  That bounds a root at 16 full paths, and a bare root has none.
     """
     tree, c_score, leaves = st.tree, st.c_score, []
     # depth-first with an explicit stack: a recursive closure would form a
@@ -60,7 +64,7 @@ def select_paths(st: ScoredTree) -> list[list[SelectedPath]]:
             )
     c5, r5, offsets = [], [], [0] * (len(leaves) + 1)
     if any(idx >= tree.first4 for _, idx, _, _ in leaves):  # level-4 leaves: re-grow their children at once
-        c5, r5, _, _, offsets = (a.tolist() for a in tree.regrow5([idx for _, idx, _, _ in leaves]))
+        c5, r5, offsets = (a.tolist() for a in tree.regrow5([idx for _, idx, _, _ in leaves], gp, g, cfg))
     paths: list[list[SelectedPath]] = [[] for _ in range(tree.root_count)]
     for (root, _, concepts, relations), lo, hi in zip(leaves, offsets, offsets[1:]):
         for c, r in zip(c5[lo : min(hi, lo + TOP_CHILDREN)], r5[lo : min(hi, lo + TOP_CHILDREN)]):

@@ -22,9 +22,10 @@ a context count over the context length, so each node's softmax
 denominator is summed by count.  :class:`Level5` keeps the three numbers
 per level-4 node that scoring and selection read: how many children it
 keeps, that denominator and the mean of its two best normalized scores.
-:meth:`PathTree.regrow5` re-grows, with their scores, the children of the
-nodes whose children are read, by the expansion step that grows levels
-2-4.
+A forest holds nothing of its request beyond that.
+:meth:`PathTree.regrow5` re-grows the children of the nodes whose
+children are read, by the expansion step that grows levels 2-4, from the
+pair, graph and cap its caller hands it.
 """
 
 from __future__ import annotations
@@ -61,18 +62,12 @@ class Level5:
     ``i`` (the ``i``-th of its level) keeps ``count[i]`` children, whose
     softmax denominator is ``sum5[i]`` and whose two best normalized
     scores have the mean ``top5[i]`` (0 without a child, exactly 1/2 with
-    two).  ``cap``, ``tf``
-    (the context count of every concept), ``context_len`` and ``graph``
-    are what re-growth reads.
+    two).
     """
 
     count: np.ndarray
     sum5: np.ndarray
     top5: np.ndarray
-    cap: int = 0
-    tf: np.ndarray | None = None
-    context_len: int = 0
-    graph: KnowledgeGraph | None = None
 
     @classmethod
     @functools.lru_cache(maxsize=8)  # most forests have no level 4: share one
@@ -80,7 +75,7 @@ class Level5:
         """No level-5 child under any of ``n4`` level-4 nodes."""
         count, zeros = np.zeros(n4, dtype=np.int32), np.zeros(n4)
         count.flags.writeable = zeros.flags.writeable = False  # and so are their views
-        return cls(count, zeros, zeros, tf=count[:0])
+        return cls(count, zeros, zeros)
 
 
 class PathTree:
@@ -112,32 +107,28 @@ class PathTree:
         """Nodes of levels 1-4, the ones held in the arrays."""
         return int(self.concepts.size)
 
-    def regrow5(self, nodes) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The kept level-5 children of ``nodes``, re-grown in one call:
-        concepts, relation ids, raw and normalized scores, each node's best
-        first, and the offsets of each node's slice; none under a node that
-        is not at level 4.  They are grown as levels 2-3 are, with the
-        node's root-first path as its ancestors and the context counts as
-        filter and rank, and a child's raw score is its context count over
-        the context length."""
-        l5, nodes = self.level5, np.asarray(nodes, dtype=np.int64)
-        count = np.concatenate([np.zeros(self.first4, dtype=np.int32), l5.count])[nodes]
+    def regrow5(self, nodes, gp: GroundedPair, g: KnowledgeGraph, cfg: BuildConfig) -> tuple[np.ndarray, ...]:
+        """The kept level-5 children of ``nodes``, re-grown in one call from
+        the pair, graph and config the forest was built from: concepts and
+        relation ids, each node's best first, and the offsets of each
+        node's slice; none under a node that is not at level 4.  They are
+        grown as levels 2-3 are, with the node's root-first path as its
+        ancestors and the context counts as filter and rank."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        count = np.concatenate([np.zeros(self.first4, dtype=np.int32), self.level5.count])[nodes]
         live, size = (count > 0).nonzero()[0], np.zeros(nodes.size, dtype=np.int64)
         grown = [(np.zeros(0, dtype=np.int32),) * 2]
         i3 = self.parents[nodes[live]]
         paths = self.concepts[np.array([self.parents[self.parents[i3]], self.parents[i3], i3, nodes[live]]).T]
         # blocks of nodes whose rows hold at most about ``_REGROW_BLOCK`` entries
-        step = _REGROW_BLOCK // int(l5.graph.degrees[paths[:, 3]].max()) + 1 if live.size else 1
+        step = _REGROW_BLOCK // int(g.degrees[paths[:, 3]].max()) + 1 if live.size else 1
         for lo in range(0, live.size, step):
-            part = paths[lo : lo + step]
-            cand, rel, _, seg = _children(part[:, 3], part, l5.graph, l5.tf, l5.tf, l5.cap)
+            part, tf = paths[lo : lo + step], gp.context_counts
+            cand, rel, _, seg = _children(part[:, 3], part, g, tf, tf, cfg.max_children_per_node)
             size[live[lo : lo + step]] = np.bincount(seg, minlength=len(part))
             grown.append((cand, rel))
         concepts, rels = (np.concatenate(part) for part in zip(*grown))
-        offsets, seg = np.concatenate(([0], size.cumsum())), np.arange(nodes.size).repeat(size)
-        raw = l5.tf[concepts] / l5.context_len
-        best, total = raw[offsets[seg]], l5.sum5[nodes[seg] - self.first4]
-        return concepts, rels, raw, np.exp(raw - best) / total, offsets
+        return concepts, rels, np.concatenate(([0], size.cumsum()))
 
 
 def build_tree(
@@ -160,8 +151,6 @@ def build_tree(
         if c1 not in gp.query_concepts:
             raise ValueError("root concept is not one of the query concepts")
 
-    ctx_counts = gp.context_counts
-
     k = len(roots)
     frontier = np.asarray(roots, dtype=np.int32)
     frontier_idx = np.arange(k, dtype=np.int64)
@@ -181,7 +170,7 @@ def build_tree(
         # grounded levels rank by context term frequency and keep only
         # context concepts (a nonzero count); level 4 ranks by degree and
         # keeps every concept
-        allowed, scores = (ctx_counts, ctx_counts) if level != 4 else (None, g.degrees)
+        allowed, scores = (gp.context_counts,) * 2 if level != 4 else (None, g.degrees)
         cand, minrel, mult, seg = _children(frontier, ancestors, g, allowed, scores, cap)
         if not cand.size:
             break
@@ -199,10 +188,8 @@ def build_tree(
         frontier_idx = np.arange(next_index, next_index + cand.size, dtype=np.int64)
         next_index += cand.size
 
-    level5 = None
-    if len(concepts) == 4:  # the frontier is level 4, and ``ancestors`` its paths
-        upper = np.concatenate(concepts[:2])
-        level5 = _level5(ancestors, upper, gp, g, cap)
+    # with four levels the frontier is level 4, and ``ancestors`` its paths
+    level5 = _level5(ancestors, np.concatenate(concepts[:2]), gp, g, cap) if len(concepts) == 4 else None
     return PathTree(
         np.concatenate(concepts),
         np.concatenate(parents),
@@ -247,9 +234,8 @@ def _level5(paths, upper, gp: GroundedPair, g: KnowledgeGraph, cap: int) -> Leve
     list (c3 first, ``len(values)`` for one that is not), and keeps the
     first ``count[i]`` entries left, at most ``cap``, so whole values first.
     """
-    mentions, context_len = gp.context_mentions.mentions, gp.context_mentions.source_len
-    ctx = np.fromiter(mentions, dtype=np.int64, count=len(mentions))
-    values, value = np.unique(-np.fromiter(mentions.values(), np.int64, ctx.size), return_inverse=True)
+    ctx, context_len = gp.context_mentions.mentions, gp.context_mentions.source_len
+    values, value = np.unique(-gp.context_mentions.counts, return_inverse=True)
     values, n_val = -values, values.size  # descending
 
     # distinct level-4 concepts without a table scan: each holds one of its nodes
@@ -320,4 +306,4 @@ def _level5(paths, upper, gp: GroundedPair, g: KnowledgeGraph, cap: int) -> Leve
         # two children are their whole sibling group, so their mean is
         # exactly 1/2, however the CPU's ``np.exp`` rounds
         sum5[at], top5[at] = total, np.where(count[at] == 2, 0.5, (top1 + top2) / 2.0)
-    return Level5(count, sum5, top5, cap, gp.context_counts, context_len, g)
+    return Level5(count, sum5, top5)

@@ -21,7 +21,7 @@ import pytest
 import pathmine
 from pathmine import KnowledgeGraph, graph_from_triples
 from pathmine import kernels
-from pathmine.scoring import cumulative_score, sibling_softmax
+from pathmine.scoring import cumulative_score, level5_scores, sibling_softmax
 
 STORY_TRIPLES = [
     ("lady", "AtLocation", "church"),
@@ -156,15 +156,22 @@ def kept_triples(triples: list[tuple[str, str, str]]) -> list[tuple[str, str, st
     return kept
 
 
-def regrown(tree: pathmine.PathTree, scored: pathmine.ScoredTree | None = None):
-    """``tree`` with every kept level-5 child re-grown, through
-    ``regrow5``, into the arrays: level 5 follows level 4 in parent
-    order, so the order stays breadth-first.  A level-5 node's edge
-    count is 0: the summary keeps none.  With ``scored``, also a
-    ``ScoredTree`` of the same nodes' raw, normalized and cumulative
-    scores (a level-5 leaf's cumulative score is its normalized one)."""
+def regrown(
+    tree: pathmine.PathTree,
+    pair: pathmine.grounding.GroundedPair,
+    g: KnowledgeGraph,
+    cfg: pathmine.BuildConfig = pathmine.BuildConfig(),
+    scored: pathmine.ScoredTree | None = None,
+):
+    """``tree``, built from ``pair``, ``g`` and ``cfg``, with every kept
+    level-5 child re-grown, through ``regrow5``, into the arrays: level 5
+    follows level 4 in parent order, so the order stays breadth-first.  A
+    level-5 node's edge count is 0: the summary keeps none.  With
+    ``scored``, also a ``ScoredTree`` of the same nodes' raw, normalized
+    and cumulative scores, from ``level5_scores`` (a level-5 leaf's
+    cumulative score is its normalized one)."""
     idx4 = level_indices(tree, 4)
-    c5, r5, raw5, n5, offsets = tree.regrow5(idx4)
+    c5, r5, offsets = tree.regrow5(idx4, pair, g, cfg)
     full = pathmine.PathTree(
         np.concatenate([tree.concepts, c5]),
         np.concatenate([tree.parents, np.repeat(idx4, np.diff(offsets))]),
@@ -174,12 +181,18 @@ def regrown(tree: pathmine.PathTree, scored: pathmine.ScoredTree | None = None):
     )
     if scored is None:
         return full
+    raw5, n5 = level5_scores(tree, pair, idx4, c5, offsets)
     return full, pathmine.ScoredTree(
         tree=full,
         raw=np.concatenate([scored.raw, raw5]),
         n_score=np.concatenate([scored.n_score, n5]),
         c_score=np.concatenate([scored.c_score, n5]),
     )
+
+
+def mention_counts(mentions: pathmine.grounding.ConceptMentionSet) -> dict[int, int]:
+    """A mention set's concept -> count, in first-mention order."""
+    return dict(zip(mentions.mentions.tolist(), mentions.counts.tolist()))
 
 
 def level_indices(tree: pathmine.PathTree, level: int) -> np.ndarray:

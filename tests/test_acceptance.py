@@ -92,7 +92,7 @@ def test_criterion_2_cumulative_scoring_keeps_best_two():
     kept = {g.surfaces[tree.concepts[i]] for i in ranked[:2]}
     assert kept == {"daughter", "married"}
 
-    paths = select_paths(st)[0]
+    paths = select_paths(st, pair, g, BuildConfig())[0]
     path_concepts = {g.surfaces[c] for p in paths for c in p.concepts}
     assert "book" not in path_concepts
     assert {"daughter", "married"} <= path_concepts
@@ -133,7 +133,8 @@ def test_criterion_3_oracle_equivalence_on_random_multigraphs():
 
 
 def _tree_ensemble(min_trees: int):
-    """Deterministic stream of scored trees over connected random graphs."""
+    """Deterministic stream of graphs, pairs, trees and scored trees over
+    connected random graphs."""
     rng = np.random.default_rng(777)
     produced = 0
     while produced < min_trees:
@@ -146,16 +147,16 @@ def _tree_ensemble(min_trees: int):
         pair = ground_pair(" ".join(names), query, g)
         for c1 in pair.query_concepts:
             tree = build_tree([c1], pair, g)
-            yield g, tree, score_tree(tree, pair, g, stats)
+            yield g, pair, tree, score_tree(tree, pair, g, stats)
             produced += 1
 
 
 def test_criterion_4_score_invariants_over_generated_trees():
     trees = 0
-    for g, tree, st in _tree_ensemble(1000):
+    for g, pair, tree, st in _tree_ensemble(1000):
         trees += 1
         # level 5 re-grown as nodes, with the scores its summary gives them
-        full, st = regrown(tree, st)
+        full, st = regrown(tree, pair, g, scored=st)
         assert tree.node_count + tree.level5.count.sum() == full.node_count
         tree = full
         # sibling groups sum to one
@@ -181,9 +182,9 @@ def test_criterion_4_score_invariants_over_generated_trees():
 
 def test_criterion_5_cap_invariants_over_generated_trees():
     trees = 0
-    for g, tree, st in _tree_ensemble(400):
+    for g, pair, tree, st in _tree_ensemble(400):
         trees += 1
-        paths = select_paths(st)[0]
+        paths = select_paths(st, pair, g, BuildConfig())[0]
         selection = realize_selection(paths, g, np.random.default_rng(trees))
         assert len(paths) <= TOP_CHILDREN**4
         kept_children: dict[tuple[int, ...], set[int]] = {}

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from pathmine import graph_from_triples, ground_pair
 from pathmine.grounding import TokenizedText, extract_concepts, load_stopwords, tokenize
 
-from conftest import grounding_oracle, reference_token_count, random_multigraph, traced_peak
+from conftest import grounding_oracle, mention_counts, reference_token_count, random_multigraph, traced_peak
 
 
 STOPWORDS = load_stopwords()
@@ -67,13 +67,13 @@ class TestTokenize:
 class TestExtractConcepts:
     def test_story_sentence(self, story_graph):
         mentions = extract_concepts(tokenize("the lady went to church"), story_graph, 4, STOPWORDS)
-        got = {story_graph.surfaces[c]: n for c, n in mentions.mentions.items()}
+        got = {story_graph.surfaces[c]: n for c, n in mention_counts(mentions).items()}
         assert got == {"lady": 1, "church": 1}
 
     def test_counting(self, story_graph):
         text = " ".join(["daughter"] * 5) + " " + " ".join(["filler"] * 95)
         mentions = extract_concepts(tokenize(text), story_graph, 4, STOPWORDS)
-        assert mentions.mentions.get(story_graph.surface_to_id.get("daughter"), 0) == 5
+        assert mention_counts(mentions) == {story_graph.surface_to_id.get("daughter"): 5}
         assert mentions.source_len == 100
 
     def test_greedy_longest_match(self):
@@ -81,7 +81,7 @@ class TestExtractConcepts:
             [("ice_cream", "IsA", "food"), ("cone", "IsA", "shape"), ("ice", "IsA", "water"), ("cream", "IsA", "food")]
         )
         mentions = extract_concepts(tokenize("ice cream cone"), g, 4, STOPWORDS)
-        got = {g.surfaces[c]: n for c, n in mentions.mentions.items()}
+        got = {g.surfaces[c]: n for c, n in mention_counts(mentions).items()}
         assert got == {"ice_cream": 1, "cone": 1}
 
     def test_longest_match_properties(self):
@@ -120,13 +120,13 @@ class TestExtractConcepts:
         expected = Counter(
             g.surface_to_id.get("_".join(tokens.tokens[i : i + n])) for i, n in spans
         )
-        assert mentions.mentions == dict(expected)
+        assert mention_counts(mentions) == dict(expected)
         assert all(a + n <= b for (a, n), (b, _) in zip(spans, spans[1:]))
 
     def test_stopwords_block_single_tokens_only(self):
         g = graph_from_triples([("the", "IsA", "word"), ("the_end", "IsA", "phrase")])
         mentions = extract_concepts(tokenize("the end the"), g, 4, STOPWORDS)
-        got = {g.surfaces[c]: n for c, n in mentions.mentions.items()}
+        got = {g.surfaces[c]: n for c, n in mention_counts(mentions).items()}
         assert got == {"the_end": 1}
 
     def test_total_mentions_bounded_by_tokens(self):
@@ -134,7 +134,7 @@ class TestExtractConcepts:
         g = random_multigraph(rng, max_nodes=30, max_edges=60)
         names = [g.surfaces[int(rng.integers(g.node_count))] for _ in range(200)]
         mentions = extract_concepts(tokenize(" ".join(names)), g, 4, STOPWORDS)
-        assert sum(mentions.mentions.values()) <= 200
+        assert mentions.counts.sum() <= 200
 
     @settings(max_examples=400, deadline=None)
     @given(case=_grounding_cases())
@@ -142,7 +142,7 @@ class TestExtractConcepts:
         vocab, tokens, max_ngram = case
         g = graph_from_triples([], extra_concepts=vocab)
         mentions = extract_concepts(TokenizedText(tokens), g, max_ngram, ORACLE_STOPWORDS)
-        got = [(g.surfaces[c], n) for c, n in mentions.mentions.items()]
+        got = [(g.surfaces[c], n) for c, n in mention_counts(mentions).items()]
         assert got == list(grounding_oracle(tokens, set(vocab), max_ngram, ORACLE_STOPWORDS).items())
         assert mentions.source_len == len(tokens)
 
@@ -150,7 +150,13 @@ class TestExtractConcepts:
         text = "the lady and the church and the house"
         a = extract_concepts(tokenize(text), story_graph, 4, STOPWORDS)
         b = extract_concepts(tokenize(text), story_graph, 4, STOPWORDS)
-        assert a.mentions == b.mentions
+        assert a.mentions.tolist() == b.mentions.tolist() and a.counts.tolist() == b.counts.tolist()
+
+    def test_mentions_are_arrays_in_first_mention_order(self, story_graph):
+        mentions = extract_concepts(tokenize("church lady church house lady church"), story_graph, 4, STOPWORDS)
+        assert [story_graph.surfaces[c] for c in mentions.mentions.tolist()] == ["church", "lady", "house"]
+        assert mentions.counts.tolist() == [3, 2, 1]
+        assert mentions.mentions.dtype == mentions.counts.dtype == np.int64
 
 
 class TestGroundPair:

@@ -320,3 +320,23 @@ def test_extra_concepts_take_the_first_ids():
     assert g.surfaces == ["c", "zed", "a", "b"]
     edges = set(zip(g.edge_start.tolist(), g.edge_rel.tolist(), g.edge_end.tolist()))
     assert edges == {(2, 0, 3), (1, 1, 0)}
+
+
+def test_same_graph_where_the_c_library_has_no_malloc_trim(monkeypatch):
+    # ingest hands the block loop's free heap back through glibc's
+    # malloc_trim; a C library without it gives the same graph
+    with_trim, report = ingest_csv(io.BytesIO(COLLIDING), "en")
+    loaded = []
+
+    class NoTrim:  # a loaded C library that lacks the symbol
+        def __init__(self, name):
+            loaded.append(name)
+
+    monkeypatch.setattr(kg.ctypes, "CDLL", NoTrim)
+    without, report_without = ingest_csv(io.BytesIO(COLLIDING), "en")
+    assert loaded == [None]
+    assert vars(report_without) == vars(report)
+    assert_same_tables(without, with_trim)
+    expected, oracle_report = ingest_oracle(COLLIDING, "en")
+    assert vars(report) == oracle_report
+    assert_same_tables(with_trim, expected)

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 import weakref
 from contextlib import redirect_stderr
 from importlib import resources
@@ -76,6 +77,22 @@ def story_extractor():
     return Extractor(g, WalkStats.from_graph(g))
 
 
+def _reachable(root) -> set[int]:
+    """The ids of the objects reachable from ``root`` by ``gc.get_referents``
+    and array bases; classes, modules and functions are not entered, as
+    their globals reach every module."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+        if isinstance(obj, np.ndarray) and obj.base is not None:
+            stack.append(obj.base)
+    return seen
+
+
 class TestExtractor:
     def test_story_pair_produces_expected_paths(self, story_extractor):
         result = story_extractor.extract(
@@ -84,6 +101,19 @@ class TestExtractor:
         assert result.error is None
         assert STORY_FULL_PATH in result.paths
         assert STORY_TRUNCATION in result.paths
+
+    def test_scored_forest_holds_no_request_state(self, story_extractor):
+        # once analyze returns, the scored forest reaches neither the
+        # pair's graph-sized context counts nor the graph: a forest keeps
+        # its arrays, and re-growth is handed what it reads
+        pair = story_extractor.ground(STORY_CONTEXT, STORY_QUERY)
+        scored, selections = story_extractor.analyze(pair)
+        assert (scored.tree.levels == 4).any() and scored.tree.level5.count.any()
+        assert selections[0].full_paths
+        reachable = _reachable(scored)
+        assert id(scored.tree.level5.count) in reachable  # the walk enters the forest's arrays
+        assert id(pair.context_counts) not in reachable
+        assert id(story_extractor.graph) not in reachable
 
     def test_query_without_graph_concepts(self, story_extractor):
         result = story_extractor.extract(
@@ -706,11 +736,12 @@ class TestExplain:
                 if line.endswith(("[kept]", "[dropped]"))
             ]
             expected = []
-            scored, selections = extractor.analyze(extractor.ground(context, query)) or (None, [])
+            pair = extractor.ground(context, query)
+            scored, selections = extractor.analyze(pair) or (None, [])
             forests += len(selections) > 1
             for root, selection in enumerate(selections):
                 # level 5 re-grown as nodes, with the scores its summary gives them
-                tree, regrown_scored = regrown(scored.tree, scored)
+                tree, regrown_scored = regrown(scored.tree, pair, g, extractor.config.build, scored)
                 c_score = regrown_scored.c_score
                 on_paths = set()
                 for path in selection.full_paths:
@@ -744,9 +775,11 @@ class TestExplain:
             digest.update(text.encode("utf-8") + b"\0")
             level5_lines += sum(ln[:8] == " " * 8 and ln[8] != " " for ln in text.splitlines())
             uncapped = Extractor(extractor.graph, extractor.stats, Config(max_children_per_node=2**62))
-            trees = [ex.analyze(ex.ground(context, query)) for ex in (extractor, uncapped)]
-            if trees[0] is not None:
-                capped += regrown(trees[0][0].tree).node_count < regrown(trees[1][0].tree).node_count
+            pair = extractor.ground(context, query)
+            if extractor.analyze(pair) is not None:
+                sizes = [regrown(ex.analyze(pair)[0].tree, pair, ex.graph, ex.config.build).node_count
+                         for ex in (extractor, uncapped)]
+                capped += sizes[0] < sizes[1]
         assert level5_lines > 5000 and capped > 30, (level5_lines, capped)
         assert digest.hexdigest() == RANDOM_FOREST_EXPLANATION_SHA256
 

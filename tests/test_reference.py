@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pathmine import (
+    BuildConfig,
     Config,
     ExtractionRequest,
     Extractor,
@@ -18,7 +19,7 @@ from pathmine import (
     select_paths,
 )
 
-from conftest import RELATION_POOL, random_multigraph, random_multiword_graph, random_path_tree
+from conftest import RELATION_POOL, mention_counts, random_multigraph, random_multiword_graph, random_path_tree
 from reference import SENTINEL, Ambiguous, Reference
 
 
@@ -107,13 +108,13 @@ def test_sentinel_hops_select_as_reference():
         for child, parent in enumerate(tree.parents.tolist()):
             if parent >= 0:
                 nested[parent]["children"].append(nested[child])
-        counts = pair.context_mentions.mentions
+        counts = mention_counts(pair.context_mentions)
         reference.score(nested[0], counts, pair.context_mentions.source_len)
         try:
             want = reference.select(nested[0])
         except Ambiguous:
             continue
-        assert [(p.concepts, p.relations) for p in select_paths(st)[0]] == want
+        assert [(p.concepts, p.relations) for p in select_paths(st, pair, g, BuildConfig())[0]] == want
         sentinels += int((st.raw == SENTINEL).sum())
         trees += 1
     assert sentinels > 20

@@ -18,7 +18,7 @@ from pathmine import (
     score_tree,
 )
 from pathmine.grounding import ConceptMentionSet, GroundedPair
-from pathmine.scoring import cumulative_score, score_raw, sibling_softmax
+from pathmine.scoring import cumulative_score, level5_scores, score_raw, sibling_softmax
 from pathmine.tree import PathTree, BuildConfig
 
 from conftest import (
@@ -28,6 +28,7 @@ from conftest import (
     level_indices,
     multiplicity_oracle,
     npmi_oracle,
+    mention_counts,
     path_to,
     probabilities_oracle,
     random_multigraph,
@@ -59,9 +60,10 @@ def hand_graph():
 
 def _pair(g, mentions: dict[int, int], source_len: int, query: list[int]) -> GroundedPair:
     """A hand-made grounded pair, its context counts scattered from ``mentions``."""
+    ids, tf = np.array(list(mentions), dtype=np.int64), np.array(list(mentions.values()), dtype=np.int64)
     counts = np.zeros(g.node_count, dtype=np.int32)
-    counts[list(mentions)] = list(mentions.values())
-    return GroundedPair(ConceptMentionSet(mentions, source_len), query, counts)
+    counts[ids] = tf
+    return GroundedPair(ConceptMentionSet(ids, tf, source_len), query, counts)
 
 
 def npmi(c1: int, c2: int, c3: int, c4: int, g, stats) -> float:
@@ -143,12 +145,12 @@ class TestRawScore:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
         stats = WalkStats.from_graph(story_graph)
-        tree, st = regrown(tree, score_tree(tree, pair, story_graph, stats))
+        tree, st = regrown(tree, pair, story_graph, scored=score_tree(tree, pair, story_graph, stats))
         grounded = [i for i in range(1, tree.node_count) if tree.levels[i] != 4]
         assert {int(tree.levels[i]) for i in grounded} == {2, 3, 5}
+        tf, n = mention_counts(pair.context_mentions), pair.context_mentions.source_len
         for i in grounded:
-            expected = pair.context_mentions.mentions.get(int(tree.concepts[i]), 0) / pair.context_mentions.source_len
-            assert st.raw[i] == pytest.approx(expected)
+            assert st.raw[i] == pytest.approx(tf.get(int(tree.concepts[i]), 0) / n)
 
     def test_level_four_uses_association_score(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
@@ -239,7 +241,7 @@ class TestSiblingSoftmax:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         stats = WalkStats.from_graph(story_graph)
         tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
-        tree, st = regrown(tree, score_tree(tree, pair, story_graph, stats))
+        tree, st = regrown(tree, pair, story_graph, scored=score_tree(tree, pair, story_graph, stats))
         assert level_indices(tree, 5).size
         for idx in range(tree.node_count):
             if children(tree, idx):
@@ -248,8 +250,8 @@ class TestSiblingSoftmax:
 
 
     def test_level5_mean_is_top_two_of_regrown_children(self):
-        # the level-5 summary's top5, against the normalized scores
-        # PathTree.regrow5 re-grows node by node
+        # the level-5 summary's top5, against the normalized scores of the
+        # children PathTree.regrow5 re-grows node by node
         rng = np.random.default_rng(67)
         means = empties = 0
         for _ in range(30):
@@ -263,7 +265,8 @@ class TestSiblingSoftmax:
             top5 = tree.level5.top5
             assert top5.size == tree.node_count - tree.first4
             for i, idx in enumerate(range(tree.first4, tree.node_count)):
-                n5 = tree.regrow5([idx])[3]
+                c5, _, offsets = tree.regrow5([idx], pair, g, cfg)
+                n5 = level5_scores(tree, pair, [idx], c5, offsets)[1]
                 if n5.size:
                     assert top5[i] == pytest.approx(n5[:2].mean(), abs=1e-12)
                     means += 1
@@ -278,16 +281,18 @@ def _level5_against_brute_force(g, pair, cap: int) -> int:
     re-grown children's raw scores, against its children found by scanning
     the graph, summed as ``np.add.reduceat`` sums one node's terms in value
     order; return the most non-empty values any node has."""
-    tree = build_tree(pair.query_concepts, pair, g, BuildConfig(max_children_per_node=cap))
+    cfg = BuildConfig(max_children_per_node=cap)
+    tree = build_tree(pair.query_concepts, pair, g, cfg)
     sum5, top5 = tree.level5.sum5, tree.level5.top5
-    tf, n = pair.context_mentions.mentions, pair.context_mentions.source_len
+    tf, n = mention_counts(pair.context_mentions), pair.context_mentions.source_len
     most = 0
     for i, idx in enumerate(range(tree.first4, tree.node_count)):
         path, c4 = path_to(tree, idx), int(tree.concepts[idx])
         kids = sorted(
             (c for c in tf if c not in path and g.edges_between(c4, c)), key=lambda c: (-tf[c], c)
         )[:cap]
-        concepts, rels, raw, _, _ = tree.regrow5([idx])
+        concepts, rels, offsets = tree.regrow5([idx], pair, g, cfg)
+        raw = level5_scores(tree, pair, [idx], concepts, offsets)[0]
         assert concepts.tolist() == kids
         assert rels.tolist() == [g.edges_between(c4, c)[0] for c in kids]
         assert raw.tolist() == [tf[c] / n for c in kids]
@@ -381,7 +386,7 @@ class TestCumulativeScore:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         stats = WalkStats.from_graph(story_graph)
         tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
-        tree, st = regrown(tree, score_tree(tree, pair, story_graph, stats))
+        tree, st = regrown(tree, pair, story_graph, scored=score_tree(tree, pair, story_graph, stats))
         for idx in range(tree.node_count):
             if not children(tree, idx):
                 assert st.c_score[idx] == st.n_score[idx]
@@ -436,7 +441,7 @@ class TestCumulativeScore:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         stats = WalkStats.from_graph(story_graph)
         tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
-        tree, st = regrown(tree, score_tree(tree, pair, story_graph, stats))
+        tree, st = regrown(tree, pair, story_graph, scored=score_tree(tree, pair, story_graph, stats))
         oracle = _cumulative_oracle(tree, st.n_score)
         for idx in range(tree.node_count):
             assert st.c_score[idx] == pytest.approx(oracle(idx), abs=1e-9)
@@ -467,7 +472,7 @@ class TestCumulativeScore:
                 continue
             stats = WalkStats.from_graph(g)
             tree = build_tree([pair.query_concepts[0]], pair, g)
-            tree, st = regrown(tree, score_tree(tree, pair, g, stats))
+            tree, st = regrown(tree, pair, g, scored=score_tree(tree, pair, g, stats))
             oracle = _cumulative_oracle(tree, st.n_score)
             for idx in range(tree.node_count):
                 assert st.c_score[idx] == pytest.approx(oracle(idx), abs=1e-9)
@@ -477,7 +482,7 @@ class TestCumulativeScore:
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
         stats = WalkStats.from_graph(story_graph)
         tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
-        tree, st = regrown(tree, score_tree(tree, pair, story_graph, stats))
+        tree, st = regrown(tree, pair, story_graph, scored=score_tree(tree, pair, story_graph, stats))
         internal = tree.child_start < tree.child_end
         assert np.all(st.c_score[internal] > st.n_score[internal])
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pathmine import (
+    BuildConfig,
     WalkStats,
     build_tree,
     graph_from_triples,
@@ -28,7 +29,7 @@ def story_scored(story_graph):
     pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
     stats = WalkStats.from_graph(story_graph)
     tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
-    return story_graph, score_tree(tree, pair, story_graph, stats)
+    return story_graph, pair, score_tree(tree, pair, story_graph, stats)
 
 
 @pytest.fixture()
@@ -49,13 +50,19 @@ def triple_child_scored():
     pair = ground_pair(context, "the lady", g)
     stats = WalkStats.from_graph(g)
     tree = build_tree([g.surface_to_id.get("lady")], pair, g)
-    return g, score_tree(tree, pair, g, stats)
+    return g, pair, score_tree(tree, pair, g, stats)
+
+
+def _hand_selected(st):
+    """The one root's paths of a hand-built forest, which has no level-5
+    child: no level-4 leaf re-grows one, so no pair or graph is read."""
+    return select_paths(st, None, None, BuildConfig())[0]
 
 
 class TestSelectPaths:
     def test_keeps_two_best_children(self, triple_child_scored):
-        g, st = triple_child_scored
-        paths = select_paths(st)[0]
+        g, pair, st = triple_child_scored
+        paths = select_paths(st, pair, g, BuildConfig())[0]
         tails = {g.surfaces[p.concepts[-1]] for p in paths}
         assert tails == {"daughter", "married"}
         assert not any(g.surfaces[c] == "book" for p in paths for c in p.concepts)
@@ -65,7 +72,7 @@ class TestSelectPaths:
         stats = WalkStats.from_graph(story_graph)
         tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
         st = score_tree(tree, pair, story_graph, stats)
-        assert select_paths(st)[0] == []
+        assert select_paths(st, pair, story_graph, BuildConfig())[0] == []
 
     def test_full_binary_tree_yields_sixteen(self):
         # every node of a synthetic 5-level tree has exactly two children
@@ -91,7 +98,7 @@ class TestSelectPaths:
             levels=levels,
         )
         raw = np.full(len(concepts), 0.25)
-        paths = select_paths(scored_from_raw(tree, raw))[0]
+        paths = _hand_selected(scored_from_raw(tree, raw))
         assert len(paths) == TOP_CHILDREN**4 == 16
         assert all(len(p.concepts) == 5 for p in paths)
 
@@ -104,7 +111,7 @@ class TestSelectPaths:
             levels=[1, 2, 2, 2],
         )
         # identical raws: equal c-scores, so ids 3 and 5 must win over 7
-        paths = select_paths(scored_from_raw(tree, [0.0, 0.2, 0.2, 0.2]))[0]
+        paths = _hand_selected(scored_from_raw(tree, [0.0, 0.2, 0.2, 0.2]))
         assert sorted(p.concepts[-1] for p in paths) == [3, 5]
 
     def test_paths_listed_best_first(self):
@@ -118,11 +125,11 @@ class TestSelectPaths:
         )
         raw = np.array([0.0, 0.1, 0.3, 0.2, 0.1, 0.4])
         st = scored_from_raw(tree, raw)
-        assert [p.concepts for p in select_paths(st)[0]] == [(0, 3, 8), (0, 3, 9), (0, 7)]
+        assert [p.concepts for p in _hand_selected(st)] == [(0, 3, 8), (0, 3, 9), (0, 7)]
 
     def test_never_more_than_two_kept_per_node(self, story_scored):
-        _, st = story_scored
-        paths = select_paths(st)[0]
+        g, pair, st = story_scored
+        paths = select_paths(st, pair, g, BuildConfig())[0]
         children_of: dict[tuple[int, ...], set[int]] = {}
         for p in paths:
             for i in range(len(p.concepts) - 1):
@@ -130,10 +137,10 @@ class TestSelectPaths:
         assert all(len(kids) <= 2 for kids in children_of.values())
 
     def test_kept_children_have_maximal_scores(self, story_scored):
-        _, st = story_scored
-        paths = select_paths(st)[0]
+        g, pair, st = story_scored
+        paths = select_paths(st, pair, g, BuildConfig())[0]
         # level 5 re-grown as nodes, with the scores its summary gives them
-        tree, st = regrown(st.tree, st)
+        tree, st = regrown(st.tree, pair, g, scored=st)
         kept_nodes = set()
         for p in paths:
             idx = 0
@@ -161,7 +168,8 @@ class TestSelectPaths:
             alive = weakref.ref(tree)
             scored = score_tree(tree, pair, story_graph, stats)
             del tree
-            selection = realize_selection(select_paths(scored)[0], story_graph, np.random.default_rng(0))
+            paths = select_paths(scored, pair, story_graph, BuildConfig())[0]
+            selection = realize_selection(paths, story_graph, np.random.default_rng(0))
             assert selection.full_paths
             del selection, scored
             assert alive() is None
@@ -174,15 +182,15 @@ def _chain_selection(triples, context: str, root: str):
     g = graph_from_triples(triples)
     pair = ground_pair(context, root, g)
     st = score_tree(build_tree([g.surface_to_id.get(root)], pair, g), pair, g, WalkStats.from_graph(g))
-    return g, realize_selection(select_paths(st)[0], g, np.random.default_rng(0))
+    return g, realize_selection(select_paths(st, pair, g, BuildConfig())[0], g, np.random.default_rng(0))
 
 
 class TestExpandSubpaths:
     """Prefix expansion: the truncations ``realize_selection`` emits."""
 
     def test_prefixes_of_story_path(self, story_scored):
-        g, st = story_scored
-        selection = realize_selection(select_paths(st)[0], g, np.random.default_rng(0))
+        g, pair, st = story_scored
+        selection = realize_selection(select_paths(st, pair, g, BuildConfig())[0], g, np.random.default_rng(0))
         surfaces = [tuple(g.surfaces[c] for c in t.concepts) for t in selection.truncations]
         assert ("lady", "church", "house", "child") in surfaces
 
@@ -205,8 +213,8 @@ class TestExpandSubpaths:
                                           ["sun", "RelatedTo", "sky", "RelatedTo", "cloud"]]
 
     def test_truncations_are_exactly_proper_prefixes(self, story_scored):
-        g, st = story_scored
-        selection = realize_selection(select_paths(st)[0], g, np.random.default_rng(0))
+        g, pair, st = story_scored
+        selection = realize_selection(select_paths(st, pair, g, BuildConfig())[0], g, np.random.default_rng(0))
         expected = []
         for p in selection.full_paths:
             for length in range(2, len(p.concepts)):
@@ -218,17 +226,17 @@ class TestExpandSubpaths:
 
 class TestRealizeTokens:
     def test_story_full_path_text(self, story_scored):
-        g, st = story_scored
+        g, pair, st = story_scored
         rng = np.random.default_rng(0)
-        selection = realize_selection(select_paths(st)[0], g, rng)
+        selection = realize_selection(select_paths(st, pair, g, BuildConfig())[0], g, rng)
         texts = {" ".join(tokens) for tokens in selection.realized}
         assert "lady AtLocation church RelatedTo house RelatedTo child RelatedTo their" in texts
         assert "lady AtLocation church RelatedTo house RelatedTo child" in texts
 
     def test_single_relation_hops_ignore_seed(self, story_scored):
-        g, st = story_scored
-        out1 = realize_selection(select_paths(st)[0], g, np.random.default_rng(1)).realized
-        out2 = realize_selection(select_paths(st)[0], g, np.random.default_rng(999)).realized
+        g, pair, st = story_scored
+        out1 = realize_selection(select_paths(st, pair, g, BuildConfig())[0], g, np.random.default_rng(1)).realized
+        out2 = realize_selection(select_paths(st, pair, g, BuildConfig())[0], g, np.random.default_rng(999)).realized
         assert out1 == out2
 
     def test_same_seed_reproduces_output_with_parallel_edges(self):
@@ -238,8 +246,8 @@ class TestRealizeTokens:
         pair = ground_pair("down and south again down", "up", g)
         stats = WalkStats.from_graph(g)
         st = score_tree(build_tree([g.surface_to_id.get("up")], pair, g), pair, g, stats)
-        a = realize_selection(select_paths(st)[0], g, np.random.default_rng(5)).realized
-        b = realize_selection(select_paths(st)[0], g, np.random.default_rng(5)).realized
+        a = realize_selection(select_paths(st, pair, g, BuildConfig())[0], g, np.random.default_rng(5)).realized
+        b = realize_selection(select_paths(st, pair, g, BuildConfig())[0], g, np.random.default_rng(5)).realized
         assert a == b
 
     def test_multiword_concepts_split(self):
@@ -267,8 +275,8 @@ class TestRealizeTokens:
             realize_selection([p], story_graph, np.random.default_rng(0))
 
     def test_realized_paths_validate_and_odd_length(self, story_scored):
-        g, st = story_scored
-        selection = realize_selection(select_paths(st)[0], g, np.random.default_rng(7))
+        g, pair, st = story_scored
+        selection = realize_selection(select_paths(st, pair, g, BuildConfig())[0], g, np.random.default_rng(7))
         for path in selection.full_paths + selection.truncations:
             for a, b in zip(path.concepts, path.concepts[1:]):
                 assert g.edges_between(a, b)
@@ -293,7 +301,7 @@ class TestRealizeTokens:
         tree = build_tree([g.surface_to_id.get("lady")], pair, g)
         st = score_tree(tree, pair, g, stats)
         for seed in range(20):
-            selection = realize_selection(select_paths(st)[0], g, np.random.default_rng(seed))
+            selection = realize_selection(select_paths(st, pair, g, BuildConfig())[0], g, np.random.default_rng(seed))
             fulls = [" ".join(t) for t in selection.realized[: len(selection.full_paths)]]
             truncs = [" ".join(t) for t in selection.realized[len(selection.full_paths) :]]
             for trunc in truncs:
@@ -313,7 +321,7 @@ class TestCapsOnRandomInputs:
             stats = WalkStats.from_graph(g)
             for c1 in pair.query_concepts:
                 st = score_tree(build_tree([c1], pair, g), pair, g, stats)
-                paths = select_paths(st)[0]
+                paths = select_paths(st, pair, g, BuildConfig())[0]
                 assert len(paths) <= TOP_CHILDREN**4
                 for p in paths:
                     assert 2 <= len(p.concepts) <= 5

@@ -111,15 +111,21 @@ def test_every_public_definition_is_used_or_exported():
     assert not unused and not unread, (unused, unread)
 
 
+def _tracer(monkeypatch):
+    """perfbench's tracer module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("tracer", PYPROJECT.parent / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "tracer", tracer)  # its dataclasses look their module up
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_tracer_hooks_install_and_restore(monkeypatch):
     # perfbench's tracer wraps pipeline functions at the names their
     # callers look them up by; a refactor that moves or renames one makes
     # ``install`` raise HookMissing, which only a traced benchmark run
     # would otherwise show
-    spec = importlib.util.spec_from_file_location("tracer", PYPROJECT.parent / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, "tracer", tracer)  # its dataclasses look their module up
-    spec.loader.exec_module(tracer)
+    tracer = _tracer(monkeypatch)
     hooks = tracer.SERVE_HOOKS + tracer.BUILD_HOOKS
     t = tracer.Tracer()
     t.install(hooks)
@@ -129,6 +135,45 @@ def test_tracer_hooks_install_and_restore(monkeypatch):
         t.restore()
     restored = [_function(inspect.getattr_static(hook.owner(), hook.attr)) for hook in hooks]
     assert all(fn.__wrapped__ is raw for fn, raw in zip(wrapped, restored))
+
+
+def test_tracer_counts_read_what_the_pipeline_returns(monkeypatch, tmp_path):
+    # the hooks' counts read pathmine's results by name (the grounded
+    # pair's ``context_mentions.mentions``, ``token_count``, the ingest
+    # report); a refactor that breaks one makes the hook raise, which
+    # only a traced benchmark run would otherwise show
+    from conftest import STORY_CONTEXT, STORY_QUERY, STORY_TRIPLES, story_dump_bytes
+
+    from pathmine import ExtractionRequest, Extractor, WalkStats, cli, graph_from_triples
+
+    tracer = _tracer(monkeypatch)
+
+    def traced(hooks, run):
+        t = tracer.Tracer()
+        t.install(hooks)
+        try:
+            return run(), t.spans  # a hook that raises fails the request or the command
+        finally:
+            t.restore()
+
+    g = graph_from_triples(STORY_TRIPLES)
+    extractor = Extractor(g, WalkStats.from_graph(g))
+    request = ExtractionRequest(STORY_CONTEXT, STORY_QUERY)
+    result, serve = traced(tracer.SERVE_HOOKS, lambda: extractor.extract(request))
+    assert result.error is None and result.paths
+    dump = tmp_path / "story.tsv"
+    dump.write_bytes(story_dump_bytes())
+    argv = ["build-index", str(dump), "-o", str(tmp_path / "story.idx")]
+    code, build = traced(tracer.BUILD_HOOKS, lambda: cli.main(argv))
+    assert code == 0
+    counts = {}
+    for span in serve + build:
+        for key, value in span.counts.items():
+            counts[key] = counts.get(key, 0) + value
+    # lady, church, house, child, their, mother, daughter, person, lover
+    assert counts["grounding.context_concepts"] == 9
+    assert counts["grounding.tokens"] == 35 + 5  # the context's tokens and the query's
+    assert counts["kg.ingest_lines"] == len(STORY_TRIPLES)
 
 
 def _function(attr):

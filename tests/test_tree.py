@@ -20,6 +20,7 @@ from pathmine import (
     score_tree,
     select_paths,
 )
+from pathmine.scoring import level5_scores
 
 from conftest import (
     STORY_CONTEXT,
@@ -27,6 +28,7 @@ from conftest import (
     adjacency_with_multiplicity,
     children,
     level_indices,
+    mention_counts,
     neighbor_lists,
     path_to,
     random_multigraph,
@@ -54,8 +56,8 @@ class TestStoryTree:
         assert _surfaces(g, tree, children(tree, 0)) == ["church", "mother", "person"]
 
     def test_known_branches_present(self, story_tree):
-        g, _, tree = story_tree
-        full = regrown(tree)
+        g, pair, tree = story_tree
+        full = regrown(tree, pair, g)
         by_surface = {g.surfaces[full.concepts[i]]: int(i) for i in level_indices(full, 2)}
         assert _surfaces(g, full, children(full, by_surface["mother"])) == ["daughter"]
         house = children(full, by_surface["church"])[0]
@@ -66,18 +68,18 @@ class TestStoryTree:
         assert "their" in _surfaces(g, full, children(full, child))
 
     def test_roots_relation_is_none(self, story_tree):
-        _, _, tree = story_tree
+        g, pair, tree = story_tree
         assert tree.rels[0] == -1 and tree.levels[0] == 1
-        full = regrown(tree)
+        full = regrown(tree, pair, g)
         assert (full.rels[1:] >= 0).all()
 
     def test_grounded_levels_are_context_members(self, story_tree):
-        _, pair, tree = story_tree
-        full = regrown(tree)
+        g, pair, tree = story_tree
+        full, tf = regrown(tree, pair, g), mention_counts(pair.context_mentions)
         for level in (2, 3, 5):
             assert level_indices(full, level).size
             for i in level_indices(full, level):
-                assert pair.context_mentions.mentions.get(int(full.concepts[i]), 0) > 0
+                assert tf.get(int(full.concepts[i]), 0) > 0
 
     def test_level_four_is_graph_neighbor_of_parent(self, story_tree):
         g, _, tree = story_tree
@@ -85,8 +87,8 @@ class TestStoryTree:
             assert g.edges_between(int(tree.concepts[tree.parents[i]]), int(tree.concepts[i]))
 
     def test_no_path_repeats_a_concept(self, story_tree):
-        _, _, tree = story_tree
-        full = regrown(tree)
+        g, pair, tree = story_tree
+        full = regrown(tree, pair, g)
         for i in range(full.node_count):
             path = path_to(full, i)
             assert len(path) == len(set(path))
@@ -96,7 +98,7 @@ class TestDegenerateTrees:
     def test_query_concept_with_no_context_link(self, story_graph):
         pair = ground_pair("nothing relevant here", "lady", story_graph)
         tree = build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph)
-        assert regrown(tree).node_count == 1
+        assert regrown(tree, pair, story_graph).node_count == 1
         assert children(tree, 0) == []
 
     def test_branch_truncated_at_level_four(self):
@@ -112,9 +114,9 @@ class TestDegenerateTrees:
         tree = build_tree([g.surface_to_id.get("lady")], pair, g)
         level4 = level_indices(tree, 4)
         assert _surfaces(g, tree, level4) == ["child"]
-        assert tree.regrow5([int(level4[0])])[0].size == 0
+        assert tree.regrow5([int(level4[0])], pair, g, BuildConfig())[0].size == 0
         assert tree.level5.count.tolist() == [0]
-        assert level_indices(regrown(tree), 5).size == 0
+        assert level_indices(regrown(tree, pair, g), 5).size == 0
 
     def test_unknown_root_raises(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
@@ -149,7 +151,7 @@ class TestEnumerateLevels:
             pair = ground_pair(" ".join(names), names[0], g)
             if not pair.query_concepts:
                 continue
-            tree = regrown(build_tree([pair.query_concepts[0]], pair, g, cfg))
+            tree = regrown(build_tree([pair.query_concepts[0]], pair, g, cfg), pair, g, cfg)
             for level in range(1, 6):
                 assert len(level_indices(tree, level)) <= 3 ** (level - 1)
 
@@ -163,7 +165,8 @@ def build_reference(g, pair, root: int, cap: int):
     Returns the tree's concept, parent, relation and level lists, and the
     number of nodes the cap cut short."""
     nbrs, mult = neighbor_lists(g), adjacency_with_multiplicity(g)
-    count = lambda c: pair.context_mentions.mentions.get(c, 0)  # noqa: E731
+    tf = mention_counts(pair.context_mentions)
+    count = lambda c: tf.get(c, 0)  # noqa: E731
     degree = lambda c: sum(mult[c].values())  # noqa: E731
     concepts, parents, rels, levels = [root], [-1], [-1], [1]
     capped = 0
@@ -199,7 +202,8 @@ class TestCapOracle:
             if not pair.query_concepts:
                 continue
             root = pair.query_concepts[0]
-            tree = regrown(build_tree([root], pair, g, BuildConfig(max_children_per_node=cap)))
+            cfg = BuildConfig(max_children_per_node=cap)
+            tree = regrown(build_tree([root], pair, g, cfg), pair, g, cfg)
             *want, cut = build_reference(g, pair, root, cap)
             got = (tree.concepts, tree.parents, tree.rels, tree.levels)
             assert [a.tolist() for a in got] == want
@@ -211,8 +215,8 @@ class TestCapOracle:
 class TestDeterminismAndMonotonicity:
     def test_rebuild_identical(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, STORY_QUERY, story_graph)
-        t1 = regrown(build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph))
-        t2 = regrown(build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph))
+        t1 = regrown(build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph), pair, story_graph)
+        t2 = regrown(build_tree([story_graph.surface_to_id.get("lady")], pair, story_graph), pair, story_graph)
         assert np.array_equal(t1.concepts, t2.concepts)
         assert np.array_equal(t1.parents, t2.parents)
         assert np.array_equal(t1.rels, t2.rels)
@@ -230,7 +234,7 @@ class TestDeterminismAndMonotonicity:
             if not pair.query_concepts:
                 continue
             root_surface = g.surfaces[pair.query_concepts[0]]
-            tree = regrown(build_tree([pair.query_concepts[0]], pair, g, cfg))
+            tree = regrown(build_tree([pair.query_concepts[0]], pair, g, cfg), pair, g, cfg)
             nodes_before = {
                 (int(lvl), g.surfaces[int(c)]) for c, lvl in zip(tree.concepts, tree.levels)
             }
@@ -238,7 +242,7 @@ class TestDeterminismAndMonotonicity:
             gone = triples[int(rng.integers(len(triples)))]
             g2 = graph_from_triples([t for t in triples if t != gone], extra_concepts=surfaces)
             pair2 = ground_pair(context, root_surface, g2)
-            tree2 = regrown(build_tree([g2.surface_to_id.get(root_surface)], pair2, g2, cfg))
+            tree2 = regrown(build_tree([g2.surface_to_id.get(root_surface)], pair2, g2, cfg), pair2, g2, cfg)
             nodes_after = {
                 (int(lvl), g2.surfaces[int(c)]) for c, lvl in zip(tree2.concepts, tree2.levels)
             }
@@ -283,14 +287,14 @@ class TestForest:
             forest = build_tree(pair.query_concepts, pair, g, cfg)
             scored = score_tree(forest, pair, g, stats)
             assert forest.root_count == len(pair.query_concepts)
-            full, full_scored = regrown(forest, scored)
+            full, full_scored = regrown(forest, pair, g, cfg, scored)
             owner = root_of(full)
             for r, c1 in enumerate(pair.query_concepts):
                 single = build_tree([c1], pair, g, cfg)
                 alone = score_tree(single, pair, g, stats)
-                want = select_paths(alone)[0]
+                want = select_paths(alone, pair, g, cfg)[0]
                 realized_want = realize_selection(want, g, np.random.default_rng([7, r]))
-                single, alone = regrown(single, alone)
+                single, alone = regrown(single, pair, g, cfg, alone)
                 sub = np.flatnonzero(owner == r)
                 # the subtree's nodes, in forest order, are the single tree's
                 assert full.concepts[sub].tolist() == single.concepts.tolist()
@@ -300,8 +304,9 @@ class TestForest:
                 assert parents.tolist() == single.parents.tolist()
                 for name in ("raw", "n_score", "c_score"):
                     assert getattr(full_scored, name)[sub].tolist() == getattr(alone, name).tolist(), name
-                assert select_paths(scored)[r] == want
-                assert realize_selection(select_paths(scored)[r], g, np.random.default_rng([7, r])) == realized_want
+                got = select_paths(scored, pair, g, cfg)[r]
+                assert got == want
+                assert realize_selection(got, g, np.random.default_rng([7, r])) == realized_want
                 deep += bool((single.levels == 5).any())
             forests += forest.root_count > 1
         assert deep > 10
@@ -310,7 +315,7 @@ class TestForest:
         g, pair, tree = story_tree
         assert tree.root_count == 1 and tree.levels[0] == 1
         assert root_of(tree).tolist() == [0] * tree.node_count
-        assert tree.node_count + tree.level5.count.sum() == regrown(tree).node_count
+        assert tree.node_count + tree.level5.count.sum() == regrown(tree, pair, g).node_count
 
     def test_roots_come_first_in_query_order(self, story_graph):
         pair = ground_pair(STORY_CONTEXT, "church lady", story_graph)
@@ -387,14 +392,15 @@ class TestLevel5Regrowth:
             cfg = BuildConfig(max_children_per_node=int(rng.choice([2, 3, 4, 100])))
             forest = build_tree(pair.query_concepts, pair, g, cfg)
             nodes = rng.permutation(forest.node_count)
-            grown5 = forest.regrow5(nodes)
-            concepts, offsets = grown5[0], grown5[4]
+            concepts, rels, offsets = forest.regrow5(nodes, pair, g, cfg)
+            raw, n5 = level5_scores(forest, pair, nodes, concepts, offsets)
+            tf = mention_counts(pair.context_mentions)
             for k, idx in enumerate(nodes.tolist()):
                 part = slice(offsets[k], offsets[k + 1])
-                one = forest.regrow5([idx])
-                assert [a[part].tolist() for a in grown5[:4]] == [a.tolist() for a in one[:4]]
-                tf = [pair.context_mentions.mentions[c] for c in concepts[part].tolist()]
-                assert grown5[2][part].tolist() == [t / pair.context_mentions.source_len for t in tf]
+                c1, r1, o1 = forest.regrow5([idx], pair, g, cfg)
+                one = (c1, r1, *level5_scores(forest, pair, [idx], c1, o1))
+                assert [a[part].tolist() for a in (concepts, rels, raw, n5)] == [a.tolist() for a in one]
+                assert raw[part].tolist() == [tf[c] / pair.context_mentions.source_len for c in c1.tolist()]
             grown += int(offsets[-1])
         assert grown > 300, grown
 
@@ -411,7 +417,7 @@ class TestLevel5Regrowth:
             return expand(parents, ancestors, *rest)
 
         monkeypatch.setattr(pathmine.kernels, "expand_candidates", counting)
-        paths = [p for root_paths in select_paths(scored) for p in root_paths]
+        paths = [p for root_paths in select_paths(scored, pair, story_graph, BuildConfig()) for p in root_paths]
         assert len(calls) == 1
         parents, ancestors = calls[0]
         assert ancestors.shape[1] == 4 and (ancestors >= 0).all()
@@ -425,9 +431,9 @@ class TestLevel5Regrowth:
         rng = np.random.default_rng(61)
         calls, regrow5 = [], pathmine.tree.PathTree.regrow5
 
-        def counting(tree, nodes):
+        def counting(tree, *args):
             calls.append(None)
-            return regrow5(tree, nodes)
+            return regrow5(tree, *args)
 
         monkeypatch.setattr(pathmine.tree.PathTree, "regrow5", counting)
         forests = grown = 0
@@ -472,10 +478,10 @@ class TestLevel5Regrowth:
             forest = build_tree(pair.query_concepts, pair, g, cfg)
             nodes = rng.permutation(forest.node_count)
             monkeypatch.setattr(pathmine.tree, "_REGROW_BLOCK", 1 << 20)
-            whole = forest.regrow5(nodes)
+            whole = forest.regrow5(nodes, pair, g, cfg)
             monkeypatch.setattr(pathmine.tree, "_REGROW_BLOCK", 3)
             calls.clear()
-            blocks = forest.regrow5(nodes)
+            blocks = forest.regrow5(nodes, pair, g, cfg)
             assert [a.tolist() for a in blocks] == [a.tolist() for a in whole]
             assert len(calls) == int((forest.level5.count > 0).sum())
             grown += int(whole[-1][-1])
